@@ -21,10 +21,10 @@ quick-bench:
 		benchmarks/bench_table2_storage.py \
 		benchmarks/bench_fig1_characterization.py --benchmark-only
 
-# Sweep-engine scaling trajectory: batched vs per-point dispatch at 1/2/4
-# workers plus the trace-generation share (writes BENCH_runner.json; see
-# docs/PERFORMANCE.md).  BENCH_WORKERS/BENCH_CACHE_DIR configure the rest
-# of the harness.
+# Sweep-engine scaling trajectory: cold-sweep wall time at 1/2/4 workers
+# plus the trace-generation share and the host (writes BENCH_runner.json;
+# see docs/PERFORMANCE.md).  BENCH_WORKERS/BENCH_CACHE_DIR configure the
+# rest of the harness.
 bench-runner:
 	$(PYTHON) -m pytest benchmarks/bench_runner_scaling.py --benchmark-only
 
@@ -53,12 +53,13 @@ bench-vector:
 bench-service:
 	$(PYTHON) -m pytest benchmarks/bench_service.py --benchmark-only
 
-# Boot `repro serve` as a real subprocess, submit a tiny campaign over
-# HTTP, poll it to completion, check /metrics parses and every point
-# summary is bit-identical to a direct run_trace (mirrors the CI
-# service-smoke job; see docs/SERVICE.md).
+# Boot `repro serve` as a real subprocess on each backend, submit a tiny
+# campaign over HTTP, read its stream to EOF, poll it to completion, check
+# /metrics parses and every point summary is bit-identical to a direct
+# run_trace (mirrors the CI service-smoke job; see docs/SERVICE.md).
 service-smoke:
-	PYTHONPATH=src $(PYTHON) tools/service_smoke.py
+	PYTHONPATH=src $(PYTHON) tools/service_smoke.py --backend inproc
+	PYTHONPATH=src $(PYTHON) tools/service_smoke.py --backend pool
 
 # Traced + sampled smoke run with structural validation of the exports
 # (mirrors the CI obs-smoke job; see docs/OBSERVABILITY.md).

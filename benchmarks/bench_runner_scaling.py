@@ -1,13 +1,11 @@
-"""Sweep-engine scaling: batched vs per-point dispatch at 1, 2 and 4 workers.
+"""Sweep-engine scaling: cold-sweep wall time at 1, 2 and 4 workers.
 
 Runs the same provisioning sweep (a subset of the F3 point set) through
 :func:`repro.analysis.runner.run_points` with every cache layer cold, at
-each worker count twice — once with trace-key-grouped *batched* dispatch
-(the default) and once with ``batch_size=1`` (the old per-point dispatch)
-— checks that every variant reproduces the serial results exactly, and
-writes the timing trajectory plus the measured trace-generation share to
-``BENCH_runner.json`` at the repository root so speedups are trackable
-across commits.
+each worker count, checks that every run reproduces the serial results
+exactly, and writes the timing trajectory, the measured trace-generation
+share and the host to ``BENCH_runner.json`` at the repository root so
+speedups are trackable across commits.
 
 Speedup expectations scale with the host: on a single-CPU machine the
 parallel runs mostly measure process-pool overhead, so the benchmark
@@ -18,6 +16,7 @@ from __future__ import annotations
 
 import json
 import os
+import platform
 import time
 from pathlib import Path
 
@@ -44,7 +43,7 @@ SCALING_POINTS = [
 OUTPUT = Path(__file__).resolve().parents[1] / "BENCH_runner.json"
 
 
-def _cold_sweep(workers: int, batch_size: int = 0):
+def _cold_sweep(workers: int):
     """One fully cold run: result memo, trace memo and both disk layers off."""
     runner.clear_memo()
     trace_store.clear_memo()
@@ -54,7 +53,6 @@ def _cold_sweep(workers: int, batch_size: int = 0):
         workers=workers,
         cache_enabled=False,
         trace_cache_enabled=False,
-        batch_size=batch_size,
     )
     return time.perf_counter() - start, results
 
@@ -82,20 +80,13 @@ def test_runner_scaling(benchmark):
     trajectory = []
     reference = None
     for workers in WORKER_COUNTS:
-        batched_seconds, results = _cold_sweep(workers)
+        seconds, results = _cold_sweep(workers)
         if reference is None:
             reference = results
         else:
-            # Parallel batched fan-out must reproduce the serial run exactly.
+            # Parallel fan-out must reproduce the serial run exactly.
             assert results == reference, f"workers={workers} diverged from serial"
-        entry = {"workers": workers, "seconds": round(batched_seconds, 4)}
-        if workers > 1:
-            unbatched_seconds, unbatched = _cold_sweep(workers, batch_size=1)
-            assert unbatched == reference, (
-                f"workers={workers} per-point dispatch diverged from serial"
-            )
-            entry["unbatched_seconds"] = round(unbatched_seconds, 4)
-        trajectory.append(entry)
+        trajectory.append({"workers": workers, "seconds": round(seconds, 4)})
 
     serial = trajectory[0]["seconds"]
     payload = {
@@ -103,16 +94,12 @@ def test_runner_scaling(benchmark):
         "points": len(SCALING_POINTS),
         "ops_per_core": SCALING_OPS,
         "cpu_count": os.cpu_count(),
+        "python": platform.python_version(),
         "trace_generation": _trace_share(),
         "trajectory": trajectory,
         "speedup_vs_serial": {
             str(t["workers"]): round(serial / t["seconds"], 3) if t["seconds"] else None
             for t in trajectory
-        },
-        "batched_vs_unbatched": {
-            str(t["workers"]): round(t["unbatched_seconds"] / t["seconds"], 3)
-            for t in trajectory
-            if "unbatched_seconds" in t and t["seconds"]
         },
     }
     OUTPUT.write_text(json.dumps(payload, indent=1) + "\n")
@@ -125,8 +112,8 @@ def test_runner_scaling(benchmark):
         report_payload = json.load(handle)
     assert report_payload["trajectory"] == trajectory
     # Sanity bound rather than a host-dependent speedup assertion: with
-    # multiple CPUs the batched parallel runs should beat serial; on one
-    # CPU the pool overhead must still stay within a small constant factor.
+    # multiple CPUs the parallel runs should beat serial; on one CPU the
+    # pool overhead must still stay within a small constant factor.
     workers_2 = trajectory[1]["seconds"]
     workers_4 = trajectory[-1]["seconds"]
     cpus = os.cpu_count() or 1

@@ -1,30 +1,28 @@
-"""Pluggable dispatch backends for sweep-batch execution.
+"""Pluggable dispatch backends for sweep-point execution.
 
 The sweep engine (:mod:`repro.analysis.runner`) and the campaign service
-(:mod:`repro.service`) both execute the same unit of work: a *batch* of
-:class:`~repro.analysis.runner.SweepPoint` objects, grouped by trace key
-so each dispatch pays trace acquisition and IPC once.  This module is the
-seam between "what to run" and "where to run it":
+(:mod:`repro.service`) both execute the same unit of work: one
+:class:`~repro.analysis.runner.SweepPoint` through
+:func:`~repro.analysis.runner.compute_point`, one future per point.  This
+module is the seam between "what to run" and "where to run it":
 
-* :class:`DispatchBackend` — the ABC.  ``submit(fn, batch)`` returns a
-  :class:`concurrent.futures.Future` of the batch's outputs; callers
-  consume completions in any order (work-stealing falls out of the pool
-  semantics: idle workers pull the next queued batch).
-* :class:`SerialBackend` — runs the batch inline during ``submit`` (the
-  zero-overhead path the runner uses for ``workers <= 1``).
+* :class:`DispatchBackend` — the ABC.  ``submit(fn, item)`` returns a
+  :class:`concurrent.futures.Future` of ``fn(item)``; callers consume
+  completions in any order (idle workers pull the next queued item).
 * :class:`InProcessBackend` — a thread pool.  GIL-bound for pure-Python
-  simulation, but batches complete concurrently with the caller, which is
-  what the asyncio campaign service needs for observed (in-process-only)
-  points and for tests that want pool semantics without process spawn.
+  simulation, but work completes concurrently with the caller, which is
+  what the asyncio campaign service needs when it runs without process
+  spawn, and what tests substitute for the pool when their work function
+  cannot be pickled.
 * :class:`ProcessPoolBackend` — a :class:`ProcessPoolExecutor`; the true
   parallel path.  ``shutdown(cancel_pending=True)`` cancels every queued
-  batch **and terminates running workers**, so a blocked or long-running
+  item **and terminates running workers**, so a blocked or long-running
   worker can never wedge a Ctrl-C.
 
-:func:`run_batches` is the synchronous driver the runner uses: submit
-every batch, fold completions through a callback as they land, and on
+:func:`run_each` is the synchronous driver the runner uses: submit every
+item, fold completions through a callback as they land, and on
 ``KeyboardInterrupt``/``SystemExit`` cancel + drain the backend before
-re-raising — completed batches keep their (atomically written) cache
+re-raising — completed points keep their (atomically written) cache
 entries, pending ones simply never run.  :func:`graceful_sigterm` routes
 SIGTERM through the same path so ``kill <pid>`` behaves like Ctrl-C.
 """
@@ -48,20 +46,19 @@ __all__ = [
     "DispatchBackend",
     "InProcessBackend",
     "ProcessPoolBackend",
-    "SerialBackend",
     "graceful_sigterm",
     "make_backend",
-    "run_batches",
+    "run_each",
 ]
 
 
 class DispatchBackend(ABC):
-    """Executes batches of sweep work; the one seam runner and service share.
+    """Executes sweep work items; the one seam runner and service share.
 
     A backend is cheap to construct; resources (threads, processes) are
     created lazily on first ``submit`` (or explicitly via :meth:`start`)
     and released by :meth:`shutdown`.  ``fn`` must be picklable for the
-    process-pool backend — the runner passes its top-level batch worker.
+    process-pool backend — the runner passes its top-level point worker.
     """
 
     #: Registry name; subclasses override.
@@ -76,17 +73,17 @@ class DispatchBackend(ABC):
         """Eagerly create the execution resources (optional)."""
 
     @abstractmethod
-    def submit(self, fn: Callable, batch: Sequence) -> Future:
-        """Schedule ``fn(batch)``; returns a Future of its return value."""
+    def submit(self, fn: Callable, item: object) -> Future:
+        """Schedule ``fn(item)``; returns a Future of its return value."""
 
     def shutdown(self, cancel_pending: bool = False) -> None:
-        """Release resources; ``cancel_pending`` also drops queued batches."""
+        """Release resources; ``cancel_pending`` also drops queued items."""
 
     # -- introspection (metrics) -------------------------------------------
 
     @property
     def in_flight(self) -> int:
-        """Batches submitted but not yet completed."""
+        """Items submitted but not yet completed."""
         return self._in_flight
 
     @property
@@ -112,32 +109,12 @@ class DispatchBackend(ABC):
         return future
 
 
-class SerialBackend(DispatchBackend):
-    """Runs each batch inline during ``submit`` (no concurrency, no pool).
-
-    ``KeyboardInterrupt``/``SystemExit`` raised by the batch propagate out
-    of ``submit`` — an inline interrupt should stop the caller, not be
-    smuggled into a Future nobody is awaiting yet.
-    """
-
-    name = "serial"
-
-    def submit(self, fn: Callable, batch: Sequence) -> Future:
-        future: Future = Future()
-        future.set_running_or_notify_cancel()
-        try:
-            future.set_result(fn(batch))
-        except Exception as exc:
-            future.set_exception(exc)
-        return future
-
-
 class InProcessBackend(DispatchBackend):
     """Thread-pool backend: concurrent completion without process spawn.
 
     Simulation is pure Python, so threads do not add CPU parallelism; the
     value is asynchrony (the campaign service's event loop keeps serving
-    while batches run) and shared memory (observed points can hand their
+    while points run) and shared memory (observed points can hand their
     live :class:`~repro.obs.Observer` back to the caller).
     """
 
@@ -153,10 +130,10 @@ class InProcessBackend(DispatchBackend):
                 max_workers=self.workers, thread_name_prefix="repro-dispatch"
             )
 
-    def submit(self, fn: Callable, batch: Sequence) -> Future:
+    def submit(self, fn: Callable, item: object) -> Future:
         self.start()
         assert self._pool is not None
-        return self._track(self._pool.submit(fn, batch))
+        return self._track(self._pool.submit(fn, item))
 
     def shutdown(self, cancel_pending: bool = False) -> None:
         pool, self._pool = self._pool, None
@@ -168,7 +145,7 @@ class ProcessPoolBackend(DispatchBackend):
     """Process-pool backend: the real parallel path.
 
     ``shutdown(cancel_pending=True)`` is the graceful-interrupt discipline:
-    queued batches are cancelled, then every live worker process is
+    queued items are cancelled, then every live worker process is
     terminated — a worker blocked in a long simulation (or wedged outright)
     cannot stall the shutdown.  Results already handed back through
     completed futures are unaffected.
@@ -184,10 +161,10 @@ class ProcessPoolBackend(DispatchBackend):
         if self._pool is None:
             self._pool = ProcessPoolExecutor(max_workers=self.workers)
 
-    def submit(self, fn: Callable, batch: Sequence) -> Future:
+    def submit(self, fn: Callable, item: object) -> Future:
         self.start()
         assert self._pool is not None
-        return self._track(self._pool.submit(fn, batch))
+        return self._track(self._pool.submit(fn, item))
 
     def shutdown(self, cancel_pending: bool = False) -> None:
         pool, self._pool = self._pool, None
@@ -216,7 +193,6 @@ class ProcessPoolBackend(DispatchBackend):
 
 #: Backend registry: name -> class (CLI ``repro serve --backend``).
 BACKENDS = {
-    SerialBackend.name: SerialBackend,
     InProcessBackend.name: InProcessBackend,
     ProcessPoolBackend.name: ProcessPoolBackend,
 }
@@ -259,35 +235,35 @@ def _raise_interrupt(signum, frame):
     raise KeyboardInterrupt
 
 
-def run_batches(
+def run_each(
     backend: DispatchBackend,
     fn: Callable,
-    batches: Sequence[Sequence],
-    on_batch: Optional[Callable[[int, List], None]] = None,
-) -> List[Optional[List]]:
-    """Submit every batch and fold completions as they land.
+    items: Sequence,
+    on_result: Optional[Callable[[int, object], None]] = None,
+) -> List[object]:
+    """Submit ``fn(item)`` for every item and fold completions as they land.
 
-    Returns outputs in input order (``outputs[i]`` for ``batches[i]``);
-    ``on_batch(index, outputs)`` fires in *completion* order, which is what
-    incremental cache writes and live metrics hang off.  On
-    ``KeyboardInterrupt``/``SystemExit`` the pending batches are cancelled,
+    Returns outputs in input order (``outputs[i]`` for ``items[i]``);
+    ``on_result(index, output)`` fires in *completion* order, which is what
+    incremental cache writes hang off.  On
+    ``KeyboardInterrupt``/``SystemExit`` the pending items are cancelled,
     the backend is drained (``shutdown(cancel_pending=True)``) and the
     interrupt re-raised — work already completed stays completed.
 
-    A batch that raises any other exception propagates after the loop is
+    An item that raises any other exception propagates after the loop is
     abandoned; callers treat that as "this dispatch strategy failed"
     (the runner falls back to its serial loop).
     """
     futures: Dict[Future, int] = {}
-    outputs: List[Optional[List]] = [None] * len(batches)
+    outputs: List[object] = [None] * len(items)
     try:
-        for index, batch in enumerate(batches):
-            futures[backend.submit(fn, batch)] = index
+        for index, item in enumerate(items):
+            futures[backend.submit(fn, item)] = index
         for future in as_completed(futures):
             index = futures[future]
             outputs[index] = future.result()
-            if on_batch is not None:
-                on_batch(index, outputs[index])
+            if on_result is not None:
+                on_result(index, outputs[index])
     except (KeyboardInterrupt, SystemExit):
         for future in futures:
             future.cancel()

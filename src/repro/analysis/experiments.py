@@ -140,11 +140,6 @@ def make_config(
 
 # --------------------------------------------------------------------------- running
 
-#: The in-process memo, owned by :mod:`repro.analysis.runner` (same dict
-#: object — mutations are visible to both modules).
-_RESULT_CACHE: Dict[tuple, SimulationResult] = runner._MEMO
-
-
 def simulate(
     workload: str,
     config: SystemConfig,

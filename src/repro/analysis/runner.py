@@ -5,29 +5,24 @@ provisioning ratio x workload) sweep points — dozens of independent pure-
 Python simulations.  This module is the one place that executes them:
 
 * **Fan-out** — :func:`run_points` distributes independent sweep points
-  across a pluggable :class:`~repro.analysis.dispatch.DispatchBackend`
-  (``workers > 1``; a process pool by default) with deterministic result
+  across a :class:`~repro.analysis.dispatch.ProcessPoolBackend`
+  (``workers > 1``), one point per future, with deterministic result
   ordering: results come back in input order and are byte-identical to a
   serial run, because each simulation is fully determined by its
   :class:`SweepPoint`.  ``workers=1`` (the default), a single pending
   point, or any pool failure (e.g. an unpicklable config) falls back to
-  the plain serial loop.  Completed batches write their cache entries
+  the plain serial loop.  Completed points write their cache entries
   *incrementally* (atomic per-entry files), and ``KeyboardInterrupt`` /
-  SIGTERM mid-sweep cancels pending batches, drains the pool (terminating
+  SIGTERM mid-sweep cancels pending points, drains the pool (terminating
   blocked workers) and re-raises — a killed sweep keeps every finished
   point and never leaves a partially-written cache entry.
-* **Batched dispatch** — pending points are grouped by *trace key* (the
-  workload-generation parameterization) and shipped to workers in batches,
-  so each worker derives or loads its input trace once per batch and pays
-  process/IPC overhead once per batch instead of once per point.  The
-  default batch size splits the pending set evenly across workers
-  (``batch_size`` overrides it; ``1`` reproduces per-point dispatch).
 * **Shared traces** — workload traces are materialized exactly once per
   distinct key through :mod:`repro.workloads.store`: an in-process memo of
   :class:`~repro.sim.trace.PackedTrace` streams plus a corruption-safe
   binary spool under ``<cache-dir>/traces/``.  The parent pre-materializes
-  every distinct trace before dispatch, so a kinds x ratios sweep
-  generates each workload once, not ``len(kinds) * len(ratios)`` times.
+  every distinct trace before dispatch (:func:`materialize_traces`), so a
+  kinds x ratios sweep generates each workload once, not
+  ``len(kinds) * len(ratios)`` times, and forked workers inherit it.
 * **Persistent cache** — results are cached on disk as JSON under
   ``.repro_cache/`` (override with ``REPRO_CACHE_DIR`` / ``configure``),
   keyed by a stable SHA-256 of the full :class:`~repro.common.config.
@@ -35,34 +30,34 @@ Python simulations.  This module is the one place that executes them:
   also folds in :data:`CACHE_SCHEMA_VERSION` and :data:`CODE_VERSION`, so
   bumping either invalidates every stale entry.  Corrupt or truncated
   files are detected, dropped and recomputed — never crashed on.
-* **In-memory memo** — the per-process memo (shared with
-  :mod:`repro.analysis.experiments`) sits above the disk layer, so hot
-  sweep points never touch the filesystem twice in one process.
+* **In-memory memo** — the per-process memo sits above the disk layer, so
+  hot sweep points never touch the filesystem twice in one process.
 * **Observability** — :data:`counters` tracks memo/disk hit rates,
   per-point compute wall-times and parallel fallbacks;
   :func:`counters_summary` renders them (CLI ``--cache-stats``).
 
+:func:`run_points` and the campaign service (:mod:`repro.service`) resolve
+points through one public core: :func:`lookup` (memo, then disk),
+:func:`materialize_traces`, :func:`compute_point` (picklable, so it runs
+in pool workers) and :func:`record` (memo, disk and counters).
+
 Environment knobs (read once at import, overridable via :func:`configure`
 or per-call arguments): ``REPRO_WORKERS`` (worker processes, default 1),
 ``REPRO_CACHE_DIR`` (cache root, default ``.repro_cache``),
-``REPRO_NO_CACHE`` (any non-empty value disables the result disk layer),
-``REPRO_NO_TRACE_CACHE`` (disables the trace spool), ``REPRO_BATCH_SIZE``
-(points per worker dispatch, 0 = auto) and ``REPRO_BACKEND`` (dispatch
-backend name from :data:`repro.analysis.dispatch.BACKENDS`, default
-``pool``).
+``REPRO_NO_CACHE`` (any non-empty value disables the result disk layer)
+and ``REPRO_NO_TRACE_CACHE`` (disables the trace spool).
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import math
 import os
 import time
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..common.config import SystemConfig
 from ..obs import ObsConfig, attach
@@ -129,7 +124,8 @@ class SweepPoint:
         """The workload-generation key this point's input trace shares.
 
         Points that differ only in directory/NoC/protocol configuration
-        replay the identical trace; the batched scheduler groups on this.
+        replay the identical trace; :func:`materialize_traces` acquires
+        each distinct key once.
         """
         return trace_store.memo_key(
             self.workload,
@@ -262,8 +258,8 @@ class RunnerCounters:
     recent :func:`run_points` batch (cache hits contribute nothing — they
     are the point).  ``trace_seconds`` is the share of compute time spent
     acquiring input traces (store lookups + any generation inside
-    workers); ``dispatches`` counts worker batches shipped through the
-    pool across all parallel runs.
+    workers); ``parallel_batches`` counts :func:`run_points` calls that
+    used the pool and ``dispatches`` the points shipped through it.
     """
 
     memo_hits: int = 0
@@ -298,8 +294,8 @@ class RunnerCounters:
 #: Process-global counters (reset with ``counters.reset()``).
 counters = RunnerCounters()
 
-#: In-memory memo layered above the disk cache; shared (by object
-#: identity) with ``repro.analysis.experiments._RESULT_CACHE``.
+#: In-memory memo layered above the disk cache (read and filled through
+#: :func:`lookup` and :func:`record`).
 _MEMO: Dict[tuple, SimulationResult] = {}
 
 _DEFAULTS = {
@@ -307,8 +303,6 @@ _DEFAULTS = {
     "cache_dir": os.environ.get("REPRO_CACHE_DIR") or ".repro_cache",
     "cache_enabled": not os.environ.get("REPRO_NO_CACHE"),
     "trace_cache_enabled": not os.environ.get("REPRO_NO_TRACE_CACHE"),
-    "batch_size": max(0, int(os.environ.get("REPRO_BATCH_SIZE", "0") or "0")),
-    "backend": os.environ.get("REPRO_BACKEND") or dispatch.ProcessPoolBackend.name,
 }
 
 
@@ -317,16 +311,11 @@ def configure(
     cache_dir: Optional[Union[str, Path]] = None,
     cache_enabled: Optional[bool] = None,
     trace_cache_enabled: Optional[bool] = None,
-    batch_size: Optional[int] = None,
-    backend: Optional[str] = None,
 ) -> Dict[str, object]:
     """Set process-wide runner defaults; None leaves a field unchanged.
 
-    Returns the resolved defaults (also the way to inspect them).
-    ``batch_size=0`` means auto (split the pending set evenly across
-    workers); the trace spool lives under ``<cache_dir>/traces/``;
-    ``backend`` names a dispatch backend from
-    :data:`repro.analysis.dispatch.BACKENDS`.
+    Returns the resolved defaults (also the way to inspect them).  The
+    trace spool lives under ``<cache_dir>/traces/``.
     """
     if workers is not None:
         _DEFAULTS["workers"] = max(1, int(workers))
@@ -336,15 +325,6 @@ def configure(
         _DEFAULTS["cache_enabled"] = bool(cache_enabled)
     if trace_cache_enabled is not None:
         _DEFAULTS["trace_cache_enabled"] = bool(trace_cache_enabled)
-    if batch_size is not None:
-        _DEFAULTS["batch_size"] = max(0, int(batch_size))
-    if backend is not None:
-        if backend not in dispatch.BACKENDS:
-            raise ValueError(
-                f"unknown dispatch backend {backend!r}; "
-                f"known: {sorted(dispatch.BACKENDS)}"
-            )
-        _DEFAULTS["backend"] = backend
     return dict(_DEFAULTS)
 
 
@@ -405,7 +385,7 @@ def clear_all() -> None:
 
 # ------------------------------------------------------------------ execution
 
-def _compute_point(
+def compute_point(
     point: SweepPoint,
     spool_dir: Optional[str] = None,
     spool_enabled: bool = True,
@@ -442,23 +422,7 @@ def _compute_point(
     return result, time.perf_counter() - start, trace_seconds
 
 
-def _run_batch(
-    batch: Sequence[SweepPoint],
-    spool_dir: Optional[str] = None,
-    spool_enabled: bool = True,
-) -> List[Tuple[SimulationResult, float, float]]:
-    """Worker entry point: compute one batch of points in order.
-
-    A batch is the unit of pool dispatch — the worker pays pickling/IPC
-    once for the whole list, and the trace store's in-process memo
-    guarantees each distinct trace key inside the batch is derived once
-    (with a forking pool it is usually already memoized by the parent's
-    pre-materialization pass).
-    """
-    return [_compute_point(point, spool_dir, spool_enabled) for point in batch]
-
-
-def _effective_workers(requested: Optional[int]) -> int:
+def effective_workers(requested: Optional[int]) -> int:
     """Resolve a per-call ``workers`` argument to the count actually used.
 
     An explicit request is honored as-is (floored at 1) — tests and
@@ -473,110 +437,119 @@ def _effective_workers(requested: Optional[int]) -> int:
     return max(1, min(configured, os.cpu_count() or 1))
 
 
-def _plan_batches(
-    points: Sequence[SweepPoint], workers: int, batch_size: int
-) -> List[List[int]]:
-    """Partition point indices into dispatch batches, grouped by trace key.
+def lookup(
+    point: SweepPoint, disk: Optional[DiskCache]
+) -> Optional[SimulationResult]:
+    """The cached result for ``point`` — memo, then ``disk`` — or None.
 
-    Points sharing a trace key are laid out adjacently (first-occurrence
-    order, so the plan is deterministic), then cut into batches of
-    ``batch_size``; ``batch_size <= 0`` picks the even split
-    ``ceil(len(points) / workers)`` — one dispatch per worker for uniform
-    sweeps, which is where per-point IPC overhead goes to die.
+    Counts the hit in :data:`counters`; a disk hit also fills the memo.
+    ``disk=None`` skips the disk layer.  Observed points always miss:
+    their exports are the point, so neither layer serves them.
     """
-    groups: Dict[tuple, List[int]] = {}
-    order: List[tuple] = []
-    for index, point in enumerate(points):
-        key = point.trace_memo_key
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
-        groups[key].append(index)
-    if batch_size <= 0:
-        batch_size = max(1, math.ceil(len(points) / workers))
-    batches: List[List[int]] = []
-    current: List[int] = []
-    for key in order:
-        for index in groups[key]:
-            current.append(index)
-            if len(current) >= batch_size:
-                batches.append(current)
-                current = []
-    if current:
-        batches.append(current)
-    return batches
+    if point.observed:
+        return None
+    hit = _MEMO.get(point.memo_key)
+    if hit is not None:
+        counters.memo_hits += 1
+        return hit
+    if disk is not None:
+        hit = disk.load(cache_key(point))
+        if hit is not None:
+            counters.disk_hits += 1
+            _MEMO[point.memo_key] = hit
+    return hit
 
 
-def _serial_compute(
+def record(
+    point: SweepPoint,
+    output: Tuple[SimulationResult, float, float],
+    disk: Optional[DiskCache],
+) -> str:
+    """Fold one :func:`compute_point` output into the counters and caches.
+
+    Writes the memo and ``disk`` (``None`` skips it) and adds to
+    ``computed``, ``compute_seconds`` and ``trace_seconds``.  Returns the
+    point's :func:`cache_key`, or ``""`` for an observed point, which is
+    counted but never cached.
+    """
+    result, seconds, trace_seconds = output
+    counters.computed += 1
+    counters.compute_seconds += seconds
+    counters.trace_seconds += trace_seconds
+    if point.observed:
+        return ""
+    key = cache_key(point)
+    _MEMO[point.memo_key] = result
+    if disk is not None:
+        disk.store(key, point, result)
+    return key
+
+
+def materialize_traces(
     points: Sequence[SweepPoint],
-    spool_dir: Optional[str],
-    spool_enabled: bool,
-    on_output: Optional[Callable[[int, Tuple], None]] = None,
-) -> List[Tuple[SimulationResult, float, float]]:
-    """The plain serial loop (also the parallel-failure fallback)."""
-    outputs: List[Tuple[SimulationResult, float, float]] = []
-    for index, point in enumerate(points):
-        output = _compute_point(point, spool_dir, spool_enabled)
-        if on_output is not None:
-            on_output(index, output)
-        outputs.append(output)
-    return outputs
+    spool_dir: Optional[str] = None,
+    spool_enabled: bool = True,
+) -> None:
+    """Acquire each distinct input trace of ``points`` once.
+
+    Called before dispatch, so every later :func:`compute_point` finds its
+    trace in the spool or, in a worker forked afterwards, in the inherited
+    memo: a kinds x ratios sweep performs one generation per workload.
+    """
+    seen = set()
+    for point in points:
+        key = point.trace_memo_key
+        if key not in seen:
+            seen.add(key)
+            trace_store.get_packed_trace(
+                *key, root=spool_dir, disk_enabled=spool_enabled
+            )
 
 
-def _compute_batch(
+def _compute_all(
     points: Sequence[SweepPoint],
     workers: int,
-    spool_dir: Optional[str],
+    spool_dir: str,
     spool_enabled: bool,
-    batch_size: int,
-    backend_name: Optional[str] = None,
-    on_output: Optional[Callable[[int, Tuple], None]] = None,
+    disk: Optional[DiskCache],
 ) -> List[Tuple[SimulationResult, float, float]]:
-    """Compute every point through a dispatch backend when asked.
+    """Compute and :func:`record` every point; outputs in input order.
 
-    Output order matches input order regardless of worker scheduling;
-    ``on_output(point_index, output)`` fires in *completion* order (the
-    hook incremental cache writes hang off — an interrupted sweep keeps
-    everything that finished).  Any backend-level failure (pickling,
-    missing OS support, broken pool) falls back to the serial loop so a
-    sweep never dies on parallel plumbing; ``KeyboardInterrupt`` and
-    SIGTERM cancel pending batches, drain the pool and re-raise.
+    Each point is recorded as it completes, so an interrupted sweep keeps
+    everything that finished.  With ``workers > 1`` every point is one
+    future on a process pool.  Any pool-level failure (pickling, missing
+    OS support, broken pool) counts a fallback and the serial loop
+    computes whatever the pool did not finish, so a sweep never dies on
+    parallel plumbing; ``KeyboardInterrupt`` and SIGTERM cancel pending
+    points, drain the pool and re-raise.
     """
+    outputs: List[Optional[Tuple[SimulationResult, float, float]]]
+    outputs = [None] * len(points)
+
+    def _done(index: int, output: Tuple[SimulationResult, float, float]) -> None:
+        outputs[index] = output
+        record(points[index], output, disk)
+
     with dispatch.graceful_sigterm():
-        if workers <= 1 or len(points) <= 1:
-            # Explicit serial path: one worker never pays for an executor.
-            return _serial_compute(points, spool_dir, spool_enabled, on_output)
-        plan = _plan_batches(points, workers, batch_size)
-        run = partial(_run_batch, spool_dir=spool_dir, spool_enabled=spool_enabled)
-        backend = dispatch.make_backend(
-            backend_name or str(_DEFAULTS["backend"]), min(workers, len(plan))
-        )
-        computed: List[Optional[Tuple[SimulationResult, float, float]]]
-        computed = [None] * len(points)
-
-        def _fold(batch_index: int, outputs: List[Tuple]) -> None:
-            for point_index, output in zip(plan[batch_index], outputs):
-                computed[point_index] = output
-                if on_output is not None:
-                    on_output(point_index, output)
-
-        try:
-            dispatch.run_batches(
-                backend,
-                run,
-                [[points[i] for i in batch] for batch in plan],
-                on_batch=_fold,
+        if workers > 1 and len(points) > 1:
+            backend = dispatch.ProcessPoolBackend(min(workers, len(points)))
+            compute = partial(
+                compute_point, spool_dir=spool_dir, spool_enabled=spool_enabled
             )
-            counters.parallel_batches += 1
-            counters.dispatches += len(plan)
-            return computed  # type: ignore[return-value]
-        except (KeyboardInterrupt, SystemExit):
-            raise
-        except Exception:
-            counters.parallel_fallbacks += 1
-        finally:
-            backend.shutdown()
-        return _serial_compute(points, spool_dir, spool_enabled, on_output)
+            try:
+                dispatch.run_each(backend, compute, points, on_result=_done)
+                counters.parallel_batches += 1
+                counters.dispatches += len(points)
+            except (KeyboardInterrupt, SystemExit):
+                raise
+            except Exception:
+                counters.parallel_fallbacks += 1
+            finally:
+                backend.shutdown()
+        for index, point in enumerate(points):
+            if outputs[index] is None:
+                _done(index, compute_point(point, spool_dir, spool_enabled))
+    return outputs  # type: ignore[return-value]
 
 
 def run_points(
@@ -585,104 +558,52 @@ def run_points(
     cache_dir: Optional[Union[str, Path]] = None,
     cache_enabled: Optional[bool] = None,
     trace_cache_enabled: Optional[bool] = None,
-    batch_size: Optional[int] = None,
-    backend: Optional[str] = None,
 ) -> List[SimulationResult]:
     """Execute sweep points through memo -> disk cache -> (parallel) compute.
 
     Results are returned in input order; duplicate points are simulated
-    once.  Pending points are dispatched to workers in trace-key-grouped
-    batches, and every distinct input trace is materialized exactly once
-    in this process (memo + spool) before any dispatch.  Completed points
-    land in the memo and disk cache *as their batches finish*, so an
-    interrupted sweep resumes from everything already computed.  Per-call
-    arguments override the configured defaults (None means "use the
-    default").
+    once.  Every distinct input trace is materialized exactly once in this
+    process (memo + spool) before any dispatch, then each pending point
+    is computed on its own.  Completed points land in the memo and disk
+    cache *as they finish*, so an interrupted sweep resumes from
+    everything already computed.  Per-call arguments override the
+    configured defaults (None means "use the default").
     """
-    workers = _effective_workers(workers)
+    workers = effective_workers(workers)
     use_disk = _DEFAULTS["cache_enabled"] if cache_enabled is None else bool(cache_enabled)
     use_spool = (
         _DEFAULTS["trace_cache_enabled"]
         if trace_cache_enabled is None
         else bool(trace_cache_enabled)
     )
-    batch_size = (
-        int(_DEFAULTS["batch_size"]) if batch_size is None else max(0, int(batch_size))
-    )
-    disk = DiskCache(cache_dir) if cache_dir is not None else default_cache()
+    disk = None
+    if use_disk:
+        disk = DiskCache(cache_dir) if cache_dir is not None else default_cache()
     spool_dir = str(trace_spool_root(cache_dir))
 
     batch_start = time.perf_counter()
     results: List[Optional[SimulationResult]] = [None] * len(points)
-    # memo_key -> (point, indices still waiting, disk key)
-    pending: Dict[tuple, Tuple[SweepPoint, List[int], str]] = {}
+    # key -> (point, indices waiting for it).  Observed points also key on
+    # their obs config, so identical sims with different observability
+    # stay distinct.
+    pending: Dict[tuple, Tuple[SweepPoint, List[int]]] = {}
     for index, point in enumerate(points):
-        if point.observed:
-            # Observed points bypass both cache layers (their exports are
-            # the point); key on the obs config too so identical sims with
-            # different observability stay distinct.
-            key = (point.memo_key, point.obs)
-            if key in pending:
-                pending[key][1].append(index)
-            else:
-                pending[key] = (point, [index], "")
-            continue
-        key = point.memo_key
-        hit = _MEMO.get(key)
-        if hit is not None:
-            counters.memo_hits += 1
-            results[index] = hit
-            continue
+        key = (point.memo_key, point.obs) if point.observed else point.memo_key
         if key in pending:
             pending[key][1].append(index)
             continue
-        disk_key = cache_key(point)
-        if use_disk:
-            loaded = disk.load(disk_key)
-            if loaded is not None:
-                counters.disk_hits += 1
-                _MEMO[key] = loaded
-                results[index] = loaded
-                continue
-        pending[key] = (point, [index], disk_key)
+        hit = lookup(point, disk)
+        if hit is not None:
+            results[index] = hit
+        else:
+            pending[key] = (point, [index])
 
     if pending:
-        entries = list(pending.values())
-        todo = [entry[0] for entry in entries]
-        # Materialize every distinct input trace once, up front: later
-        # worker batches find it in the spool (or, with a forking pool,
-        # already in the inherited memo), so a kinds x ratios sweep
-        # performs exactly one generation per workload.
-        seen_traces = set()
-        for point in todo:
-            trace_key = point.trace_memo_key
-            if trace_key not in seen_traces:
-                seen_traces.add(trace_key)
-                trace_store.get_packed_trace(
-                    *trace_key, root=spool_dir, disk_enabled=use_spool
-                )
-
-        def _store_output(todo_index: int, output: Tuple) -> None:
-            # Fires as each batch completes: an interrupted sweep keeps
-            # every finished point in both cache layers (idempotent, so
-            # the serial fallback re-calling it is harmless).
-            point, _, disk_key = entries[todo_index]
-            if not point.observed:
-                _MEMO[point.memo_key] = output[0]
-                if use_disk:
-                    disk.store(disk_key, point, output[0])
-
-        computed = _compute_batch(
-            todo, workers, spool_dir, use_spool, batch_size,
-            backend_name=backend, on_output=_store_output,
-        )
-        counters.point_seconds = [seconds for _, seconds, _ in computed]
-        for (point, indices, disk_key), (result, seconds, trace_seconds) in zip(
-            entries, computed
-        ):
-            counters.computed += 1
-            counters.compute_seconds += seconds
-            counters.trace_seconds += trace_seconds
+        todo = [point for point, _ in pending.values()]
+        materialize_traces(todo, spool_dir, use_spool)
+        outputs = _compute_all(todo, workers, spool_dir, use_spool, disk)
+        counters.point_seconds = [seconds for _, seconds, _ in outputs]
+        for (_, indices), (result, _, _) in zip(pending.values(), outputs):
             for index in indices:
                 results[index] = result
     counters.batch_seconds += time.perf_counter() - batch_start

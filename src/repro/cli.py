@@ -33,9 +33,8 @@ Every command prints plain text (the same tables the benchmark harness
 emits) and returns a non-zero exit code on error.
 
 Global sweep-engine flags (give them *before* the subcommand):
-``--workers N`` fans independent sweep points across N worker processes
-in trace-key-grouped batches (``--batch-size N`` overrides the per-
-dispatch size), ``--cache-dir PATH`` / ``--no-cache`` control the
+``--workers N`` fans independent sweep points across N worker processes,
+one point per dispatch, ``--cache-dir PATH`` / ``--no-cache`` control the
 persistent result cache, ``--trace-cache/--no-trace-cache`` the shared
 trace spool, and ``--cache-stats`` prints hit-rate/wall-time counters to
 stderr (see docs/PERFORMANCE.md).
@@ -576,9 +575,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
     Boots the asyncio HTTP server of :mod:`repro.service` on the given
     address, scheduling submitted campaigns through the selected dispatch
     backend.  The global sweep-engine flags apply: ``--workers`` sizes
-    the backend (0 = auto), ``--cache-dir``/``--no-cache`` control the
-    shared result cache and the campaign journal location, and
-    ``--batch-size`` overrides the work-stealing dispatch split.
+    the backend (0 = auto) and ``--cache-dir``/``--no-cache`` control the
+    shared result cache and the campaign journal location.
     """
     import asyncio
 
@@ -592,7 +590,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         cache_dir=args.cache_dir,
         cache_enabled=not args.no_cache,
         trace_cache_enabled=True if args.trace_cache is None else args.trace_cache,
-        batch_size=args.batch_size or 0,
         max_points=args.max_points,
     )
 
@@ -630,11 +627,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--trace-cache", action=argparse.BooleanOptionalAction, default=None,
         help="enable/disable the shared trace spool under <cache-dir>/traces "
              "(default: on, or REPRO_NO_TRACE_CACHE)",
-    )
-    parser.add_argument(
-        "--batch-size", type=int, default=None, metavar="N",
-        help="sweep points per worker dispatch (default: auto — split the "
-             "pending set evenly across workers; 1 = per-point dispatch)",
     )
     parser.add_argument(
         "--cache-stats", action="store_true",
@@ -871,7 +863,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         cache_dir=args.cache_dir,
         cache_enabled=False if args.no_cache else None,
         trace_cache_enabled=args.trace_cache,
-        batch_size=args.batch_size,
     )
     try:
         return args.func(args)

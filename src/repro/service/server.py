@@ -5,8 +5,10 @@ stdlib-only service.  Clients POST **campaign manifests**
 (:mod:`repro.service.manifest`); the service expands them to sweep
 points, satisfies what it can from the campaign journal and the
 content-addressed result cache, and schedules the rest through a
-pluggable :class:`~repro.analysis.dispatch.DispatchBackend` in
-trace-key-grouped, work-stealing batches.  Every completed point is
+pluggable :class:`~repro.analysis.dispatch.DispatchBackend`, one future
+per point.  Cache lookups, trace materialization, point computation and
+cache writes go through the same public core as
+:func:`~repro.analysis.runner.run_points`.  Every completed point is
 journaled (:mod:`repro.service.store`) and cached atomically *as it
 finishes*, so a killed server restarted on the same manifest re-runs
 only the missing points.
@@ -40,7 +42,6 @@ from __future__ import annotations
 
 import asyncio
 import json
-import math
 import socket
 import threading
 import time
@@ -62,9 +63,6 @@ from .store import CampaignStore
 #: Service API version reported at ``GET /``.
 SERVICE_VERSION = 1
 
-#: Backends the async service accepts (serial would block the event loop).
-SERVICE_BACKENDS = ("inproc", "pool")
-
 #: Sliding window (seconds) for the points/s gauge.
 RATE_WINDOW_SECONDS = 30.0
 
@@ -74,9 +72,7 @@ class ServiceConfig:
     """Everything ``repro serve`` needs to boot.
 
     ``workers=0`` resolves to the runner's clamped default;
-    ``cache_dir=None`` uses the configured runner cache root;
-    ``batch_size=0`` picks the work-stealing split (several batches per
-    worker, so idle workers pull queued batches).
+    ``cache_dir=None`` uses the configured runner cache root.
     """
 
     host: str = "127.0.0.1"
@@ -86,15 +82,13 @@ class ServiceConfig:
     cache_dir: Optional[str] = None
     cache_enabled: bool = True
     trace_cache_enabled: bool = True
-    batch_size: int = 0
     max_points: int = 100_000
 
     def __post_init__(self) -> None:
-        if self.backend not in SERVICE_BACKENDS:
+        if self.backend not in dispatch_mod.BACKENDS:
             raise ValueError(
-                f"service backend must be one of {list(SERVICE_BACKENDS)}, "
-                f"got {self.backend!r} (serial dispatch would block the "
-                "event loop)"
+                f"service backend must be one of {sorted(dispatch_mod.BACKENDS)}, "
+                f"got {self.backend!r}"
             )
 
 
@@ -172,12 +166,15 @@ class Campaign:
 
 def _run_observed_point(
     point, spool_dir: str, spool_enabled: bool
-) -> Tuple[object, object, float]:
-    """Execute one observed point in-process; returns (result, observer, s).
+) -> Tuple[Tuple[object, float, float], object]:
+    """Execute one observed point in-process.
 
-    Runs on an executor thread — observed points cannot cross a process
-    boundary and come back with a live :class:`~repro.obs.Observer`, which
-    is exactly what the ``/metrics`` obs gauges need.
+    Returns ``((result, seconds, trace_seconds), observer)``: the first
+    half is shaped like :func:`~repro.analysis.runner.compute_point`'s
+    output.  Runs on an executor thread — observed points cannot cross a
+    process boundary and come back with a live
+    :class:`~repro.obs.Observer`, which is exactly what the ``/metrics``
+    obs gauges need.
     """
     start = time.perf_counter()
     trace = trace_store.get_packed_trace(
@@ -189,10 +186,11 @@ def _run_observed_point(
         root=spool_dir,
         disk_enabled=spool_enabled,
     )
+    trace_seconds = time.perf_counter() - start
     system = build_system(point.config)
     observer = attach(system, point.obs)
     result = run_trace(point.config, trace, system=system, observer=observer)
-    return result, observer, time.perf_counter() - start
+    return (result, time.perf_counter() - start, trace_seconds), observer
 
 
 class CampaignService:
@@ -206,10 +204,10 @@ class CampaignService:
         self.config = config or ServiceConfig()
         cache_dir = self.config.cache_dir or str(runner.configure()["cache_dir"])
         self.cache_dir = cache_dir
-        self.disk = runner.DiskCache(cache_dir)
+        self.disk = runner.DiskCache(cache_dir) if self.config.cache_enabled else None
         self.spool_dir = str(runner.trace_spool_root(cache_dir))
         self.store = CampaignStore(runner.campaigns_root(cache_dir))
-        workers = self.config.workers or runner._effective_workers(None)
+        workers = self.config.workers or runner.effective_workers(None)
         self.backend = dispatch_mod.make_backend(self.config.backend, workers)
         self.campaigns: Dict[str, Campaign] = {}
         self._tasks: Dict[str, asyncio.Task] = {}
@@ -264,11 +262,11 @@ class CampaignService:
         )
         r.gauge_func(
             "repro_worker_utilization",
-            "Fraction of backend workers with a batch in flight",
+            "Fraction of backend workers with a point in flight",
             lambda: self.backend.utilization,
         )
         r.gauge_func(
-            "repro_dispatch_in_flight", "Batches submitted but not finished",
+            "repro_dispatch_in_flight", "Points submitted but not finished",
             lambda: self.backend.in_flight,
         )
         # Cache layers, read live from the runner/trace-store counters.
@@ -350,12 +348,6 @@ class CampaignService:
 
     # -- scheduling ---------------------------------------------------------
 
-    def _service_batch_size(self, pending: int) -> int:
-        """Work-stealing split: several small batches per worker."""
-        if self.config.batch_size > 0:
-            return self.config.batch_size
-        return max(1, min(math.ceil(pending / (self.backend.workers * 4)), 32))
-
     async def _notify(self, campaign: Campaign) -> None:
         async with campaign.cond:
             campaign.cond.notify_all()
@@ -434,110 +426,59 @@ class CampaignService:
 
             # 2. Result-cache probe: a point someone already computed (any
             # process, any campaign) completes without dispatch.
-            pending = [
-                i for i, s in enumerate(campaign.states) if s == "pending"
-            ]
-            if self.config.cache_enabled:
-                still = []
-                for index in pending:
-                    point = campaign.specs[index].point
-                    if point.observed:
-                        still.append(index)
-                        continue
-                    hit = runner._MEMO.get(point.memo_key)
-                    key = runner.cache_key(point)
-                    if hit is not None:
-                        runner.counters.memo_hits += 1
-                    else:
-                        hit = self.disk.load(key)
-                        if hit is not None:
-                            runner.counters.disk_hits += 1
-                            runner._MEMO[point.memo_key] = hit
-                    if hit is None:
-                        still.append(index)
-                        continue
-                    campaign.cache_hits += 1
-                    self._complete_point(
-                        campaign, index, "cache", 0.0, hit.summary(),
-                        journal_handle, key=key,
-                    )
-                pending = still
-                await self._notify(campaign)
-
-            observed = [
-                i for i in pending if campaign.specs[i].point.observed
-            ]
-            plain = [i for i in pending if not campaign.specs[i].point.observed]
-
-            # 3. Materialize every distinct input trace once, off-loop.
-            seen = set()
-            for index in pending:
-                point = campaign.specs[index].point
-                trace_key = point.trace_memo_key
-                if trace_key in seen:
+            pending = []
+            for index, spec in enumerate(campaign.specs):
+                if campaign.states[index] != "pending":
                     continue
-                seen.add(trace_key)
-                await loop.run_in_executor(
-                    None,
-                    partial(
-                        trace_store.get_packed_trace,
-                        *trace_key,
-                        root=self.spool_dir,
-                        disk_enabled=self.config.trace_cache_enabled,
-                    ),
+                hit = runner.lookup(spec.point, self.disk)
+                if hit is None:
+                    pending.append(index)
+                    continue
+                campaign.cache_hits += 1
+                self._complete_point(
+                    campaign, index, "cache", 0.0, hit.summary(),
+                    journal_handle, key=runner.cache_key(spec.point),
                 )
-
-            # 4. Dispatch plain points in trace-grouped batches.
-            futures: Dict[asyncio.Future, Tuple[str, object]] = {}
-            if plain:
-                points = [campaign.specs[i].point for i in plain]
-                plan = runner._plan_batches(
-                    points,
-                    self.backend.workers,
-                    self._service_batch_size(len(points)),
-                )
-                run_fn = partial(
-                    runner._run_batch,
-                    spool_dir=self.spool_dir,
-                    spool_enabled=self.config.trace_cache_enabled,
-                )
-                for batch_no, batch in enumerate(plan):
-                    cf = self.backend.submit(
-                        run_fn, [points[i] for i in batch]
-                    )
-                    for local in batch:
-                        campaign.states[plain[local]] = "running"
-                    futures[asyncio.wrap_future(cf)] = (
-                        "batch",
-                        [plain[local] for local in batch],
-                    )
-
-            # 5. Observed points run in-process, one executor task each.
-            for index in observed:
-                campaign.states[index] = "running"
-                future = loop.run_in_executor(
-                    None,
-                    _run_observed_point,
-                    campaign.specs[index].point,
-                    self.spool_dir,
-                    self.config.trace_cache_enabled,
-                )
-                futures[future] = ("observed", index)
-
             await self._notify(campaign)
 
-            # 6. Fold completions as they land (work-stealing order).
+            # 3. Materialize every distinct input trace once, off-loop.
+            await loop.run_in_executor(
+                None,
+                runner.materialize_traces,
+                [campaign.specs[i].point for i in pending],
+                self.spool_dir,
+                self.config.trace_cache_enabled,
+            )
+
+            # 4. One future per point: plain points on the backend,
+            # observed points in-process (their Observer must come back).
+            compute = partial(
+                runner.compute_point,
+                spool_dir=self.spool_dir,
+                spool_enabled=self.config.trace_cache_enabled,
+            )
+            futures: Dict[asyncio.Future, int] = {}
+            for index in pending:
+                point = campaign.specs[index].point
+                if point.observed:
+                    future = loop.run_in_executor(
+                        None, _run_observed_point, point, self.spool_dir,
+                        self.config.trace_cache_enabled,
+                    )
+                else:
+                    future = asyncio.wrap_future(self.backend.submit(compute, point))
+                campaign.states[index] = "running"
+                futures[future] = index
+            await self._notify(campaign)
+
+            # 5. Fold completions as they land.
             outstanding = set(futures)
             while outstanding:
                 finished, outstanding = await asyncio.wait(
                     outstanding, return_when=asyncio.FIRST_COMPLETED
                 )
                 for future in finished:
-                    kind, payload = futures[future]
-                    if kind == "batch":
-                        self._fold_batch(campaign, payload, future, journal_handle)
-                    else:
-                        self._fold_observed(campaign, payload, future, journal_handle)
+                    self._fold(campaign, futures[future], future, journal_handle)
                 await self._notify(campaign)
 
             failed = campaign.counts()["failed"]
@@ -557,50 +498,30 @@ class CampaignService:
             journal_handle.close()
             await self._notify(campaign)
 
-    def _fold_batch(
-        self, campaign: Campaign, indices: List[int], future, journal_handle
-    ) -> None:
-        try:
-            outputs = future.result()
-        except Exception as exc:
-            for index in indices:
-                self._fail_point(campaign, index, f"{type(exc).__name__}: {exc}")
-            return
-        for index, (result, seconds, trace_seconds) in zip(indices, outputs):
-            point = campaign.specs[index].point
-            key = runner.cache_key(point)
-            runner._MEMO[point.memo_key] = result
-            if self.config.cache_enabled:
-                self.disk.store(key, point, result)
-            runner.counters.computed += 1
-            runner.counters.compute_seconds += seconds
-            runner.counters.trace_seconds += trace_seconds
-            campaign.executed += 1
-            self._complete_point(
-                campaign, index, "computed", seconds, result.summary(),
-                journal_handle, key=key,
-            )
-
-    def _fold_observed(
+    def _fold(
         self, campaign: Campaign, index: int, future, journal_handle
     ) -> None:
+        """Record one finished point through the runner core and journal it."""
+        point = campaign.specs[index].point
         try:
-            result, observer, seconds = future.result()
+            output = future.result()
         except Exception as exc:
             self._fail_point(campaign, index, f"{type(exc).__name__}: {exc}")
             return
-        runner.counters.computed += 1
-        runner.counters.compute_seconds += seconds
+        if point.observed:
+            output, observer = output
+            sampler = getattr(observer, "sampler", None)
+            if sampler is not None:
+                gauges = sampler.latest_gauges()
+                if gauges:
+                    self._obs_campaign = campaign.id
+                    self._obs_gauges = gauges
+        key = runner.record(point, output, self.disk)
         campaign.executed += 1
-        sampler = getattr(observer, "sampler", None)
-        if sampler is not None:
-            gauges = sampler.latest_gauges()
-            if gauges:
-                self._obs_campaign = campaign.id
-                self._obs_gauges = gauges
+        result, seconds, _ = output
         self._complete_point(
             campaign, index, "computed", seconds, result.summary(),
-            journal_handle,
+            journal_handle, key=key,
         )
 
     # -- lifecycle ----------------------------------------------------------
@@ -696,6 +617,14 @@ class HttpFrontend:
         finally:
             if code is not None:
                 self.service.m_http.inc(method=method, code=str(code))
+            try:
+                # Shut the write side for every holder of the socket: a
+                # pool worker forked while this connection was open keeps
+                # a copy of it, so close() alone would send no FIN.
+                if writer.can_write_eof():
+                    writer.write_eof()
+            except OSError:
+                pass
             try:
                 writer.close()
                 await writer.wait_closed()

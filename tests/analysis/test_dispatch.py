@@ -1,9 +1,8 @@
 """Tests for the pluggable dispatch backends and graceful interruption.
 
-The satellite requirement covered here: a ``KeyboardInterrupt`` / SIGTERM
-during a batched sweep cancels pending futures, drains the pool — even
-with a *blocked* worker — and leaves the result cache consistent (every
-entry loads, no temp files).
+A ``KeyboardInterrupt`` / SIGTERM during a parallel sweep cancels pending
+futures, drains the pool — even with a *blocked* worker — and leaves the
+result cache consistent (every entry loads, no temp files).
 """
 
 from __future__ import annotations
@@ -47,35 +46,9 @@ def _double_batch(batch):
     return [item * 2 for item in batch]
 
 
-def _boom_batch(batch):
-    raise RuntimeError("boom")
-
-
 def _sleep_batch(batch):
     time.sleep(300)
     return batch
-
-
-class TestSerialBackend:
-    def test_runs_inline(self):
-        backend = dispatch.SerialBackend()
-        future = backend.submit(_double_batch, [1, 2, 3])
-        assert future.done()
-        assert future.result() == [2, 4, 6]
-
-    def test_exception_lands_in_future(self):
-        backend = dispatch.SerialBackend()
-        future = backend.submit(_boom_batch, [1])
-        with pytest.raises(RuntimeError, match="boom"):
-            future.result()
-
-    def test_keyboard_interrupt_propagates(self):
-        def _interrupt(batch):
-            raise KeyboardInterrupt
-
-        backend = dispatch.SerialBackend()
-        with pytest.raises(KeyboardInterrupt):
-            backend.submit(_interrupt, [1])
 
 
 class TestInProcessBackend:
@@ -149,7 +122,7 @@ class TestProcessPoolBackend:
 
 class TestMakeBackend:
     def test_known_names(self):
-        for name in ("serial", "inproc", "pool"):
+        for name in ("inproc", "pool"):
             backend = dispatch.make_backend(name, 2)
             assert backend.name == name
             backend.shutdown()
@@ -168,7 +141,7 @@ class TestRunBatches:
     def test_outputs_in_input_order(self):
         backend = dispatch.InProcessBackend(workers=2)
         try:
-            outputs = dispatch.run_batches(
+            outputs = dispatch.run_each(
                 backend, _double_batch, [[3], [1], [2]]
             )
             assert outputs == [[6], [2], [4]]
@@ -179,11 +152,11 @@ class TestRunBatches:
         seen = {}
         backend = dispatch.InProcessBackend(workers=2)
         try:
-            dispatch.run_batches(
+            dispatch.run_each(
                 backend,
                 _double_batch,
                 [[i] for i in range(5)],
-                on_batch=lambda index, out: seen.__setitem__(index, out),
+                on_result=lambda index, out: seen.__setitem__(index, out),
             )
         finally:
             backend.shutdown()
@@ -201,7 +174,7 @@ class TestRunBatches:
 
         backend = dispatch.InProcessBackend(workers=2)
         with pytest.raises(KeyboardInterrupt):
-            dispatch.run_batches(
+            dispatch.run_each(
                 backend, _interrupt_second, [["good"], ["bad"]]
             )
         # The backend was drained by the interrupt path.
@@ -223,24 +196,24 @@ class TestGracefulSigterm:
 
 
 class TestRunnerGracefulShutdown:
-    """Interrupting a batched sweep keeps the cache consistent."""
+    """Interrupting a parallel sweep keeps the cache consistent."""
 
     def test_interrupt_keeps_finished_points_and_clean_cache(
         self, tmp_path, monkeypatch
     ):
         cache_dir = tmp_path / "cache"
         points = [tiny_point(seed=s) for s in (1, 2, 3, 4)]
-        real_run_batch = runner._run_batch
+        real_compute_point = runner.compute_point
         calls = []
         lock = threading.Lock()
 
-        def _wrapped(batch, spool_dir=None, spool_enabled=True):
+        def _wrapped(point, spool_dir=None, spool_enabled=True):
             with lock:
-                calls.append(len(batch))
+                calls.append(point)
                 first = len(calls) == 1
             if first:
-                return real_run_batch(batch, spool_dir, spool_enabled)
-            # Interrupt only once the first batch's result has actually
+                return real_compute_point(point, spool_dir, spool_enabled)
+            # Interrupt only once the first point's result has actually
             # been folded into the disk cache, so "finished work is kept"
             # is deterministic rather than a completion-order race.
             deadline = time.monotonic() + 30
@@ -250,15 +223,12 @@ class TestRunnerGracefulShutdown:
                 time.sleep(0.005)
             raise KeyboardInterrupt
 
-        monkeypatch.setattr(runner, "_run_batch", _wrapped)
+        # A closure cannot be pickled into a process pool: run on threads.
+        monkeypatch.setattr(runner, "compute_point", _wrapped)
+        monkeypatch.setattr(dispatch, "ProcessPoolBackend", dispatch.InProcessBackend)
         with pytest.raises(KeyboardInterrupt):
             runner.run_points(
-                points,
-                workers=2,
-                cache_dir=cache_dir,
-                cache_enabled=True,
-                batch_size=1,
-                backend="inproc",
+                points, workers=2, cache_dir=cache_dir, cache_enabled=True
             )
 
         # Cache is consistent: no temp droppings, every entry loads.
@@ -267,11 +237,11 @@ class TestRunnerGracefulShutdown:
         disk = runner.DiskCache(cache_dir)
         loaded = [disk.load(path.stem) for path in entries]
         assert all(result is not None for result in loaded)
-        # The batch that completed before the interrupt was kept.
+        # The point that completed before the interrupt was kept.
         assert len(entries) >= 1
 
         # Resuming the sweep serves the finished points from disk.
-        monkeypatch.setattr(runner, "_run_batch", real_run_batch)
+        monkeypatch.setattr(runner, "compute_point", real_compute_point)
         runner.clear_memo()
         runner.counters.reset()
         results = runner.run_points(
@@ -280,22 +250,15 @@ class TestRunnerGracefulShutdown:
         assert len(results) == 4 and all(r is not None for r in results)
         assert runner.counters.disk_hits >= len(entries)
 
-    def test_sweep_results_identical_across_backends(self, tmp_path):
+    def test_sweep_results_identical_across_backends(self, tmp_path, monkeypatch):
         points = [tiny_point(seed=s) for s in (1, 2)]
         serial = runner.run_points(
             points, workers=1, cache_enabled=False, trace_cache_enabled=False
         )
-        for backend in ("inproc", "pool"):
+        for backend in (dispatch.ProcessPoolBackend, dispatch.InProcessBackend):
+            monkeypatch.setattr(dispatch, "ProcessPoolBackend", backend)
             runner.clear_memo()
             got = runner.run_points(
-                points,
-                workers=2,
-                cache_enabled=False,
-                trace_cache_enabled=False,
-                backend=backend,
+                points, workers=2, cache_enabled=False, trace_cache_enabled=False
             )
-            assert got == serial, f"backend {backend} diverged"
-
-    def test_configure_rejects_unknown_backend(self):
-        with pytest.raises(ValueError, match="unknown dispatch backend"):
-            runner.configure(backend="smoke-signals")
+            assert got == serial, f"backend {backend.name} diverged"

@@ -3,8 +3,7 @@
 Covers the satellite requirements explicitly: cache-key stability within
 and across processes, key sensitivity to every parameter, corruption
 tolerance (truncated/garbage/mismatched files are recomputed, never
-crashed on), parallel/serial result identity (per-point and batched),
-trace-store sharing (one generation per distinct workload key) and
+crashed on), parallel/serial result identity, trace-store sharing (one generation per distinct workload key) and
 three-layer clearing (result memo, result disk, trace memo+spool).
 """
 
@@ -212,6 +211,30 @@ class TestParallel:
         results = runner.run_points(points, workers=2, cache_enabled=False)
         assert len(results) == 2 and all(results)
         assert runner.counters.parallel_fallbacks == 1
+        assert runner.counters.computed == 2
+
+    def test_fallback_records_each_point_once(self, monkeypatch):
+        """A point that fails in the pool is recomputed serially, and no
+        point the pool already finished is recorded twice."""
+        from repro.analysis import dispatch
+
+        real_compute_point = runner.compute_point
+        calls = []
+
+        def _fail_seed_two_once(point, spool_dir=None, spool_enabled=True):
+            calls.append(point.seed)
+            if point.seed == 2 and calls.count(2) == 1:
+                raise RuntimeError("worker lost")
+            return real_compute_point(point, spool_dir, spool_enabled)
+
+        monkeypatch.setattr(runner, "compute_point", _fail_seed_two_once)
+        monkeypatch.setattr(dispatch, "ProcessPoolBackend", dispatch.InProcessBackend)
+        points = [tiny_point(seed=seed) for seed in (1, 2, 3)]
+        results = runner.run_points(points, workers=2, cache_enabled=False)
+        assert all(results)
+        assert runner.counters.parallel_fallbacks == 1
+        assert runner.counters.computed == 3
+        assert calls.count(2) == 2
 
 
 class TestBatchedScheduling:
@@ -224,33 +247,14 @@ class TestBatchedScheduling:
             for ratio in (1.0, 0.5)
         ]
 
-    def test_plan_groups_by_trace_key_and_stays_deterministic(self):
-        points = self.sweep_points()
-        plan = runner._plan_batches(points, workers=2, batch_size=0)
-        assert sorted(i for batch in plan for i in batch) == list(range(len(points)))
-        assert plan == runner._plan_batches(points, workers=2, batch_size=0)
-        # Even split: 8 points over 2 workers -> 2 batches of 4, each a
-        # single trace key (points interleave workloads; the plan regroups).
-        assert [len(batch) for batch in plan] == [4, 4]
-        for batch in plan:
-            keys = {points[i].trace_memo_key for i in batch}
-            assert len(keys) == 1
-
-    def test_batch_size_one_is_per_point_dispatch(self):
-        points = self.sweep_points()
-        plan = runner._plan_batches(points, workers=2, batch_size=1)
-        assert [len(batch) for batch in plan] == [1] * len(points)
-
     def test_batched_parallel_matches_serial(self):
         points = self.sweep_points()
         serial = runner.run_points(points, workers=1, cache_enabled=False)
         runner.clear_memo()
-        batched = runner.run_points(
-            points, workers=2, cache_enabled=False, batch_size=3
-        )
-        assert batched == serial
+        parallel = runner.run_points(points, workers=2, cache_enabled=False)
+        assert parallel == serial
         assert runner.counters.parallel_batches == 1
-        assert runner.counters.dispatches == 3  # ceil(8 / 3) dispatch units
+        assert runner.counters.dispatches == len(points)  # one per point
 
     def test_sweep_generates_each_workload_exactly_once(self, tmp_path):
         """kinds x ratios over N workloads -> exactly N trace generations."""
@@ -361,9 +365,6 @@ class TestExperimentsIntegration:
         assert "traces" in text
         assert "generated 1" in text
         assert "trace spool    1 files" in text
-
-    def test_memo_shared_with_experiments(self):
-        assert exp._RESULT_CACHE is runner._MEMO
 
     def test_prefetch_populates_memo(self, tmp_path):
         runner.configure(cache_dir=tmp_path)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import socket
 import threading
 import time
 import urllib.error
@@ -106,13 +107,37 @@ class TestScheduling:
             "pending": 0, "running": 0, "done": 4, "failed": 0
         }
         assert campaign.executed == 4
-        # Bit-identical to the direct sweep path.
+        # Bit-identical to the direct sweep path, simulated afresh (the
+        # service filled the memo).
+        runner.clear_memo()
+        runner.counters.reset()
         specs = manifest().expand()
         direct = runner.run_points(
             [s.point for s in specs], workers=1, cache_enabled=False
         )
+        assert runner.counters.computed == 4
         for index, result in enumerate(direct):
             assert campaign.summaries[index] == result.summary()
+
+    def test_points_from_run_points_are_cache_hits(self, tmp_path):
+        """run_points and the service resolve points through one core."""
+        specs = manifest().expand()
+        runner.run_points([s.point for s in specs], workers=1, cache_enabled=False)
+        computed = runner.counters.computed
+
+        async def scenario():
+            service = CampaignService(service_config(tmp_path))
+            try:
+                campaign, _ = await run_campaign(service, manifest())
+                return campaign
+            finally:
+                await service.stop()
+
+        campaign = asyncio.run(scenario())
+        assert campaign.status == "done"
+        assert campaign.sources == ["cache"] * 4
+        assert campaign.executed == 0
+        assert runner.counters.computed == computed
 
     def test_resubmit_is_idempotent(self, tmp_path):
         async def scenario():
@@ -183,10 +208,10 @@ class TestScheduling:
         assert store.load_manifest(campaign_id) == manifest()
 
     def test_failed_points_fail_the_campaign(self, tmp_path, monkeypatch):
-        def _explode(batch, spool_dir=None, spool_enabled=True):
-            raise RuntimeError("synthetic batch failure")
+        def _explode(point, spool_dir=None, spool_enabled=True):
+            raise RuntimeError("synthetic point failure")
 
-        monkeypatch.setattr(runner, "_run_batch", _explode)
+        monkeypatch.setattr(runner, "compute_point", _explode)
 
         async def scenario():
             service = CampaignService(service_config(tmp_path))
@@ -199,7 +224,7 @@ class TestScheduling:
         campaign = asyncio.run(scenario())
         assert campaign.status == "failed"
         assert campaign.counts()["failed"] == 4
-        assert all("synthetic batch failure" in (e or "") for e in campaign.errors)
+        assert all("synthetic point failure" in (e or "") for e in campaign.errors)
 
     def test_observed_campaign_surfaces_gauges(self, tmp_path):
         async def scenario():
@@ -233,30 +258,28 @@ class TestResumeAfterKill:
     """Kill mid-campaign, restart on the same store, run only N-K points."""
 
     def test_resume_executes_only_missing_points(self, tmp_path, monkeypatch):
-        config = service_config(
-            tmp_path, workers=1, batch_size=1, cache_enabled=False
-        )
+        config = service_config(tmp_path, workers=1, cache_enabled=False)
         store = CampaignStore(runner.campaigns_root(config.cache_dir))
         m = manifest()
         campaign_id = m.campaign_id
         release = threading.Event()
-        real_run_batch = runner._run_batch
+        real_compute_point = runner.compute_point
         lock = threading.Lock()
         calls = []
 
-        def _first_then_block(batch, spool_dir=None, spool_enabled=True):
+        def _first_then_block(point, spool_dir=None, spool_enabled=True):
             with lock:
-                calls.append(len(batch))
+                calls.append(point)
                 first = len(calls) == 1
-            outputs = real_run_batch(batch, spool_dir, spool_enabled)
+            output = real_compute_point(point, spool_dir, spool_enabled)
             if not first:
-                # Second batch: computed but never handed back — exactly
+                # Second point: computed but never handed back — exactly
                 # the shape of a process dying mid-campaign.
                 release.wait(timeout=60)
                 raise RuntimeError("killed")
-            return outputs
+            return output
 
-        monkeypatch.setattr(runner, "_run_batch", _first_then_block)
+        monkeypatch.setattr(runner, "compute_point", _first_then_block)
 
         async def phase_one():
             service = CampaignService(config)
@@ -281,7 +304,7 @@ class TestResumeAfterKill:
         # Phase two: a fresh process (fresh memo, unpatched worker) over
         # the same store.  The result cache is disabled, so the journal is
         # the only thing that can satisfy the K completed points.
-        monkeypatch.setattr(runner, "_run_batch", real_run_batch)
+        monkeypatch.setattr(runner, "compute_point", real_compute_point)
         runner.clear_memo()
 
         async def phase_two():
@@ -299,11 +322,15 @@ class TestResumeAfterKill:
         assert campaign.counts()["done"] == 4
         for index in journaled:
             assert campaign.sources[index] == "journal"
-        # The resumed campaign's results still match a direct sweep.
+        # The resumed campaign's results still match a direct sweep,
+        # simulated afresh (the service filled the memo).
+        runner.clear_memo()
+        runner.counters.reset()
         specs = m.expand()
         direct = runner.run_points(
             [s.point for s in specs], workers=1, cache_enabled=False
         )
+        assert runner.counters.computed == 4
         for index, result in enumerate(direct):
             assert campaign.summaries[index] == result.summary()
 
@@ -386,6 +413,45 @@ class TestHttpApi:
         assert status == 200
         lines = [json.loads(line) for line in raw.decode().splitlines()]
         assert len(lines) == 4
+        assert {line["index"] for line in lines} == {0, 1, 2, 3}
+        assert all(line["state"] == "done" for line in lines)
+
+    def test_stream_reaches_eof_under_pool_backend(self, tmp_path, monkeypatch):
+        """A pool worker forked while a stream is open must not keep the
+        stream from ending."""
+        stream_open = threading.Event()
+        real_get_packed_trace = trace_store.get_packed_trace
+
+        def _after_stream_opens(*args, **kwargs):
+            # Trace materialization runs before the pool forks its worker:
+            # holding it until the stream is open makes the worker inherit
+            # the stream's socket.
+            stream_open.wait(timeout=60)
+            return real_get_packed_trace(*args, **kwargs)
+
+        monkeypatch.setattr(trace_store, "get_packed_trace", _after_stream_opens)
+        handle = ServiceHandle(
+            service_config(tmp_path, backend="pool", workers=1)
+        ).start()
+        try:
+            status, submitted = self._post_json(handle, "/campaigns", TINY)
+            assert status == 201
+            with socket.create_connection(
+                ("127.0.0.1", handle.port), timeout=30
+            ) as sock:
+                sock.sendall(
+                    f"GET /campaigns/{submitted['id']}/stream HTTP/1.1\r\n"
+                    "Host: 127.0.0.1\r\n\r\n".encode("ascii")
+                )
+                reader = sock.makefile("rb")
+                assert reader.readline().startswith(b"HTTP/1.1 200")
+                stream_open.set()
+                rest = reader.read()  # to EOF; a socket timeout fails the test
+        finally:
+            stream_open.set()
+            handle.stop()
+        body = rest.split(b"\r\n\r\n", 1)[1]
+        lines = [json.loads(line) for line in body.decode().splitlines()]
         assert {line["index"] for line in lines} == {0, 1, 2, 3}
         assert all(line["state"] == "done" for line in lines)
 

@@ -1,9 +1,11 @@
 """CI smoke test for the campaign service (also runnable by hand).
 
 Boots the real CLI (``python -m repro serve``) as a subprocess on an
-ephemeral port, submits a tiny 2x2 campaign over HTTP, polls it to
-completion, and asserts:
+ephemeral port, submits a tiny 2x2 campaign over HTTP, reads its NDJSON
+stream to EOF, polls it to completion, and asserts:
 
+* the stream ends (within ``--timeout``) after one line per point — with
+  the pool backend the stream is open while the worker forks;
 * ``GET /metrics`` emits parseable Prometheus text with the expected
   families and a per-kind completed-points count matching the campaign;
 * every point's reported summary is **bit-identical** to running the
@@ -12,12 +14,13 @@ completion, and asserts:
 
 Exit code 0 on success; any assertion or timeout fails loudly.  Usage::
 
-    PYTHONPATH=src python tools/service_smoke.py [--backend inproc]
+    PYTHONPATH=src python tools/service_smoke.py [--backend inproc|pool]
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import re
 import signal
@@ -25,6 +28,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import urllib.request
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
@@ -88,6 +92,13 @@ def _wait_ready(proc: subprocess.Popen, timeout: float = 60.0) -> int:
     raise SystemExit("server never printed its ready line")
 
 
+def _read_stream(base: str, campaign_id: str, timeout: float):
+    """Every NDJSON line of the campaign's stream, read to EOF."""
+    url = f"{base}/campaigns/{campaign_id}/stream"
+    with urllib.request.urlopen(url, timeout=timeout) as resp:
+        return [json.loads(line) for line in resp.read().decode().splitlines()]
+
+
 def _direct_summaries(cache_dir: str):
     """The same four points, simulated directly (no cache, no service)."""
     from repro.analysis.runner import run_points
@@ -125,6 +136,10 @@ def main(argv=None) -> int:
         print(f"submitted campaign {campaign_id} "
               f"({submitted['total_points']} points)")
         assert submitted["total_points"] == 4, submitted
+
+        lines = _read_stream(base, campaign_id, args.timeout)
+        assert sorted(line["index"] for line in lines) == [0, 1, 2, 3], lines
+        print(f"stream ended after {len(lines)} lines")
 
         status = wait_campaign(base, campaign_id, timeout=args.timeout)
         print(f"campaign finished: {status['status']} {status['counts']}")
