@@ -5,10 +5,10 @@ the machine grows; this benchmark makes the simulator itself answer at
 those sizes.  For each core count it runs the ``weakscale-like`` workload
 (fixed ops *per core*, so total work grows with the machine) through the
 serial vector engine and through the bank-parallel run-length batching
-engine (:mod:`repro.sim.parallel`, ``workers=0`` and ``workers=2``
-conservative, plus the optimistic warp + replay speculation layer),
-asserts the results are **bit-identical** — per-core cycles, the full
-statistics tree and the effective-tracking samples — and records:
+engine (:mod:`repro.sim.parallel`, conservative and with the optimistic
+warp + replay speculation layer), asserts the results are
+**bit-identical** — per-core cycles, the full statistics tree and the
+effective-tracking samples — and records:
 
 * ``accesses_per_sec`` for each engine (simulator throughput), and
 * directory ``bytes_per_core`` from the storage model
@@ -69,7 +69,6 @@ KIND = DirectoryKind.STASH
 RATIO = 0.125
 SEED = 1
 WORKLOAD = "weakscale-like"
-WORKERS = 2
 
 OUTPUT = Path(__file__).resolve().parents[1] / "BENCH_scaling.json"
 
@@ -83,7 +82,7 @@ def _result_key(result):
 
 
 def measure_size(num_cores: int, ops_per_core: int) -> dict:
-    """One weak-scaling point: both engines, identity-checked, plus storage."""
+    """One weak-scaling point: every engine, identity-checked, plus storage."""
     config = make_config(KIND, ratio=RATIO, num_cores=num_cores, seed=SEED)
     assert vector_supports(config) is None, num_cores
     trace = PackedTrace.from_trace(
@@ -98,12 +97,8 @@ def measure_size(num_cores: int, ops_per_core: int) -> dict:
     reference_key = None
     runs = (
         ("vector", dict(engine="vector")),
-        ("parallel0", dict(engine="parallel", engine_workers=0)),
-        (f"parallel{WORKERS}", dict(engine="parallel", engine_workers=WORKERS)),
-        (
-            "parallel_spec",
-            dict(engine="parallel", engine_workers="auto", speculate=True),
-        ),
+        ("parallel", dict(engine="parallel")),
+        ("parallel_spec", dict(engine="parallel", speculate=True)),
     )
     for name, kwargs in runs:
         start = time.perf_counter()
@@ -137,7 +132,7 @@ def measure_size(num_cores: int, ops_per_core: int) -> dict:
         }
 
     vector_rate = rates["vector"]
-    parallel_rate = rates[f"parallel{WORKERS}"]
+    parallel_rate = rates["parallel"]
     spec_rate = rates["parallel_spec"]
     return {
         "ops_per_core": ops_per_core,
@@ -165,7 +160,6 @@ def run_report(smoke: bool = False, ops: int | None = None) -> dict:
         "kind": KIND.value,
         "ratio": RATIO,
         "seed": SEED,
-        "workers": WORKERS,
         "cpu_count": os.cpu_count(),
         "python": platform.python_version(),
         "sizes": {
@@ -195,8 +189,8 @@ def test_weak_scaling(benchmark):
     Host-independent claims: every size produced positive rates and
     bit-identical results (speculation included), hierarchical storage
     per core shrinks relative to the full bit vector as the machine
-    grows, the conservative parallel engine (workers=2) beats the serial
-    vector engine at 256 cores, and the speculative engine holds at least
+    grows, the conservative parallel engine beats the serial vector
+    engine at 256 cores, and the speculative engine holds at least
     parity at 1024 cores — the crossover acceptance criterion.
     """
     from benchmarks.conftest import once
@@ -257,7 +251,7 @@ def main(argv=None) -> int:
             print(
                 f"  {num_cores:>5} cores:"
                 f"  vector {rates['vector']:>12,.0f} acc/s"
-                f"  parallel(w={WORKERS}) {rates[f'parallel{WORKERS}']:>12,.0f}"
+                f"  parallel {rates['parallel']:>12,.0f}"
                 f"  ({row['parallel_speedup']:.2f}x)"
                 f"  spec {rates['parallel_spec']:>12,.0f}"
                 f"  ({row['speculative_speedup']:.2f}x)"

@@ -119,17 +119,32 @@ def _add_obs_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _attach_observer(system, args: argparse.Namespace):
-    """Build + attach the observer the CLI flags describe (or None)."""
+def _simulate(config, trace, args: argparse.Namespace):
+    """Run ``trace`` on the engine the flags pick; returns (result, observer).
+
+    The fast engines need no :class:`CoherentSystem`, so one is built only
+    when the interpreter runs: ``--engine interp``, ``--warmup``, or any
+    observer flag.  ``run_trace`` still falls back to the interpreter
+    transparently when the config is outside the flat model.
+    """
     from .obs import ObsConfig, attach
 
-    config = ObsConfig(
+    obs = ObsConfig(
         epoch_interval=getattr(args, "obs_epoch", 0),
         trace_capacity=getattr(args, "trace_events", 0),
         invariant_interval=getattr(args, "check_invariants", 0) or 0,
         out_prefix=getattr(args, "obs_out", None),
     )
-    return attach(system, config)
+    if args.engine != "interp" and not obs.enabled and not args.warmup:
+        result = run_trace(
+            config, trace, engine=args.engine,
+            epoch_ops=args.epoch_batch, speculate=args.speculate,
+        )
+        return result, None
+    system = build_system(config)
+    observer = attach(system, obs)
+    simulator = Simulator(system, warmup_ops=args.warmup, observer=observer)
+    return simulator.run(trace), observer
 
 
 def _write_obs(observer, args: argparse.Namespace) -> None:
@@ -174,20 +189,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
         config = replace(config, memory_model=MemoryModel.DRAM)
     trace = build_workload(args.workload, args.cores, args.ops, seed=args.seed)
-    system = build_system(config)
-    observer = _attach_observer(system, args)
-    if args.engine != "interp" and observer is None and not args.warmup:
-        # Engine-selected path; falls back to the interpreter
-        # transparently when the config is outside the flat model.
-        result = run_trace(
-            config, trace, engine=args.engine,
-            epoch_ops=args.epoch_batch, engine_workers=args.engine_workers,
-            speculate=args.speculate,
-        )
-    else:
-        result = Simulator(
-            system, warmup_ops=args.warmup, observer=observer
-        ).run(trace)
+    result, observer = _simulate(config, trace, args)
     print(render_kv(config.describe().items(), title="configuration"))
     print()
     rows = [[key, value] for key, value in result.summary().items()]
@@ -263,18 +265,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
     """Simulate a CSV trace file."""
     trace = Trace.from_file(args.trace, num_cores=args.cores)
     config = _config_from_args(args)
-    system = build_system(config)
-    observer = _attach_observer(system, args)
-    if args.engine != "interp" and observer is None and not args.warmup:
-        result = run_trace(
-            config, trace, engine=args.engine,
-            epoch_ops=args.epoch_batch, engine_workers=args.engine_workers,
-            speculate=args.speculate,
-        )
-    else:
-        result = Simulator(
-            system, warmup_ops=args.warmup, observer=observer
-        ).run(trace)
+    result, observer = _simulate(config, trace, args)
     rows = [[key, value] for key, value in result.summary().items()]
     print(render_table(["metric", "value"], rows, title=f"replay: {args.trace}"))
     _maybe_save(result, args)
@@ -375,7 +366,7 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
     *engines*: every program replays on the interpreter, on the vector
     engine (:mod:`repro.sim.vector`) in flat program order, and on the
     parallel run-length batching engine (:mod:`repro.sim.parallel`) as a
-    full per-core interleave at several scan-worker counts, over the
+    full per-core interleave with speculation off and on, over the
     flat-capable organizations — all captures must agree bit-for-bit,
     statistics included.
     """
@@ -654,12 +645,6 @@ def build_parser() -> argparse.ArgumentParser:
              "scan-window ops (parallel); 0 = engine default",
     )
     run.add_argument(
-        "--engine-workers", default="auto", metavar="N",
-        help="scan worker processes for the parallel engine: an integer "
-             "(0/1 = scan in-process) or 'auto' to use workers only when "
-             "the host has spare CPUs; results identical for any count",
-    )
-    run.add_argument(
         "--speculate", action=argparse.BooleanOptionalAction, default=False,
         help="parallel engine: optimistic warp + replay past the "
              "conservative horizon (results stay bit-identical)",
@@ -716,11 +701,6 @@ def build_parser() -> argparse.ArgumentParser:
     replay.add_argument(
         "--epoch-batch", type=int, default=0, metavar="N",
         help="fast-engine batch size in ops (0 = engine default)",
-    )
-    replay.add_argument(
-        "--engine-workers", default="auto", metavar="N",
-        help="scan worker processes for the parallel engine: an integer "
-             "or 'auto' (workers only when the host has spare CPUs)",
     )
     replay.add_argument(
         "--speculate", action=argparse.BooleanOptionalAction, default=False,

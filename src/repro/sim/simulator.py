@@ -252,7 +252,6 @@ def run_trace(
     observer=None,
     engine: str = "interp",
     epoch_ops: int = 0,
-    engine_workers: Union[int, str] = "auto",
     speculate: bool = False,
 ) -> SimulationResult:
     """Convenience one-shot: build the system (unless given) and run.
@@ -265,16 +264,12 @@ def run_trace(
     ``engine`` selects the execution engine: ``"interp"`` (the controller
     interpreter above), ``"vector"`` (the flat table-driven engine of
     :mod:`repro.sim.vector`), or ``"parallel"`` (the run-length batching
-    engine of :mod:`repro.sim.parallel`; ``engine_workers`` sets its scan
-    worker count — an integer, or ``"auto"`` to use workers only when the
-    host has spare CPUs for them (see
-    :func:`repro.sim.parallel.resolve_engine_workers`) — and ``epoch_ops``
-    its scan-window / decode-batch size for both fast engines;
-    ``speculate`` turns on the parallel engine's optimistic warp + replay
-    layer).  All three produce bit-identical results for any worker
-    count, window size, and speculation setting; ``"vector"`` and
-    ``"parallel"`` fall back to the interpreter transparently when the
-    configuration is outside the flat model (see
+    engine of :mod:`repro.sim.parallel`; ``speculate`` turns on its
+    optimistic warp + replay layer).  ``epoch_ops`` sets the scan-window /
+    decode-batch size for both fast engines.  All three produce
+    bit-identical results for any window size and speculation setting;
+    ``"vector"`` and ``"parallel"`` fall back to the interpreter
+    transparently when the configuration is outside the flat model (see
     :func:`repro.sim.vector.vector_supports`), when a pre-built ``system``
     or ``observer`` needs the live objects, or when the trace cannot be
     packed.  ``result.engine`` records which engine actually ran.
@@ -301,10 +296,7 @@ def run_trace(
                     from .parallel import ParallelEngine
 
                     return ParallelEngine(
-                        config,
-                        epoch_ops=batch,
-                        workers=engine_workers,
-                        speculate=speculate,
+                        config, epoch_ops=batch, speculate=speculate
                     ).run(packed)
                 return VectorEngine(config, epoch_ops=batch).run(packed)
     if system is None:

@@ -6,8 +6,8 @@ same golden one the vector engine carries.  Every test here compares
 complete :class:`~repro.sim.results.SimulationResult` objects — per-core
 cycles, the flattened statistics tree and the effective-tracking sample
 series — against the serial interpreter and the vector engine, across
-directory organizations, scan-window sizes, scan-worker counts and core
-counts up to the paper's scaling regime.
+directory organizations, scan-window sizes, speculation on and off and
+core counts up to the paper's scaling regime.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import pytest
 
 from repro.analysis.experiments import KINDS, make_config
 from repro.common.config import DirectoryKind
+from repro.common.errors import TraceError
 from repro.sim.parallel import ParallelEngine, parallel_supports
 from repro.sim.simulator import run_trace
 from repro.sim.trace import PackedTrace
@@ -60,20 +61,6 @@ def test_tri_engine_64core_bit_identical(kind):
     assert parallel == interp
 
 
-def test_parallel_workers_do_not_change_results():
-    """Scan workers move work off the critical path, never the bits."""
-    config = make_config(DirectoryKind.SPARSE, 0.5, num_cores=64, seed=4)
-    trace = PackedTrace.from_trace(
-        build_workload("falseshare-like", 64, OPS, seed=9)
-    )
-    reference = run_trace(config, trace, engine="parallel")
-    for workers in (2, 3):
-        result = run_trace(
-            config, trace, engine="parallel", engine_workers=workers
-        )
-        assert result == reference, f"workers={workers} diverged"
-
-
 def test_parallel_identical_across_window_sizes():
     """Scan-window slicing is invisible: any epoch_ops yields the same bits."""
     config = make_config(DirectoryKind.STASH, 0.25)
@@ -95,7 +82,7 @@ def test_parallel_256core_smoke():
         build_workload("weakscale-like", 256, 300, seed=1)
     )
     vector = run_trace(config, trace, engine="vector")
-    parallel = run_trace(config, trace, engine="parallel", engine_workers=2)
+    parallel = run_trace(config, trace, engine="parallel")
     assert parallel == vector
     assert parallel.engine == "parallel"
 
@@ -108,20 +95,17 @@ def test_tri_engine_1024core_bit_identical():
     )
     interp = run_trace(config, trace)
     vector = run_trace(config, trace, engine="vector")
-    parallel = run_trace(config, trace, engine="parallel", engine_workers=0)
-    speculative = run_trace(
-        config, trace, engine="parallel", engine_workers=0, speculate=True
-    )
+    parallel = run_trace(config, trace, engine="parallel")
+    speculative = run_trace(config, trace, engine="parallel", speculate=True)
     assert vector == interp
     assert parallel == interp
     assert speculative == interp
     assert speculative.engine == "parallel"
 
 
-@pytest.mark.parametrize("workers", [0, 2])
 @pytest.mark.parametrize("speculate", [False, True])
-def test_speculation_matrix_bit_identical(speculate, workers):
-    """Speculation on/off x worker count never changes a bit.
+def test_speculation_matrix_bit_identical(speculate):
+    """Speculation on or off never changes a bit.
 
     ``locks-like`` is contended enough that speculative runs are built,
     validated against remote interference, squashed and replayed through
@@ -131,10 +115,7 @@ def test_speculation_matrix_bit_identical(speculate, workers):
     trace = PackedTrace.from_trace(build_workload("locks-like", 16, 1200, seed=1))
     interp = run_trace(config, trace)
     engine = ParallelEngine(
-        config,
-        workers=workers,
-        speculate=speculate,
-        spec_min=4 if speculate else None,
+        config, speculate=speculate, spec_min=4 if speculate else None
     )
     result = engine.run(trace)
     assert result == interp
@@ -157,29 +138,21 @@ def test_speculation_identical_across_window_sizes():
         assert result == reference, f"epoch_ops={epoch_ops} diverged"
 
 
-def test_engine_workers_auto_resolution(monkeypatch):
-    """'auto' backs off to 0 on starved hosts; explicit ints are honored."""
-    import os
+def test_benchmark_constructor_call_bit_identical():
+    """The weak-scaling benchmark's exact constructor call matches interp."""
+    config = make_config(DirectoryKind.STASH, 0.125, num_cores=64, seed=1)
+    trace = PackedTrace.from_trace(
+        build_workload("weakscale-like", 64, 300, seed=1)
+    )
+    engine = ParallelEngine(config, workers="auto", speculate=True)
+    assert engine.run(trace) == run_trace(config, trace)
 
-    from repro.common.errors import TraceError
-    from repro.sim.parallel import _AUTO_WORKERS, resolve_engine_workers
 
-    monkeypatch.setattr(os, "cpu_count", lambda: 1)
-    assert resolve_engine_workers("auto") == 0
-    assert resolve_engine_workers(2) == 2  # explicit int wins over starvation
-    monkeypatch.setattr(os, "cpu_count", lambda: _AUTO_WORKERS + 1)
-    assert resolve_engine_workers("auto") == _AUTO_WORKERS
-    monkeypatch.setattr(os, "cpu_count", lambda: None)
-    assert resolve_engine_workers("auto") == 0
-    assert resolve_engine_workers(None) == 0
-    assert resolve_engine_workers(0) == 0
-    assert resolve_engine_workers("3") == 3
+def test_parallel_engine_rejects_worker_counts():
+    """Scans always run inline: only 0 and "auto" are accepted."""
+    config = make_config(DirectoryKind.STASH, 0.125)
     with pytest.raises(TraceError):
-        resolve_engine_workers("many")
-    with pytest.raises(TraceError):
-        resolve_engine_workers(-1)
-    with pytest.raises(TraceError):
-        resolve_engine_workers(True)
+        ParallelEngine(config, workers=2)
 
 
 def test_neheap_compaction_bounds_churn():
@@ -196,7 +169,7 @@ def test_neheap_compaction_bounds_churn():
         build_workload("falseshare-like", 8, 1200, seed=1)
     )
     interp = run_trace(config, trace)
-    engine = ParallelEngine(config, epoch_ops=96, workers=0)
+    engine = ParallelEngine(config, epoch_ops=96)
     result = engine.run(trace)
     assert result == interp
     stats = engine.heap_stats

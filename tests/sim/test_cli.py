@@ -44,6 +44,29 @@ class TestCommands:
         assert code == 0
         assert "results" in capsys.readouterr().out
 
+    def test_fast_engine_run_builds_no_system(self, monkeypatch, capsys):
+        """``--engine vector`` without observers never builds a system."""
+        import repro.cli as cli
+        import repro.sim.simulator as simulator
+
+        calls = []
+        build = cli.build_system
+
+        def counting_build(config):
+            calls.append(config)
+            return build(config)
+
+        monkeypatch.setattr(cli, "build_system", counting_build)
+        monkeypatch.setattr(simulator, "build_system", counting_build)
+        argv = ["run", "--workload", "swaptions-like", "--ops", "200",
+                "--cores", "4"]
+        assert main(argv + ["--engine", "vector"]) == 0
+        vector_out = capsys.readouterr().out
+        assert calls == []
+        assert main(argv + ["--engine", "interp"]) == 0
+        assert capsys.readouterr().out == vector_out
+        assert len(calls) == 1
+
     def test_sweep(self, capsys):
         code = main(["sweep", "--workload", "swaptions-like", "--ops", "200",
                      "--kinds", "sparse", "stash", "--ratios", "1.0", "0.25"])
