@@ -69,15 +69,16 @@ obs-smoke:
 		--check-invariants 1024 --obs-out obs_smoke
 	$(PYTHON) tools/validate_trace.py obs_smoke.trace.json obs_smoke.epochs.jsonl
 
-# Differential fuzzing: every organization vs the IDEAL reference on
-# adversarial random programs (see docs/VERIFICATION.md).  Failures are
-# minimized and serialized under .repro_cache/failures/.
+# Differential fuzzing: an engine x organization matrix on adversarial
+# random programs, organizations judged against the IDEAL reference and
+# engines against the interpreter (see docs/VERIFICATION.md).  Failures
+# are minimized and serialized under .repro_cache/failures/.
 fuzz:
 	PYTHONPATH=src $(PYTHON) -m repro fuzz --ops 2000 --seeds 25
 
-# Bounded fixed-seed sweep + seed-corpus replay (mirrors the CI
-# fuzz-smoke job; ~30 s), plus a fixed-seed Tardis-vs-IDEAL pass (the
-# timestamp backend's bounded-staleness differ) and an algorithm-workload
+# Bounded fixed-seed matrix + seed-corpus replay (mirrors the CI
+# fuzz-smoke job), plus a fixed-seed Tardis-vs-IDEAL pass (the timestamp
+# backend's bounded-staleness oracle) and an algorithm-workload
 # characterization smoke.
 fuzz-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro fuzz --ops 400 --seeds 8 --seed-corpus

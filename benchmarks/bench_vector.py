@@ -7,7 +7,7 @@ organization the flat engine supports.  The report lands in
 ``BENCH_vector.json`` at the repository root.
 
 The two engines produce bit-identical results (see
-``tests/integration/test_golden_vector.py`` and ``repro fuzz --engine``),
+``tests/integration/test_golden_vector.py`` and ``repro fuzz``),
 so the speedup column is a pure like-for-like throughput ratio.  As with
 the hot-path benchmark, throughput is the **best of several repetitions**
 and only full mode is meaningful for cross-commit comparison; ``--smoke``

@@ -27,8 +27,9 @@ Python simulations.  This module is the one place that executes them:
   ``.repro_cache/`` (override with ``REPRO_CACHE_DIR`` / ``configure``),
   keyed by a stable SHA-256 of the full :class:`~repro.common.config.
   SystemConfig` plus the workload name, trace length and seed.  The key
-  also folds in :data:`CACHE_SCHEMA_VERSION` and :data:`CODE_VERSION`, so
-  bumping either invalidates every stale entry.  Corrupt or truncated
+  also folds in :data:`CACHE_SCHEMA_VERSION` and :func:`code_version`, a
+  fingerprint of the simulator sources, so a wrapper-layout bump or any
+  source edit invalidates every stale entry.  Corrupt or truncated
   files are detected, dropped and recomputed — never crashed on.
 * **In-memory memo** — the per-process memo sits above the disk layer, so
   hot sweep points never touch the filesystem twice in one process.
@@ -60,6 +61,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..common.config import SystemConfig
+from ..common.fingerprint import source_fingerprint
 from ..obs import ObsConfig, attach
 from ..sim.results import SimulationResult
 from ..sim.simulator import run_trace
@@ -74,11 +76,22 @@ trace_counters = trace_store.counters
 #: Layout version of the on-disk cache wrapper; bump on wrapper changes.
 CACHE_SCHEMA_VERSION = 1
 
-#: Simulator-semantics version.  Bump whenever a change to the simulator,
-#: protocol, workload generators or timing model alters results for the
-#: same configuration — every existing disk entry is then invalidated
-#: (its key changes) without touching the cache directory.
-CODE_VERSION = 1
+#: Sources that determine a simulation result for a given configuration:
+#: the simulator, protocol, organizations, timing models and workload
+#: generators (``common/rng.py`` seeds every generator).
+RESULT_SOURCES = (
+    "sim", "coherence", "directory", "core", "cache", "noc", "mem",
+    "workloads", "common",
+)
+
+
+def code_version() -> str:
+    """Fingerprint of :data:`RESULT_SOURCES`, folded into every result key.
+
+    Any edit to those sources changes every key, so a cache never serves
+    a result the current code would not produce.
+    """
+    return source_fingerprint(*RESULT_SOURCES)
 
 
 @dataclass(frozen=True)
@@ -93,12 +106,11 @@ class SweepPoint:
     silently skip the exports.  ``cache_key`` builds its payload from
     explicit fields, so plain points keep their existing cache keys.
 
-    ``engine`` selects the execution engine (``"interp"`` or
-    ``"vector"``, see :func:`repro.sim.simulator.run_trace`).  Both
-    produce bit-identical results, but the engines are cached separately
-    (the vector engine may transparently fall back, and ``result.engine``
-    records what actually ran — serving an interp result for a vector
-    request would silently lie about that).
+    ``engine`` selects the execution engine (``"interp"``, ``"vector"``
+    or ``"parallel"``, see :func:`repro.sim.simulator.run_trace`).  The
+    engines produce bit-identical results, so a point is keyed and cached
+    once whatever engine computes it; ``result.engine`` records which
+    engine did.
     """
 
     workload: str
@@ -116,7 +128,6 @@ class SweepPoint:
             self.ops_per_core,
             self.seed,
             self.config,
-            self.engine,
         )
 
     @property
@@ -148,20 +159,17 @@ def cache_key(point: SweepPoint) -> str:
     the complete configuration and workload spec plus the cache and code
     versions.  Identical parameterizations hash identically across
     processes and machines; any changed field produces a distinct key.
+    The engine is not part of the key: engines agree bit-for-bit.
     """
     payload = {
         "cache_schema": CACHE_SCHEMA_VERSION,
-        "code_version": CODE_VERSION,
+        "code_version": code_version(),
         "result_format": FORMAT_VERSION,
         "workload": point.workload,
         "ops_per_core": point.ops_per_core,
         "seed": point.seed,
         "config": config_to_dict(point.config),
     }
-    if point.engine != "interp":
-        # Folded in only for non-default engines so every existing interp
-        # cache entry keeps its key.
-        payload["engine"] = point.engine
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
@@ -197,7 +205,7 @@ class DiskCache:
         try:
             if (
                 wrapper.get("cache_schema") != CACHE_SCHEMA_VERSION
-                or wrapper.get("code_version") != CODE_VERSION
+                or wrapper.get("code_version") != code_version()
                 or wrapper.get("key") != key
             ):
                 raise ValueError("cache wrapper version/key mismatch")
@@ -211,7 +219,7 @@ class DiskCache:
         """Atomically persist one result (best-effort: IO errors ignored)."""
         wrapper = {
             "cache_schema": CACHE_SCHEMA_VERSION,
-            "code_version": CODE_VERSION,
+            "code_version": code_version(),
             "key": key,
             "workload": point.workload,
             "ops_per_core": point.ops_per_core,

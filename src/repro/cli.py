@@ -11,9 +11,9 @@ Subcommands:
   (T1, T2, F1..F10, A1..A3).
 * ``gen-trace`` — write a suite workload to a CSV trace file.
 * ``replay`` — simulate a CSV trace file.
-* ``fuzz`` — protocol fuzzing: random multi-core programs over a tiny,
-  conflict-dense system with the full invariant suite checked after every
-  access.
+* ``fuzz`` — differential fuzzing: adversarial multi-core programs on an
+  engine × organization matrix over a tiny, conflict-dense system, with
+  the invariant suite checked as they run.
 * ``timeline`` — observed sparse-vs-stash divergence timeline: epoch
   time-series tables plus Perfetto trace exports (repro.obs).
 * ``compare`` — side-by-side diff of result files saved with ``--save``.
@@ -299,33 +299,16 @@ def _fuzz_options_for_seed(seed: int, args: argparse.Namespace):
 
 def _fuzz_replay(path: str) -> int:
     """Replay one serialized fuzz case; report whether it reproduces."""
-    from .verify import (
-        ENGINE_FAULTS,
-        FAULTS,
-        load_case,
-        run_differential,
-        run_engine_differential,
-        run_parallel_differential,
-    )
+    from .verify import FAULTS, load_case, run_differential
     from .verify.corpus import SEED_CATEGORY
 
     case = load_case(path)
-    kind = DirectoryKind(case.kind)
-    if case.category.startswith("parallel-"):
-        fault = ENGINE_FAULTS[case.fault] if case.fault else None
-        divergences = run_parallel_differential(
-            case.program, kinds=[kind], options=case.options, fault=fault
-        )
-    elif case.category.startswith("engine-"):
-        fault = ENGINE_FAULTS[case.fault] if case.fault else None
-        divergences = run_engine_differential(
-            case.program, kinds=[kind], options=case.options, fault=fault
-        )
-    else:
-        fault = FAULTS[case.fault] if case.fault else None
-        divergences = run_differential(
-            case.program, kinds=[kind], options=case.options, fault=fault
-        )
+    divergences = run_differential(
+        case.program,
+        kinds=[DirectoryKind(case.kind)],
+        options=case.options,
+        fault=FAULTS[case.fault] if case.fault else None,
+    )
     fault_note = f" fault={case.fault}" if case.fault else ""
     print(
         f"replaying {path}: kind={case.kind} category={case.category}"
@@ -352,49 +335,52 @@ def _fuzz_replay(path: str) -> int:
 
 
 def cmd_fuzz(args: argparse.Namespace) -> int:
-    """Differential fuzzing: every organization vs the IDEAL reference.
+    """Differential fuzzing: an engine × organization matrix per program.
 
     Generates adversarial flat programs (eviction storms, stash/discovery
-    races, pointer overflow, coarse-group aliasing, set pile-ups), replays
-    each on every requested organization and on IDEAL with the identical
-    global operation order, and diffs observed data versions, the invariant
-    suite and final architectural state.  A divergence is delta-debugged
+    races, pointer overflow, coarse-group aliasing, set pile-ups) and runs
+    each on a matrix: rows are IDEAL plus every requested organization,
+    columns are the interpreter, the vector engine and the parallel engine
+    with speculation off and on.  Interpreter cells are diffed against
+    IDEAL (observed data versions, the invariant suite, final
+    architectural state); fast-engine cells must match the interpreter
+    bit-for-bit, statistics included.  A divergence is delta-debugged
     down to a minimal program, serialized under the failure corpus and
     printed with a one-command reproduction line.  See docs/VERIFICATION.md.
-
-    ``--engine`` switches the differential axis from organizations to
-    *engines*: every program replays on the interpreter, on the vector
-    engine (:mod:`repro.sim.vector`) in flat program order, and on the
-    parallel run-length batching engine (:mod:`repro.sim.parallel`) as a
-    full per-core interleave with speculation off and on, over the
-    flat-capable organizations — all captures must agree bit-for-bit,
-    statistics included.
     """
-    import dataclasses
+    from collections import Counter
 
     from .common.rng import DeterministicRng
     from .verify import (
-        ENGINE_FAULTS,
-        ENGINE_KINDS,
+        COLUMNS,
         FAULTS,
+        PROFILES,
         FailureCase,
         generate_program,
         minimize,
         repro_command,
         run_differential,
-        run_engine_differential,
-        run_parallel_differential,
         save_case,
         seed_corpus,
     )
-    from .verify.generator import PROFILES
 
     if args.list_faults:
         for name in sorted(FAULTS):
-            print(f"{name}: {FAULTS[name].description}")
-        for name in sorted(ENGINE_FAULTS):
-            print(f"{name} (--engine): {ENGINE_FAULTS[name].description}")
+            spec = FAULTS[name]
+            print(f"{name} (corrupts {spec.corrupts}): {spec.description}")
         return 0
+    for flag, names, valid in (
+        ("--inject-fault", [args.inject_fault] if args.inject_fault else [], FAULTS),
+        ("--profiles", args.profiles or [], PROFILES),
+    ):
+        unknown = [name for name in names if name not in valid]
+        if unknown:
+            print(
+                f"error: {flag}: unknown name {unknown[0]!r} "
+                f"(valid: {', '.join(valid)})",
+                file=sys.stderr,
+            )
+            return 2
     if args.replay:
         return _fuzz_replay(args.replay)
 
@@ -406,37 +392,22 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
             if code:
                 return code
 
-    engine_mode = bool(args.engine)
-    if engine_mode:
-        kinds = list(ENGINE_KINDS)
-        fault = ENGINE_FAULTS[args.inject_fault] if args.inject_fault else None
-    else:
-        kinds = [DirectoryKind(k) for k in args.kinds]
-        fault = FAULTS[args.inject_fault] if args.inject_fault else None
+    kinds = [DirectoryKind.IDEAL, *(DirectoryKind(k) for k in args.kinds)]
+    fault = FAULTS[args.inject_fault] if args.inject_fault else None
     profiles = args.profiles or list(PROFILES)
     failures = 0
+    cells: Counter = Counter()
     for offset in range(args.seeds):
         seed = args.seed_base + offset
         options = _fuzz_options_for_seed(seed, args)
-        if engine_mode:
-            # Discovery presence filters have no flat view; zero the knob
-            # so every seed actually exercises the vector engine.
-            options = dataclasses.replace(options, discovery_filter_slots=0)
         profile = profiles[offset % len(profiles)]
         program = generate_program(
             profile, options.num_cores, args.ops, DeterministicRng(seed)
         )
-        if engine_mode:
-            divergences = run_engine_differential(
-                program, kinds=kinds, options=options, fault=fault
-            )
-            divergences += run_parallel_differential(
-                program, kinds=kinds, options=options, fault=fault
-            )
-        else:
-            divergences = run_differential(
-                program, kinds=kinds, options=options, fault=fault
-            )
+        divergences = run_differential(
+            program, kinds=kinds, options=options, fault=fault
+        )
+        cells.update(divergences.cells)
         if not divergences:
             continue
         failures += len(divergences)
@@ -450,21 +421,10 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
         minimal = list(program)
         if args.minimize:
             signature = divergence.signature
-            kind = DirectoryKind(divergence.kind) if divergence.kind != "ideal" \
-                else DirectoryKind.IDEAL
-            if engine_mode:
-                replay_kinds = [kind]
-                runner = (
-                    run_parallel_differential
-                    if divergence.category.startswith("parallel-")
-                    else run_engine_differential
-                )
-            else:
-                replay_kinds = kinds if kind is DirectoryKind.IDEAL else [kind]
-                runner = run_differential
+            replay_kinds = [DirectoryKind(divergence.kind)]
 
             def _still_fails(candidate) -> bool:
-                again = runner(
+                again = run_differential(
                     candidate, kinds=replay_kinds, options=options, fault=fault
                 )
                 return any(d.signature == signature for d in again)
@@ -486,7 +446,8 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
         path = save_case(case, out_dir)
         print(f"saved repro case: {path}", file=sys.stderr)
         print(f"reproduce with: {repro_command(path)}", file=sys.stderr)
-    checked = len(kinds) * args.seeds
+    ran = ", ".join(f"{column} {cells[column]}" for column in COLUMNS)
+    print(f"cells per column: {ran}")
     if failures:
         print(
             f"FUZZ FAILURE: {failures} divergence(s) across "
@@ -494,19 +455,12 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 1
-    if engine_mode:
-        print(
-            f"fuzzed {args.seeds} programs x {args.ops} ops "
-            f"({len(kinds)} organizations, {checked} engine-differential "
-            "runs): vector and parallel engines agree with the "
-            "interpreter bit-for-bit"
-        )
-    else:
-        print(
-            f"fuzzed {args.seeds} programs x {args.ops} ops "
-            f"({len(kinds)} organizations, {checked} differential runs): "
-            "all organizations agree with ideal; all invariants held"
-        )
+    print(
+        f"fuzzed {args.seeds} programs x {args.ops} ops "
+        f"({len(kinds)} organizations): all organizations agree with ideal "
+        "and every engine with the interpreter bit-for-bit; "
+        "all invariants held"
+    )
     return 0
 
 
@@ -727,12 +681,10 @@ def build_parser() -> argparse.ArgumentParser:
             "tardis",
         ],
         choices=[k.value for k in DirectoryKind if k.value != "ideal"],
-        help="organizations to diff against the IDEAL reference",
+        help="organizations to run as matrix rows (IDEAL always runs)",
     )
-    from .verify.generator import PROFILES as fuzz_profiles
-
     fuzz.add_argument(
-        "--profiles", nargs="+", default=None, choices=list(fuzz_profiles),
+        "--profiles", nargs="+", default=None, metavar="PROFILE",
         help="generator profiles to cycle (default: all)",
     )
     fuzz.add_argument(
@@ -748,14 +700,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="delta-debug failing programs before serializing them",
     )
     fuzz.add_argument(
-        "--engine", action="store_true",
-        help="diff the vector and parallel engines against the interpreter "
-             "(bit-exact, statistics included) instead of organizations "
-             "against IDEAL",
-    )
-    fuzz.add_argument(
         "--inject-fault", default=None, metavar="NAME",
-        help="inject a named test-only fault into every non-ideal system "
+        help="inject a named test-only fault into the cells it corrupts "
              "(see --list-faults)",
     )
     fuzz.add_argument(

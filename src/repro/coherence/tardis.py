@@ -17,8 +17,8 @@ clocks are comparable across runs of the same program) and a read grant
 leases the block for ``DirectoryConfig.tardis_lease`` ticks.  That keeps
 the observable-staleness window bounded — a read may return a superseded
 version only within ``lease`` operations of the superseding write — which
-is exactly the contract :func:`repro.verify.differ.diff_tardis_results`
-checks against the IDEAL reference.  Logical-timestamp Tardis (pts jumps,
+is exactly the contract :func:`repro.verify.differ.diff_results` checks
+against the IDEAL reference for Tardis.  Logical-timestamp Tardis (pts jumps,
 unbounded physical staleness) would admit the same final state but no
 per-op bound, and with it no differential oracle.
 

@@ -134,7 +134,7 @@ def vector_supports(config: SystemConfig) -> Optional[str]:
 
 
 def flat_machine(config: SystemConfig, tables: Optional[L1Tables] = None):
-    """Build the flat machine for op-by-op driving (engine differential).
+    """Build the flat machine for op-by-op driving (the fuzzer's vector column).
 
     ``tables`` overrides the derived transition tables — the fuzz differ
     passes a deliberately corrupted table to prove engine-vs-engine
@@ -152,7 +152,7 @@ class _FlatMachine:
     decision order inside each method mirrors the interpreter's controller
     code exactly (LRU touches, counter increments and message sends happen
     at the same points).  :meth:`access` executes one full operation — the
-    engine-differential harness drives it op-by-op; :class:`VectorEngine`
+    differential fuzzer drives it op-by-op; :class:`VectorEngine`
     instead inlines the hit path and calls only the slow-path methods.
     """
 

@@ -1,10 +1,11 @@
-"""Differential verification: adversarial fuzzing against the IDEAL reference.
+"""Differential verification: adversarial fuzzing against reference cells.
 
 The stash directory's whole claim is that silently dropping entries is
 architecturally invisible; this package *hunts* for counterexamples.  It
-generates adversarial flat programs (:mod:`.generator`), runs every
-directory organization against the infinite-capacity IDEAL reference on
-the identical global operation order (:mod:`.differ`), shrinks any failure
+generates adversarial flat programs (:mod:`.generator`), runs each on an
+engine × kind matrix whose interp cells are judged against the
+infinite-capacity IDEAL reference and whose fast-engine cells are judged
+bit-for-bit against the interpreter (:mod:`.differ`), shrinks any failure
 with a delta-debugging minimizer (:mod:`.minimizer`) and serializes the
 result as a replayable repro case (:mod:`.corpus`).
 
@@ -16,23 +17,18 @@ Entry point: ``repro fuzz`` (see :mod:`repro.cli`) or the library calls::
 """
 
 from .differ import (
+    COLUMNS,
     DEFAULT_FUZZ_KINDS,
-    ENGINE_FAULTS,
-    ENGINE_KINDS,
     FAULTS,
     Divergence,
+    Divergences,
     ExecutionResult,
     RunOptions,
     check_stat_sanity,
-    diff_engine_results,
     diff_results,
-    diff_tardis_results,
     execute_program,
-    execute_program_vector,
     make_fuzz_config,
     run_differential,
-    run_engine_differential,
-    run_parallel_differential,
 )
 from .corpus import (
     FailureCase,
@@ -47,10 +43,10 @@ from .generator import PROFILES, generate_program
 from .minimizer import minimize
 
 __all__ = [
+    "COLUMNS",
     "DEFAULT_FUZZ_KINDS",
     "Divergence",
-    "ENGINE_FAULTS",
-    "ENGINE_KINDS",
+    "Divergences",
     "ExecutionResult",
     "FAULTS",
     "FailureCase",
@@ -59,19 +55,14 @@ __all__ = [
     "case_key",
     "check_stat_sanity",
     "default_failure_root",
-    "diff_engine_results",
     "diff_results",
-    "diff_tardis_results",
     "execute_program",
-    "execute_program_vector",
     "generate_program",
     "load_case",
     "make_fuzz_config",
     "minimize",
     "repro_command",
     "run_differential",
-    "run_engine_differential",
-    "run_parallel_differential",
     "save_case",
     "seed_corpus",
 ]

@@ -1,64 +1,60 @@
-"""Differential execution: every organization vs. the IDEAL reference.
+"""Differential execution: one engine × kind matrix over a flat program.
 
 The IDEAL directory (infinite duplicate-tag, no conflicts) defines the
-architectural contract; every other organization may differ in *latency*
-and *traffic* but never in the values a program observes.  This module
-replays one flat program (identical global operation order) on each
-organization and compares three things against the reference:
+architectural contract: every other organization may differ in *latency*
+and *traffic* but never in the values a program observes.  The fast
+engines carry a stricter contract: they must reproduce the interpreter
+bit-for-bit, statistics included.  :func:`run_differential` checks both
+on one flat program (one global operation order) as a matrix.  Its rows
+are directory kinds, IDEAL included; its :data:`COLUMNS` are engines:
 
-1. **Observed values** — after every operation, the data version the
-   issuing core's private cache holds.  Writes mint one version each and
-   program order is shared, so the per-op version sequence of a correct
-   organization is identical to IDEAL's.
-2. **Invariants** — the full suite from
-   :mod:`repro.coherence.invariants`, run every ``check_every`` ops and
-   at the end.
-3. **Final architectural state** — the committed-version map
-   (``latest_version``) after the program drains.
+* ``interp`` — the program replays op by op on the live controllers,
+  with the invariant suite (:mod:`repro.coherence.invariants`) every
+  ``check_every`` ops and at the end.  The cell is judged against the
+  (interp, ideal) cell by its kind's oracle: the per-op observed versions
+  (the data version the issuing core holds after each op) must match
+  exactly, or, for Tardis, satisfy the bounded-staleness contract (its
+  leases make some stale reads architecturally legal, see
+  :func:`diff_results`).  The committed-version map after the program
+  must match in both cases.
+* ``vector`` — the program replays op by op on the vector engine's flat
+  machine (:func:`repro.sim.vector.flat_machine`).  The per-op versions,
+  the final state and the full statistics tree must equal the clean
+  interp cell of the same kind.
+* ``parallel`` and ``parallel-spec`` — the program is regrouped into
+  per-core streams (per-core order kept) and runs end to end on the
+  run-length batching engine (:mod:`repro.sim.parallel`), speculation
+  off and on.  Per-core cycles, the full statistics tree and the
+  effective-tracking samples must equal the interpreter's run of the same
+  whole trace.
 
-On top of the differential comparison, :func:`check_stat_sanity` asserts
-per-organization accounting identities (reads + writes = accesses, hit +
-upgrade + miss = accesses, ...) that hold for *any* correct run.
+Every cell must also satisfy the accounting identities of
+:func:`check_stat_sanity` (reads + writes = accesses, ...).
 
-A :class:`Divergence` names the organization, a category (``crash``,
-``invariant``, ``value``, ``final-state``, ``stats``) and the first
-offending operation where applicable.  The minimizer keys on the
-``(kind, category)`` signature.
+A :class:`Divergence` names the kind, a category and the first offending
+operation where one applies.  Interp cells report ``crash``,
+``invariant``, ``value``, ``final-state`` and ``stats``, and Tardis's
+oracle ``tardis-write``, ``tardis-value`` and ``tardis-stale``.  Fast
+cells prefix their category with ``engine-`` (vector) or ``parallel-``,
+so failure-corpus signatures, the ``(kind, category)`` pairs the
+minimizer keys on, stay disjoint across columns.
 
-The Tardis backend gets its own differ
-(:func:`diff_tardis_results`, categories ``tardis-value``,
-``tardis-stale``, ``tardis-write``): its leases make some stale reads
-*architecturally legal*, so instead of exact version equality it checks
-the bounded-staleness contract — reads observe committed versions,
-monotonically per core, never more than ``tardis_lease`` ops after the
-superseding write; writes and final state must still match exactly.
-
-Fault injection: :data:`FAULTS` maps names to test-only mutations of a
-built system (a lost invalidation message, a dropped stash bit, a sharer
-representation that violates its encoding contract).  They exist to prove
-the harness *can* catch bugs — ``repro fuzz --inject-fault`` wires them
-into every non-ideal system while the reference stays clean.
-
-A second axis, :func:`run_engine_differential`, diffs *engines* instead
-of organizations: the same program replays on the interpreter and on the
-vector engine (:mod:`repro.sim.vector`) over the identical configuration,
-and the two captures must agree bit-for-bit — including the complete
-statistics tree, which the organization differ deliberately does not
-compare.  :data:`ENGINE_FAULTS` corrupts the vector engine's derived
-transition tables to prove this axis catches table-generation bugs.
-
-A third axis, :func:`run_parallel_differential`, regroups the flat
-program into per-core streams and runs the full timestamp-ordered
-interleave end-to-end on the serial interpreter and on the run-length
-batching engine (:mod:`repro.sim.parallel`) with speculation off and
-on; the complete simulation results must match bit-for-bit.
+Fault injection: :data:`FAULTS` maps names to test-only mutations.  Each
+names what it corrupts — a built system, the derived transition tables or
+the speculation undo log — and with it the cells it reaches.  They exist
+to prove the harness *can* catch bugs.  The references always run clean:
+no cell is ever judged against a faulted cell.
 """
 
 from __future__ import annotations
 
+import dataclasses
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import zip_longest
 from typing import Callable, Dict, List, Optional, Sequence
 
+from ..common.addr import log2_exact
 from ..common.config import (
     CacheConfig,
     DirectoryKind,
@@ -71,20 +67,37 @@ from ..common.mesi import CoherenceProtocol
 from ..coherence.protocol import CoherentSystem
 from ..coherence.tables import L1Tables, corrupt_l1_tables, l1_tables
 from ..directory.sharers import CoarseVector, LimitedPointer
+from ..sim.parallel import ParallelEngine
+from ..sim.simulator import run_trace
 from ..sim.system import build_system
-from ..sim.trace import FlatOp
+from ..sim.trace import FlatOp, PackedTrace
 from ..sim.vector import flat_machine, vector_supports
 
-#: Organizations the fuzzer exercises by default: everything but the
-#: reference itself.
-DEFAULT_FUZZ_KINDS = tuple(
-    kind for kind in DirectoryKind if kind is not DirectoryKind.IDEAL
-)
+#: Rows the matrix runs by default: every directory kind, IDEAL included.
+DEFAULT_FUZZ_KINDS = tuple(DirectoryKind)
 
-#: Organizations the engine differential exercises: the flat engine's
-#: supported kinds, *including* IDEAL (here the interpreter — not the
-#: ideal directory — is the reference, so IDEAL is a real candidate).
-ENGINE_KINDS = (DirectoryKind.SPARSE, DirectoryKind.IDEAL, DirectoryKind.STASH)
+#: The judged columns, in the order a row runs them.
+COLUMNS = ("interp", "vector", "parallel", "parallel-spec")
+
+#: The interpreter on the whole regrouped trace: the parallel columns'
+#: reference, never judged itself.
+_WHOLE_TRACE_REFERENCE = "interp-trace"
+
+#: Category prefix of each column's divergences.
+_PREFIX = {
+    "interp": "",
+    "vector": "engine-",
+    "parallel": "parallel-",
+    "parallel-spec": "parallel-",
+}
+
+#: Parallel-engine settings.  The scan window is tiny so a few hundred ops
+#: cross many windows (stale-snapshot revalidation, window refills and
+#: warp commits all fire), and the speculative chunk threshold is low so
+#: short adversarial programs still build, flush, validate and squash
+#: undo logs.
+_EPOCH_OPS = 96
+_SPEC_MIN = 4
 
 
 @dataclass(frozen=True)
@@ -170,14 +183,34 @@ def make_fuzz_config(kind: DirectoryKind, options: RunOptions) -> SystemConfig:
 
 # -- fault injection --------------------------------------------------------------
 
+#: The columns each fault target reaches.  A system fault skips IDEAL's
+#: interp cell, the reference of every other interp cell.
+_FAULT_COLUMNS = {
+    "system": ("interp",),
+    "tables": ("vector", "parallel", "parallel-spec"),
+    "undo-log": ("parallel-spec",),
+}
+
 
 @dataclass(frozen=True)
 class FaultSpec:
-    """A named, test-only mutation applied to a built system."""
+    """A named, test-only mutation of the part of a cell ``corrupts`` names.
+
+    ``"system"``: ``inject`` mutates a built interpreter system in place.
+    ``"tables"``: it maps the derived L1 transition tables to a corrupted
+    copy.  ``"undo-log"``: it arms a speculating
+    :class:`~repro.sim.parallel.ParallelEngine` in place.
+    """
 
     name: str
+    corrupts: str
     description: str
-    inject: Callable[[CoherentSystem], None]
+    inject: Callable
+
+    @property
+    def columns(self) -> tuple:
+        """The matrix columns this fault corrupts."""
+        return _FAULT_COLUMNS[self.corrupts]
 
 
 class _ResurrectingLimitedPointer(LimitedPointer):
@@ -263,72 +296,65 @@ def _inject_ts_rollover(system: CoherentSystem) -> None:
         home.ts_wrap_mask = 63
 
 
+def _corrupt_e_write_cell(tables: L1Tables) -> L1Tables:
+    # Cell 5 = (EXCLUSIVE, write): the silent E->M upgrade becomes a plain
+    # read hit, so the fast engines lose a version mint the interpreter
+    # performs — the signature of a mis-generated table.
+    return corrupt_l1_tables(tables, cell=5)
+
+
+def _corrupt_undo_log(engine: ParallelEngine) -> None:
+    # The first deferred write the speculation layer surfaces from an
+    # undo log downgrades to SHARED.
+    engine._corrupt_flush = True
+
+
 #: Registry of injectable faults (``repro fuzz --inject-fault <name>``).
 FAULTS: Dict[str, FaultSpec] = {
     spec.name: spec
     for spec in (
         FaultSpec(
             "drop-invalidation",
+            "system",
             "core 1 ignores home-initiated invalidations (lost message)",
             _inject_drop_invalidation,
         ),
         FaultSpec(
             "stash-bit-lost",
+            "system",
             "LLC drops set_stash_bit writes; stashed copies become unreachable",
             _inject_stash_bit_lost,
         ),
         FaultSpec(
             "pointer-resurrect",
+            "system",
             "LimitedPointer.remove() clears the overflow flag (forgets sharers)",
             _inject_pointer_resurrect,
         ),
         FaultSpec(
             "coarse-unclamped",
+            "system",
             "CoarseVector.targets() names nonexistent tail-group cores",
             _inject_coarse_unclamped,
         ),
         FaultSpec(
             "ts-rollover",
+            "system",
             "tardis timestamps wrap at 6 bits; expired leases look live again",
             _inject_ts_rollover,
         ),
-    )
-}
-
-
-def _corrupt_e_write_cell(tables: L1Tables) -> L1Tables:
-    # Cell 5 = (EXCLUSIVE, write): the silent E->M upgrade becomes a plain
-    # read hit, so the vector run loses a version mint the interpreter
-    # performs — the signature of a mis-generated table.
-    return corrupt_l1_tables(tables, cell=5)
-
-
-def _undo_log_fault(tables: L1Tables) -> L1Tables:
-    # The tables stay clean: this fault lives inside the parallel engine's
-    # speculation layer (the first deferred write surfaced from an undo
-    # log downgrades to SHARED), so :func:`run_parallel_differential`
-    # recognizes it by name and arms ``ParallelEngine._corrupt_flush``
-    # on the speculative runs instead of corrupting the table copy.
-    return tables
-
-
-#: Engine-mode faults (``repro fuzz --engine --inject-fault <name>``).
-#: Unlike :data:`FAULTS` these do not mutate a built system: ``inject``
-#: maps the derived :class:`L1Tables` to a corrupted copy handed to the
-#: vector side only, while the interpreter reference stays clean.
-ENGINE_FAULTS: Dict[str, FaultSpec] = {
-    spec.name: spec
-    for spec in (
         FaultSpec(
             "table-corrupt",
+            "tables",
             "flip the (EXCLUSIVE, write) cell of the derived L1 action table",
             _corrupt_e_write_cell,
         ),
         FaultSpec(
             "undo-corrupt",
+            "undo-log",
             "corrupt the first deferred write the speculation layer"
-            " surfaces from an undo log (parallel engine only)",
-            _undo_log_fault,
+            " surfaces from an undo log",
+            _corrupt_undo_log,
         ),
     )
 }
@@ -339,19 +365,28 @@ ENGINE_FAULTS: Dict[str, FaultSpec] = {
 
 @dataclass
 class ExecutionResult:
-    """Everything one replay exposes for comparison."""
+    """Everything one cell exposes for comparison.
+
+    The op-by-op columns fill ``versions`` (the data version the issuing
+    core's private cache holds after each op) and ``final_versions`` (the
+    committed-version map); whole-trace runs fill ``cycles`` (per core)
+    and ``samples`` (the effective-tracking series); all fill ``stats``.
+    """
 
     kind: DirectoryKind
+    column: str = "interp"
     versions: List[int] = field(default_factory=list)
     final_versions: Dict[int, int] = field(default_factory=dict)
+    cycles: List[int] = field(default_factory=list)
     stats: Dict[str, float] = field(default_factory=dict)
+    samples: List[int] = field(default_factory=list)
     error_category: Optional[str] = None
     error_detail: Optional[str] = None
     error_op: Optional[int] = None
 
     @property
     def ok(self) -> bool:
-        """Did the replay complete without raising?"""
+        """Did the run complete without raising?"""
         return self.error_category is None
 
 
@@ -359,36 +394,75 @@ def execute_program(
     program: Sequence[FlatOp],
     config: SystemConfig,
     *,
+    column: str = "interp",
     check_every: int = 8,
     fault: Optional[FaultSpec] = None,
 ) -> ExecutionResult:
-    """Replay one flat program on a fresh system built from ``config``.
+    """Run one flat program in one column on a fresh ``config`` machine.
 
-    Captures, per operation, the data version the issuing core's private
-    cache holds immediately afterwards (the "observed value"), runs the
-    invariant suite every ``check_every`` ops (0 disables the cadence;
-    the final check always runs), and snapshots the committed-version map
-    and flat statistics at the end.  Exceptions never escape: they are
-    folded into the result as a ``crash`` or ``invariant`` record.
+    ``interp`` and ``vector`` replay the program op by op; ``interp``
+    also runs the invariant suite every ``check_every`` ops (0 disables
+    the cadence; the final check always runs).  ``parallel``,
+    ``parallel-spec`` and ``interp-trace`` regroup it into per-core
+    streams and run the whole trace.  ``fault`` applies only to the
+    columns it corrupts.  Exceptions never escape: they are folded into
+    the result as a ``crash`` or ``invariant`` record.
     """
-    result = ExecutionResult(kind=config.directory.kind)
+    result = ExecutionResult(kind=config.directory.kind, column=column)
+    if fault is not None and column not in fault.columns:
+        fault = None
     index = -1
     try:
-        system = build_system(config)
-        if fault is not None:
-            fault.inject(system)
+        tables = None
+        if fault is not None and fault.corrupts == "tables":
+            tables = fault.inject(l1_tables(config.protocol))
         versions = result.versions
-        access = system.access
-        l1s = system.l1s
-        for index, (core, block, is_write) in enumerate(program):
-            access(core, block, is_write)
-            held = l1s[core].probe(block, touch=False)
-            versions.append(-1 if held is None else held.version)
-            if check_every and (index + 1) % check_every == 0:
-                system.check_invariants()
-        system.check_invariants()
-        result.final_versions = dict(system.home.latest_version)
-        result.stats = system.flat_stats()
+        if column == "interp":
+            system = build_system(config)
+            if fault is not None:
+                fault.inject(system)
+            access = system.access
+            l1s = system.l1s
+            for index, (core, block, is_write) in enumerate(program):
+                access(core, block, is_write)
+                held = l1s[core].probe(block, touch=False)
+                versions.append(-1 if held is None else held.version)
+                if check_every and (index + 1) % check_every == 0:
+                    system.check_invariants()
+            system.check_invariants()
+            result.final_versions = dict(system.home.latest_version)
+            result.stats = system.flat_stats()
+        elif column == "vector":
+            machine = flat_machine(config, tables=tables)
+            access = machine.access
+            held_version = machine.held_version
+            for index, (core, block, is_write) in enumerate(program):
+                access(core, block, 1 if is_write else 0)
+                versions.append(held_version(core, block))
+            result.final_versions = dict(machine.latest_version)
+            result.stats = machine.flat_stats()
+        else:
+            trace = PackedTrace(config.num_cores)
+            shift = log2_exact(config.block_bytes)
+            for core, block, is_write in program:
+                trace.append(core, block << shift, is_write)
+            if column == _WHOLE_TRACE_REFERENCE:
+                run = run_trace(config, trace, engine="interp")
+            else:
+                speculate = column == "parallel-spec"
+                engine = ParallelEngine(
+                    config,
+                    tables=tables,
+                    epoch_ops=_EPOCH_OPS,
+                    speculate=speculate,
+                    spec_min=_SPEC_MIN if speculate else None,
+                )
+                if fault is not None and fault.corrupts == "undo-log":
+                    fault.inject(engine)
+                run = engine.run(trace)
+            result.cycles = list(run.cycles_per_core)
+            result.stats = dict(run.stats)
+            result.samples = list(run.effective_tracking_samples)
     except InvariantViolation as exc:
         result.error_category = "invariant"
         result.error_detail = str(exc)
@@ -405,10 +479,10 @@ def execute_program(
 
 @dataclass(frozen=True)
 class Divergence:
-    """One confirmed disagreement between an organization and IDEAL."""
+    """One confirmed disagreement between a cell and its reference."""
 
     kind: str
-    category: str  # crash | invariant | value | final-state | stats
+    category: str  # see the module docstring
     detail: str
     op_index: Optional[int] = None
 
@@ -462,61 +536,31 @@ def check_stat_sanity(result: ExecutionResult, num_ops: int) -> Optional[str]:
     return None
 
 
+#: What a fast cell must reproduce exactly, in reporting order: the
+#: captured field, its category suffix and how to name one entry of it.
+_FIELDS = (
+    ("versions", "value", "op {}"),
+    ("final_versions", "final-state", "block {:#x}"),
+    ("cycles", "cycles", "core {}"),
+    ("stats", "stats", "{}"),
+    ("samples", "samples", "sample {}"),
+)
+
+
 def diff_results(
-    reference: ExecutionResult, candidate: ExecutionResult, num_ops: int
-) -> Optional[Divergence]:
-    """First divergence of ``candidate`` from the IDEAL ``reference``."""
-    kind = candidate.kind.value
-    if not candidate.ok:
-        return Divergence(
-            kind,
-            candidate.error_category or "crash",
-            candidate.error_detail or "unknown failure",
-            candidate.error_op,
-        )
-    for index, (want, got) in enumerate(
-        zip(reference.versions, candidate.versions)
-    ):
-        if want != got:
-            return Divergence(
-                kind,
-                "value",
-                f"observed version {got}, ideal observed {want}",
-                index,
-            )
-    if candidate.final_versions != reference.final_versions:
-        keys = set(reference.final_versions) | set(candidate.final_versions)
-        diffs = [
-            f"{addr:#x}: ideal={reference.final_versions.get(addr)} "
-            f"got={candidate.final_versions.get(addr)}"
-            for addr in sorted(keys)
-            if reference.final_versions.get(addr)
-            != candidate.final_versions.get(addr)
-        ]
-        return Divergence(
-            kind, "final-state", "committed versions differ: " + "; ".join(diffs[:4])
-        )
-    broken = check_stat_sanity(candidate, num_ops)
-    if broken is not None:
-        return Divergence(kind, "stats", broken)
-    return None
-
-
-def diff_tardis_results(
-    program: Sequence[FlatOp],
     reference: ExecutionResult,
     candidate: ExecutionResult,
-    num_ops: int,
+    program: Sequence[FlatOp],
     *,
-    lease: int,
+    lease: int = 16,
 ) -> Optional[Divergence]:
-    """First divergence of a Tardis replay from IDEAL, staleness-aware.
+    """First divergence of one cell from its reference.
 
-    Tardis deliberately serves *bounded-stale* reads: a leased S copy
-    remains legally readable after a remote write supersedes it, until
-    its lease expires.  The exact-version comparison of
-    :func:`diff_results` would flag every such read, so this differ
-    checks the precise architectural contract instead:
+    An ``interp`` cell is judged against the (interp, ideal) cell by its
+    kind's oracle.  The exact oracle wants identical per-op versions.
+    Tardis's oracle (``lease`` = the configured ``tardis_lease``) wants
+    the bounded-staleness contract, because a leased S copy stays legally
+    readable after a remote write supersedes it, until the lease expires:
 
     * **Writes observe their own mint.**  Version minting is global and
       program order is shared, so the k-th write mints version k in both
@@ -535,17 +579,74 @@ def diff_tardis_results(
       ``j`` (a grant hands out the then-latest version) and expires at
       most ``lease`` ticks after the grant, one tick per op
       (``tardis-stale``).
-    * **Final state and statistics** match exactly, as for every other
-      organization.
+
+    Both oracles then want the same committed-version map.  A fast cell
+    must equal its clean interp reference bit-for-bit in every captured
+    field: per-op versions, final state, per-core cycles, the full
+    statistics tree and the samples.  Every cell must satisfy
+    :func:`check_stat_sanity`.
     """
     kind = candidate.kind.value
+    column = candidate.column
+    prefix = _PREFIX[column]
+    label = "" if column == "interp" else f"{column}: "
     if not candidate.ok:
         return Divergence(
             kind,
-            candidate.error_category or "crash",
-            candidate.error_detail or "unknown failure",
+            prefix + (candidate.error_category or "crash"),
+            label + (candidate.error_detail or "unknown failure"),
             candidate.error_op,
         )
+    if not reference.ok:
+        return Divergence(
+            kind,
+            prefix + "crash",
+            f"{label}reference failed: {reference.error_detail}",
+            reference.error_op,
+        )
+    fields = _FIELDS
+    if column == "interp":
+        fields = _FIELDS[:2]
+        if candidate.kind is DirectoryKind.TARDIS:
+            divergence = _bounded_staleness(program, reference, candidate, lease)
+            if divergence is not None:
+                return divergence
+            fields = _FIELDS[1:2]
+    against = "ideal" if column == "interp" else "interp"
+    for name, suffix, key_format in fields:
+        want, got = getattr(reference, name), getattr(candidate, name)
+        if want == got:
+            continue
+        if isinstance(want, dict):
+            keys = sorted(set(want) | set(got))
+            pairs = [(k, want.get(k), got.get(k)) for k in keys]
+        else:
+            pairs = [(k, w, g) for k, (w, g) in enumerate(zip_longest(want, got))]
+        diffs = [(k, w, g) for k, w, g in pairs if w != g]
+        shown = "; ".join(
+            f"{key_format.format(k)}: {against}={w} got={g}"
+            for k, w, g in diffs[:4]
+        )
+        return Divergence(
+            kind,
+            prefix + suffix,
+            f"{label}{name} differ: {shown}",
+            diffs[0][0] if name == "versions" else None,
+        )
+    broken = check_stat_sanity(candidate, len(program))
+    if broken is not None:
+        return Divergence(kind, prefix + "stats", label + broken)
+    return None
+
+
+def _bounded_staleness(
+    program: Sequence[FlatOp],
+    reference: ExecutionResult,
+    candidate: ExecutionResult,
+    lease: int,
+) -> Optional[Divergence]:
+    """Tardis's per-op oracle (see :func:`diff_results`)."""
+    kind = candidate.kind.value
     # Reconstruct each block's write history from the reference capture:
     # the reference observes its own mint on every write, so entry k of a
     # block's history is (k-th committed version, op index of that write).
@@ -606,22 +707,21 @@ def diff_tardis_results(
                     index,
                 )
         last_observed[(core, block)] = got
-    if candidate.final_versions != reference.final_versions:
-        keys = set(reference.final_versions) | set(candidate.final_versions)
-        diffs = [
-            f"{addr:#x}: ideal={reference.final_versions.get(addr)} "
-            f"got={candidate.final_versions.get(addr)}"
-            for addr in sorted(keys)
-            if reference.final_versions.get(addr)
-            != candidate.final_versions.get(addr)
-        ]
-        return Divergence(
-            kind, "final-state", "committed versions differ: " + "; ".join(diffs[:4])
-        )
-    broken = check_stat_sanity(candidate, num_ops)
-    if broken is not None:
-        return Divergence(kind, "stats", broken)
     return None
+
+
+# -- the matrix -------------------------------------------------------------------
+
+
+class Divergences(List[Divergence]):
+    """Every divergence one matrix run found, in cell order.
+
+    ``cells`` counts the cells the run judged, per column.
+    """
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.cells: Counter = Counter()
 
 
 def run_differential(
@@ -630,312 +730,61 @@ def run_differential(
     kinds: Sequence[DirectoryKind] = DEFAULT_FUZZ_KINDS,
     options: RunOptions = RunOptions(),
     fault: Optional[FaultSpec] = None,
-    fault_kinds: Optional[Sequence[DirectoryKind]] = None,
-) -> List[Divergence]:
-    """Run every organization against IDEAL on one program.
+) -> Divergences:
+    """Run the matrix with ``kinds`` as rows and :data:`COLUMNS` on one program.
 
-    ``fault`` (when given) is injected into each non-ideal system whose
-    kind is in ``fault_kinds`` (default: all of ``kinds``); the reference
-    always runs clean.  Returns every divergence found — empty means all
-    organizations agree with IDEAL and satisfy the stat identities.
+    The (interp, ideal) cell always runs first: it is the reference of
+    every interp cell, so when it fails (or breaks a stat identity) its
+    divergence is the only one returned.  A row's fast cells run when the
+    flat engines model its configuration.  Discovery presence filters are
+    interpreter-only, so the fast cells run the row without one, against
+    a clean interp capture of that same configuration: the row's own
+    interp cell when it is identical and unfaulted, else a fresh one.
+    ``fault`` reaches the cells of the columns it corrupts; IDEAL's interp
+    cell always runs clean.  Empty result: every cell agrees with its
+    reference.
     """
-    reference = execute_program(
+    found = Divergences()
+    check_every = options.check_every
+
+    def judge(reference: ExecutionResult, cell: ExecutionResult) -> None:
+        found.cells[cell.column] += 1
+        divergence = diff_results(
+            reference, cell, program, lease=options.tardis_lease
+        )
+        if divergence is not None:
+            found.append(divergence)
+
+    ideal = execute_program(
         program,
         make_fuzz_config(DirectoryKind.IDEAL, options),
-        check_every=options.check_every,
+        check_every=check_every,
     )
-    if not reference.ok:
-        return [
-            Divergence(
-                DirectoryKind.IDEAL.value,
-                reference.error_category or "crash",
-                f"IDEAL reference failed: {reference.error_detail}",
-                reference.error_op,
-            )
-        ]
-    broken = check_stat_sanity(reference, len(program))
-    if broken is not None:
-        return [Divergence(DirectoryKind.IDEAL.value, "stats", broken)]
-    divergences: List[Divergence] = []
-    for kind in kinds:
-        if kind is DirectoryKind.IDEAL:
-            continue
-        this_fault = fault
-        if fault is not None and fault_kinds is not None and kind not in fault_kinds:
-            this_fault = None
-        candidate = execute_program(
-            program,
-            make_fuzz_config(kind, options),
-            check_every=options.check_every,
-            fault=this_fault,
-        )
-        if kind is DirectoryKind.TARDIS:
-            # Exact-version comparison would flag every legally stale
-            # read; check the bounded-staleness contract instead.
-            divergence = diff_tardis_results(
-                program,
-                reference,
-                candidate,
-                len(program),
-                lease=options.tardis_lease,
-            )
-        else:
-            divergence = diff_results(reference, candidate, len(program))
-        if divergence is not None:
-            divergences.append(divergence)
-    return divergences
-
-
-# -- engine differential: interpreter vs vector engine ----------------------------
-
-
-def execute_program_vector(
-    program: Sequence[FlatOp],
-    config: SystemConfig,
-    *,
-    tables: Optional[L1Tables] = None,
-) -> ExecutionResult:
-    """Replay one flat program op-by-op on the vector engine's flat machine.
-
-    The capture mirrors :func:`execute_program` exactly — per-op held
-    version, committed-version map, flattened statistics — so the two
-    results can be compared field-for-field.  ``tables`` substitutes the
-    derived transition tables (fault injection); the flat machine has no
-    invariant walker, so only crashes and the captured state can diverge.
-    """
-    result = ExecutionResult(kind=config.directory.kind)
-    index = -1
-    try:
-        machine = flat_machine(config, tables=tables)
-        versions = result.versions
-        access = machine.access
-        held = machine.held_version
-        for index, (core, block, is_write) in enumerate(program):
-            access(core, block, 1 if is_write else 0)
-            versions.append(held(core, block))
-        result.final_versions = dict(machine.latest_version)
-        result.stats = machine.flat_stats()
-    except (ReproError, IndexError, KeyError, AssertionError) as exc:
-        result.error_category = "crash"
-        result.error_detail = f"{type(exc).__name__}: {exc}"
-        result.error_op = index
-    return result
-
-
-def diff_engine_results(
-    reference: ExecutionResult, candidate: ExecutionResult, num_ops: int
-) -> Optional[Divergence]:
-    """First disagreement between an interpreter and a vector replay.
-
-    Unlike :func:`diff_results` (which tolerates latency and traffic
-    differences between *organizations*), the two engines model the same
-    organization and must agree **bit-for-bit**: observed versions, the
-    committed-version map, and the complete statistics tree.  Categories
-    are prefixed ``engine-`` so failure corpus signatures stay disjoint
-    from organization-vs-IDEAL ones.
-    """
-    kind = reference.kind.value
-    if not reference.ok:
-        return Divergence(
-            kind,
-            "engine-crash",
-            f"interpreter reference failed: {reference.error_detail}",
-            reference.error_op,
-        )
-    if not candidate.ok:
-        return Divergence(
-            kind,
-            "engine-crash",
-            candidate.error_detail or "unknown failure",
-            candidate.error_op,
-        )
-    for index, (want, got) in enumerate(
-        zip(reference.versions, candidate.versions)
-    ):
-        if want != got:
-            return Divergence(
-                kind,
-                "engine-value",
-                f"vector observed version {got}, interpreter observed {want}",
-                index,
-            )
-    if candidate.final_versions != reference.final_versions:
-        keys = set(reference.final_versions) | set(candidate.final_versions)
-        diffs = [
-            f"{addr:#x}: interp={reference.final_versions.get(addr)} "
-            f"vector={candidate.final_versions.get(addr)}"
-            for addr in sorted(keys)
-            if reference.final_versions.get(addr)
-            != candidate.final_versions.get(addr)
-        ]
-        return Divergence(
-            kind,
-            "engine-final-state",
-            "committed versions differ: " + "; ".join(diffs[:4]),
-        )
-    if candidate.stats != reference.stats:
-        keys = set(reference.stats) | set(candidate.stats)
-        diffs = [
-            f"{name}: interp={reference.stats.get(name)} "
-            f"vector={candidate.stats.get(name)}"
-            for name in sorted(keys)
-            if reference.stats.get(name) != candidate.stats.get(name)
-        ]
-        return Divergence(
-            kind, "engine-stats", "stat trees differ: " + "; ".join(diffs[:4])
-        )
-    broken = check_stat_sanity(candidate, num_ops)
-    if broken is not None:
-        return Divergence(kind, "engine-stats", broken)
-    return None
-
-
-def run_parallel_differential(
-    program: Sequence[FlatOp],
-    *,
-    kinds: Sequence[DirectoryKind] = ENGINE_KINDS,
-    options: RunOptions = RunOptions(),
-    fault: Optional[FaultSpec] = None,
-    epoch_ops: int = 96,
-    speculate: Sequence[bool] = (False, True),
-    spec_min: int = 4,
-) -> List[Divergence]:
-    """Run the parallel engine against the interpreter on one program.
-
-    Where :func:`run_engine_differential` replays the *global* flat order
-    op by op, this axis exercises the full timestamp-ordered interleave:
-    the program's ops are regrouped into per-core streams (per-core order
-    preserved) and the whole trace runs end-to-end on the serial
-    interpreter and on :class:`repro.sim.parallel.ParallelEngine` — once
-    per ``speculate`` setting — over the same configuration.  The complete
-    :class:`~repro.sim.results.SimulationResult` must agree bit-for-bit:
-    per-core cycles, the flattened statistics tree and the
-    effective-tracking samples.  ``epoch_ops`` is deliberately tiny so a
-    few hundred ops cross many scan windows (stale-snapshot revalidation,
-    window refills and warp commits all fire), and the speculative runs
-    drop the chunk threshold to ``spec_min`` so short adversarial
-    programs still build, flush, validate and squash undo logs.
-    ``fault`` (from :data:`ENGINE_FAULTS`) corrupts the tables handed to
-    the parallel side only — except ``undo-corrupt``, which instead arms
-    the speculation layer's undo-log corruption hook on the speculative
-    runs.  Categories are prefixed ``parallel-``.
-    """
-    from ..common.addr import log2_exact
-    from ..sim.parallel import ParallelEngine
-    from ..sim.simulator import run_trace
-    from ..sim.trace import PackedTrace, Trace
-
-    undo_fault = fault is not None and fault.name == "undo-corrupt"
-    divergences: List[Divergence] = []
+    judge(ideal, ideal)
+    if found:
+        return found
+    flat_options = dataclasses.replace(options, discovery_filter_slots=0)
     for kind in kinds:
         config = make_fuzz_config(kind, options)
-        if vector_supports(config) is not None:
+        interp: Optional[ExecutionResult] = ideal
+        if kind is not DirectoryKind.IDEAL:
+            interp = execute_program(
+                program, config, check_every=check_every, fault=fault
+            )
+            judge(ideal, interp)
+            if fault is not None and "interp" in fault.columns:
+                interp = None  # faulted: never a reference
+        flat_config = make_fuzz_config(kind, flat_options)
+        if vector_supports(flat_config) is not None:
             continue
-        shift = log2_exact(config.block_bytes)
-        trace = Trace(config.num_cores)
-        for core, block, is_write in program:
-            trace.append(core, block << shift, is_write)
-        packed = PackedTrace.from_trace(trace)
-        reference = run_trace(config, trace, engine="interp")
-        ref_stats = sorted(reference.stats.items())
-        tables = None
-        if fault is not None and not undo_fault:
-            tables = fault.inject(l1_tables(config.protocol))
-        for spec in speculate:
-            label = f"{kind.value} (speculate={'on' if spec else 'off'})"
-            try:
-                engine = ParallelEngine(
-                    config,
-                    tables=tables,
-                    epoch_ops=epoch_ops,
-                    speculate=spec,
-                    spec_min=spec_min if spec else None,
-                )
-                if undo_fault and spec:
-                    engine._corrupt_flush = True
-                candidate = engine.run(packed)
-            except (ReproError, IndexError, KeyError, AssertionError) as exc:
-                divergences.append(
-                    Divergence(
-                        kind.value,
-                        "parallel-crash",
-                        f"{label}: {type(exc).__name__}: {exc}",
-                    )
-                )
-                continue
-            if candidate.cycles_per_core != reference.cycles_per_core:
-                diffs = [
-                    f"core {c}: interp={want} parallel={got}"
-                    for c, (want, got) in enumerate(
-                        zip(reference.cycles_per_core, candidate.cycles_per_core)
-                    )
-                    if want != got
-                ]
-                divergences.append(
-                    Divergence(
-                        kind.value,
-                        "parallel-cycles",
-                        f"{label}: per-core cycles differ: " + "; ".join(diffs[:4]),
-                    )
-                )
-            elif sorted(candidate.stats.items()) != ref_stats:
-                keys = set(reference.stats) | set(candidate.stats)
-                diffs = [
-                    f"{name}: interp={reference.stats.get(name)} "
-                    f"parallel={candidate.stats.get(name)}"
-                    for name in sorted(keys)
-                    if reference.stats.get(name) != candidate.stats.get(name)
-                ]
-                divergences.append(
-                    Divergence(
-                        kind.value,
-                        "parallel-stats",
-                        f"{label}: stat trees differ: " + "; ".join(diffs[:4]),
-                    )
-                )
-            elif (
-                candidate.effective_tracking_samples
-                != reference.effective_tracking_samples
-            ):
-                divergences.append(
-                    Divergence(
-                        kind.value,
-                        "parallel-samples",
-                        f"{label}: effective-tracking sample series differ",
-                    )
-                )
-    return divergences
-
-
-def run_engine_differential(
-    program: Sequence[FlatOp],
-    *,
-    kinds: Sequence[DirectoryKind] = ENGINE_KINDS,
-    options: RunOptions = RunOptions(),
-    fault: Optional[FaultSpec] = None,
-) -> List[Divergence]:
-    """Run the vector engine against the interpreter on one program.
-
-    For every kind in ``kinds`` the flat engine supports (the rest are
-    skipped — they have no flat view to compare), the identical global
-    operation order replays on both engines over the same tiny fuzz
-    configuration and the captures must match bit-for-bit.  ``fault``
-    (from :data:`ENGINE_FAULTS`) corrupts the transition tables handed to
-    the vector side only.  Empty result = the engines agree everywhere.
-    """
-    divergences: List[Divergence] = []
-    for kind in kinds:
-        config = make_fuzz_config(kind, options)
-        if vector_supports(config) is not None:
-            continue
-        reference = execute_program(
-            program, config, check_every=options.check_every
+        if interp is None or flat_config != config:
+            interp = execute_program(program, flat_config, check_every=check_every)
+        whole = execute_program(
+            program, flat_config, column=_WHOLE_TRACE_REFERENCE
         )
-        tables = None
-        if fault is not None:
-            tables = fault.inject(l1_tables(config.protocol))
-        candidate = execute_program_vector(program, config, tables=tables)
-        divergence = diff_engine_results(reference, candidate, len(program))
-        if divergence is not None:
-            divergences.append(divergence)
-    return divergences
+        for column in COLUMNS[1:]:
+            cell = execute_program(
+                program, flat_config, column=column, fault=fault
+            )
+            judge(interp if column == "vector" else whole, cell)
+    return found

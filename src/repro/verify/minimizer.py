@@ -13,8 +13,9 @@ cheap and deterministic:
 
 A final single-op sweep catches stragglers the coarser passes left
 behind.  The predicate is invoked at most ``max_checks`` times; each
-invocation replays two tiny systems, so the whole minimization stays in
-the seconds range even for multi-thousand-op programs.
+invocation reruns one row of the differential matrix on tiny systems,
+so the whole minimization stays in the seconds range even for
+multi-thousand-op programs.
 """
 
 from __future__ import annotations

@@ -40,12 +40,17 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
+from ..common.fingerprint import source_fingerprint
 from ..sim.trace import PackedTrace
 from .suite import build_workload
 
-#: On-disk spool layout version; bump on any format change (old files
-#: are then deleted on sight and regenerated).
+#: On-disk spool file-format version; bump on any format change (old
+#: files are then deleted on sight and regenerated).
 TRACE_SCHEMA_VERSION = 1
+
+#: Sources that determine a generated trace: the generators, the trace
+#: containers and ``common/`` (``common/rng.py`` seeds every generator).
+TRACE_SOURCES = ("workloads", "sim/trace.py", "common")
 
 #: File magic: identifies the format and its major revision.
 MAGIC = b"RPROTRC1"
@@ -73,12 +78,14 @@ def trace_key(
 ) -> str:
     """Stable content-addressed spool key (SHA-256 hex).
 
-    Folds in :data:`TRACE_SCHEMA_VERSION` so a format bump orphans every
-    old entry; identical parameterizations hash identically across
-    processes and machines.
+    Folds in :data:`TRACE_SCHEMA_VERSION` and a fingerprint of
+    :data:`TRACE_SOURCES`, so a format bump or an edit to any generator
+    orphans every old entry; identical parameterizations hash identically
+    across processes and machines.
     """
     payload = {
         "trace_schema": TRACE_SCHEMA_VERSION,
+        "generator": source_fingerprint(*TRACE_SOURCES),
         "workload": workload,
         "num_cores": num_cores,
         "ops_per_core": ops_per_core,

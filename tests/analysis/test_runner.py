@@ -9,6 +9,7 @@ three-layer clearing (result memo, result disk, trace memo+spool).
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -80,8 +81,18 @@ class TestCacheKey:
 
     def test_code_version_changes_key(self, monkeypatch):
         before = runner.cache_key(tiny_point())
-        monkeypatch.setattr(runner, "CODE_VERSION", runner.CODE_VERSION + 1)
+        monkeypatch.setattr(runner, "code_version", lambda: "0" * 64)
         assert runner.cache_key(tiny_point()) != before
+
+    def test_engines_share_one_key_and_compute_once(self, tmp_path):
+        interp = tiny_point()
+        vector = dataclasses.replace(interp, engine="vector")
+        assert runner.cache_key(vector) == runner.cache_key(interp)
+        results = runner.run_points(
+            [interp, vector], cache_dir=tmp_path, cache_enabled=True
+        )
+        assert runner.counters.computed == 1
+        assert results[0] == results[1]
 
     def test_key_stable_across_processes(self):
         """The same parameterization hashes identically in a fresh process."""

@@ -1,7 +1,13 @@
 """Unit tests for the command-line interface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.cli import EXPERIMENTS, build_parser, main
 
 
@@ -27,6 +33,24 @@ class TestParser:
     def test_experiment_ids_cover_design_index(self):
         for expected in ["T1", "T2", "F3", "F10", "A3", "headline"]:
             assert expected in EXPERIMENTS
+
+    def test_building_the_parser_skips_the_verifier(self):
+        # Every command builds the parser; only `repro fuzz` needs the
+        # differ, numpy and the vector engine behind repro.verify.
+        program = (
+            "import sys\n"
+            "from repro.cli import build_parser\n"
+            "build_parser()\n"
+            "print('repro.verify' in sys.modules)\n"
+        )
+        src = Path(repro.__file__).resolve().parents[1]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = f"{src}{os.pathsep}{env.get('PYTHONPATH', '')}"
+        child = subprocess.run(
+            [sys.executable, "-c", program],
+            capture_output=True, text=True, env=env, check=True,
+        )
+        assert child.stdout.strip() == "False"
 
 
 class TestCommands:
@@ -148,18 +172,20 @@ class TestFuzz:
         assert "reproduced:" in out
 
     def test_fuzz_engine_clean_run(self, capsys):
-        code = main(["fuzz", "--engine", "--ops", "80", "--seeds", "2"])
+        # A plain run fills every column of the matrix.
+        code = main(["fuzz", "--ops", "80", "--seeds", "2"])
         assert code == 0
         out = capsys.readouterr().out
-        assert "engine-differential" in out
-        assert "agree with the interpreter bit-for-bit" in out
+        assert "cells per column: interp 16, vector 6, parallel 6, " \
+            "parallel-spec 6" in out
+        assert "every engine with the interpreter bit-for-bit" in out
 
     def test_fuzz_engine_fault_caught_minimized_replayed(
         self, tmp_path, capsys
     ):
         corpus = tmp_path / "failures"
         code = main([
-            "fuzz", "--engine", "--ops", "300", "--seeds", "3",
+            "fuzz", "--ops", "300", "--seeds", "3",
             "--profiles", "mixed", "--inject-fault", "table-corrupt",
             "--out-dir", str(corpus),
         ])
@@ -173,6 +199,13 @@ class TestFuzz:
         assert replay_code == 1
         assert "reproduced:" in out
         assert "engine-" in out
+
+    @pytest.mark.parametrize("flag", ["--inject-fault", "--profiles"])
+    def test_fuzz_unknown_name_exits_2_listing_valid_names(self, flag, capsys):
+        assert main(["fuzz", "--seeds", "1", flag, "nosuch"]) == 2
+        err = capsys.readouterr().err
+        assert "unknown name 'nosuch'" in err
+        assert ("drop-invalidation" if flag == "--inject-fault" else "mixed") in err
 
     def test_fuzz_list_faults_includes_engine_faults(self, capsys):
         assert main(["fuzz", "--list-faults"]) == 0

@@ -1,4 +1,4 @@
-"""Differential engine: clean agreement, fault detection, stat sanity."""
+"""The differential matrix: clean agreement, fault detection, stat sanity."""
 
 import pytest
 
@@ -152,17 +152,21 @@ class TestFaultDetection:
         assert divergence is not None
         assert divergence.category == "crash"
 
-    def test_fault_kinds_scopes_injection(self):
+    @pytest.mark.parametrize("fault_name", ["drop-invalidation", "stash-bit-lost"])
+    def test_system_fault_never_yields_fast_divergence(self, fault_name):
+        # The fault breaks the stash row's interp cell, yet its fast cells
+        # are judged against a clean interp capture, never the faulted one.
         options = RunOptions()
-        program = program_for("eviction_storm", options, ops=200, seed=1)
-        scoped = run_differential(
-            program,
-            kinds=[DirectoryKind.SPARSE, DirectoryKind.CUCKOO],
-            options=options,
-            fault=FAULTS["drop-invalidation"],
-            fault_kinds=[DirectoryKind.SPARSE],
+        program = program_for("stash_race", options, ops=300, seed=2)
+        divergences = run_differential(
+            program, options=options, fault=FAULTS[fault_name]
         )
-        assert all(d.kind == "sparse" for d in scoped)
+        assert ("stash", "invariant") in {d.signature for d in divergences}
+        assert divergences.cells["vector"] == 3
+        assert not [
+            d for d in divergences
+            if d.category.startswith(("engine-", "parallel-"))
+        ]
 
 
 class TestOptionsRoundTrip:

@@ -1,7 +1,7 @@
-"""Tests for the Tardis-aware differential axis.
+"""Tests for the Tardis bounded-staleness oracle of the differential matrix.
 
-The Tardis backend legally serves bounded-stale reads, so it gets its own
-differ (:func:`repro.verify.differ.diff_tardis_results`).  These tests pin
+The Tardis backend legally serves bounded-stale reads, so its interp cells
+get their own oracle in :func:`repro.verify.differ.diff_results`.  These tests pin
 the contract from both sides: correct runs produce no divergences, and
 each way of breaking the contract — future reads, phantom versions,
 non-monotone reads, beyond-lease staleness, write mismatches — is caught
@@ -21,7 +21,7 @@ from repro.verify import (
 )
 from repro.verify.differ import (
     ExecutionResult,
-    diff_tardis_results,
+    diff_results,
     execute_program,
     make_fuzz_config,
 )
@@ -68,9 +68,7 @@ class TestContract:
     def _diff(self, got, lease=16, final=None):
         reference = self._reference()
         candidate = _capture(self.PROGRAM, got, final=final or self.FINAL)
-        return diff_tardis_results(
-            self.PROGRAM, reference, candidate, len(self.PROGRAM), lease=lease
-        )
+        return diff_results(reference, candidate, self.PROGRAM, lease=lease)
 
     def _reference(self):
         return _reference(self.PROGRAM, self.REF, final=self.FINAL)
@@ -99,9 +97,7 @@ class TestContract:
         # Version 7 was never committed for block 1 — not in the history.
         reference = _reference(self.PROGRAM, [1, 1, 9, 9], final={1: 9})
         candidate = _capture(self.PROGRAM, [1, 1, 9, 7], final={1: 9})
-        divergence = diff_tardis_results(
-            self.PROGRAM, reference, candidate, 4, lease=16
-        )
+        divergence = diff_results(reference, candidate, self.PROGRAM, lease=16)
         assert divergence is not None and divergence.category == "tardis-value"
 
     def test_write_mismatch_flagged(self):
@@ -113,7 +109,7 @@ class TestContract:
         program = [(0, 1, True), (0, 1, True), (1, 1, False), (1, 1, False)]
         reference = _reference(program, [1, 2, 2, 2], final={1: 2})
         candidate = _capture(program, [1, 2, 2, 1], final={1: 2})
-        divergence = diff_tardis_results(program, reference, candidate, 4, lease=16)
+        divergence = diff_results(reference, candidate, program, lease=16)
         assert divergence is not None and divergence.category == "tardis-value"
         assert "non-monotone" in divergence.detail
 
@@ -126,8 +122,8 @@ class TestContract:
         candidate.error_category = "invariant"
         candidate.error_detail = "boom"
         candidate.error_op = 2
-        divergence = diff_tardis_results(
-            self.PROGRAM, self._reference(), candidate, 4, lease=16
+        divergence = diff_results(
+            self._reference(), candidate, self.PROGRAM, lease=16
         )
         assert divergence is not None and divergence.category == "invariant"
 
@@ -206,13 +202,6 @@ class TestOptionsRoundTrip:
             make_fuzz_config(TARDIS, options),
             check_every=options.check_every,
         )
-        assert (
-            diff_tardis_results(
-                program, reference, candidate, len(program), lease=16
-            )
-            is None
-        )
-        strict = diff_tardis_results(
-            program, reference, candidate, len(program), lease=1
-        )
+        assert diff_results(reference, candidate, program, lease=16) is None
+        strict = diff_results(reference, candidate, program, lease=1)
         assert strict is not None and strict.category == "tardis-stale"

@@ -3,7 +3,12 @@
 from __future__ import annotations
 
 import json
+import os
+import shutil
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -57,6 +62,29 @@ class TestKeys:
             store, "TRACE_SCHEMA_VERSION", store.TRACE_SCHEMA_VERSION + 1
         )
         assert store.trace_key(**ARGS) != before
+
+    def test_generator_edit_changes_key(self, tmp_path):
+        """Editing a generator in a copy of the package orphans its traces."""
+        package = Path(store.__file__).resolve().parents[1]
+        copy = tmp_path / "repro"
+        shutil.copytree(package, copy, ignore=shutil.ignore_patterns("__pycache__"))
+        program = (
+            "from repro.workloads import store\n"
+            f"print(store.trace_key(**{ARGS!r}))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(tmp_path))
+
+        def key_in_copy() -> str:
+            child = subprocess.run(
+                [sys.executable, "-c", program],
+                capture_output=True, text=True, env=env, check=True,
+            )
+            return child.stdout.strip()
+
+        assert key_in_copy() == store.trace_key(**ARGS)
+        with open(copy / "workloads" / "patterns.py", "a") as handle:
+            handle.write("\n# an edit to a generator\n")
+        assert key_in_copy() != store.trace_key(**ARGS)
 
 
 class TestLayering:
