@@ -108,9 +108,11 @@ class SweepPoint:
 
     ``engine`` selects the execution engine (``"interp"``, ``"vector"``
     or ``"parallel"``, see :func:`repro.sim.simulator.run_trace`).  The
-    engines produce bit-identical results, so a point is keyed and cached
-    once whatever engine computes it; ``result.engine`` records which
-    engine did.
+    default, ``"vector"``, runs the flat engine on every configuration
+    :func:`repro.sim.vector.vector_supports` accepts (sparse, stash and
+    ideal) and the interpreter on the rest.  The engines produce
+    bit-identical results, so a point is keyed and cached once whatever
+    engine computes it; ``result.engine`` records which engine did.
     """
 
     workload: str
@@ -118,7 +120,7 @@ class SweepPoint:
     ops_per_core: int = 3000
     seed: int = 1
     obs: Optional[ObsConfig] = None
-    engine: str = "interp"
+    engine: str = "vector"
 
     @property
     def memo_key(self) -> tuple:
@@ -616,19 +618,6 @@ def run_points(
                 results[index] = result
     counters.batch_seconds += time.perf_counter() - batch_start
     return results  # type: ignore[return-value]
-
-
-def simulate_point(
-    workload: str,
-    config: SystemConfig,
-    ops_per_core: int = 3000,
-    seed: int = 1,
-    engine: str = "interp",
-) -> SimulationResult:
-    """Single-point convenience wrapper over :func:`run_points`."""
-    return run_points(
-        [SweepPoint(workload, config, ops_per_core, seed, engine=engine)]
-    )[0]
 
 
 def counters_summary() -> str:

@@ -15,7 +15,7 @@ interpreter does; :func:`validate_l1_tables` cross-checks the derived
 actions against the analytic MESI predicates as a second, independent
 derivation.
 
-Tables are plain numpy integer arrays (``action[state, is_write]``), plus
+Tables are immutable tuples of ints (``action[state][is_write]``), plus
 flat-list views for the scalar dispatch loop.  :func:`corrupt_l1_tables`
 deliberately flips one entry — the fuzz differ's ``table-corrupt`` fault
 uses it to prove that engine-vs-engine differential testing catches a
@@ -24,10 +24,8 @@ mis-generated table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, Tuple
-
-import numpy as np
 
 from ..common.errors import ProtocolError
 from ..common.mesi import CoherenceProtocol, MesiState, can_read, can_write
@@ -46,30 +44,31 @@ SC_UPGRADE = 2
 _N_STATES = 5  # I, S, E, M, O
 
 
+def _frozen(rows: List[List[int]]) -> Tuple[Tuple[int, ...], ...]:
+    return tuple(tuple(row) for row in rows)
+
+
 @dataclass(frozen=True)
 class L1Tables:
     """The L1 request pipeline as data.
 
-    ``action[state, w]`` — action code; ``next_state[state, w]`` — MESI
+    ``action[state][w]`` — action code; ``next_state[state][w]`` — MESI
     state after the operation (``-1`` = decided by the slow path);
-    ``stat_class[state, w]`` — which per-access counter the operation
+    ``stat_class[state][w]`` — which per-access counter the operation
     increments; ``grant_state[w]`` — state granted when the requester
-    becomes sole holder (directory/LLC miss, false discovery).
+    becomes sole holder (directory/LLC miss, false discovery).  The
+    tables are tuples, so the memoized ones cannot be edited in place.
     """
 
     protocol: CoherenceProtocol
-    action: np.ndarray       # (5, 2) int8
-    next_state: np.ndarray   # (5, 2) int8
-    stat_class: np.ndarray   # (5, 2) int8
-    grant_state: np.ndarray  # (2,)   int8
+    action: Tuple[Tuple[int, ...], ...]      # 5 rows x (read, write)
+    next_state: Tuple[Tuple[int, ...], ...]  # 5 rows x (read, write)
+    stat_class: Tuple[Tuple[int, ...], ...]  # 5 rows x (read, write)
+    grant_state: Tuple[int, ...]             # (read, write)
 
     def flat_action(self) -> List[int]:
         """``action`` as a flat list indexed ``state * 2 + is_write``."""
-        return [int(v) for v in self.action.reshape(-1)]
-
-    def flat_next_state(self) -> List[int]:
-        """``next_state`` as a flat list indexed ``state * 2 + is_write``."""
-        return [int(v) for v in self.next_state.reshape(-1)]
+        return [v for row in self.action for v in row]
 
 
 def _micro_system(protocol: CoherenceProtocol):
@@ -127,9 +126,9 @@ def derive_l1_tables(protocol: CoherenceProtocol) -> L1Tables:
     only protocol that reaches them) and reused for the MESI table, where
     the interpreter's code path for a hypothetical O line is identical.
     """
-    action = np.zeros((_N_STATES, 2), dtype=np.int8)
-    next_state = np.zeros((_N_STATES, 2), dtype=np.int8)
-    stat_class = np.zeros((_N_STATES, 2), dtype=np.int8)
+    action = [[0, 0] for _ in range(_N_STATES)]
+    next_state = [[0, 0] for _ in range(_N_STATES)]
+    stat_class = [[0, 0] for _ in range(_N_STATES)]
     addr = 0x1234
 
     for state in MesiState:
@@ -153,24 +152,24 @@ def derive_l1_tables(protocol: CoherenceProtocol) -> L1Tables:
             after_state = system.l1s[0].state_of(addr)
             minted = system.home._version_clock != before
             row, col = int(state), int(is_write)
-            next_state[row, col] = int(after_state)
+            next_state[row][col] = int(after_state)
             if misses:
-                action[row, col] = A_MISS
-                stat_class[row, col] = SC_L1_MISS
-                next_state[row, col] = -1  # grant decides
+                action[row][col] = A_MISS
+                stat_class[row][col] = SC_L1_MISS
+                next_state[row][col] = -1  # grant decides
             elif upgrades:
-                action[row, col] = A_UPGRADE
-                stat_class[row, col] = SC_UPGRADE
+                action[row][col] = A_UPGRADE
+                stat_class[row][col] = SC_UPGRADE
             elif minted:
-                action[row, col] = A_HIT_WUP
-                stat_class[row, col] = SC_L1_HIT
+                action[row][col] = A_HIT_WUP
+                stat_class[row][col] = SC_L1_HIT
             else:
-                action[row, col] = A_HIT
-                stat_class[row, col] = SC_L1_HIT
+                action[row][col] = A_HIT
+                stat_class[row][col] = SC_L1_HIT
 
     # Sole-holder grants: what the home hands back when nobody else holds
     # the line (directory miss / LLC miss / false discovery).
-    grant = np.zeros(2, dtype=np.int8)
+    grant = [0, 0]
     for is_write in (False, True):
         system = _micro_system(protocol)
         system.access(0, addr, is_write)
@@ -178,10 +177,10 @@ def derive_l1_tables(protocol: CoherenceProtocol) -> L1Tables:
 
     return L1Tables(
         protocol=protocol,
-        action=action,
-        next_state=next_state,
-        stat_class=stat_class,
-        grant_state=grant,
+        action=_frozen(action),
+        next_state=_frozen(next_state),
+        stat_class=_frozen(stat_class),
+        grant_state=tuple(grant),
     )
 
 
@@ -196,10 +195,10 @@ def validate_l1_tables(tables: L1Tables) -> None:
     for state in MesiState:
         row = int(state)
         expect_read = A_HIT if can_read(state) else A_MISS
-        if int(tables.action[row, 0]) != expect_read:
+        if tables.action[row][0] != expect_read:
             raise ProtocolError(
                 f"L1 table: read action for {state.name} is "
-                f"{int(tables.action[row, 0])}, expected {expect_read}"
+                f"{tables.action[row][0]}, expected {expect_read}"
             )
         if state is MesiState.INVALID:
             expect_write = A_MISS
@@ -207,14 +206,12 @@ def validate_l1_tables(tables: L1Tables) -> None:
             expect_write = A_HIT_WUP
         else:
             expect_write = A_UPGRADE
-        if int(tables.action[row, 1]) != expect_write:
+        if tables.action[row][1] != expect_write:
             raise ProtocolError(
                 f"L1 table: write action for {state.name} is "
-                f"{int(tables.action[row, 1])}, expected {expect_write}"
+                f"{tables.action[row][1]}, expected {expect_write}"
             )
-    if int(tables.grant_state[0]) != int(MesiState.EXCLUSIVE) or int(
-        tables.grant_state[1]
-    ) != int(MesiState.MODIFIED):
+    if tables.grant_state != (int(MesiState.EXCLUSIVE), int(MesiState.MODIFIED)):
         raise ProtocolError("L1 table: sole-holder grant states are wrong")
 
 
@@ -226,16 +223,10 @@ def corrupt_l1_tables(tables: L1Tables, cell: int = 5) -> L1Tables:
     vector run silently loses a version mint — exactly the class of table
     generation bug the engine differential suite must catch.
     """
-    action = tables.action.copy()
+    action = [list(row) for row in tables.action]
     row, col = divmod(cell, 2)
-    action[row, col] = A_HIT if action[row, col] != A_HIT else A_MISS
-    return L1Tables(
-        protocol=tables.protocol,
-        action=action,
-        next_state=tables.next_state.copy(),
-        stat_class=tables.stat_class.copy(),
-        grant_state=tables.grant_state.copy(),
-    )
+    action[row][col] = A_HIT if action[row][col] != A_HIT else A_MISS
+    return replace(tables, action=_frozen(action))
 
 
 _TABLE_CACHE: dict = {}
@@ -250,17 +241,3 @@ def l1_tables(protocol: CoherenceProtocol) -> L1Tables:
         _TABLE_CACHE[protocol] = tables
     return tables
 
-
-def noc_tables(config) -> Tuple[np.ndarray, np.ndarray]:
-    """The mesh hop/latency matrices as numpy int arrays.
-
-    Same numbers as :meth:`repro.noc.topology.Mesh2D.hop_table` /
-    ``latency_table`` (the interpreter's per-message lookups); the vector
-    engine gathers from these per epoch.
-    """
-    from ..noc.topology import Mesh2D
-
-    mesh = Mesh2D(config.noc)
-    hops = np.asarray(mesh.hop_table(), dtype=np.int64)
-    lats = np.asarray(mesh.latency_table(), dtype=np.int64)
-    return hops, lats

@@ -8,9 +8,9 @@ and directory entries as small lists, sharer sets as integer bitmasks —
 and dispatches each operation through the integer transition tables of
 :mod:`repro.coherence.tables` (generated from, and validated against, the
 real controllers).  Input is a :class:`~repro.sim.trace.PackedTrace`;
-per-core streams are decoded **in epoch-sized batches** with one vectorized
-numpy pass (shift/mask over the raw ``u64`` words) instead of per-op bit
-fiddling, and the interleave loop touches only decoded Python ints.
+per-core streams are decoded **in epoch-sized batches** — one
+``array('Q')`` slice turned into Python ints by ``tolist()`` in C — and
+the interleave loop splits each raw word with one shift and one mask.
 
 The contract is the golden one: per-core cycle counts, the full flattened
 statistics tree, observed data versions and effective-tracking samples are
@@ -24,8 +24,9 @@ contract:
   order (ties keep the interpreter's lowest-way preference because victim
   scans walk ways in ascending order).
 * **Derived counters.**  The hit path maintains no statistics at all:
-  ``accesses`` is the stream length, ``reads``/``writes`` come from one
-  numpy popcount over the packed write bits, ``l1_hits`` is
+  ``accesses`` is the stream length, ``writes`` counts the packed words
+  whose write bit is set (one C-level byte pass per stream) and ``reads``
+  the rest, ``l1_hits`` is
   ``accesses - l1_misses - upgrade_misses``, and ``latency_total`` is
   recovered from the final core clocks (all latencies are integers when
   ``core_fixed_cpi`` is integral, so the arithmetic is exact).
@@ -41,9 +42,9 @@ transparently rather than approximating.
 from __future__ import annotations
 
 import heapq
+import sys
+from array import array
 from typing import Dict, List, Optional, Set, Tuple
-
-import numpy as np
 
 from ..coherence.tables import L1Tables, l1_tables
 from ..common.addr import log2_exact
@@ -62,10 +63,15 @@ from ..noc.traffic import MessageClass, flits_of
 from .results import SimulationResult
 from .trace import PackedTrace
 
-#: Operations decoded per core per batch.  One numpy slice + ``tolist()``
+#: Operations decoded per core per batch.  One array slice + ``tolist()``
 #: per epoch bounds the decoded-int working set while amortizing the
-#: vectorized shift/mask over thousands of operations.
+#: per-slice call over thousands of operations.
 DEFAULT_EPOCH_OPS = 8192
+
+# A packed word's write bit is the low bit of its low byte; deleting the
+# even bytes from a stream's low bytes leaves one byte per write.
+_LOW_BYTE = 0 if sys.byteorder == "little" else 7
+_EVEN_BYTES = bytes(range(0, 256, 2))
 
 #: Directory kinds with a flat view (the rest fall back to the interpreter).
 _FLAT_KINDS = frozenset(
@@ -165,7 +171,7 @@ class _FlatMachine:
             tables = l1_tables(config.protocol)
         self.tables = tables
         self.act = tables.flat_action()
-        self.grant = [int(v) for v in tables.grant_state]
+        self.grant = tables.grant_state
 
         n = config.num_cores
         self.n = n
@@ -1645,6 +1651,11 @@ class _FlatMachine:
         return s
 
 
+def _count_writes(stream: array) -> int:
+    """Words of a packed stream with the write bit set, counted in C."""
+    return len(stream.tobytes()[_LOW_BYTE::8].translate(None, _EVEN_BYTES))
+
+
 class VectorEngine:
     """Runs one PackedTrace on flat state with table dispatch.
 
@@ -1686,31 +1697,13 @@ class VectorEngine:
         ncores = trace.num_cores
         epoch = self.epoch_ops
 
-        # Per-stream raw word views plus one popcount pass for the derived
-        # read/write split.  The shift/mask transform happens lazily per
-        # epoch slice in ``decode`` below — the full-stream transformed
-        # copy the engine used to pre-build doubled the numpy footprint
-        # and paid a second whole-trace pass before the first op ran.
-        arrs: List[Optional[np.ndarray]] = []
-        writes_total = 0
-        for core in range(ncores):
-            stream = trace.streams[core]
-            if len(stream):
-                words = np.frombuffer(stream, dtype=np.uint64)
-                writes_total += int((words & np.uint64(1)).sum())
-                arrs.append(words)
-            else:
-                arrs.append(None)
+        # Raw packed words go straight to the loop, one epoch slice at a
+        # time: ``word >> packshift`` is the block, ``word & 1`` the write
+        # bit.  The read/write split is derived from one byte pass.
+        streams = trace.streams
+        writes_total = sum(_count_writes(stream) for stream in streams)
 
-        shift = np.uint64(packshift)
-        one = np.uint64(1)
-
-        def decode(words: np.ndarray) -> List[int]:
-            """One epoch slice as ``(block << 1) | is_write`` Python ints."""
-            wbits = words & one
-            return (((words >> shift) << one) | wbits).tolist()
-
-        totals = [len(trace.streams[core]) for core in range(ncores)]
+        totals = [len(stream) for stream in streams]
         clocks = [0] * ncores
         cursors = [0] * ncores
         chunk_lists: List[List[int]] = [[] for _ in range(ncores)]
@@ -1746,7 +1739,7 @@ class VectorEngine:
             n = len(ops)
             i = cur - bas
             if i == n:
-                ops = decode(arrs[core][cur : cur + epoch])
+                ops = streams[core][cur : cur + epoch].tolist()
                 chunk_lists[core] = ops
                 chunk_base[core] = bas = cur
                 n = len(ops)
@@ -1756,7 +1749,7 @@ class VectorEngine:
             while True:
                 word = ops[i]
                 i += 1
-                blk = word >> 1
+                blk = word >> packshift
                 rec = lines_get(blk)
                 if rec is not None:
                     tick += 1
@@ -1796,7 +1789,7 @@ class VectorEngine:
                         cur = total
                         break
                     cur = bas + n
-                    ops = decode(arrs[core][cur : cur + epoch])
+                    ops = streams[core][cur : cur + epoch].tolist()
                     chunk_lists[core] = ops
                     chunk_base[core] = bas = cur
                     n = len(ops)

@@ -85,7 +85,7 @@ class TestCacheKey:
         assert runner.cache_key(tiny_point()) != before
 
     def test_engines_share_one_key_and_compute_once(self, tmp_path):
-        interp = tiny_point()
+        interp = dataclasses.replace(tiny_point(), engine="interp")
         vector = dataclasses.replace(interp, engine="vector")
         assert runner.cache_key(vector) == runner.cache_key(interp)
         results = runner.run_points(
@@ -118,6 +118,49 @@ class TestCacheKey:
             )
         )
         assert child.stdout.strip() == local
+
+
+class TestEngineDefault:
+    def test_sweep_points_default_to_vector(self):
+        assert tiny_point().engine == "vector"
+        stash, cuckoo = runner.run_points(
+            [tiny_point(), tiny_point(kind=DirectoryKind.CUCKOO)]
+        )
+        assert stash.engine == "vector"
+        assert cuckoo.engine == "interp"  # no flat view: falls back
+
+    def test_sweep_path_needs_no_numpy(self):
+        """A fresh interpreter without numpy runs one F3 point per kind."""
+        program = (
+            "import dataclasses, sys\n"
+            "sys.modules['numpy'] = None\n"
+            "from repro.analysis import runner\n"
+            "from repro.analysis.experiments import KINDS, make_config\n"
+            "points = [runner.SweepPoint('mix', make_config(kind, 0.25, 16), 50)\n"
+            "          for kind in KINDS]\n"
+            "off = dict(workers=1, cache_enabled=False, trace_cache_enabled=False)\n"
+            "fast = runner.run_points(points, **off)\n"
+            "runner.clear_memo()\n"
+            "interp = runner.run_points(\n"
+            "    [dataclasses.replace(p, engine='interp') for p in points], **off)\n"
+            "assert fast == interp\n"
+            "assert all(r.engine == 'interp' for r in interp)\n"
+            "for kind, result in zip(KINDS, fast):\n"
+            "    print(kind.value, result.engine)\n"
+        )
+        src = Path(runner.__file__).resolve().parents[2]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = f"{src}{os.pathsep}{env.get('PYTHONPATH', '')}"
+        child = subprocess.run(
+            [sys.executable, "-c", program],
+            capture_output=True, text=True, timeout=120, env=env,
+        )
+        assert child.returncode == 0, child.stderr
+        engines = dict(line.split() for line in child.stdout.splitlines())
+        assert engines == {
+            "sparse": "vector", "cuckoo": "interp", "scd": "interp",
+            "stash": "vector", "ideal": "vector",
+        }
 
 
 class TestDiskCache:

@@ -2,7 +2,11 @@
 
 import pytest
 
-from repro.coherence.tables import l1_tables, validate_l1_tables
+from repro.coherence.tables import (
+    corrupt_l1_tables,
+    l1_tables,
+    validate_l1_tables,
+)
 from repro.common.config import DirectoryKind, SharerFormat
 from repro.common.errors import ProtocolError
 from repro.common.mesi import CoherenceProtocol
@@ -135,6 +139,25 @@ class TestFaultDetection:
         )
         with pytest.raises(ProtocolError):
             validate_l1_tables(corrupted)
+
+    @pytest.mark.parametrize(
+        "protocol", [CoherenceProtocol.MESI, CoherenceProtocol.MOESI]
+    )
+    def test_corruption_leaves_memoized_table_intact(self, protocol):
+        # A corrupted copy must not write through to the per-process
+        # memo, or the next clean run would dispatch the flipped cell.
+        clean = l1_tables(protocol).flat_action()
+        corrupted = corrupt_l1_tables(l1_tables(protocol))
+        assert corrupted.flat_action() != clean
+        validate_l1_tables(l1_tables(protocol))
+        assert l1_tables(protocol).flat_action() == clean
+
+    def test_table_rows_are_immutable(self):
+        tables = l1_tables(CoherenceProtocol.MESI)
+        with pytest.raises(TypeError):
+            tables.action[2][1] = 0
+        with pytest.raises(TypeError):
+            tables.grant_state[0] = 0
 
     def test_stats_only_divergence_detected(self):
         options = RunOptions()
