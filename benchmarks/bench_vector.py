@@ -49,6 +49,8 @@ from repro.workloads.suite import build_workload
 #: Organizations with a flat view (the vector engine's whole domain).
 KINDS = {
     "sparse": DirectoryKind.SPARSE,
+    "cuckoo": DirectoryKind.CUCKOO,
+    "scd": DirectoryKind.SCD,
     "ideal": DirectoryKind.IDEAL,
     "stash": DirectoryKind.STASH,
 }

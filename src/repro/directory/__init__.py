@@ -36,6 +36,7 @@ from .sparse import SparseDirectory
 from .timestamp import TardisEntry, TimestampDirectory
 
 __all__ = [
+    "DIRECTORY_RNG_STREAM",
     "AllocationResult",
     "CoarseVector",
     "CuckooDirectory",
@@ -58,6 +59,11 @@ __all__ = [
     "make_sharer_rep",
     "sharer_storage_bits",
 ]
+
+#: ``DeterministicRng.spawn`` id of the directory's own random stream, a
+#: child of the system seed.  The cuckoo directory draws its displacement
+#: ways from it, in the interpreter and in the vector engine's flat model.
+DIRECTORY_RNG_STREAM = 3000
 
 
 def make_directory(

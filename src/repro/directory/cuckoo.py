@@ -14,7 +14,7 @@ copies.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional
+from typing import Iterator, List, Optional, Tuple
 
 from ..common.addr import stride_hash
 from ..common.config import DirectoryConfig
@@ -32,6 +32,21 @@ from .sharers import make_sharer_rep
 
 #: Displacement-chain length bound before giving up and evicting.
 DEFAULT_MAX_PATH = 8
+
+
+def cuckoo_slots(addr: int, ways: int, slots_per_way: int) -> Tuple[int, ...]:
+    """Candidate slot of ``addr`` in each hash way, as flat table indices.
+
+    Way ``w`` hashes with ``stride_hash(addr, w + 1)`` into its own
+    sub-table, which occupies indices ``[w * slots_per_way, (w + 1) *
+    slots_per_way)`` of one flat table.  The interpreter's
+    :class:`CuckooDirectory` and the vector engine's flat model share this
+    rule, so both place every block in the same slots.
+    """
+    return tuple([
+        way * slots_per_way + stride_hash(addr, way + 1) % slots_per_way
+        for way in range(ways)
+    ])
 
 
 class CuckooDirectory(Directory):
@@ -58,16 +73,15 @@ class CuckooDirectory(Directory):
         self.max_path = max_path
         self.stats = stats
         self._rng = rng
-        self._tables: List[List[Optional[DirectoryEntry]]] = [
-            [None] * self.slots_per_way for _ in range(self.d)
-        ]
-        # Candidate slots are recomputed on every lookup/relocation step;
-        # workloads reuse addresses heavily, so memoize per address.
+        # The d sub-tables, laid end to end (see cuckoo_slots).
+        self._table: List[Optional[DirectoryEntry]] = [None] * entries
+        # Candidate slots are needed at every relocation step; workloads
+        # reuse addresses heavily, so memoize per address.
         self._slot_cache: dict = {}
-        # Position index: addr -> (way, slot, entry).  Lookups and
-        # deallocations are O(1) dict probes instead of d-way table scans;
-        # the displacement chain keeps it current (placements overwrite,
-        # the final eviction pops).
+        # Position index: addr -> (slot, entry).  Lookups and deallocations
+        # are O(1) dict probes instead of d-way table scans; the
+        # displacement chain keeps it current (placements overwrite, the
+        # final eviction pops).
         self._where: dict = {}
         # Displacement-way picks draw one uniform way per chain step; the
         # bound getrandbits plus the rejection loop below reproduce
@@ -88,21 +102,6 @@ class CuckooDirectory(Directory):
             hier_pointers=config.hier_pointers,
         )
 
-    # -- hashing ---------------------------------------------------------------
-
-    def _slots(self, addr: int) -> tuple:
-        slots = self._slot_cache.get(addr)
-        if slots is None:
-            slots = tuple(
-                stride_hash(addr, way + 1) % self.slots_per_way
-                for way in range(self.d)
-            )
-            self._slot_cache[addr] = slots
-        return slots
-
-    def _slot(self, addr: int, way: int) -> int:
-        return self._slots(addr)[way]
-
     # -- Directory interface ------------------------------------------------------
 
     def lookup(self, addr: int, touch: bool = True) -> Optional[DirectoryEntry]:
@@ -119,7 +118,7 @@ class CuckooDirectory(Directory):
             if cell is None:
                 cell = self._c_hits = self.stats.counter("hits")
             cell.value += 1
-        return pos[2]
+        return pos[1]
 
     def allocate(self, addr: int) -> AllocationResult:
         if addr in self._where:
@@ -131,10 +130,9 @@ class CuckooDirectory(Directory):
         # The displacement chain is the cuckoo directory's hot loop (several
         # steps per conflicting allocation), so the per-step work is flat:
         # candidate slots are fetched from the memo once per homeless entry
-        # and shared by the free-slot scan and the displacement pick (the
-        # method-based version recomputed them per candidate way), and the
+        # and shared by the free-slot scan and the displacement pick, and the
         # random way draw inlines randint's getrandbits rejection loop.
-        tables = self._tables
+        table = self._table
         where = self._where
         slot_cache = self._slot_cache
         d = self.d
@@ -147,6 +145,9 @@ class CuckooDirectory(Directory):
                 rng._rng or rng._materialize()
             ).getrandbits
         relocations = 0
+        # A chain step only moves entries between occupied slots, so in a
+        # full table no candidate slot is ever free: skip the scans.
+        scan = len(where) < len(table)
 
         homeless = entry
         last_way = -1  # way we just placed into; don't bounce straight back
@@ -154,26 +155,24 @@ class CuckooDirectory(Directory):
             haddr = homeless.addr
             slots = slot_cache.get(haddr)
             if slots is None:
-                slots = tuple(
-                    stride_hash(haddr, way + 1) % spw for way in range(d)
-                )
-                slot_cache[haddr] = slots
-            # Any free candidate slot?
-            for way in range(d):
-                slot = slots[way]
-                if tables[way][slot] is None:
-                    tables[way][slot] = homeless
-                    where[haddr] = (way, slot, homeless)
-                    if homeless is not entry:
-                        relocations += 1
-                    if relocations:
-                        self.stats.add("relocations", relocations)
-                    return AllocationResult(entry, eviction=None)
+                slots = slot_cache[haddr] = cuckoo_slots(haddr, d, spw)
+            if scan:
+                # Any free candidate slot?  (Scanned in way order.)
+                for slot in slots:
+                    if table[slot] is None:
+                        table[slot] = homeless
+                        where[haddr] = (slot, homeless)
+                        if homeless is not entry:
+                            relocations += 1
+                        if relocations:
+                            self.stats.add("relocations", relocations)
+                        return AllocationResult(entry, eviction=None)
             # All candidates full: displace one resident and recurse.  Never
             # displace the entry being inserted (its candidate slots can
             # collide with the homeless entry's), and avoid bouncing the
-            # displaced entry straight back into the slot it came from
-            # (same preference order as _pick_displacement_way).
+            # displaced entry straight back into the way it came from: a
+            # random start way, then the next ways in order, with the way
+            # just filled as the last resort.
             r = getrandbits(rand_bits)
             while r >= d:
                 r = getrandbits(rand_bits)
@@ -183,7 +182,7 @@ class CuckooDirectory(Directory):
                 way = r + offset
                 if way >= d:
                     way -= d
-                if tables[way][slots[way]] is entry:
+                if table[slots[way]] is entry:
                     continue
                 if way == last_way:
                     fallback = way
@@ -195,9 +194,9 @@ class CuckooDirectory(Directory):
             if pick < 0:
                 break  # only the new entry's slot remains: stop relocating
             slot = slots[pick]
-            displaced = tables[pick][slot]
-            tables[pick][slot] = homeless
-            where[haddr] = (pick, slot, homeless)
+            displaced = table[slot]
+            table[slot] = homeless
+            where[haddr] = (slot, homeless)
             if homeless is not entry:
                 relocations += 1
             homeless = displaced
@@ -211,45 +210,18 @@ class CuckooDirectory(Directory):
         self.stats.add("evictions_invalidate")
         return AllocationResult(entry, Eviction(homeless, EvictionAction.INVALIDATE))
 
-    def _pick_displacement_way(
-        self, homeless: DirectoryEntry, new_entry: DirectoryEntry, last_way: int
-    ) -> Optional[int]:
-        """Pick which candidate slot of ``homeless`` to displace.
-
-        Preference order: a random way that neither holds ``new_entry`` nor
-        is the way we just filled; then any way not holding ``new_entry``;
-        ``None`` when every option holds ``new_entry`` (only possible for
-        d == 1), which ends the chain with a conventional eviction.
-        """
-        start = self._rng.randint(0, self.d - 1)
-        fallback = None
-        for offset in range(self.d):
-            way = (start + offset) % self.d
-            slot = self._slot(homeless.addr, way)
-            occupant = self._tables[way][slot]
-            if occupant is new_entry:
-                continue
-            if way == last_way:
-                fallback = way
-                continue
-            return way
-        return fallback
-
     def deallocate(self, addr: int) -> None:
         pos = self._where.pop(addr, None)
         if pos is not None:
-            self._tables[pos[0]][pos[1]] = None
+            self._table[pos[0]] = None
             self.stats.add("deallocations")
 
     # -- inspection ------------------------------------------------------------------
 
     def occupancy(self) -> int:
-        return sum(
-            1 for table in self._tables for entry in table if entry is not None
-        )
+        return len(self._where)
 
     def iter_entries(self) -> Iterator[DirectoryEntry]:
-        for table in self._tables:
-            for entry in table:
-                if entry is not None:
-                    yield entry
+        for entry in self._table:
+            if entry is not None:
+                yield entry

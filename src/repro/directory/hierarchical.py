@@ -52,6 +52,28 @@ DEFAULT_POINTERS = 2
 DEFAULT_LEAF_SIZE = 4
 
 
+def scd_lines(
+    mask: int, pointers: int = DEFAULT_POINTERS, leaf_size: int = DEFAULT_LEAF_SIZE
+) -> int:
+    """Lines a sharer bitmask occupies: 1, or 1 root + one leaf per group.
+
+    A set of at most ``pointers`` sharers fits one limited-pointer line;
+    a wider one takes a root line plus a leaf line for every
+    ``leaf_size``-core group with a sharer.  The interpreter's
+    :meth:`ScdDirectory.lines_for` and the vector engine's flat model both
+    charge lines by this rule.
+    """
+    if mask.bit_count() <= pointers:
+        return 1
+    leaf = (1 << leaf_size) - 1
+    lines = 1
+    while mask:
+        if mask & leaf:
+            lines += 1
+        mask >>= leaf_size
+    return lines
+
+
 class _ScdEntry(DirectoryEntry):
     """Directory entry that reports its line footprint to its directory.
 
@@ -132,10 +154,10 @@ class ScdDirectory(Directory):
 
     def lines_for(self, believed) -> int:
         """Lines a sharer set occupies: 1, or 1 root + touched leaves."""
-        if len(believed) <= self.pointers:
-            return 1
-        groups = {core // self.leaf_size for core in believed}
-        return 1 + len(groups)
+        mask = 0
+        for core in believed:
+            mask |= 1 << core
+        return scd_lines(mask, self.pointers, self.leaf_size)
 
     def total_lines(self) -> int:
         """Lines currently charged against the pool."""

@@ -92,7 +92,7 @@ from .results import SimulationResult
 from .trace import PackedTrace
 from .vector import (
     DEFAULT_EPOCH_OPS,
-    _FlatMachine,
+    flat_machine,
     _ST_MODIFIED,
     _ST_OWNED,
     _ST_SHARED,
@@ -239,7 +239,7 @@ class ParallelEngine:
             raise TraceError(
                 f"trace has {trace.num_cores} cores, system only {config.num_cores}"
             )
-        m = _FlatMachine(config, self.tables)
+        m = flat_machine(config, self.tables)
         ncores = trace.num_cores
         dirty: set = set()
         touched: List[List[int]] = [_TouchList(c, dirty) for c in range(ncores)]

@@ -15,7 +15,7 @@ from ..coherence.protocol import CoherentSystem
 from ..common.config import SystemConfig
 from ..common.rng import DeterministicRng
 from ..common.stats import StatGroup
-from ..directory import make_directory
+from ..directory import DIRECTORY_RNG_STREAM, make_directory
 from ..mem import make_memory
 from ..noc.network import Network
 
@@ -48,7 +48,7 @@ def build_system(config: SystemConfig) -> CoherentSystem:
         config.directory,
         config.num_cores,
         config.directory_entries,
-        rng.spawn(3000),
+        rng.spawn(DIRECTORY_RNG_STREAM),
         stats.child("directory"),
     )
     network = Network(config.noc, stats.child("noc"))

@@ -34,6 +34,12 @@ contract:
   discovery, sharer-pointer overflow — run in ordinary Python over the
   same flat state, replicating the interpreter's exact decision order.
 
+Every organization the paper's figures compare has a flat directory
+model: the set-associative sparse and stash directories, the ideal
+directory, the cuckoo table (same slot rule, displacement chain and
+random stream as :class:`~repro.directory.cuckoo.CuckooDirectory`) and
+the SCD line pool (LRU order kept as ``dmap``'s insertion order, lines
+charged by :func:`~repro.directory.hierarchical.scd_lines`).
 Configurations outside the flat model (see :func:`vector_supports`) are
 the interpreter's: ``run_trace(..., engine="vector")`` falls back
 transparently rather than approximating.
@@ -42,13 +48,13 @@ transparently rather than approximating.
 from __future__ import annotations
 
 import heapq
+import random
 import sys
 from array import array
 from typing import Dict, List, Optional, Set, Tuple
 
 from ..coherence.tables import L1Tables, l1_tables
 from ..common.addr import log2_exact
-from ..directory.sharers import hier_auto_cluster
 from ..common.config import (
     DirectoryKind,
     MemoryModel,
@@ -56,8 +62,13 @@ from ..common.config import (
     StashEligibility,
     SystemConfig,
 )
-from ..common.errors import ProtocolError, TraceError
+from ..common.errors import ConfigError, ProtocolError, TraceError
 from ..common.mesi import CoherenceProtocol
+from ..common.rng import DeterministicRng
+from ..directory import DIRECTORY_RNG_STREAM
+from ..directory.cuckoo import DEFAULT_MAX_PATH, cuckoo_slots
+from ..directory.hierarchical import scd_lines
+from ..directory.sharers import hier_auto_cluster
 from ..noc.topology import Mesh2D
 from ..noc.traffic import MessageClass, flits_of
 from .results import SimulationResult
@@ -73,9 +84,17 @@ DEFAULT_EPOCH_OPS = 8192
 _LOW_BYTE = 0 if sys.byteorder == "little" else 7
 _EVEN_BYTES = bytes(range(0, 256, 2))
 
-#: Directory kinds with a flat view (the rest fall back to the interpreter).
+#: Directory kinds with a flat model: every organization the paper's
+#: figures compare.  Adaptive stash, in-LLC and Tardis fall back to the
+#: interpreter.
 _FLAT_KINDS = frozenset(
-    {DirectoryKind.SPARSE, DirectoryKind.IDEAL, DirectoryKind.STASH}
+    {
+        DirectoryKind.SPARSE,
+        DirectoryKind.CUCKOO,
+        DirectoryKind.SCD,
+        DirectoryKind.STASH,
+        DirectoryKind.IDEAL,
+    }
 )
 
 # Message-class indices into the flat NoC counter blocks (enum order).
@@ -106,7 +125,9 @@ _ST_OWNED = 4
 # Directory entry layout: [addr, owner, believed_mask, rep_a, rep_b, pos]
 # (rep_a/rep_b encode the sharer representation per format: full/coarse use
 # rep_a as the bitmask; limited uses rep_a as the pointer list and rep_b as
-# the overflow flag).
+# the overflow flag).  ``pos`` is the entry's slot for sparse and stash (set
+# * ways + way), its candidate slots for cuckoo (see cuckoo_slots), its line
+# count as last recounted for SCD, and -1 for ideal.
 
 
 def vector_supports(config: SystemConfig) -> Optional[str]:
@@ -140,7 +161,10 @@ def vector_supports(config: SystemConfig) -> Optional[str]:
 
 
 def flat_machine(config: SystemConfig, tables: Optional[L1Tables] = None):
-    """Build the flat machine for op-by-op driving (the fuzzer's vector column).
+    """Build the flat machine for ``config``'s directory organization.
+
+    Both flat engines run on it, and the fuzzer's vector column drives it
+    op by op.
 
     ``tables`` overrides the derived transition tables — the fuzz differ
     passes a deliberately corrupted table to prove engine-vs-engine
@@ -148,7 +172,7 @@ def flat_machine(config: SystemConfig, tables: Optional[L1Tables] = None):
     :class:`~repro.common.errors.TraceError` when :func:`vector_supports`
     rejects the configuration.
     """
-    return _FlatMachine(config, tables)
+    return _MACHINES.get(config.directory.kind, _FlatMachine)(config, tables)
 
 
 class _FlatMachine:
@@ -160,6 +184,9 @@ class _FlatMachine:
     at the same points).  :meth:`access` executes one full operation — the
     differential fuzzer drives it op-by-op; :class:`VectorEngine`
     instead inlines the hit path and calls only the slow-path methods.
+    This class models the set-associative sparse and stash directories;
+    the subclasses below model the other organizations, and
+    :func:`flat_machine` picks one.
     """
 
     def __init__(self, config: SystemConfig, tables: Optional[L1Tables] = None) -> None:
@@ -220,33 +247,34 @@ class _FlatMachine:
         self.llc_occ = [0] * config.llc.sets
         self.stash_bits = 0  # resident stash-marked lines (F7 metric input)
 
-        # Directory.
+        # Directory: ``dmap`` maps every tracked block to its entry.  Sparse
+        # and stash (``sets``) keep their allocate, touch and deallocate
+        # paths inline; ideal, cuckoo and SCD are subclasses that override
+        # _dir_allocate and _dir_deallocate (see flat_machine), and SCD
+        # (``pool``) also touches through _pool_touch.
         dcfg = config.directory
-        self.ideal = dcfg.kind is DirectoryKind.IDEAL
-        self.stash_capable = dcfg.kind is DirectoryKind.STASH
+        kind = dcfg.kind
+        self.sets = kind is DirectoryKind.SPARSE or kind is DirectoryKind.STASH
+        self.pool = kind is DirectoryKind.SCD
+        self.stash_capable = kind is DirectoryKind.STASH
         self.excl_only = dcfg.stash_eligibility is StashEligibility.EXCLUSIVE_ONLY
         self.clean_notice = dcfg.clean_eviction_notification
         self.dmap: Dict[int, list] = {}
-        if self.ideal:
-            self.dways = 0
-            self.dir_mask = 0
-            self.dentries: List[Optional[list]] = []
-            self.dir_lu: List[int] = []
-            self.dir_occ: List[int] = []
-        else:
+        self.dways = dcfg.ways
+        if self.sets:
             entries = config.directory_entries
-            self.dways = dcfg.ways
             dsets = entries // dcfg.ways
             log2_exact(dsets)
             self.dir_mask = dsets - 1
-            self.dentries = [None] * entries
+            self.dentries: List[Optional[list]] = [None] * entries
             self.dir_lu = [0] * entries
             self.dir_occ = [0] * dsets
         self.dir_occ_total = 0
 
         # Sharer representation: 0 = full bitvector, 1 = coarse, 2 = limited,
-        # 3 = hierarchical (SCD-style two-level, see directory.sharers).
-        fmt = dcfg.sharer_format
+        # 3 = hierarchical (SCD-style two-level, see directory.sharers).  SCD
+        # tracks a full bit vector whatever the configured format.
+        fmt = SharerFormat.FULL_BIT_VECTOR if self.pool else dcfg.sharer_format
         self.smode = (
             0
             if fmt is SharerFormat.FULL_BIT_VECTOR
@@ -303,6 +331,7 @@ class _FlatMachine:
         self.c_dir_ev_act_inval = 0
         self.c_dir_ev_act_stash = 0
         self.c_dir_forced = 0
+        self.c_relocations = 0
         self.c_mem_reads = 0
         self.c_mem_writes = 0
         self.c_disc_broadcasts = 0
@@ -465,17 +494,9 @@ class _FlatMachine:
             e[1] = None
 
     # -- directory structure ----------------------------------------------------
-
-    def _dir_lookup_touch(self, blk: int) -> Optional[list]:
-        e = self.dmap.get(blk)
-        if e is None:
-            self.c_dir_misses += 1
-            return None
-        self.c_dir_hits += 1
-        if not self.ideal:
-            self.tick = t = self.tick + 1
-            self.dir_lu[e[5]] = t
-        return e
+    #
+    # The set-associative directory of sparse and stash; the subclasses
+    # below override both methods for ideal, cuckoo and SCD.
 
     def _dir_deallocate(self, blk: int) -> None:
         e = self.dmap.pop(blk, None)
@@ -483,18 +504,12 @@ class _FlatMachine:
             return
         self.c_dir_deallocs += 1
         self.dir_occ_total -= 1
-        if not self.ideal:
-            pos = e[5]
-            self.dentries[pos] = None
-            self.dir_occ[pos // self.dways] -= 1
+        pos = e[5]
+        self.dentries[pos] = None
+        self.dir_occ[pos // self.dways] -= 1
 
     def _dir_allocate(self, blk: int, home: int) -> int:
         """Track ``blk``; returns the latency of any eviction it forced."""
-        if self.ideal:
-            self.dmap[blk] = self._new_entry(blk, -1)
-            self.c_dir_allocs += 1
-            self.dir_occ_total += 1
-            return 0
         dways = self.dways
         s = blk & self.dir_mask
         base = s * dways
@@ -716,9 +731,11 @@ class _FlatMachine:
         e = self.dmap.get(blk)
         if e is not None:
             self.c_dir_hits += 1
-            if not self.ideal:
+            if self.sets:
                 self.tick = t = self.tick + 1
                 self.dir_lu[e[5]] = t
+            elif self.pool:
+                self._pool_touch(e)
             latency += self._invalidate_targets(e, blk, home, core, None)
             if self.smode == 0:
                 bit = 1 << core
@@ -818,33 +835,35 @@ class _FlatMachine:
                     wrec[2] = vrec[3]
                 self.c_llc_wb_absorbed += 1
                 self.c_l1_writebacks += 1
-                # Inlined _retire_holder.
-                e = dmap.get(vblk)
-                if e is not None:
-                    if smode0:
-                        nbit = ~(1 << core)
-                        e[2] &= nbit
-                        e[3] &= nbit
-                        if e[1] == core:
-                            e[1] = None
-                    else:
-                        self._rep_remove(e, core)
-                        e[2] &= ~(1 << core)
-                        if e[1] == core:
-                            e[1] = None
-                    if e[2] == 0:
-                        del dmap[vblk]
-                        self.c_dir_deallocs += 1
-                        self.dir_occ_total -= 1
-                        if not self.ideal:
+                if self.sets:
+                    # Inlined _retire_holder.
+                    e = dmap.get(vblk)
+                    if e is not None:
+                        if smode0:
+                            nbit = ~(1 << core)
+                            e[2] &= nbit
+                            e[3] &= nbit
+                            if e[1] == core:
+                                e[1] = None
+                        else:
+                            self._rep_remove(e, core)
+                            e[2] &= ~(1 << core)
+                            if e[1] == core:
+                                e[1] = None
+                        if e[2] == 0:
+                            del dmap[vblk]
+                            self.c_dir_deallocs += 1
+                            self.dir_occ_total -= 1
                             pos = e[5]
                             self.dentries[pos] = None
                             self.dir_occ[pos // self.dways] -= 1
-                        self.c_empty_deallocs += 1
-                elif self.stash_capable and wrec[1]:
-                    wrec[1] = 0
-                    self.stash_bits -= 1
-                    self.c_stash_cleared += 1
+                            self.c_empty_deallocs += 1
+                    elif self.stash_capable and wrec[1]:
+                        wrec[1] = 0
+                        self.stash_bits -= 1
+                        self.c_stash_cleared += 1
+                else:
+                    self._retire_holder(core, vblk)
             elif self.clean_notice:
                 vhome = vblk & bank_mask
                 h = hopt[core][vhome]
@@ -863,13 +882,15 @@ class _FlatMachine:
         nh[_REQUEST] += h
         nf[_REQUEST] += h
         latency = self.t_l1 + lat[core][home] + self.t_dir
-        # Inlined _serve_miss / _dir_lookup_touch.
+        # Inlined _serve_miss and the directory's touching lookup.
         e = dmap.get(blk)
         if e is not None:
             self.c_dir_hits += 1
-            if not self.ideal:
+            if self.sets:
                 self.tick = t = self.tick + 1
                 self.dir_lu[e[5]] = t
+            elif self.pool:
+                self._pool_touch(e)
             owner = e[1]
             if not w:
                 # -- directory hit, read -------------------------------
@@ -1081,14 +1102,11 @@ class _FlatMachine:
                         core, blk, w, home, latency
                     )
                 else:
-                    # Inlined _dir_allocate (free-way fast path; full
-                    # sets go through the generic eviction logic).
-                    if self.ideal:
-                        e = [blk, None, 0, self._rep_new(), 0, -1]
-                        dmap[blk] = e
-                        self.c_dir_allocs += 1
-                        self.dir_occ_total += 1
+                    if not self.sets:
+                        latency += self._dir_allocate(blk, home)
+                        e = dmap[blk]
                     else:
+                        # Inlined _dir_allocate.
                         dways = self.dways
                         ds = blk & self.dir_mask
                         dentries = self.dentries
@@ -1623,6 +1641,7 @@ class _FlatMachine:
             ("evictions_invalidate", self.c_dir_ev_act_inval),
             ("evictions_stash", self.c_dir_ev_act_stash),
             ("forced_invalidations", self.c_dir_forced),
+            ("relocations", self.c_relocations),
         ):
             if value:
                 s["system.directory." + name] = float(value)
@@ -1649,6 +1668,218 @@ class _FlatMachine:
         if self.c_disc_success:
             s["system.discovery.successful_discoveries"] = float(self.c_disc_success)
         return s
+
+
+class _IdealMachine(_FlatMachine):
+    """The flat machine over an unbounded directory: no slots, no evictions."""
+
+    def _dir_allocate(self, blk: int, home: int) -> int:
+        self.dmap[blk] = self._new_entry(blk, -1)
+        self.c_dir_allocs += 1
+        self.dir_occ_total += 1
+        return 0
+
+    def _dir_deallocate(self, blk: int) -> None:
+        if self.dmap.pop(blk, None) is not None:
+            self.c_dir_deallocs += 1
+            self.dir_occ_total -= 1
+
+
+class _CuckooMachine(_FlatMachine):
+    """The flat machine over :class:`~repro.directory.cuckoo.CuckooDirectory`.
+
+    The hash ways' sub-tables lie end to end in ``dentries`` (see
+    :func:`~repro.directory.cuckoo.cuckoo_slots`); an entry's ``pos`` field
+    holds its candidate slots, memoized per block.  The way draws come
+    from the directory's own random stream, created on the first draw.
+    """
+
+    def __init__(self, config: SystemConfig, tables: Optional[L1Tables] = None) -> None:
+        super().__init__(config, tables)
+        entries = config.directory_entries
+        ways = self.dways
+        if entries % ways:
+            raise ConfigError(
+                f"cuckoo entries ({entries}) must be a multiple of hash"
+                f" ways ({ways})"
+            )
+        self.dentries = [None] * entries
+        self.slots_per_way = entries // ways
+        self.slot_memo: Dict[int, Tuple[int, ...]] = {}
+        self.way_bits = ways.bit_length()
+        # way_rotations[r]: the way order of a draw of r.
+        self.way_rotations = [
+            tuple((r + i) % ways for i in range(ways)) for r in range(ways)
+        ]
+        self.getrandbits = None
+
+    def _dir_allocate(self, blk: int, home: int) -> int:
+        """CuckooDirectory.allocate: relocate along a chain, then evict.
+
+        The same decisions in the same order: the free-slot scan in way
+        order (skipped when the table is full, where it cannot succeed), at
+        most DEFAULT_MAX_PATH displacements, a random start way (randint's
+        getrandbits rejection loop) that never displaces the new entry and
+        takes the way just filled only as a last resort, and an
+        invalidating eviction of the chain's last homeless entry.  Each
+        entry carries its candidate slots, so a chain step hashes nothing.
+        """
+        slots = self.slot_memo.get(blk)
+        if slots is None:
+            slots = self.slot_memo[blk] = cuckoo_slots(
+                blk, self.dways, self.slots_per_way
+            )
+        e = self._new_entry(blk, slots)
+        self.c_dir_allocs += 1
+        table = self.dentries
+        rotations = self.way_rotations
+        bits = self.way_bits
+        d = self.dways
+        getrandbits = self.getrandbits
+        if getrandbits is None:
+            stream = DeterministicRng(self.config.seed).spawn(DIRECTORY_RNG_STREAM)
+            getrandbits = self.getrandbits = random.Random(stream.seed).getrandbits
+        relocations = 0
+        scan = self.dir_occ_total < len(table)
+        homeless = e
+        last_way = -1
+        for _step in range(DEFAULT_MAX_PATH + 1):
+            slots = homeless[5]
+            if scan:
+                for pos in slots:
+                    if table[pos] is None:
+                        table[pos] = homeless
+                        if homeless is not e:
+                            relocations += 1
+                        self.c_relocations += relocations
+                        self.dmap[blk] = e
+                        self.dir_occ_total += 1
+                        return 0
+            r = getrandbits(bits)
+            while r >= d:
+                r = getrandbits(bits)
+            pick = -1
+            fallback = -1
+            for way in rotations[r]:
+                if table[slots[way]] is e:
+                    continue
+                if way == last_way:
+                    fallback = way
+                    continue
+                pick = way
+                break
+            if pick < 0:
+                pick = fallback
+            if pick < 0:
+                break
+            pos = slots[pick]
+            displaced = table[pos]
+            table[pos] = homeless
+            if homeless is not e:
+                relocations += 1
+            homeless = displaced
+            last_way = pick
+        self.c_relocations += relocations
+        dmap = self.dmap
+        dmap[blk] = e
+        del dmap[homeless[0]]
+        self.c_dir_evictions += 1
+        self.c_dir_ev_act_inval += 1
+        return self._execute_eviction(homeless, False, home)
+
+    def _dir_deallocate(self, blk: int) -> None:
+        e = self.dmap.pop(blk, None)
+        if e is None:
+            return
+        table = self.dentries
+        for pos in e[5]:
+            if table[pos] is e:
+                table[pos] = None
+                break
+        self.c_dir_deallocs += 1
+        self.dir_occ_total -= 1
+
+
+class _ScdMachine(_FlatMachine):
+    """The flat machine over :class:`~repro.directory.hierarchical.ScdDirectory`.
+
+    ``dmap``'s insertion order is the LRU order of the line pool, and an
+    entry's ``pos`` field holds its line count as last recounted.
+    ``pool_lines`` sums those counts.  A sharer mask changes only after a
+    touching lookup, after the entry's allocation, or when a holder
+    retires; retirement recounts at once, and the entry touched or
+    allocated last (``pool_last``) is recounted before the next capacity
+    check, so the total the check reads is exact.
+    """
+
+    def __init__(self, config: SystemConfig, tables: Optional[L1Tables] = None) -> None:
+        super().__init__(config, tables)
+        self.pool_capacity = config.directory_entries
+        self.pool_lines = 0
+        self.pool_last: Optional[list] = None
+
+    def _pool_recount(self, e: list) -> None:
+        lines = scd_lines(e[2])
+        self.pool_lines += lines - e[5]
+        e[5] = lines
+
+    def _retire_holder(self, core: int, blk: int) -> None:
+        super()._retire_holder(core, blk)
+        e = self.dmap.get(blk)
+        if e is not None:
+            self._pool_recount(e)
+
+    def _pool_touch(self, e: list) -> None:
+        """A touching SCD lookup: ``e`` becomes the pool's MRU entry."""
+        dmap = self.dmap
+        blk = e[0]
+        del dmap[blk]
+        dmap[blk] = e
+        last = self.pool_last
+        if last is not e:
+            if last is not None:
+                self._pool_recount(last)
+            self.pool_last = e
+
+    def _dir_allocate(self, blk: int, home: int) -> int:
+        """ScdDirectory.allocate: evict the LRU block if the pool is full."""
+        self.c_dir_allocs += 1
+        dmap = self.dmap
+        last = self.pool_last
+        if last is not None:
+            self._pool_recount(last)
+        victim = None
+        if self.pool_lines + 1 > self.pool_capacity and dmap:
+            victim = dmap.pop(next(iter(dmap)))
+            self.pool_lines -= victim[5]
+            self.dir_occ_total -= 1
+            self.c_dir_evictions += 1
+            self.c_dir_ev_act_inval += 1
+        e = self._new_entry(blk, 1)
+        dmap[blk] = e
+        self.pool_lines += 1
+        self.dir_occ_total += 1
+        self.pool_last = e
+        if victim is None:
+            return 0
+        return self._execute_eviction(victim, False, home)
+
+    def _dir_deallocate(self, blk: int) -> None:
+        e = self.dmap.pop(blk, None)
+        if e is None:
+            return
+        self.c_dir_deallocs += 1
+        self.dir_occ_total -= 1
+        self.pool_lines -= e[5]
+        if e is self.pool_last:
+            self.pool_last = None
+
+
+_MACHINES = {
+    DirectoryKind.IDEAL: _IdealMachine,
+    DirectoryKind.CUCKOO: _CuckooMachine,
+    DirectoryKind.SCD: _ScdMachine,
+}
 
 
 def _count_writes(stream: array) -> int:
@@ -1692,7 +1923,7 @@ class VectorEngine:
             raise TraceError(
                 f"trace has {trace.num_cores} cores, system only {config.num_cores}"
             )
-        m = _FlatMachine(config, self.tables)
+        m = flat_machine(config, self.tables)
         packshift = log2_exact(config.block_bytes) + 1
         ncores = trace.num_cores
         epoch = self.epoch_ops

@@ -123,11 +123,11 @@ class TestCacheKey:
 class TestEngineDefault:
     def test_sweep_points_default_to_vector(self):
         assert tiny_point().engine == "vector"
-        stash, cuckoo = runner.run_points(
-            [tiny_point(), tiny_point(kind=DirectoryKind.CUCKOO)]
+        stash, adaptive = runner.run_points(
+            [tiny_point(), tiny_point(kind=DirectoryKind.ADAPTIVE_STASH)]
         )
         assert stash.engine == "vector"
-        assert cuckoo.engine == "interp"  # no flat view: falls back
+        assert adaptive.engine == "interp"  # no flat view: falls back
 
     def test_sweep_path_needs_no_numpy(self):
         """A fresh interpreter without numpy runs one F3 point per kind."""
@@ -158,7 +158,7 @@ class TestEngineDefault:
         assert child.returncode == 0, child.stderr
         engines = dict(line.split() for line in child.stdout.splitlines())
         assert engines == {
-            "sparse": "vector", "cuckoo": "interp", "scd": "interp",
+            "sparse": "vector", "cuckoo": "vector", "scd": "vector",
             "stash": "vector", "ideal": "vector",
         }
 

@@ -1,13 +1,15 @@
 """Unit + integration tests for the SCD-lite hierarchical directory."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.common.config import DirectoryConfig, DirectoryKind
 from repro.common.errors import ConfigError, DirectoryError
 from repro.common.rng import DeterministicRng
 from repro.common.stats import StatGroup
 from repro.directory.base import EvictionAction
-from repro.directory.hierarchical import ScdDirectory
+from repro.directory.hierarchical import ScdDirectory, scd_lines
 from repro.sim.system import build_system
 from tests.conftest import tiny_config
 
@@ -38,6 +40,22 @@ class TestLineModel:
     def test_all_cores(self):
         d = make_scd(pointers=2, leaf_size=4, num_cores=16)
         assert d.lines_for(set(range(16))) == 1 + 4
+
+    @given(
+        st.sets(st.integers(0, 63)),
+        st.integers(1, 4),
+        st.sampled_from([1, 3, 4, 8]),
+    )
+    def test_mask_rule_matches_set_rule(self, cores, pointers, leaf_size):
+        """The bitmask rule both engines use equals root + touched leaves."""
+        mask = 0
+        for core in cores:
+            mask |= 1 << core
+        if len(cores) <= pointers:
+            expected = 1
+        else:
+            expected = 1 + len({core // leaf_size for core in cores})
+        assert scd_lines(mask, pointers, leaf_size) == expected
 
     def test_rejects_bad_params(self):
         with pytest.raises(ConfigError):

@@ -24,10 +24,11 @@ from repro.workloads.suite import build_workload
 
 OPS = 400
 
-#: Kinds with a flat view (the rest must fall back transparently).
-FLAT_KINDS = tuple(
-    k for k in KINDS
-    if k in (DirectoryKind.SPARSE, DirectoryKind.IDEAL, DirectoryKind.STASH)
+#: Kinds outside the flat model: they must fall back transparently.
+FALLBACK_KINDS = (
+    DirectoryKind.ADAPTIVE_STASH,
+    DirectoryKind.IN_LLC,
+    DirectoryKind.TARDIS,
 )
 
 
@@ -42,11 +43,21 @@ def test_parallel_run_bit_identical(kind):
     assert parallel.cycles_per_core == interp.cycles_per_core
     assert parallel.stats == interp.stats
     assert parallel == interp
-    if kind in FLAT_KINDS:
-        assert parallel.engine == "parallel"
-    else:
-        assert parallel_supports(config) is not None
-        assert parallel.engine == "interp"  # transparent fallback
+    assert parallel.engine == "parallel"
+
+
+@pytest.mark.parametrize(
+    "kind", FALLBACK_KINDS, ids=[k.value for k in FALLBACK_KINDS]
+)
+def test_unmodelled_kinds_fall_back_transparently(kind):
+    config = make_config(kind, 0.25)
+    trace = PackedTrace.from_trace(
+        build_workload("mix", config.num_cores, OPS // 4, seed=3)
+    )
+    assert parallel_supports(config) is not None
+    parallel = run_trace(config, trace, engine="parallel")
+    assert parallel.engine == "interp"
+    assert parallel == run_trace(config, trace)
 
 
 @pytest.mark.parametrize("kind", KINDS, ids=[k.value for k in KINDS])

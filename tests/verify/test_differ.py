@@ -162,7 +162,7 @@ class TestFaultDetection:
             program, options=options, fault=FAULTS[fault_name]
         )
         assert ("stash", "invariant") in {d.signature for d in divergences}
-        assert divergences.cells["vector"] == 3
+        assert divergences.cells["vector"] == 5  # every flat kind
         assert not [
             d for d in divergences
             if d.category.startswith(("engine-", "parallel-"))

@@ -1,7 +1,11 @@
 """The matrix's fast columns: vector and parallel vs the interpreter."""
 
+import inspect
+import textwrap
+
 import pytest
 
+from repro.analysis.experiments import KINDS
 from repro.coherence.tables import (
     corrupt_l1_tables,
     l1_tables,
@@ -11,6 +15,8 @@ from repro.common.config import DirectoryKind, SharerFormat
 from repro.common.errors import ProtocolError
 from repro.common.mesi import CoherenceProtocol
 from repro.common.rng import DeterministicRng
+from repro.sim import vector
+from repro.sim.vector import _CuckooMachine
 from repro.verify import (
     FAULTS,
     RunOptions,
@@ -22,7 +28,7 @@ from repro.verify import (
 )
 
 #: The rows the flat engines model: each runs every fast column.
-FLAT_KINDS = (DirectoryKind.SPARSE, DirectoryKind.IDEAL, DirectoryKind.STASH)
+FLAT_KINDS = tuple(KINDS)
 
 #: Two ops that drive core 0's line through EXCLUSIVE into a silent
 #: write upgrade — the cell the table-corrupt fault flips.
@@ -47,8 +53,10 @@ class TestCleanAgreement:
     def agree(self, program, options):
         divergences = run_differential(program, kinds=FLAT_KINDS, options=options)
         assert divergences == []
+        rows = len(FLAT_KINDS)
         assert divergences.cells == {
-            "interp": 3, "vector": 3, "parallel": 3, "parallel-spec": 3,
+            "interp": rows, "vector": rows, "parallel": rows,
+            "parallel-spec": rows,
         }
 
     def test_engines_agree_on_mixed_program(self):
@@ -181,6 +189,52 @@ class TestFaultDetection:
         assert ("stash", "engine-value") in {d.signature for d in divergences}
         assert {d.kind for d in divergences} == {"stash"}
         assert not {d.category for d in divergences} & ORGANIZATION_CATEGORIES
+
+
+class TestFlatModelMutations:
+    """A broken flat directory model diverges on its own row, and only there.
+
+    Each test breaks one rule of one flat model for the duration of the
+    test, then runs the whole matrix on a fixed program that reaches the
+    rule.  The interpreter cells stay clean, so the fast cells of that one
+    row must diverge from them.
+    """
+
+    PROGRAM = program_for("mixed", RunOptions(), ops=200, seed=1)
+
+    def assert_caught_on(self, kind):
+        divergences = run_differential(
+            self.PROGRAM, kinds=FLAT_KINDS, options=RunOptions()
+        )
+        assert {d.kind for d in divergences} == {kind.value}
+        assert any(d.category.startswith("engine-") for d in divergences)
+
+    def test_program_reaches_both_mechanisms(self):
+        for kind, counter in (
+            (DirectoryKind.CUCKOO, "system.directory.relocations"),
+            (DirectoryKind.SCD, "system.directory.evictions"),
+        ):
+            config = make_fuzz_config(kind, RunOptions())
+            result = execute_program(self.PROGRAM, config, column="vector")
+            assert result.stats.get(counter, 0) > 0
+
+    def test_cuckoo_ignoring_last_way_is_caught(self, monkeypatch):
+        # Mutate the live allocator's source: the way just filled loses
+        # its last-resort status, so chains may bounce straight back.
+        source = textwrap.dedent(
+            inspect.getsource(_CuckooMachine._dir_allocate)
+        )
+        assert source.count("way == last_way") == 1
+        namespace = dict(vars(vector))
+        exec(source.replace("way == last_way", "False"), namespace)
+        monkeypatch.setattr(
+            _CuckooMachine, "_dir_allocate", namespace["_dir_allocate"]
+        )
+        self.assert_caught_on(DirectoryKind.CUCKOO)
+
+    def test_scd_one_line_per_entry_is_caught(self, monkeypatch):
+        monkeypatch.setattr(vector, "scd_lines", lambda mask: 1)
+        self.assert_caught_on(DirectoryKind.SCD)
 
 
 class TestParallelSpeculationAxis:
