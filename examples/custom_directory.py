@@ -15,7 +15,7 @@ how much of the stash win depends on victim recency.
 
 from typing import Tuple
 
-from repro import DirectoryKind, Trace, build_workload, make_config
+from repro import DirectoryKind, build_workload, make_config
 from repro.analysis.tables import render_table
 from repro.cache.l1 import L1Cache
 from repro.cache.llc import SharedLLC
@@ -73,7 +73,7 @@ def main() -> None:
 
     workload = sys.argv[1] if len(sys.argv) > 1 else "mix"
     ops = int(sys.argv[2]) if len(sys.argv) > 2 else 2000
-    trace: Trace = build_workload(workload, 16, ops, seed=1)
+    trace = build_workload(workload, 16, ops, seed=1)
 
     # The custom system is configured "as stash" so the protocol engages
     # the stash-bit / discovery machinery.

@@ -9,7 +9,8 @@ in the library ever touches the global :mod:`random` state.
 from __future__ import annotations
 
 import random
-from typing import List, Sequence, TypeVar
+from bisect import bisect_left
+from typing import Dict, List, Sequence, Tuple, TypeVar
 
 T = TypeVar("T")
 
@@ -41,6 +42,19 @@ class DeterministicRng:
         """The seed this stream was created with."""
         return self._seed
 
+    def source(self) -> random.Random:
+        """The seeded :class:`random.Random` behind this stream.
+
+        Trace generators bind its ``random`` and ``getrandbits`` once per
+        core, so no Python frame runs per draw.  Drawing through the
+        source and through this wrapper consumes the same stream: a
+        uniform index below ``n`` is CPython's ``randrange(n)`` rule
+        (``k = n.bit_length()``, then ``getrandbits(k)`` until the draw is
+        below ``n``), and a Zipf index is ``bisect_left(zipf_cdf(n, alpha),
+        random())``.
+        """
+        return self._rng or self._materialize()
+
     def spawn(self, stream_id: int) -> "DeterministicRng":
         """Create an independent child stream.
 
@@ -69,33 +83,37 @@ class DeterministicRng:
     def zipf_index(self, n: int, alpha: float) -> int:
         """Draw an index in [0, n) with Zipf(alpha) popularity.
 
-        Uses inverse-CDF sampling over a lazily cached table, which is exact
-        and fast enough for trace generation.  ``alpha`` = 0 degenerates to
-        uniform.
+        Uses inverse-CDF sampling over a cached table (:func:`zipf_cdf`),
+        which is exact and fast enough for trace generation.  ``alpha`` = 0
+        degenerates to uniform.
         """
         if alpha <= 0.0:
             return (self._rng or self._materialize()).randrange(n)
-        key = (n, alpha)
-        table = _ZIPF_CDF_CACHE.get(key)
-        if table is None:
-            weights = [1.0 / (i + 1) ** alpha for i in range(n)]
-            total = sum(weights)
-            acc = 0.0
-            table = []
-            for w in weights:
-                acc += w / total
-                table.append(acc)
-            table[-1] = 1.0
-            _ZIPF_CDF_CACHE[key] = table
-        u = (self._rng or self._materialize()).random()
-        lo, hi = 0, n - 1
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if table[mid] < u:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo
+        return bisect_left(
+            zipf_cdf(n, alpha), (self._rng or self._materialize()).random()
+        )
 
 
-_ZIPF_CDF_CACHE: dict = {}
+_ZIPF_CDF_CACHE: Dict[Tuple[int, float], List[float]] = {}
+
+
+def zipf_cdf(n: int, alpha: float) -> List[float]:
+    """The cumulative Zipf(``alpha``) table over ``n`` indices (cached).
+
+    Non-decreasing and ending at exactly 1.0, so for any ``u`` in [0, 1)
+    ``bisect_left(table, u)`` is the first index whose cumulative weight
+    reaches ``u``: the inverse-CDF draw.  Treat the table as read-only.
+    """
+    key = (n, alpha)
+    table = _ZIPF_CDF_CACHE.get(key)
+    if table is None:
+        weights = [1.0 / (i + 1) ** alpha for i in range(n)]
+        total = sum(weights)
+        acc = 0.0
+        table = []
+        for w in weights:
+            acc += w / total
+            table.append(acc)
+        table[-1] = 1.0
+        _ZIPF_CDF_CACHE[key] = table
+    return table

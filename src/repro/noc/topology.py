@@ -8,6 +8,7 @@ needs.
 
 from __future__ import annotations
 
+from operator import add
 from typing import Iterator, List, Tuple
 
 from ..common.config import NoCConfig
@@ -22,20 +23,24 @@ class Mesh2D:
         self.width = config.mesh_width
         self.height = config.mesh_height
         # Hop counts and latencies are looked up on every message: precompute
-        # the full N x N tables once (N <= 64, so at most 4096 ints each).
-        n = self.width * self.height
+        # the full N x N tables once.  At 1024 cores that is 1,048,576
+        # entries each, so rows are built with C-level maps: a hop row is
+        # the x-distance row of the source column plus the y-distance row
+        # of its mesh row, and a latency row maps hop counts through a
+        # per-distance table.
+        width, n = self.width, self.width * self.height
+        xdist = [[abs(sx - d % width) for d in range(n)] for sx in range(width)]
+        ydist = [
+            [abs(sy - d // width) for d in range(n)] for sy in range(self.height)
+        ]
         self._hops = [
-            [
-                abs(s % self.width - d % self.width)
-                + abs(s // self.width - d // self.width)
-                for d in range(n)
-            ]
-            for s in range(n)
+            list(map(add, xdist[s % width], ydist[s // width])) for s in range(n)
         ]
         hop, router = config.hop_cycles, config.router_cycles
-        self._latencies = [
-            [h * hop + router for h in row] for row in self._hops
+        lat_of = [
+            h * hop + router for h in range(self.width + self.height - 1)
         ]
+        self._latencies = [list(map(lat_of.__getitem__, row)) for row in self._hops]
 
     @property
     def nodes(self) -> int:

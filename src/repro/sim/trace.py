@@ -8,13 +8,14 @@ decimal) so traces from external tools can be replayed too.
 
 Two in-memory representations exist:
 
-* :class:`Trace` — per-core lists of ``(addr, is_write)`` tuples; the
-  construction-friendly format every generator builds.
 * :class:`PackedTrace` — per-core flat ``array('Q')`` streams encoding
-  ``(addr << 1) | is_write``; ~5x smaller, picklable as one buffer per
-  core, and what the simulator loop iterates with inline decode.  The
-  sweep engine's trace store (:mod:`repro.workloads.store`) materializes
-  workloads in this form exactly once per (workload, size, seed).
+  ``(addr << 1) | is_write``; ~5x smaller than tuples, picklable as one
+  buffer per core, and what the simulator loop iterates with inline
+  decode.  Every workload generator writes this form directly, and the
+  sweep engine's trace store (:mod:`repro.workloads.store`) keeps it
+  exactly once per (workload, size, seed).
+* :class:`Trace` — per-core lists of ``(addr, is_write)`` tuples, for CSV
+  files and hand-built traces.
 
 Conversion between the two is lossless (``PackedTrace.from_trace`` /
 ``to_trace``); packing rejects addresses that do not fit the 63 usable
@@ -29,6 +30,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, List, Tuple, Union
 
+from ..common.addr import log2_exact
 from ..common.errors import TraceError
 
 #: One operation: (byte_address, is_write).
@@ -49,6 +51,24 @@ FLAT_CORE_SHIFT = 48
 #: Largest block address / core id a flat-program word can carry.
 MAX_FLAT_ADDR = (1 << FLAT_CORE_SHIFT) - 1
 MAX_FLAT_CORE = (1 << (63 - FLAT_CORE_SHIFT)) - 1
+
+
+def pack_stream(core: int, words: List[int]) -> array:
+    """One core's packed words as an ``array('Q')``.
+
+    ``words`` are already encoded ``(addr << 1) | is_write``.  A word that
+    does not fit 64 unsigned bits (an address beyond
+    :data:`MAX_PACKED_ADDR`, or a negative one) raises
+    :class:`~repro.common.errors.TraceError` naming the core.
+    """
+    try:
+        return array("Q", words)
+    except OverflowError:
+        bad = max(words, key=abs) >> 1
+        raise TraceError(
+            f"core {core}: address {bad:#x} outside packable range "
+            f"[0, {MAX_PACKED_ADDR:#x}]"
+        ) from None
 
 
 def pack_flat_program(ops: "Iterable[FlatOp]") -> "PackedTrace":
@@ -181,8 +201,12 @@ class Trace:
         return writes / total
 
     def unique_blocks(self, block_bytes: int) -> int:
-        """Distinct cache blocks the trace touches (single pass)."""
-        shift = block_bytes.bit_length() - 1
+        """Distinct cache blocks the trace touches (single pass).
+
+        ``block_bytes`` must be a power of two
+        (:class:`~repro.common.errors.ConfigError` otherwise).
+        """
+        shift = log2_exact(block_bytes)
         blocks: set = set()
         add = blocks.add
         for ops in self.ops:
@@ -242,28 +266,36 @@ class PackedTrace:
         self.streams[core].append((addr << 1) | (1 if is_write else 0))
 
     @classmethod
-    def from_trace(cls, trace: Trace) -> "PackedTrace":
-        """Pack an unpacked trace (lossless; validates the address range)."""
-        packed = cls(trace.num_cores)
-        for core, ops in enumerate(trace.ops):
-            stream = packed.streams[core]
-            try:
-                stream.extend(
-                    (addr << 1) | 1 if is_write else addr << 1
-                    for addr, is_write in ops
-                )
-            except OverflowError:
-                bad = max(addr for addr, _ in ops)
-                raise TraceError(
-                    f"core {core}: address {bad:#x} outside packable range "
-                    f"[0, {MAX_PACKED_ADDR:#x}]"
-                ) from None
-        return packed
+    def from_trace(cls, trace: "Union[Trace, PackedTrace]") -> "PackedTrace":
+        """Pack an unpacked trace (lossless; validates the address range).
+
+        A :class:`PackedTrace` argument is returned unchanged.
+        """
+        if isinstance(trace, PackedTrace):
+            return trace
+        return cls(trace.num_cores, [
+            pack_stream(core, [
+                (addr << 1) | 1 if is_write else addr << 1
+                for addr, is_write in ops
+            ])
+            for core, ops in enumerate(trace.ops)
+        ])
 
     @classmethod
     def from_file(cls, path: Union[str, Path], num_cores: int) -> "PackedTrace":
         """Load a ``core,addr,rw`` CSV trace directly into packed form."""
         return cls.from_trace(Trace.from_file(path, num_cores))
+
+    def to_file(self, path: Union[str, Path]) -> None:
+        """Write the trace as a ``core,addr,rw`` CSV (same bytes as
+        :meth:`Trace.to_file`)."""
+        with open(path, "w") as handle:
+            handle.write("# core,addr,rw\n")
+            for core, stream in enumerate(self.streams):
+                handle.writelines(
+                    f"{core},{word >> 1:#x},{'W' if word & 1 else 'R'}\n"
+                    for word in stream
+                )
 
     def to_trace(self) -> Trace:
         """Unpack back to per-core tuple lists (exact inverse of packing)."""
@@ -317,6 +349,26 @@ class PackedTrace:
     def nbytes(self) -> int:
         """Payload size across all cores (8 bytes per operation)."""
         return 8 * self.total_ops()
+
+    def write_fraction(self) -> float:
+        """Fraction of operations that are writes."""
+        total = self.total_ops()
+        if total == 0:
+            return 0.0
+        low_bit = (1).__and__
+        return sum(sum(map(low_bit, stream)) for stream in self.streams) / total
+
+    def unique_blocks(self, block_bytes: int) -> int:
+        """Distinct cache blocks the trace touches.
+
+        ``block_bytes`` must be a power of two
+        (:class:`~repro.common.errors.ConfigError` otherwise).
+        """
+        block_of = (log2_exact(block_bytes) + 1).__rrshift__
+        blocks: set = set()
+        for stream in self.streams:
+            blocks.update(map(block_of, stream))
+        return len(blocks)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PackedTrace):

@@ -12,17 +12,30 @@ every other generator.
 Address-space layout reuses the pattern conventions: per-core private
 regions from :func:`~repro.workloads.patterns._private_base`, shared
 regions from :func:`~repro.workloads.patterns._shared_base`, block
-addresses via the validated ``block_bytes`` shift.
+addresses via the validated ``block_bytes`` shift.  Like the patterns,
+each generator is a :func:`~repro.workloads.patterns.per_core` builder
+that writes packed words and draws by the rules in that module's
+docstring.
 """
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_left
+from typing import List
+
 from ..common.addr import stride_hash
 from ..common.errors import ConfigError
-from ..common.rng import DeterministicRng
-from ..sim.trace import Trace
-from .patterns import _block_shift, _private_base, _shared_base
-from .synthetic import SequentialStream, ZipfStream
+from ..common.rng import DeterministicRng, zipf_cdf
+from ..sim.trace import pack_stream
+from .patterns import (
+    CoreBuilder,
+    _blocks,
+    _packed_shift,
+    _private_base,
+    _shared_base,
+    per_core,
+)
 
 
 def _check_frac(name: str, value: float) -> None:
@@ -30,6 +43,7 @@ def _check_frac(name: str, value: float) -> None:
         raise ConfigError(f"{name} must be in [0, 1]")
 
 
+@per_core
 def graph_clustering(
     num_cores: int,
     ops_per_core: int,
@@ -41,7 +55,7 @@ def graph_clustering(
     frontier_frac: float = 0.45,
     label_frac: float = 0.2,
     block_bytes: int = 64,
-) -> Trace:
+) -> CoreBuilder:
     """Louvain-style graph clustering (modularity optimization).
 
     Three region roles:
@@ -62,39 +76,42 @@ def graph_clustering(
     _check_frac("label_frac", label_frac)
     if frontier_frac + label_frac > 1:
         raise ConfigError("frontier_frac + label_frac must be <= 1")
-    trace = Trace(num_cores)
-    shift = _block_shift(block_bytes)
+    pshift = _packed_shift(block_bytes)
     frontier_base = _shared_base(num_cores, region=0)
     label_base = _shared_base(num_cores, region=1)
-    for core in range(num_cores):
+    frontier_cdf = zipf_cdf(_blocks(frontier_blocks), 0.7)
+    label_cdf = zipf_cdf(_blocks(label_blocks), 0.6)
+    private_cdf = zipf_cdf(_blocks(private_blocks), 0.6)
+    label_cut = frontier_frac + label_frac
+
+    def build(core: int) -> array:
         crng = rng.spawn(core)
-        frontier = ZipfStream(frontier_blocks, crng, 0.7)
-        labels = ZipfStream(label_blocks, crng.spawn(1), 0.6)
-        private = ZipfStream(private_blocks, crng.spawn(2), 0.6)
+        random = crng.source().random
+        label_random = crng.spawn(1).source().random
+        private_random = crng.spawn(2).source().random
         base = _private_base(core)
-        emitted = 0
-        while emitted < ops_per_core:
-            draw = crng.random()
+        words: List[int] = []
+        append = words.append
+        while len(words) < ops_per_core:
+            draw = random()
             if draw < frontier_frac:
                 # Neighbour-list scan: pure reads of the shared graph.
-                addr = (frontier_base + frontier.next()) << shift
-                trace.append(core, addr, False)
-                emitted += 1
-            elif draw < frontier_frac + label_frac:
+                append((frontier_base + bisect_left(frontier_cdf, random())) << pshift)
+            elif draw < label_cut:
                 # Commit a move: read the community label, write it back.
-                addr = (label_base + labels.next()) << shift
-                trace.append(core, addr, False)
-                emitted += 1
-                if emitted < ops_per_core:
-                    trace.append(core, addr, True)
-                    emitted += 1
+                word = (label_base + bisect_left(label_cdf, label_random())) << pshift
+                append(word)
+                if len(words) < ops_per_core:
+                    append(word | 1)
             else:
-                addr = (base + private.next()) << shift
-                trace.append(core, addr, crng.random() < 0.5)
-                emitted += 1
-    return trace
+                block = bisect_left(private_cdf, private_random())
+                append((base + block) << pshift | (random() < 0.5))
+        return pack_stream(core, words)
+
+    return build
 
 
+@per_core
 def tiled_matmul(
     num_cores: int,
     ops_per_core: int,
@@ -105,7 +122,7 @@ def tiled_matmul(
     phase_len: int = 48,
     panel_frac: float = 0.35,
     block_bytes: int = 64,
-) -> Trace:
+) -> CoreBuilder:
     """Tiled dense matrix multiply with a systolic tile rotation.
 
     Each phase, core ``k`` produces its output tile (sequential writes to
@@ -119,46 +136,45 @@ def tiled_matmul(
     _check_frac("panel_frac", panel_frac)
     if phase_len < 2:
         raise ConfigError("phase_len must be >= 2")
-    trace = Trace(num_cores)
-    shift = _block_shift(block_bytes)
+    pshift = _packed_shift(block_bytes)
     panel_base = _shared_base(num_cores, region=0)
-    barrier_addr = _shared_base(num_cores, region=1) << shift
-    # One tile region per core, after the panel/barrier regions.
-    tile_base = [
-        _shared_base(num_cores, region=2 + core) for core in range(num_cores)
-    ]
-    for core in range(num_cores):
-        crng = rng.spawn(core)
-        panel = ZipfStream(panel_blocks, crng, 0.5)
-        produce = SequentialStream(tile_blocks)
-        consume = SequentialStream(tile_blocks)
-        own = tile_base[core]
-        neighbour = tile_base[(core - 1) % num_cores]
-        emitted = 0
-        while emitted < ops_per_core:
-            budget = min(phase_len, ops_per_core - emitted)
+    barrier_word = _shared_base(num_cores, region=1) << pshift
+    panel_cdf = zipf_cdf(_blocks(panel_blocks), 0.5)
+    _blocks(tile_blocks)
+    consume_cut = panel_frac + (1 - panel_frac) / 2
+
+    def build(core: int) -> array:
+        random = rng.spawn(core).source().random
+        # One tile region per core, after the panel/barrier regions.
+        own = _shared_base(num_cores, region=2 + core)
+        neighbour = _shared_base(num_cores, region=2 + (core - 1) % num_cores)
+        produce_pos = consume_pos = 0
+        words: List[int] = []
+        append = words.append
+        while len(words) < ops_per_core:
+            budget = min(phase_len, ops_per_core - len(words))
             # Compute phase: interleave panel reads, consume reads of the
             # neighbour's last tile, produce writes of our own tile.
-            for pos in range(budget - 2 if budget > 2 else budget):
-                draw = crng.random()
+            for _ in range(budget - 2 if budget > 2 else budget):
+                draw = random()
                 if draw < panel_frac:
-                    addr = (panel_base + panel.next()) << shift
-                    trace.append(core, addr, False)
-                elif draw < panel_frac + (1 - panel_frac) / 2:
-                    addr = (neighbour + consume.next()) << shift
-                    trace.append(core, addr, False)
+                    append((panel_base + bisect_left(panel_cdf, random())) << pshift)
+                elif draw < consume_cut:
+                    append((neighbour + consume_pos) << pshift)
+                    consume_pos = (consume_pos + 1) % tile_blocks
                 else:
-                    addr = (own + produce.next()) << shift
-                    trace.append(core, addr, True)
-                emitted += 1
+                    append((own + produce_pos) << pshift | 1)
+                    produce_pos = (produce_pos + 1) % tile_blocks
             # Barrier: read the counter, then write the arrival.
             if budget > 2:
-                trace.append(core, barrier_addr, False)
-                trace.append(core, barrier_addr, True)
-                emitted += 2
-    return trace
+                append(barrier_word)
+                append(barrier_word | 1)
+        return pack_stream(core, words)
+
+    return build
 
 
+@per_core
 def prime_sieve(
     num_cores: int,
     ops_per_core: int,
@@ -168,7 +184,7 @@ def prime_sieve(
     base_prime_blocks: int = 32,
     read_frac: float = 0.15,
     block_bytes: int = 64,
-) -> Trace:
+) -> CoreBuilder:
     """Segmented sieve of Eratosthenes over a shared bitmap.
 
     Core ``k`` crosses off multiples of the ``k``-th odd prime: strided
@@ -181,29 +197,34 @@ def prime_sieve(
     _check_frac("read_frac", read_frac)
     if bitmap_blocks < 2:
         raise ConfigError("bitmap_blocks must be >= 2")
-    trace = Trace(num_cores)
-    shift = _block_shift(block_bytes)
+    pshift = _packed_shift(block_bytes)
     bitmap_base = _shared_base(num_cores, region=0)
     table_base = _shared_base(num_cores, region=1)
+    _blocks(base_prime_blocks)
     primes = _odd_primes(num_cores)
-    for core in range(num_cores):
-        crng = rng.spawn(core)
-        table = SequentialStream(base_prime_blocks)
+
+    def build(core: int) -> array:
+        random = rng.spawn(core).source().random
         stride = primes[core]
         # Start each core's sweep at its prime (the first composite it
         # owns), like the real segmented sieve.
         pos = stride % bitmap_blocks
+        table_pos = 0
+        words: List[int] = []
+        append = words.append
         for _ in range(ops_per_core):
-            if crng.random() < read_frac:
-                addr = (table_base + table.next()) << shift
-                trace.append(core, addr, False)
+            if random() < read_frac:
+                append((table_base + table_pos) << pshift)
+                table_pos = (table_pos + 1) % base_prime_blocks
             else:
-                addr = (bitmap_base + pos) << shift
-                trace.append(core, addr, True)
+                append((bitmap_base + pos) << pshift | 1)
                 pos = (pos + stride) % bitmap_blocks
-    return trace
+        return pack_stream(core, words)
+
+    return build
 
 
+@per_core
 def union_find(
     num_cores: int,
     ops_per_core: int,
@@ -215,7 +236,7 @@ def union_find(
     compress_frac: float = 0.4,
     private_frac: float = 0.3,
     block_bytes: int = 64,
-) -> Trace:
+) -> CoreBuilder:
     """Union-find image segmentation with path compression.
 
     Each find operation walks a parent-pointer chain through the shared
@@ -232,51 +253,51 @@ def union_find(
         raise ConfigError("max_depth must be >= 1")
     if node_blocks < max_depth:
         raise ConfigError("node_blocks must be >= max_depth")
-    trace = Trace(num_cores)
-    shift = _block_shift(block_bytes)
+    pshift = _packed_shift(block_bytes)
     node_base = _shared_base(num_cores, region=0)
     root_base = _shared_base(num_cores, region=1)
-    for core in range(num_cores):
+    leaf_cdf = zipf_cdf(node_blocks, 0.4)
+    root_cdf = zipf_cdf(_blocks(root_blocks), 0.7)
+    private_cdf = zipf_cdf(128, 0.6)
+    depth_bits = max_depth.bit_length()
+    # The parent chain is a deterministic function of the node (hash
+    # step), so distinct cores racing on the same component walk the
+    # same blocks.
+    parent = [stride_hash(node, 0x5EED) % node_blocks for node in range(node_blocks)]
+
+    def build(core: int) -> array:
         crng = rng.spawn(core)
-        leaves = ZipfStream(node_blocks, crng, 0.4)
-        roots = ZipfStream(root_blocks, crng.spawn(1), 0.7)
-        private = ZipfStream(128, crng.spawn(2), 0.6)
+        source = crng.source()
+        random, getrandbits = source.random, source.getrandbits
+        root_random = crng.spawn(1).source().random
+        private_random = crng.spawn(2).source().random
         base = _private_base(core)
-        emitted = 0
-        while emitted < ops_per_core:
-            if crng.random() < private_frac:
-                addr = (base + private.next()) << shift
-                trace.append(core, addr, crng.random() < 0.3)
-                emitted += 1
+        words: List[int] = []
+        append = words.append
+        while len(words) < ops_per_core:
+            if random() < private_frac:
+                block = bisect_left(private_cdf, private_random())
+                append((base + block) << pshift | (random() < 0.3))
                 continue
-            # Find: chase parent pointers from a leaf.  The chain is a
-            # deterministic function of the node (hash step), so distinct
-            # cores racing on the same component walk the same blocks.
-            depth = crng.randint(1, max_depth)
-            node = leaves.next()
+            # Find: chase parent pointers from a leaf.
+            depth = getrandbits(depth_bits)
+            while depth >= max_depth:
+                depth = getrandbits(depth_bits)
+            node = bisect_left(leaf_cdf, random())
             path = []
-            budget = ops_per_core - emitted
-            for _ in range(min(depth, budget)):
-                path.append(node)
-                trace.append(core, (node_base + node) << shift, False)
-                emitted += 1
-                node = stride_hash(node, 0x5EED) % node_blocks
+            for _ in range(min(depth + 1, ops_per_core - len(words))):
+                path.append((node_base + node) << pshift)
+                node = parent[node]
+            words += path
             # Union at the root: read it, write the merged rank/parent.
-            root = roots.next()
-            root_addr = (root_base + root) << shift
-            for is_write in (False, True):
-                if emitted >= ops_per_core:
-                    break
-                trace.append(core, root_addr, is_write)
-                emitted += 1
+            root_word = (root_base + bisect_left(root_cdf, root_random())) << pshift
+            words += (root_word, root_word | 1)[:ops_per_core - len(words)]
             # Path compression: rewrite the walked nodes to the root.
-            if crng.random() < compress_frac:
-                for node in path:
-                    if emitted >= ops_per_core:
-                        break
-                    trace.append(core, (node_base + node) << shift, True)
-                    emitted += 1
-    return trace
+            if random() < compress_frac:
+                words += [word | 1 for word in path[:ops_per_core - len(words)]]
+        return pack_stream(core, words)
+
+    return build
 
 
 def _odd_primes(count: int) -> list:

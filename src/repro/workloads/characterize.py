@@ -8,11 +8,12 @@ histogram, and the write fraction, per workload.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict, List, Union
 
 from ..common.addr import log2_exact
-from ..sim.trace import Trace
+from ..sim.trace import PackedTrace, Trace
 
 
 @dataclass
@@ -41,35 +42,36 @@ class TraceProfile:
         return self.sharing_histogram.get(degree, 0) / self.unique_blocks
 
 
-def profile_trace(trace: Trace, block_bytes: int, name: str = "") -> TraceProfile:
-    """Compute the sharing profile of a trace."""
-    shift = log2_exact(block_bytes)
-    touchers: Dict[int, set] = {}
-    access_count: Dict[int, int] = {}
+def profile_trace(
+    trace: Union[PackedTrace, Trace], block_bytes: int, name: str = ""
+) -> TraceProfile:
+    """Compute the sharing profile of a trace (read as packed words)."""
+    block_of = (log2_exact(block_bytes) + 1).__rrshift__
+    low_bit = (1).__and__
+    access_count: Counter = Counter()  # block -> accesses, first-touch order
+    sharers: Counter = Counter()       # block -> cores that touch it
     writes = 0
-    total = 0
-    for core, ops in enumerate(trace.ops):
-        for addr, is_write in ops:
-            block = addr >> shift
-            touchers.setdefault(block, set()).add(core)
-            access_count[block] = access_count.get(block, 0) + 1
-            writes += is_write
-            total += 1
+    for stream in PackedTrace.from_trace(trace).streams:
+        blocks = list(map(block_of, stream))
+        access_count.update(blocks)
+        sharers.update(set(blocks))
+        writes += sum(map(low_bit, stream))
+    total = sum(access_count.values())
 
     histogram: Dict[int, int] = {}
     private_blocks = 0
     private_accesses = 0
-    for block, cores in touchers.items():
-        degree = len(cores)
+    for block, count in access_count.items():
+        degree = sharers[block]
         histogram[degree] = histogram.get(degree, 0) + 1
         if degree == 1:
             private_blocks += 1
-            private_accesses += access_count[block]
+            private_accesses += count
 
     return TraceProfile(
         name=name,
         total_ops=total,
-        unique_blocks=len(touchers),
+        unique_blocks=len(access_count),
         private_blocks=private_blocks,
         sharing_histogram=histogram,
         write_fraction=writes / total if total else 0.0,

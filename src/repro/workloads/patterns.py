@@ -1,7 +1,7 @@
 """Sharing-pattern trace generators.
 
-Each function builds a :class:`~repro.sim.trace.Trace` exhibiting one of the
-canonical many-core sharing behaviours.  The paper's workload suite
+Each function builds a :class:`~repro.sim.trace.PackedTrace` exhibiting one
+of the canonical many-core sharing behaviours.  The paper's workload suite
 (PARSEC/SPLASH-2) is, from the directory's point of view, a mixture of
 exactly these patterns; :mod:`repro.workloads.suite` composes them into the
 named stand-ins.
@@ -9,15 +9,34 @@ named stand-ins.
 Address-space layout: each core owns a **private region**; **shared
 regions** sit above all private regions.  Regions are sized in blocks and
 converted to byte addresses with the system block size.
+
+Every generator is a per-core builder (see :func:`per_core`): core ``c``'s
+stream depends only on ``rng.spawn(c)`` and its children, on ``c`` and on
+``num_cores``.  Each core writes its packed words ``(addr << 1) |
+is_write`` straight into one list.  Draws go to the core's
+:meth:`~repro.common.rng.DeterministicRng.source`, bound once per core, in
+the order the block streams of :mod:`repro.workloads.synthetic` draw them:
+
+* a Zipf block is ``bisect_left(cdf, random())`` on the cached
+  :func:`~repro.common.rng.zipf_cdf` table;
+* a uniform index below ``n`` (a Zipf stream with ``alpha`` = 0, or
+  ``randint``) is CPython's ``randrange(n)`` rule, inlined: ``k =
+  n.bit_length()``, then ``getrandbits(k)`` until the draw is below ``n``;
+* a sequential block is the op count modulo the stream length.
 """
 
 from __future__ import annotations
 
+import functools
+import inspect
+from array import array
+from bisect import bisect_left
+from typing import Callable, List, Optional
+
 from ..common.addr import log2_exact, stride_hash
 from ..common.errors import ConfigError
-from ..common.rng import DeterministicRng
-from ..sim.trace import Trace
-from .synthetic import PhasedStream, SequentialStream, ZipfStream
+from ..common.rng import DeterministicRng, zipf_cdf
+from ..sim.trace import PackedTrace, pack_stream
 
 #: Blocks reserved per private region slot (regions are spaced this far
 #: apart so different cores' private data never share a block).
@@ -27,15 +46,58 @@ REGION_SPAN = 1 << 20
 #: disjoint as long as a region's working set is below REGION_SPAN / 2.
 _SCATTER = REGION_SPAN // 2
 
+#: One core's packed stream, built from the core id.
+CoreBuilder = Callable[[int], array]
 
-def _block_shift(block_bytes: int) -> int:
-    """Validated block-address shift for a generator's ``block_bytes``.
+
+def per_core(make_builder: Callable[..., CoreBuilder]) -> Callable[..., PackedTrace]:
+    """Turn a per-core builder factory into a whole-trace generator.
+
+    ``make_builder(num_cores, ops_per_core, rng, **params)`` validates its
+    parameters once and returns ``build(core)``, one core's packed stream.
+    A core's stream may depend only on ``rng.spawn(core)`` and its
+    children, on ``core`` and on ``num_cores``, so it is the same whether
+    the core is built alone or with every other core.  The generator maps
+    ``build`` over every core; its ``core_builder`` attribute is
+    ``make_builder``, so a composite workload builds only the cores it
+    keeps (``mix`` in :mod:`repro.workloads.suite`).
+    """
+
+    @functools.wraps(make_builder)
+    def generate(num_cores, ops_per_core, rng, **params):
+        build = make_builder(num_cores, ops_per_core, rng, **params)
+        return PackedTrace(num_cores, [build(core) for core in range(num_cores)])
+
+    generate.__signature__ = inspect.signature(make_builder).replace(
+        return_annotation="PackedTrace"
+    )
+    generate.core_builder = make_builder
+    return generate
+
+
+def _packed_shift(block_bytes: int) -> int:
+    """Shift from a block index to its packed word, ``log2(block_bytes) + 1``.
 
     ``bit_length() - 1`` on a non-power-of-two would silently truncate and
     alias distinct blocks; :func:`~repro.common.addr.log2_exact` raises
     :class:`~repro.common.errors.ConfigError` instead.
     """
-    return log2_exact(block_bytes)
+    return log2_exact(block_bytes) + 1
+
+
+def _blocks(num_blocks: int) -> int:
+    """Validated length of a block stream (as the synthetic streams check)."""
+    if num_blocks < 1:
+        raise ConfigError("stream needs at least one block")
+    return num_blocks
+
+
+def _zipf_table(num_blocks: int, alpha: float) -> Optional[List[float]]:
+    """A Zipf stream's CDF table, or None when ``alpha`` = 0 (uniform)."""
+    _blocks(num_blocks)
+    if alpha < 0:
+        raise ConfigError("zipf alpha must be non-negative")
+    return zipf_cdf(num_blocks, alpha) if alpha > 0 else None
 
 
 def _scatter(slot: int) -> int:
@@ -59,6 +121,7 @@ def _shared_base(num_cores: int, region: int = 0) -> int:
     return slot * REGION_SPAN + _scatter(slot)
 
 
+@per_core
 def private_working_set(
     num_cores: int,
     ops_per_core: int,
@@ -68,7 +131,7 @@ def private_working_set(
     write_frac: float = 0.25,
     zipf_alpha: float = 0.6,
     block_bytes: int = 64,
-) -> Trace:
+) -> CoreBuilder:
     """Every core loops over its own disjoint working set (no sharing).
 
     The directory's worst nightmare when under-provisioned: every block is
@@ -77,18 +140,30 @@ def private_working_set(
     """
     if not 0 <= write_frac <= 1:
         raise ConfigError("write_frac must be in [0, 1]")
-    trace = Trace(num_cores)
-    shift = _block_shift(block_bytes)
-    for core in range(num_cores):
-        crng = rng.spawn(core)
-        stream = ZipfStream(ws_blocks, crng, zipf_alpha)
+    pshift = _packed_shift(block_bytes)
+    cdf = _zipf_table(ws_blocks, zipf_alpha)
+    bits = ws_blocks.bit_length()
+
+    def build(core: int) -> array:
+        source = rng.spawn(core).source()
+        random, getrandbits = source.random, source.getrandbits
         base = _private_base(core)
+        words: List[int] = []
+        append = words.append
         for _ in range(ops_per_core):
-            addr = (base + stream.next()) << shift
-            trace.append(core, addr, crng.random() < write_frac)
-    return trace
+            if cdf is None:
+                block = getrandbits(bits)
+                while block >= ws_blocks:
+                    block = getrandbits(bits)
+            else:
+                block = bisect_left(cdf, random())
+            append((base + block) << pshift | (random() < write_frac))
+        return pack_stream(core, words)
+
+    return build
 
 
+@per_core
 def shared_read_only(
     num_cores: int,
     ops_per_core: int,
@@ -100,31 +175,52 @@ def shared_read_only(
     write_frac: float = 0.1,
     zipf_alpha: float = 0.7,
     block_bytes: int = 64,
-) -> Trace:
+) -> CoreBuilder:
     """All cores read a common table; writes only touch private data.
 
     Models lookup-table / read-mostly workloads: the shared blocks end up
     widely shared (not stash-eligible), the private blocks dominate entry
     count.
     """
-    trace = Trace(num_cores)
-    shift = _block_shift(block_bytes)
+    pshift = _packed_shift(block_bytes)
     shared_base = _shared_base(num_cores)
-    for core in range(num_cores):
+    shared_cdf = _zipf_table(shared_blocks, zipf_alpha)
+    private_cdf = _zipf_table(private_blocks, zipf_alpha)
+    shared_bits = shared_blocks.bit_length()
+    private_bits = private_blocks.bit_length()
+
+    def build(core: int) -> array:
         crng = rng.spawn(core)
-        shared = ZipfStream(shared_blocks, crng, zipf_alpha)
-        private = ZipfStream(private_blocks, crng.spawn(1), zipf_alpha)
+        source, private_source = crng.source(), crng.spawn(1).source()
+        random, getrandbits = source.random, source.getrandbits
+        private_random = private_source.random
+        private_getrandbits = private_source.getrandbits
         base = _private_base(core)
+        words: List[int] = []
+        append = words.append
         for _ in range(ops_per_core):
-            if crng.random() < shared_frac:
-                addr = (shared_base + shared.next()) << shift
-                trace.append(core, addr, False)
+            if random() < shared_frac:
+                if shared_cdf is None:
+                    block = getrandbits(shared_bits)
+                    while block >= shared_blocks:
+                        block = getrandbits(shared_bits)
+                else:
+                    block = bisect_left(shared_cdf, random())
+                append((shared_base + block) << pshift)
             else:
-                addr = (base + private.next()) << shift
-                trace.append(core, addr, crng.random() < write_frac)
-    return trace
+                if private_cdf is None:
+                    block = private_getrandbits(private_bits)
+                    while block >= private_blocks:
+                        block = private_getrandbits(private_bits)
+                else:
+                    block = bisect_left(private_cdf, private_random())
+                append((base + block) << pshift | (random() < write_frac))
+        return pack_stream(core, words)
+
+    return build
 
 
+@per_core
 def producer_consumer(
     num_cores: int,
     ops_per_core: int,
@@ -135,7 +231,7 @@ def producer_consumer(
     comm_frac: float = 0.3,
     return_frac: float = 0.5,
     block_bytes: int = 64,
-) -> Trace:
+) -> CoreBuilder:
     """Neighbouring core pairs exchange data through per-pair buffers.
 
     Core ``2k`` writes buffer ``k``; core ``2k+1`` reads it (and vice versa
@@ -147,34 +243,39 @@ def producer_consumer(
     """
     if not 0 <= return_frac <= 1:
         raise ConfigError("return_frac must be in [0, 1]")
-    trace = Trace(num_cores)
-    shift = _block_shift(block_bytes)
-    for core in range(num_cores):
-        crng = rng.spawn(core)
+    pshift = _packed_shift(block_bytes)
+    _blocks(buffer_blocks)
+    cdf = zipf_cdf(_blocks(private_blocks), 0.6)
+
+    def build(core: int) -> array:
+        random = rng.spawn(core).source().random
         pair = core // 2
         is_producer = core % 2 == 0
         # Two disjoint regions per pair: forward (even core writes) and
         # return (odd core writes).
         fwd_base = _shared_base(num_cores, region=2 * pair)
         ret_base = _shared_base(num_cores, region=2 * pair + 1)
-        fwd = SequentialStream(buffer_blocks)
-        ret = SequentialStream(buffer_blocks)
-        private = ZipfStream(private_blocks, crng, 0.6)
+        fwd_pos = ret_pos = 0
         base = _private_base(core)
+        words: List[int] = []
+        append = words.append
         for _ in range(ops_per_core):
-            if crng.random() < comm_frac:
-                if crng.random() < return_frac:
-                    addr = (ret_base + ret.next()) << shift
-                    trace.append(core, addr, not is_producer)
+            if random() < comm_frac:
+                if random() < return_frac:
+                    append((ret_base + ret_pos) << pshift | (not is_producer))
+                    ret_pos = (ret_pos + 1) % buffer_blocks
                 else:
-                    addr = (fwd_base + fwd.next()) << shift
-                    trace.append(core, addr, is_producer)
+                    append((fwd_base + fwd_pos) << pshift | is_producer)
+                    fwd_pos = (fwd_pos + 1) % buffer_blocks
             else:
-                addr = (base + private.next()) << shift
-                trace.append(core, addr, crng.random() < 0.2)
-    return trace
+                block = bisect_left(cdf, random())
+                append((base + block) << pshift | (random() < 0.2))
+        return pack_stream(core, words)
+
+    return build
 
 
+@per_core
 def migratory(
     num_cores: int,
     ops_per_core: int,
@@ -185,7 +286,7 @@ def migratory(
     migratory_frac: float = 0.3,
     burst: int = 8,
     block_bytes: int = 64,
-) -> Trace:
+) -> CoreBuilder:
     """Migratory sharing: shared objects are read-then-written by one core
     at a time (locks, reduction variables, work-queue items).
 
@@ -193,34 +294,36 @@ def migratory(
     ownership hops core to core — entries stay private-at-a-time, which is
     exactly the case the stash directory exploits even for "shared" data.
     """
-    trace = Trace(num_cores)
-    shift = _block_shift(block_bytes)
+    pshift = _packed_shift(block_bytes)
     mig_base = _shared_base(num_cores)
-    for core in range(num_cores):
+    mig_cdf = zipf_cdf(_blocks(migratory_blocks), 0.5)
+    private_cdf = zipf_cdf(_blocks(private_blocks), 0.6)
+
+    def build(core: int) -> array:
         crng = rng.spawn(core)
-        mig = ZipfStream(migratory_blocks, crng, 0.5)
-        private = ZipfStream(private_blocks, crng.spawn(1), 0.6)
+        random, private_random = crng.source().random, crng.spawn(1).source().random
         base = _private_base(core)
-        ops_emitted = 0
-        while ops_emitted < ops_per_core:
-            if crng.random() < migratory_frac:
-                block = mig.next()
-                addr = (mig_base + block) << shift
+        words: List[int] = []
+        append = words.append
+        while len(words) < ops_per_core:
+            if random() < migratory_frac:
+                word = (mig_base + bisect_left(mig_cdf, random())) << pshift
                 # Read-modify-write bursts on the migratory object: the
                 # alternation is indexed *within* the burst so every burst
                 # opens with the read half of its read-then-write pairs
                 # (global-parity indexing made odd-offset bursts lead with
                 # a blind write).
-                for pos in range(min(burst, ops_per_core - ops_emitted)):
-                    trace.append(core, addr, pos % 2 == 1)
-                    ops_emitted += 1
+                for pos in range(min(burst, ops_per_core - len(words))):
+                    append(word | pos & 1)
             else:
-                addr = (base + private.next()) << shift
-                trace.append(core, addr, crng.random() < 0.2)
-                ops_emitted += 1
-    return trace
+                block = bisect_left(private_cdf, private_random())
+                append((base + block) << pshift | (random() < 0.2))
+        return pack_stream(core, words)
+
+    return build
 
 
+@per_core
 def streaming(
     num_cores: int,
     ops_per_core: int,
@@ -229,25 +332,28 @@ def streaming(
     stream_blocks: int = 4096,
     write_frac: float = 0.4,
     block_bytes: int = 64,
-) -> Trace:
+) -> CoreBuilder:
     """Each core streams sequentially over a large private array once-ish.
 
     Low reuse: blocks enter the L1, age out, never return.  Directory
     entries churn but invalidating them rarely hurts (the copy was dead
     anyway) — the pattern where stashing helps least.
     """
-    trace = Trace(num_cores)
-    shift = _block_shift(block_bytes)
-    for core in range(num_cores):
-        crng = rng.spawn(core)
-        stream = SequentialStream(stream_blocks)
+    pshift = _packed_shift(block_bytes)
+    _blocks(stream_blocks)
+
+    def build(core: int) -> array:
+        random = rng.spawn(core).source().random
         base = _private_base(core)
-        for _ in range(ops_per_core):
-            addr = (base + stream.next()) << shift
-            trace.append(core, addr, crng.random() < write_frac)
-    return trace
+        return pack_stream(core, [
+            (base + op % stream_blocks) << pshift | (random() < write_frac)
+            for op in range(ops_per_core)
+        ])
+
+    return build
 
 
+@per_core
 def uniform_mix(
     num_cores: int,
     ops_per_core: int,
@@ -259,26 +365,32 @@ def uniform_mix(
     shared_write_frac: float = 0.3,
     private_write_frac: float = 0.25,
     block_bytes: int = 64,
-) -> Trace:
+) -> CoreBuilder:
     """General-purpose mix: private Zipf traffic plus read-write sharing."""
-    trace = Trace(num_cores)
-    shift = _block_shift(block_bytes)
+    pshift = _packed_shift(block_bytes)
     shared_base = _shared_base(num_cores)
-    for core in range(num_cores):
+    shared_cdf = zipf_cdf(_blocks(shared_blocks), 0.8)
+    private_cdf = zipf_cdf(_blocks(private_blocks), 0.6)
+
+    def build(core: int) -> array:
         crng = rng.spawn(core)
-        shared = ZipfStream(shared_blocks, crng, 0.8)
-        private = ZipfStream(private_blocks, crng.spawn(1), 0.6)
+        random, private_random = crng.source().random, crng.spawn(1).source().random
         base = _private_base(core)
+        words: List[int] = []
+        append = words.append
         for _ in range(ops_per_core):
-            if crng.random() < shared_frac:
-                addr = (shared_base + shared.next()) << shift
-                trace.append(core, addr, crng.random() < shared_write_frac)
+            if random() < shared_frac:
+                block = bisect_left(shared_cdf, random())
+                append((shared_base + block) << pshift | (random() < shared_write_frac))
             else:
-                addr = (base + private.next()) << shift
-                trace.append(core, addr, crng.random() < private_write_frac)
-    return trace
+                block = bisect_left(private_cdf, private_random())
+                append((base + block) << pshift | (random() < private_write_frac))
+        return pack_stream(core, words)
+
+    return build
 
 
+@per_core
 def false_sharing(
     num_cores: int,
     ops_per_core: int,
@@ -288,7 +400,7 @@ def false_sharing(
     fs_frac: float = 0.3,
     private_blocks: int = 128,
     block_bytes: int = 64,
-) -> Trace:
+) -> CoreBuilder:
     """False sharing: cores write *different words* of the same cache lines.
 
     Each core owns one word slot (core * 8 bytes, wrapped) inside a small
@@ -300,26 +412,33 @@ def false_sharing(
     """
     if not 0 <= fs_frac <= 1:
         raise ConfigError("fs_frac must be in [0, 1]")
-    trace = Trace(num_cores)
-    shift = _block_shift(block_bytes)
+    pshift = _packed_shift(block_bytes)
+    shift = pshift - 1
     hot_base = _shared_base(num_cores)
     words_per_block = max(1, block_bytes // 8)
-    for core in range(num_cores):
+    hot_cdf = zipf_cdf(_blocks(hot_blocks), 0.5)
+    private_cdf = zipf_cdf(_blocks(private_blocks), 0.6)
+
+    def build(core: int) -> array:
         crng = rng.spawn(core)
-        hot = ZipfStream(hot_blocks, crng, 0.5)
-        private = ZipfStream(private_blocks, crng.spawn(1), 0.6)
+        random, private_random = crng.source().random, crng.spawn(1).source().random
         base = _private_base(core)
         word_offset = (core % words_per_block) * 8
+        words: List[int] = []
+        append = words.append
         for _ in range(ops_per_core):
-            if crng.random() < fs_frac:
-                addr = (((hot_base + hot.next()) << shift) + word_offset)
-                trace.append(core, addr, True)
+            if random() < fs_frac:
+                hot = hot_base + bisect_left(hot_cdf, random())
+                append(((hot << shift) + word_offset) << 1 | 1)
             else:
-                addr = (base + private.next()) << shift
-                trace.append(core, addr, crng.random() < 0.2)
-    return trace
+                block = bisect_left(private_cdf, private_random())
+                append((base + block) << pshift | (random() < 0.2))
+        return pack_stream(core, words)
+
+    return build
 
 
+@per_core
 def lock_contention(
     num_cores: int,
     ops_per_core: int,
@@ -331,7 +450,7 @@ def lock_contention(
     spin_reads: int = 4,
     private_blocks: int = 128,
     block_bytes: int = 64,
-) -> Trace:
+) -> CoreBuilder:
     """Lock contention: spin-read a lock line, write to acquire, touch the
     guarded data, write to release.
 
@@ -343,39 +462,47 @@ def lock_contention(
         raise ConfigError("lock_frac must be in [0, 1]")
     if spin_reads < 0:
         raise ConfigError("spin_reads must be non-negative")
-    trace = Trace(num_cores)
-    shift = _block_shift(block_bytes)
+    if num_locks < 1:
+        raise ConfigError("num_locks must be >= 1")
+    pshift = _packed_shift(block_bytes)
     lock_base = _shared_base(num_cores, region=0)
     data_base = _shared_base(num_cores, region=1)
-    for core in range(num_cores):
+    private_cdf = zipf_cdf(_blocks(private_blocks), 0.6)
+    per_lock = guarded_blocks // num_locks
+    slots = max(1, per_lock)
+    lock_bits, slot_bits = num_locks.bit_length(), slots.bit_length()
+
+    def build(core: int) -> array:
         crng = rng.spawn(core)
-        private = ZipfStream(private_blocks, crng.spawn(1), 0.6)
+        source = crng.source()
+        random, getrandbits = source.random, source.getrandbits
+        private_random = crng.spawn(1).source().random
         base = _private_base(core)
-        emitted = 0
-        while emitted < ops_per_core:
-            if crng.random() < lock_frac:
-                lock = crng.randint(0, num_locks - 1)
-                lock_addr = (lock_base + lock) << shift
-                budget = ops_per_core - emitted
+        words: List[int] = []
+        append = words.append
+        while len(words) < ops_per_core:
+            if random() < lock_frac:
+                lock = getrandbits(lock_bits)
+                while lock >= num_locks:
+                    lock = getrandbits(lock_bits)
+                slot = getrandbits(slot_bits)
+                while slot >= slots:
+                    slot = getrandbits(slot_bits)
+                lock_word = (lock_base + lock) << pshift
+                data_word = (data_base + lock * per_lock + slot) << pshift
                 # Spin (reads), acquire (write), critical section, release.
-                section = []
-                section.extend((lock_addr, False) for _ in range(spin_reads))
-                section.append((lock_addr, True))
-                data = (data_base + lock * (guarded_blocks // max(1, num_locks))
-                        + crng.randint(0, max(0, guarded_blocks // max(1, num_locks) - 1)))
-                section.append(((data << shift), False))
-                section.append(((data << shift), True))
-                section.append((lock_addr, True))
-                for addr, is_write in section[:budget]:
-                    trace.append(core, addr, is_write)
-                    emitted += 1
+                section = [lock_word] * spin_reads
+                section += (lock_word | 1, data_word, data_word | 1, lock_word | 1)
+                words += section[:ops_per_core - len(words)]
             else:
-                addr = (base + private.next()) << shift
-                trace.append(core, addr, crng.random() < 0.2)
-                emitted += 1
-    return trace
+                block = bisect_left(private_cdf, private_random())
+                append((base + block) << pshift | (random() < 0.2))
+        return pack_stream(core, words)
+
+    return build
 
 
+@per_core
 def phased(
     num_cores: int,
     ops_per_core: int,
@@ -386,35 +513,40 @@ def phased(
     compute_len: int = 64,
     exchange_len: int = 16,
     block_bytes: int = 64,
-) -> Trace:
+) -> CoreBuilder:
     """Bulk-synchronous phase behaviour: compute on private data, then
     exchange through a shared region, repeat.
 
-    Built on :class:`~repro.workloads.synthetic.PhasedStream`.  During
-    compute phases the directory sees pure private traffic (stash heaven);
-    each exchange phase makes a burst of blocks briefly shared, churning
+    The draws of a :class:`~repro.workloads.synthetic.PhasedStream` over a
+    Zipf compute stream and a sequential exchange stream.  During compute
+    phases the directory sees pure private traffic (stash heaven); each
+    exchange phase makes a burst of blocks briefly shared, churning
     entries between private and shared states — the phase boundaries are
     where eviction policy choices matter most.
     """
     if compute_len < 1 or exchange_len < 1:
         raise ConfigError("phase lengths must be >= 1")
-    trace = Trace(num_cores)
-    shift = _block_shift(block_bytes)
+    pshift = _packed_shift(block_bytes)
     shared_base = _shared_base(num_cores)
-    for core in range(num_cores):
-        crng = rng.spawn(core)
-        compute = ZipfStream(compute_blocks, crng, 0.6)
-        exchange = SequentialStream(exchange_blocks)
-        stream = PhasedStream(compute, exchange, compute_len, exchange_len)
+    cdf = zipf_cdf(_blocks(compute_blocks), 0.6)
+    _blocks(exchange_blocks)
+    cycle = compute_len + exchange_len
+
+    def build(core: int) -> array:
+        random = rng.spawn(core).source().random
         base = _private_base(core)
-        for _ in range(ops_per_core):
-            in_compute = stream.in_primary()
-            block = stream.next()
-            if in_compute:
-                addr = (base + block) << shift
-                trace.append(core, addr, crng.random() < 0.3)
+        # Exchange: half the cores write their slice, half read.
+        exchange_write = core % 2 == 0
+        exchange_pos = 0
+        words: List[int] = []
+        append = words.append
+        for op in range(ops_per_core):
+            if op % cycle < compute_len:
+                block = bisect_left(cdf, random())
+                append((base + block) << pshift | (random() < 0.3))
             else:
-                addr = (shared_base + block) << shift
-                # Exchange: half the cores write their slice, half read.
-                trace.append(core, addr, core % 2 == 0)
-    return trace
+                append((shared_base + exchange_pos) << pshift | exchange_write)
+                exchange_pos = (exchange_pos + 1) % exchange_blocks
+        return pack_stream(core, words)
+
+    return build

@@ -298,10 +298,8 @@ def get_packed_trace(
             _TRACE_MEMO[key] = loaded
             return loaded
     start = time.perf_counter()
-    packed = PackedTrace.from_trace(
-        build_workload(
-            workload, num_cores, ops_per_core, seed=seed, block_bytes=block_bytes
-        )
+    packed = build_workload(
+        workload, num_cores, ops_per_core, seed=seed, block_bytes=block_bytes
     )
     counters.gen_seconds += time.perf_counter() - start
     counters.generated += 1

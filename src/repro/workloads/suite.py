@@ -26,11 +26,11 @@ mix                 four groups of cores running different patterns
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List
+from typing import Callable, Dict, List, Union
 
 from ..common.errors import ConfigError
 from ..common.rng import DeterministicRng
-from ..sim.trace import Trace
+from ..sim.trace import PackedTrace, Trace
 from . import algorithms, patterns
 
 
@@ -40,7 +40,7 @@ class WorkloadSpec:
 
     name: str
     description: str
-    builder: Callable[..., Trace]
+    builder: Callable[..., Union[PackedTrace, Trace]]
     params: Dict[str, object] = field(default_factory=dict)
 
     def build(
@@ -49,40 +49,49 @@ class WorkloadSpec:
         ops_per_core: int,
         seed: int,
         block_bytes: int = 64,
-    ) -> Trace:
-        """Generate the trace for a concrete system size."""
+    ) -> PackedTrace:
+        """Generate the packed trace for a concrete system size.
+
+        A builder that returns a :class:`~repro.sim.trace.Trace` (a
+        hand-written, registered one, say) is packed here, once.
+        """
         rng = DeterministicRng(seed)
-        return self.builder(
+        return PackedTrace.from_trace(self.builder(
             num_cores,
             ops_per_core,
             rng,
             block_bytes=block_bytes,
             **self.params,
-        )
+        ))
 
 
-def _mix(num_cores, ops_per_core, rng, *, block_bytes=64) -> Trace:
-    """Four core groups each running a different pattern, merged."""
+#: mix's four groups, in core order: pattern ``g`` draws from
+#: ``rng.spawn(g + 1)``.
+_MIX_GROUPS = (
+    patterns.private_working_set,
+    patterns.shared_read_only,
+    patterns.producer_consumer,
+    patterns.migratory,
+)
+
+
+def _mix(num_cores, ops_per_core, rng, *, block_bytes=64) -> PackedTrace:
+    """Four core groups each running a different pattern, merged.
+
+    Core ``c`` belongs to group ``min(c // quarter, 3)``.  Each pattern
+    builds only its own group's cores, with the full ``num_cores``, so a
+    core's stream is the one the full pattern trace would give it.
+    """
     quarter = max(1, num_cores // 4)
-    sub_traces = [
-        patterns.private_working_set(
-            num_cores, ops_per_core, rng.spawn(1), block_bytes=block_bytes
-        ),
-        patterns.shared_read_only(
-            num_cores, ops_per_core, rng.spawn(2), block_bytes=block_bytes
-        ),
-        patterns.producer_consumer(
-            num_cores, ops_per_core, rng.spawn(3), block_bytes=block_bytes
-        ),
-        patterns.migratory(
-            num_cores, ops_per_core, rng.spawn(4), block_bytes=block_bytes
-        ),
+    builders = [
+        pattern.core_builder(
+            num_cores, ops_per_core, rng.spawn(group + 1), block_bytes=block_bytes
+        )
+        for group, pattern in enumerate(_MIX_GROUPS)
     ]
-    trace = Trace(num_cores)
-    for core in range(num_cores):
-        source = sub_traces[min(core // quarter, 3)]
-        trace.ops[core] = source.ops[core]
-    return trace
+    return PackedTrace(num_cores, [
+        builders[min(core // quarter, 3)](core) for core in range(num_cores)
+    ])
 
 
 SUITE: Dict[str, WorkloadSpec] = {
@@ -245,8 +254,8 @@ def build_workload(
     ops_per_core: int,
     seed: int = 1,
     block_bytes: int = 64,
-) -> Trace:
-    """Generate a named suite workload."""
+) -> PackedTrace:
+    """Generate a named suite workload as a packed trace."""
     try:
         spec = SUITE[name]
     except KeyError:

@@ -1,9 +1,15 @@
 """Unit tests for the deterministic RNG."""
 
+import random
+from bisect import bisect_left
+
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.common.rng import DeterministicRng
+from repro.common.rng import DeterministicRng, zipf_cdf
+from repro.workloads import algorithms, patterns
+from repro.workloads.suite import build_workload, workload_names
 
 
 class TestDeterminism:
@@ -82,3 +88,85 @@ class TestZipf:
     def test_zipf_property_in_range(self, n, alpha):
         rng = DeterministicRng(5)
         assert 0 <= rng.zipf_index(n, alpha) < n
+
+
+def uniform_below(getrandbits, n):
+    """The uniform draw the generators inline (CPython's ``randrange(n)``)."""
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
+
+
+def searched_zipf_index(table, u):
+    """The hand-written inverse-CDF search ``bisect_left`` replaced."""
+    lo, hi = 0, len(table) - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if table[mid] < u:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
+
+
+def suite_zipf_pairs():
+    """Every (n, alpha) Zipf table the registered workloads draw from."""
+    pairs = set()
+
+    def recording(n, alpha):
+        pairs.add((n, alpha))
+        return zipf_cdf(n, alpha)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(patterns, "zipf_cdf", recording)
+        mp.setattr(algorithms, "zipf_cdf", recording)
+        for name in workload_names():
+            build_workload(name, 4, 50, seed=1)
+    return sorted(pairs)
+
+
+class TestDrawRules:
+    """The inlined draws of the trace generators, on this Python."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 63, 64, 65, 96, 1000, 1536])
+    def test_inline_uniform_draw_is_randrange(self, n):
+        ours, ref = random.Random(n), random.Random(n)
+        getrandbits = ours.getrandbits
+        drawn = [uniform_below(getrandbits, n) for _ in range(10_000)]
+        assert drawn == [ref.randrange(n) for _ in range(10_000)]
+        assert ours.getstate() == ref.getstate()
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 63, 64, 65, 96, 1000, 1536])
+    def test_inline_uniform_draw_is_randint(self, n):
+        ours, ref = random.Random(-n), random.Random(-n)
+        getrandbits = ours.getrandbits
+        drawn = [1 + uniform_below(getrandbits, n) for _ in range(10_000)]
+        assert drawn == [ref.randint(1, n) for _ in range(10_000)]
+        assert ours.getstate() == ref.getstate()
+
+    def test_suite_draws_from_several_zipf_tables(self):
+        pairs = suite_zipf_pairs()
+        assert len(pairs) > 10
+        assert all(alpha > 0 for _, alpha in pairs)
+
+    @pytest.mark.parametrize("n,alpha", suite_zipf_pairs())
+    def test_bisect_zipf_draw_is_the_searched_index(self, n, alpha):
+        table = zipf_cdf(n, alpha)
+        assert all(a <= b for a, b in zip(table, table[1:-1]))
+        assert table[-1] == 1.0
+        source = random.Random(n)
+        us = [source.random() for _ in range(2000)] + [0.0, table[0], table[n // 2]]
+        expected = [searched_zipf_index(table, u) for u in us]
+        assert [bisect_left(table, u) for u in us] == expected
+        rng = DeterministicRng(n)
+        draws = [rng.zipf_index(n, alpha) for _ in range(2000)]
+        assert draws == expected[:2000]
+
+    def test_source_is_the_stream_behind_the_wrapper(self):
+        rng = DeterministicRng(9)
+        source = rng.source()
+        assert rng.source() is source
+        ref = random.Random(9)
+        assert [source.random(), rng.random()] == [ref.random(), ref.random()]

@@ -23,7 +23,7 @@ OPS = 400
 @pytest.mark.parametrize("kind", KINDS, ids=[k.value for k in KINDS])
 def test_packed_run_bit_identical(kind):
     config = make_config(kind, 0.25)
-    trace = build_workload("mix", config.num_cores, OPS, seed=3)
+    trace = build_workload("mix", config.num_cores, OPS, seed=3).to_trace()
     unpacked = run_trace(config, trace)
     packed = run_trace(config, PackedTrace.from_trace(trace))
     assert packed.cycles_per_core == unpacked.cycles_per_core
@@ -34,7 +34,9 @@ def test_packed_run_bit_identical(kind):
 def test_packed_run_identical_across_seeds():
     config = make_config(KINDS[0], 0.5)
     for seed in (1, 2):
-        trace = build_workload("canneal-like", config.num_cores, OPS, seed=seed)
+        trace = build_workload(
+            "canneal-like", config.num_cores, OPS, seed=seed
+        ).to_trace()
         assert run_trace(config, trace) == run_trace(config, trace.pack())
 
 
@@ -43,7 +45,7 @@ def test_packed_run_identical_with_warmup():
     from repro.sim.system import build_system
 
     config = make_config(KINDS[3], 0.125)
-    trace = build_workload("mix", config.num_cores, OPS, seed=4)
+    trace = build_workload("mix", config.num_cores, OPS, seed=4).to_trace()
     a = Simulator(build_system(config), warmup_ops=200).run(trace)
     b = Simulator(build_system(config), warmup_ops=200).run(trace.pack())
     assert a == b

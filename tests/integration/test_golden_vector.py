@@ -78,7 +78,9 @@ def test_unmodelled_kinds_fall_back_transparently(kind):
 def test_vector_run_identical_across_workloads(kind):
     config = make_config(kind, 0.5)
     for workload, seed in (("canneal-like", 1), ("locks-like", 2)):
-        trace = build_workload(workload, config.num_cores, OPS, seed=seed)
+        trace = build_workload(
+            workload, config.num_cores, OPS, seed=seed
+        ).to_trace()
         interp = run_trace(config, trace)
         vector = run_trace(config, trace.pack(), engine="vector")
         assert vector == interp

@@ -66,6 +66,21 @@ class TestLatency:
         assert mesh(4, 4, hop=2, router=1).latency(5, 5) == 1
 
 
+class TestTables:
+    @pytest.mark.parametrize("w,h", [(1, 1), (2, 8), (4, 4), (32, 32)])
+    def test_tables_match_manhattan_formula(self, w, h):
+        m = mesh(w, h, hop=3, router=2)
+        n = w * h
+        hops, latencies = m.hop_table(), m.latency_table()
+        assert len(hops) == len(latencies) == n
+        for s in range(n):
+            expected = [
+                abs(s % w - d % w) + abs(s // w - d // w) for d in range(n)
+            ]
+            assert hops[s] == expected
+            assert latencies[s] == [hop * 3 + 2 for hop in expected]
+
+
 class TestStructure:
     def test_neighbors_corner(self):
         assert sorted(mesh(4, 4).neighbors(0)) == [1, 4]

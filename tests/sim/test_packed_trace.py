@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.common.errors import TraceError
+from repro.common.errors import ConfigError, TraceError
 from repro.sim.trace import MAX_PACKED_ADDR, PackedTrace, Trace
 from repro.workloads.suite import build_workload
 
@@ -31,9 +31,9 @@ class TestRoundTrip:
         assert list(packed.streams[1]) == [1, (0x2FC0 << 1)]
 
     def test_workload_trace_round_trips(self):
-        trace = build_workload("mix", 8, 200, seed=5)
-        packed = trace.pack()
-        assert packed.to_trace().ops == trace.ops
+        packed = build_workload("mix", 8, 200, seed=5)
+        trace = packed.to_trace()
+        assert trace.pack() == packed
         assert packed.total_ops() == trace.total_ops()
 
     def test_counts_and_bytes(self):
@@ -50,6 +50,37 @@ class TestRoundTrip:
         b.append(2, 0x40, True)
         assert a != b
         assert a.__eq__(object()) is NotImplemented
+
+    def test_from_trace_returns_a_packed_trace_unchanged(self):
+        packed = PackedTrace.from_trace(sample_trace())
+        assert PackedTrace.from_trace(packed) is packed
+
+    def test_to_file_writes_the_unpacked_csv(self, tmp_path):
+        trace = build_workload("mix", 4, 50, seed=2).to_trace()
+        trace.to_file(tmp_path / "tuples.csv")
+        trace.pack().to_file(tmp_path / "packed.csv")
+        assert (tmp_path / "packed.csv").read_bytes() == (
+            tmp_path / "tuples.csv"
+        ).read_bytes()
+
+    def test_inspection_matches_unpacked(self):
+        for trace in (sample_trace(), build_workload("mix", 8, 200, seed=5).to_trace()):
+            packed = trace.pack()
+            assert packed.write_fraction() == trace.write_fraction()
+            for block_bytes in (1, 64, 4096):
+                assert packed.unique_blocks(block_bytes) == trace.unique_blocks(
+                    block_bytes
+                )
+        assert PackedTrace(2).write_fraction() == 0.0
+        assert PackedTrace(2).unique_blocks(64) == 0
+
+    def test_unique_blocks_rejects_non_power_of_two_block(self):
+        packed = PackedTrace(1)
+        for addr in (0, 40, 80):
+            packed.append(0, addr, False)
+        assert packed.unique_blocks(64) == 2
+        with pytest.raises(ConfigError):
+            packed.unique_blocks(48)
 
     def test_from_file_matches_trace_from_file(self, tmp_path):
         path = tmp_path / "t.csv"

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.common.errors import TraceError
+from repro.common.errors import ConfigError, TraceError
 from repro.sim.trace import Trace, TraceRecord
 
 
@@ -73,6 +73,16 @@ class TestMetrics:
         trace.append(1, 4096, False)
         assert trace.unique_blocks(64) == 2
         assert trace.unique_blocks(4096) == 2  # 0/32 and 4096 split at 4KB too
+
+    def test_unique_blocks_rejects_non_power_of_two_block(self):
+        # Regression: bit_length() - 1 made a 48 B block a 32 B one, so
+        # {0, 40, 80} counted as 3 blocks (48 B blocks give 2).
+        trace = Trace(1)
+        for addr in (0, 40, 80):
+            trace.append(0, addr, False)
+        assert trace.unique_blocks(64) == 2
+        with pytest.raises(ConfigError):
+            trace.unique_blocks(48)
 
 
 class TestFileIO:
@@ -171,7 +181,7 @@ class TestFlatPrograms:
             == [2, 0, 1, 0, 2]
 
     def test_limits_enforced(self):
-        from repro.common.errors import TraceError
+        from repro.common.errors import ConfigError, TraceError
         from repro.sim.trace import (
             MAX_FLAT_ADDR,
             MAX_FLAT_CORE,
@@ -187,7 +197,7 @@ class TestFlatPrograms:
             pack_flat_program([(-1, 0, False)])
 
     def test_multi_stream_rejected(self):
-        from repro.common.errors import TraceError
+        from repro.common.errors import ConfigError, TraceError
         from repro.sim.trace import PackedTrace, unpack_flat_program
 
         with pytest.raises(TraceError):

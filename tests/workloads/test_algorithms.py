@@ -43,13 +43,13 @@ class TestDeterminism:
     def test_same_seed_same_trace(self, generator):
         a = generator(8, 200, rng())
         b = generator(8, 200, rng())
-        assert a.ops == b.ops
+        assert a == b
 
     @pytest.mark.parametrize("generator", GENERATORS)
     def test_different_seeds_differ(self, generator):
         a = generator(8, 200, rng(1))
         b = generator(8, 200, rng(2))
-        assert a.ops != b.ops
+        assert a != b
 
 
 class TestOpBudget:
@@ -69,7 +69,7 @@ class TestRegionDisjointness:
         # touch another core's private slot, at any scale the bank-
         # parallel engine sweeps.
         ops = 64 if cores >= 128 else 200
-        trace = generator(cores, ops, rng())
+        trace = generator(cores, ops, rng()).to_trace()
         for core in range(cores):
             for addr, _ in trace.ops[core]:
                 slot = region_slot(addr)
@@ -78,7 +78,7 @@ class TestRegionDisjointness:
 
 class TestGraphClustering:
     def test_frontier_reads_and_private_majority(self):
-        trace = graph_clustering(16, 800, rng())
+        trace = graph_clustering(16, 800, rng()).to_trace()
         frontier_writes = [
             w
             for core in range(16)
@@ -99,7 +99,7 @@ class TestGraphClustering:
 
 class TestTiledMatmul:
     def test_barrier_line_touched_by_every_core(self):
-        trace = tiled_matmul(8, 400, rng())
+        trace = tiled_matmul(8, 400, rng()).to_trace()
         cores_on_barrier = {
             core
             for core in range(8)
@@ -123,7 +123,7 @@ class TestPrimeSieve:
         assert trace.write_fraction() > 0.7
 
     def test_bitmap_accesses_are_all_writes(self):
-        trace = prime_sieve(8, 400, rng())
+        trace = prime_sieve(8, 400, rng()).to_trace()
         for core in range(8):
             for a, w in trace.ops[core]:
                 if region_slot(a) == 8:  # shared region 0

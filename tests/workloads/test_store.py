@@ -110,7 +110,7 @@ class TestLayering:
         direct = build_workload(
             ARGS["workload"], ARGS["num_cores"], ARGS["ops_per_core"],
             seed=ARGS["seed"], block_bytes=ARGS["block_bytes"],
-        ).pack()
+        )
         assert loaded == direct
 
     def test_disk_disabled_never_spools(self, tmp_path):
