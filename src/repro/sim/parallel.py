@@ -233,8 +233,7 @@ class ParallelEngine:
     def run(self, trace) -> SimulationResult:
         """Execute the whole trace; bit-identical to the serial engines."""
         config = self.config
-        if not isinstance(trace, PackedTrace):
-            trace = PackedTrace.from_trace(trace)
+        trace = PackedTrace.from_trace(trace)
         if trace.num_cores > config.num_cores:
             raise TraceError(
                 f"trace has {trace.num_cores} cores, system only {config.num_cores}"

@@ -283,13 +283,10 @@ def run_trace(
 
         if vector_supports(config) is None:
             packed: Optional[PackedTrace]
-            if isinstance(trace, PackedTrace):
-                packed = trace
-            else:
-                try:
-                    packed = PackedTrace.from_trace(trace)
-                except TraceError:
-                    packed = None  # e.g. addresses beyond the packed range
+            try:
+                packed = PackedTrace.from_trace(trace)
+            except TraceError:
+                packed = None  # e.g. addresses beyond the packed range
             if packed is not None:
                 batch = epoch_ops if epoch_ops else DEFAULT_EPOCH_OPS
                 if engine == "parallel":

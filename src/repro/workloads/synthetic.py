@@ -1,9 +1,11 @@
-"""Address-stream primitives the workload patterns compose.
+"""Address-stream primitives: the block streams the workload patterns model.
 
 Each stream yields *block indices* within a region; patterns place regions
 in the global address space and convert to byte addresses.  Streams draw
 from an explicit :class:`~repro.common.rng.DeterministicRng`, so a workload
-is reproducible from ``(name, seed)``.
+is reproducible from ``(name, seed)``.  The generators in
+:mod:`repro.workloads.patterns` inline these draws, in the same order and
+from the same streams, so that no Python frame runs per operation.
 """
 
 from __future__ import annotations
