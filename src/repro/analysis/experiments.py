@@ -4,21 +4,26 @@ Every benchmark in ``benchmarks/`` and most examples call into this module,
 so the workload construction, configuration sweeps and metric derivations
 are defined exactly once.  Each ``run_*`` function returns an
 :class:`ExperimentOutput` carrying both the structured data and a rendered
-text report (the "figure").
+text report (the "figure").  :data:`EXPERIMENTS` lists every runner by id
+in report order; ``repro experiment`` and ``repro report`` both read it
+through :func:`run_experiment`.
 
-Simulation execution is delegated to :mod:`repro.analysis.runner`: results
-are memoized per-process on the full parameter key (sweeps share baseline
-runs instead of re-simulating them), persisted in a content-addressed disk
-cache, and each ``run_*`` sweep prefetches its full point set so
-independent simulations fan out across worker processes when the runner is
-configured with ``workers > 1``.
+Each sweep describes its grid once: a dict from the key its assembly reads
+(workload, organization, ratio, ...) to a
+:class:`~repro.analysis.runner.SweepPoint`.  The whole dict runs as one
+:func:`repro.analysis.runner.run_points` batch, so independent simulations
+fan out across worker processes when the runner is configured with
+``workers > 1``, and the figure is assembled from the keyed results.  The
+runner memoizes results per process on the full parameter key and persists
+them in a content-addressed disk cache.
 """
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
 from ..common.config import (
     CacheConfig,
@@ -58,6 +63,14 @@ QUICK_WORKLOADS: List[str] = ["blackscholes-like", "canneal-like", "mix"]
 
 #: Default per-core trace length (kept modest: pure-Python simulation).
 DEFAULT_OPS: int = 3000
+
+#: The abstract's comparison: sparse at full and at 1/8 provisioning, and
+#: stash at 1/8 (the headline, F11 and S3).
+_HEADLINE_CONFIGS: Tuple[Tuple[DirectoryKind, float], ...] = (
+    (DirectoryKind.SPARSE, 1.0),
+    (DirectoryKind.SPARSE, 0.125),
+    (DirectoryKind.STASH, 0.125),
+)
 
 #: Mesh shapes for supported core counts (to 1024 for the scaling study).
 MESH_SHAPES: Dict[int, Tuple[int, int]] = {
@@ -156,31 +169,9 @@ def simulate(
     return runner.run_points([SweepPoint(workload, config, ops_per_core, seed)])[0]
 
 
-def prefetch(points, ops_per_core: int = DEFAULT_OPS, seed: int = 1) -> None:
-    """Simulate many points up front through the (possibly parallel) runner.
-
-    ``points`` is an iterable of ``(workload, config)`` pairs or full
-    :class:`~repro.analysis.runner.SweepPoint` instances; afterwards every
-    corresponding :func:`simulate` call is a memo hit.  The ``run_*``
-    sweeps call this first so their serial result-assembly loops read from
-    a cache populated at full worker parallelism.
-    """
-    runner.run_points(
-        [
-            p if isinstance(p, SweepPoint) else SweepPoint(p[0], p[1], ops_per_core, seed)
-            for p in points
-        ]
-    )
-
-
-def simulate_many(
-    workload: str,
-    config: SystemConfig,
-    ops_per_core: int = DEFAULT_OPS,
-    seeds: Sequence[int] = (1, 2, 3),
-) -> List[SimulationResult]:
-    """Run one configuration across several workload seeds (memoized)."""
-    return [simulate(workload, config, ops_per_core, seed) for seed in seeds]
+def _run_grid(points: Dict[Hashable, SweepPoint]) -> Dict[Hashable, SimulationResult]:
+    """Run a sweep's points in one runner batch; results keyed like ``points``."""
+    return dict(zip(points, runner.run_points(list(points.values()))))
 
 
 def mean_std(values: Sequence[float]) -> Tuple[float, float]:
@@ -332,15 +323,15 @@ def run_invalidation_sweep(
     """F2 — conventional sparse: invalidations/1k accesses vs. R."""
     names = resolve_workloads(workloads)
     ratios = list(ratios) if ratios is not None else RATIOS
-    prefetch(
-        [(n, make_config(DirectoryKind.SPARSE, r)) for n in names for r in ratios],
-        ops_per_core, seed,
-    )
-    series: Dict[str, List[float]] = {name: [] for name in names}
-    for name in names:
-        for ratio in ratios:
-            result = simulate(name, make_config(DirectoryKind.SPARSE, ratio), ops_per_core, seed)
-            series[name].append(result.dir_induced_invals_per_kilo)
+    results = _run_grid({
+        (n, r): SweepPoint(n, make_config(DirectoryKind.SPARSE, r), ops_per_core, seed)
+        for n in names
+        for r in ratios
+    })
+    series: Dict[str, List[float]] = {
+        name: [results[name, r].dir_induced_invals_per_kilo for r in ratios]
+        for name in names
+    }
     x = [_ratio_label(r) for r in ratios]
     text = render_series(
         "F2: sparse directory-induced invalidations per 1k accesses vs provisioning",
@@ -367,30 +358,30 @@ def run_performance_sweep(
     names = resolve_workloads(workloads)
     ratios = list(ratios) if ratios is not None else RATIOS
     kinds = list(kinds) if kinds is not None else KINDS
-    prefetch(
-        [(n, make_config(DirectoryKind.SPARSE, 1.0)) for n in names]
-        + [
-            (n, make_config(kind, ratio))
-            for kind in kinds
-            for ratio in (ratios[:1] if kind is DirectoryKind.IDEAL else ratios)
-            for n in names
-        ],
-        ops_per_core, seed,
-    )
+    # The sparse@1x baseline first, then every plotted configuration.
+    grid = [(DirectoryKind.SPARSE, 1.0)] + [
+        (kind, ratio)
+        for kind in kinds
+        for ratio in (ratios[:1] if kind is DirectoryKind.IDEAL else ratios)
+    ]
+    results = _run_grid({
+        (kind, ratio, n): SweepPoint(n, make_config(kind, ratio), ops_per_core, seed)
+        for kind, ratio in grid
+        for n in names
+    })
 
     per_kind: Dict[str, List[float]] = {}
     raw: Dict[str, Dict[str, List[float]]] = {}
     for kind in kinds:
         rows: Dict[str, List[float]] = {name: [] for name in names}
         for name in names:
-            baseline = simulate(name, make_config(DirectoryKind.SPARSE, 1.0), ops_per_core, seed)
+            baseline = results[DirectoryKind.SPARSE, 1.0, name]
             for ratio in ratios:
                 if kind is DirectoryKind.IDEAL and ratio != ratios[0]:
                     # Ideal has no capacity: one point, replicated.
                     rows[name].append(rows[name][0])
                     continue
-                result = simulate(name, make_config(kind, ratio), ops_per_core, seed)
-                rows[name].append(result.normalized_time(baseline))
+                rows[name].append(results[kind, ratio, name].normalized_time(baseline))
         raw[kind.value] = rows
         per_kind[kind.value] = [
             geomean([rows[name][i] for name in names]) for i in range(len(ratios))
@@ -416,24 +407,17 @@ def run_headline(
 ) -> ExperimentOutput:
     """The abstract's claim, directly: stash@1/8 vs sparse@1x vs sparse@1/8."""
     names = resolve_workloads(workloads)
-    prefetch(
-        [
-            (n, make_config(kind, ratio))
-            for n in names
-            for kind, ratio in (
-                (DirectoryKind.SPARSE, 1.0),
-                (DirectoryKind.SPARSE, 0.125),
-                (DirectoryKind.STASH, 0.125),
-            )
-        ],
-        ops_per_core, seed,
-    )
+    results = _run_grid({
+        (n, kind, ratio): SweepPoint(n, make_config(kind, ratio), ops_per_core, seed)
+        for n in names
+        for kind, ratio in _HEADLINE_CONFIGS
+    })
     rows = []
     ratios_ok = []
     for name in names:
-        sparse_full = simulate(name, make_config(DirectoryKind.SPARSE, 1.0), ops_per_core, seed)
-        sparse_small = simulate(name, make_config(DirectoryKind.SPARSE, 0.125), ops_per_core, seed)
-        stash_small = simulate(name, make_config(DirectoryKind.STASH, 0.125), ops_per_core, seed)
+        sparse_full, sparse_small, stash_small = (
+            results[name, kind, ratio] for kind, ratio in _HEADLINE_CONFIGS
+        )
         n_sparse = sparse_small.normalized_time(sparse_full)
         n_stash = stash_small.normalized_time(sparse_full)
         ratios_ok.append(n_stash)
@@ -462,18 +446,17 @@ def run_invalidation_comparison(
         DirectoryKind.SPARSE, DirectoryKind.CUCKOO, DirectoryKind.SCD,
         DirectoryKind.STASH,
     )
-    prefetch(
-        [(n, make_config(k, r)) for k in comparison_kinds for r in ratios for n in names],
-        ops_per_core, seed,
-    )
+    results = _run_grid({
+        (k, r, n): SweepPoint(n, make_config(k, r), ops_per_core, seed)
+        for k in comparison_kinds
+        for r in ratios
+        for n in names
+    })
     series: Dict[str, List[float]] = {}
     for kind in comparison_kinds:
         values = []
         for ratio in ratios:
-            per_wl = [
-                simulate(n, make_config(kind, ratio), ops_per_core, seed).dir_induced_invals_per_kilo
-                for n in names
-            ]
+            per_wl = [results[kind, ratio, n].dir_induced_invals_per_kilo for n in names]
             values.append(sum(per_wl) / len(per_wl))
         series[kind.value] = values
     x = [_ratio_label(r) for r in ratios]
@@ -496,25 +479,25 @@ def run_traffic_sweep(
     names = resolve_workloads(workloads)
     ratios = list(ratios) if ratios is not None else RATIOS
     traffic_kinds = (DirectoryKind.SPARSE, DirectoryKind.CUCKOO, DirectoryKind.STASH)
-    prefetch(
-        [(n, make_config(DirectoryKind.SPARSE, 1.0)) for n in names]
-        + [(n, make_config(k, r)) for k in traffic_kinds for r in ratios for n in names]
-        + [
-            (n, make_config(k, 0.125))
-            for k in (DirectoryKind.SPARSE, DirectoryKind.STASH)
-            for n in names
-        ],
-        ops_per_core, seed,
+    # The sparse@1x baseline, the plotted sweep, then the R=1/8 breakdown.
+    grid = (
+        [(DirectoryKind.SPARSE, 1.0)]
+        + [(k, r) for k in traffic_kinds for r in ratios]
+        + [(k, 0.125) for k in (DirectoryKind.SPARSE, DirectoryKind.STASH)]
     )
+    results = _run_grid({
+        (k, r, n): SweepPoint(n, make_config(k, r), ops_per_core, seed)
+        for k, r in grid
+        for n in names
+    })
     series: Dict[str, List[float]] = {}
     for kind in traffic_kinds:
         values = []
         for ratio in ratios:
             normalized = []
             for name in names:
-                baseline = simulate(name, make_config(DirectoryKind.SPARSE, 1.0), ops_per_core, seed)
-                result = simulate(name, make_config(kind, ratio), ops_per_core, seed)
-                normalized.append(result.normalized_traffic(baseline))
+                baseline = results[DirectoryKind.SPARSE, 1.0, name]
+                normalized.append(results[kind, ratio, name].normalized_traffic(baseline))
             values.append(geomean(normalized))
         series[kind.value] = values
     x = [_ratio_label(r) for r in ratios]
@@ -526,7 +509,7 @@ def run_traffic_sweep(
     breakdown_rows = []
     for kind in (DirectoryKind.SPARSE, DirectoryKind.STASH):
         for name in names:
-            result = simulate(name, make_config(kind, 0.125), ops_per_core, seed)
+            result = results[kind, 0.125, name]
             breakdown_rows.append(
                 [
                     kind.value,
@@ -557,15 +540,16 @@ def run_discovery_stats(
     """F6 — discovery broadcasts per 1k accesses and false-discovery rate."""
     names = resolve_workloads(workloads)
     ratios = list(ratios) if ratios is not None else RATIOS
-    prefetch(
-        [(n, make_config(DirectoryKind.STASH, r)) for n in names for r in ratios],
-        ops_per_core, seed,
-    )
+    results = _run_grid({
+        (n, r): SweepPoint(n, make_config(DirectoryKind.STASH, r), ops_per_core, seed)
+        for n in names
+        for r in ratios
+    })
     rows = []
     data: Dict[str, object] = {}
     for name in names:
         for ratio in ratios:
-            result = simulate(name, make_config(DirectoryKind.STASH, ratio), ops_per_core, seed)
+            result = results[name, ratio]
             rows.append(
                 [
                     name,
@@ -597,17 +581,14 @@ def run_effective_capacity(
 ) -> ExperimentOutput:
     """F7 — effective tracking capacity (entries + live stash bits)."""
     names = resolve_workloads(workloads)
-    prefetch(
-        [(n, make_config(DirectoryKind.STASH, ratio)) for n in names],
-        ops_per_core, seed,
-    )
+    config = make_config(DirectoryKind.STASH, ratio)
+    results = _run_grid({n: SweepPoint(n, config, ops_per_core, seed) for n in names})
+    entries = config.directory_entries
     rows = []
     data: Dict[str, float] = {}
     sparklines = []
     for name in names:
-        config = make_config(DirectoryKind.STASH, ratio)
-        result = simulate(name, config, ops_per_core, seed)
-        entries = config.directory_entries
+        result = results[name]
         samples = result.effective_tracking_samples or [0]
         avg_effective = sum(samples) / len(samples)
         expansion = avg_effective / entries if entries else 0.0
@@ -636,27 +617,23 @@ def run_assoc_sensitivity(
 ) -> ExperimentOutput:
     """F8 — directory associativity sweep at fixed provisioning."""
     names = resolve_workloads(workloads)
-    prefetch(
-        [(n, make_config(DirectoryKind.SPARSE, 1.0)) for n in names]
-        + [
-            (n, make_config(k, ratio, dir_ways=w))
-            for k in (DirectoryKind.SPARSE, DirectoryKind.STASH)
-            for w in ways_list
-            for n in names
-        ],
-        ops_per_core, seed,
+    base_config = make_config(DirectoryKind.SPARSE, 1.0)
+    points = {("baseline", n): SweepPoint(n, base_config, ops_per_core, seed) for n in names}
+    points.update(
+        ((k, w, n), SweepPoint(n, make_config(k, ratio, dir_ways=w), ops_per_core, seed))
+        for k in (DirectoryKind.SPARSE, DirectoryKind.STASH)
+        for w in ways_list
+        for n in names
     )
+    results = _run_grid(points)
     series: Dict[str, List[float]] = {}
     for kind in (DirectoryKind.SPARSE, DirectoryKind.STASH):
         values = []
         for ways in ways_list:
-            normalized = []
-            for name in names:
-                baseline = simulate(name, make_config(DirectoryKind.SPARSE, 1.0), ops_per_core, seed)
-                result = simulate(
-                    name, make_config(kind, ratio, dir_ways=ways), ops_per_core, seed
-                )
-                normalized.append(result.normalized_time(baseline))
+            normalized = [
+                results[kind, ways, name].normalized_time(results["baseline", name])
+                for name in names
+            ]
             values.append(geomean(normalized))
         series[kind.value] = values
     x = [f"{w}-way" for w in ways_list]
@@ -678,33 +655,25 @@ def run_core_scaling(
 ) -> ExperimentOutput:
     """F9 — stash vs sparse at R=1/8 as the core count grows."""
     names = resolve_workloads(workloads)
-    prefetch(
-        [
-            (n, make_config(DirectoryKind.SPARSE, 1.0, num_cores=c))
-            for c in core_counts
-            for n in names
-        ]
-        + [
-            (n, make_config(k, ratio, num_cores=c))
-            for k in (DirectoryKind.SPARSE, DirectoryKind.STASH)
-            for c in core_counts
-            for n in names
-        ],
-        ops_per_core, seed,
-    )
+    # Each core count's sparse@1x baselines first, then both organizations.
+    grid = [(DirectoryKind.SPARSE, 1.0, c) for c in core_counts] + [
+        (k, ratio, c)
+        for k in (DirectoryKind.SPARSE, DirectoryKind.STASH)
+        for c in core_counts
+    ]
+    results = _run_grid({
+        (k, r, c, n): SweepPoint(n, make_config(k, r, num_cores=c), ops_per_core, seed)
+        for k, r, c in grid
+        for n in names
+    })
     series: Dict[str, List[float]] = {}
     for kind in (DirectoryKind.SPARSE, DirectoryKind.STASH):
         values = []
         for cores in core_counts:
             normalized = []
             for name in names:
-                baseline = simulate(
-                    name, make_config(DirectoryKind.SPARSE, 1.0, num_cores=cores),
-                    ops_per_core, seed,
-                )
-                result = simulate(
-                    name, make_config(kind, ratio, num_cores=cores), ops_per_core, seed
-                )
+                baseline = results[DirectoryKind.SPARSE, 1.0, cores, name]
+                result = results[kind, ratio, cores, name]
                 normalized.append(result.normalized_time(baseline))
             values.append(geomean(normalized))
         series[kind.value] = values
@@ -727,28 +696,22 @@ def run_energy_comparison(
     """F10 — total (dynamic + directory leakage) energy vs sparse@1x."""
     names = resolve_workloads(workloads)
     ratios = list(ratios) if ratios is not None else [1.0, 0.5, 0.25, 0.125]
-    prefetch(
-        [(n, make_config(DirectoryKind.SPARSE, 1.0)) for n in names]
-        + [
-            (n, make_config(k, r))
-            for k in (DirectoryKind.SPARSE, DirectoryKind.STASH)
-            for r in ratios
-            for n in names
-        ],
-        ops_per_core, seed,
-    )
+    grid = [(DirectoryKind.SPARSE, 1.0)] + [
+        (k, r) for k in (DirectoryKind.SPARSE, DirectoryKind.STASH) for r in ratios
+    ]
+    results = _run_grid({
+        (k, r, n): SweepPoint(n, make_config(k, r), ops_per_core, seed)
+        for k, r in grid
+        for n in names
+    })
     series: Dict[str, List[float]] = {}
     for kind in (DirectoryKind.SPARSE, DirectoryKind.STASH):
         values = []
         for ratio in ratios:
             normalized = []
             for name in names:
-                baseline = energy_of(
-                    simulate(name, make_config(DirectoryKind.SPARSE, 1.0), ops_per_core, seed)
-                )
-                result = energy_of(
-                    simulate(name, make_config(kind, ratio), ops_per_core, seed)
-                )
+                baseline = energy_of(results[DirectoryKind.SPARSE, 1.0, name])
+                result = energy_of(results[kind, ratio, name])
                 normalized.append(result.normalized_to(baseline))
             values.append(geomean(normalized))
         series[kind.value] = values
@@ -774,35 +737,20 @@ def run_seed_stability(
     seeds, demonstrating the headline is not a single-draw artifact.
     """
     names = resolve_workloads(workloads)
-    prefetch(
-        [
-            SweepPoint(n, make_config(kind, ratio, seed=s), ops_per_core, s)
-            for n in names
-            for s in seeds
-            for kind, ratio in (
-                (DirectoryKind.SPARSE, 1.0),
-                (DirectoryKind.SPARSE, 0.125),
-                (DirectoryKind.STASH, 0.125),
-            )
-        ]
-    )
+    results = _run_grid({
+        (n, s, kind, ratio): SweepPoint(n, make_config(kind, ratio, seed=s), ops_per_core, s)
+        for n in names
+        for s in seeds
+        for kind, ratio in _HEADLINE_CONFIGS
+    })
     rows = []
     data: Dict[str, object] = {}
     for name in names:
         stash_norms = []
         sparse_norms = []
         for seed in seeds:
-            baseline = simulate(
-                name, make_config(DirectoryKind.SPARSE, 1.0, seed=seed),
-                ops_per_core, seed,
-            )
-            sparse = simulate(
-                name, make_config(DirectoryKind.SPARSE, 0.125, seed=seed),
-                ops_per_core, seed,
-            )
-            stash = simulate(
-                name, make_config(DirectoryKind.STASH, 0.125, seed=seed),
-                ops_per_core, seed,
+            baseline, sparse, stash = (
+                results[name, seed, kind, ratio] for kind, ratio in _HEADLINE_CONFIGS
             )
             sparse_norms.append(sparse.normalized_time(baseline))
             stash_norms.append(stash.normalized_time(baseline))
@@ -830,33 +778,19 @@ def run_private_l2_headline(
     single-level private-domain simplification.
     """
     names = resolve_workloads(workloads)
-    prefetch(
-        [
-            (n, make_config(kind, ratio, private_l2=True))
-            for n in names
-            for kind, ratio in (
-                (DirectoryKind.SPARSE, 1.0),
-                (DirectoryKind.SPARSE, 0.125),
-                (DirectoryKind.STASH, 0.125),
-            )
-        ],
-        ops_per_core, seed,
-    )
+    results = _run_grid({
+        (n, kind, ratio): SweepPoint(
+            n, make_config(kind, ratio, private_l2=True), ops_per_core, seed
+        )
+        for n in names
+        for kind, ratio in _HEADLINE_CONFIGS
+    })
     rows = []
     stash_norms = []
     sparse_norms = []
     for name in names:
-        baseline = simulate(
-            name, make_config(DirectoryKind.SPARSE, 1.0, private_l2=True),
-            ops_per_core, seed,
-        )
-        sparse_small = simulate(
-            name, make_config(DirectoryKind.SPARSE, 0.125, private_l2=True),
-            ops_per_core, seed,
-        )
-        stash_small = simulate(
-            name, make_config(DirectoryKind.STASH, 0.125, private_l2=True),
-            ops_per_core, seed,
+        baseline, sparse_small, stash_small = (
+            results[name, kind, ratio] for kind, ratio in _HEADLINE_CONFIGS
         )
         n_sparse = sparse_small.normalized_time(baseline)
         n_stash = stash_small.normalized_time(baseline)
@@ -882,25 +816,23 @@ def run_ablation_eligibility(
 ) -> ExperimentOutput:
     """A1 — stash eligibility: any-private (paper) vs exclusive-only."""
     names = resolve_workloads(workloads)
-    prefetch(
-        [(n, make_config(DirectoryKind.SPARSE, 1.0)) for n in names]
-        + [
-            (n, make_config(DirectoryKind.STASH, ratio, eligibility=e))
-            for e in (StashEligibility.ANY_PRIVATE, StashEligibility.EXCLUSIVE_ONLY)
-            for n in names
-        ],
-        ops_per_core, seed,
+    eligibilities = (StashEligibility.ANY_PRIVATE, StashEligibility.EXCLUSIVE_ONLY)
+    base_config = make_config(DirectoryKind.SPARSE, 1.0)
+    points = {("baseline", n): SweepPoint(n, base_config, ops_per_core, seed) for n in names}
+    points.update(
+        ((e, n), SweepPoint(
+            n, make_config(DirectoryKind.STASH, ratio, eligibility=e), ops_per_core, seed
+        ))
+        for e in eligibilities
+        for n in names
     )
+    results = _run_grid(points)
     rows = []
     for name in names:
-        baseline = simulate(name, make_config(DirectoryKind.SPARSE, 1.0), ops_per_core, seed)
+        baseline = results["baseline", name]
         row = [name]
-        for eligibility in (StashEligibility.ANY_PRIVATE, StashEligibility.EXCLUSIVE_ONLY):
-            result = simulate(
-                name,
-                make_config(DirectoryKind.STASH, ratio, eligibility=eligibility),
-                ops_per_core, seed,
-            )
+        for eligibility in eligibilities:
+            result = results[eligibility, name]
             row.extend([result.normalized_time(baseline), result.stash_evictions])
         rows.append(row)
     text = render_table(
@@ -919,22 +851,17 @@ def run_ablation_notification(
 ) -> ExperimentOutput:
     """A2 — explicit clean-eviction notification vs silent evictions."""
     names = resolve_workloads(workloads)
-    prefetch(
-        [
-            (n, make_config(DirectoryKind.STASH, ratio, clean_notification=notify))
-            for notify in (False, True)
-            for n in names
-        ],
-        ops_per_core, seed,
-    )
-    rows = []
-    for name in names:
-        silent = simulate(name, make_config(DirectoryKind.STASH, ratio), ops_per_core, seed)
-        noisy = simulate(
-            name,
-            make_config(DirectoryKind.STASH, ratio, clean_notification=True),
+    results = _run_grid({
+        (notify, n): SweepPoint(
+            n, make_config(DirectoryKind.STASH, ratio, clean_notification=notify),
             ops_per_core, seed,
         )
+        for notify in (False, True)
+        for n in names
+    })
+    rows = []
+    for name in names:
+        silent, noisy = results[False, name], results[True, name]
         rows.append(
             [
                 name,
@@ -961,24 +888,26 @@ def run_ablation_sharers(
 ) -> ExperimentOutput:
     """A3 — sharer representation: storage vs invalidation traffic."""
     names = resolve_workloads(workloads)
-    prefetch(
-        [(n, make_config(DirectoryKind.SPARSE, 1.0)) for n in names]
-        + [
-            (n, make_config(DirectoryKind.STASH, ratio, sharer_format=fmt))
-            for fmt in SharerFormat
-            for n in names
-        ],
-        ops_per_core, seed,
+    configs = {
+        fmt: make_config(DirectoryKind.STASH, ratio, sharer_format=fmt)
+        for fmt in SharerFormat
+    }
+    base_config = make_config(DirectoryKind.SPARSE, 1.0)
+    points = {("baseline", n): SweepPoint(n, base_config, ops_per_core, seed) for n in names}
+    points.update(
+        ((fmt, n), SweepPoint(n, config, ops_per_core, seed))
+        for fmt, config in configs.items()
+        for n in names
     )
+    results = _run_grid(points)
     rows = []
-    for fmt in SharerFormat:
-        config = make_config(DirectoryKind.STASH, ratio, sharer_format=fmt)
+    for fmt, config in configs.items():
         est = storage_of(config)
         inval_msgs = []
         times = []
         for name in names:
-            baseline = simulate(name, make_config(DirectoryKind.SPARSE, 1.0), ops_per_core, seed)
-            result = simulate(name, config, ops_per_core, seed)
+            baseline = results["baseline", name]
+            result = results[fmt, name]
             msgs = result.stats.get("system.protocol.write_inval_msgs", 0.0) + result.stats.get(
                 "system.protocol.dir_eviction_inval_msgs", 0.0
             )
@@ -999,3 +928,46 @@ def run_ablation_sharers(
         title=f"A3: sharer-format ablation (stash at R={_ratio_label(ratio)})",
     )
     return ExperimentOutput("A3", "Sharer-format ablation", text, {"rows": rows})
+
+
+# ---------------------------------------------------------------------------- registry
+
+#: Every experiment by id, in report order.
+EXPERIMENTS: Dict[str, Callable[..., ExperimentOutput]] = {
+    "T1": run_config_table,
+    "T2": run_storage_table,
+    "F1": run_characterization,
+    "F2": run_invalidation_sweep,
+    "F3": run_performance_sweep,
+    "headline": run_headline,
+    "F4": run_invalidation_comparison,
+    "F5": run_traffic_sweep,
+    "F6": run_discovery_stats,
+    "F7": run_effective_capacity,
+    "F8": run_assoc_sensitivity,
+    "F9": run_core_scaling,
+    "F10": run_energy_comparison,
+    "F11": run_private_l2_headline,
+    "A1": run_ablation_eligibility,
+    "A2": run_ablation_notification,
+    "A3": run_ablation_sharers,
+    "S3": run_seed_stability,
+}
+
+
+def run_experiment(
+    exp_id: str, workloads=None, ops_per_core: Optional[int] = None
+) -> ExperimentOutput:
+    """Run one registered experiment at its defaults or the given scale.
+
+    The runner gets ``workloads`` or ``ops_per_core`` only when the value
+    is given and its parameters accept it; T1 and T2 take neither.
+    """
+    run = EXPERIMENTS[exp_id]
+    accepted = inspect.signature(run).parameters
+    given = {"workloads": workloads, "ops_per_core": ops_per_core}
+    return run(**{
+        name: value
+        for name, value in given.items()
+        if value is not None and name in accepted
+    })

@@ -11,31 +11,9 @@ for a reviewer to regenerate the whole evaluation:
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Union
 
 from . import experiments as exp
-
-#: The report's experiment order: (id, runner, takes-workloads?).
-REPORT_SECTIONS: List[Tuple[str, Callable, bool]] = [
-    ("T1", exp.run_config_table, False),
-    ("T2", exp.run_storage_table, False),
-    ("F1", exp.run_characterization, True),
-    ("F2", exp.run_invalidation_sweep, True),
-    ("F3", exp.run_performance_sweep, True),
-    ("headline", exp.run_headline, True),
-    ("F4", exp.run_invalidation_comparison, True),
-    ("F5", exp.run_traffic_sweep, True),
-    ("F6", exp.run_discovery_stats, True),
-    ("F7", exp.run_effective_capacity, True),
-    ("F8", exp.run_assoc_sensitivity, True),
-    ("F9", exp.run_core_scaling, True),
-    ("F10", exp.run_energy_comparison, True),
-    ("F11", exp.run_private_l2_headline, True),
-    ("A1", exp.run_ablation_eligibility, True),
-    ("A2", exp.run_ablation_notification, True),
-    ("A3", exp.run_ablation_sharers, True),
-    ("S3", exp.run_seed_stability, True),
-]
 
 
 def generate_report(
@@ -45,9 +23,10 @@ def generate_report(
     sections: Optional[Sequence[str]] = None,
     progress: Optional[Callable[[str], None]] = None,
 ) -> List[str]:
-    """Run the registry and write one markdown report.
+    """Run every registered experiment, in order, into one markdown report.
 
-    ``workloads`` follows :func:`~repro.analysis.experiments.resolve_workloads`
+    The order and the ids are those of
+    :data:`~repro.analysis.experiments.EXPERIMENTS`.  ``workloads`` follows :func:`~repro.analysis.experiments.resolve_workloads`
     (None = quick subset, "all" = the full suite); ``sections`` restricts
     to specific experiment ids.  Returns the list of section ids written.
     """
@@ -61,16 +40,12 @@ def generate_report(
         "",
     ]
     written: List[str] = []
-    for exp_id, runner, takes_workloads in REPORT_SECTIONS:
+    for exp_id in exp.EXPERIMENTS:
         if wanted is not None and exp_id not in wanted:
             continue
         if progress is not None:
             progress(exp_id)
-        kwargs = {}
-        if takes_workloads:
-            kwargs["workloads"] = workloads
-            kwargs["ops_per_core"] = ops_per_core
-        out = runner(**kwargs)
+        out = exp.run_experiment(exp_id, workloads, ops_per_core)
         chunks.append(f"## {out.experiment_id}: {out.title}")
         chunks.append("")
         chunks.append("```")

@@ -7,8 +7,8 @@ Subcommands:
 * ``sweep`` — provisioning sweep over one workload for several
   organizations (figure F3 as a command).
 * ``characterize`` — print workload sharing profiles (figure F1).
-* ``experiment`` — regenerate any experiment from DESIGN.md's index by id
-  (T1, T2, F1..F10, A1..A3).
+* ``experiment`` — regenerate one experiment by its id in
+  :data:`repro.analysis.experiments.EXPERIMENTS` (DESIGN.md's index).
 * ``gen-trace`` — write a suite workload to a CSV trace file.
 * ``replay`` — simulate a CSV trace file.
 * ``fuzz`` — differential fuzzing: adversarial multi-core programs on an
@@ -44,10 +44,11 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Optional, Sequence
 
 from . import analysis
-from .analysis.experiments import make_config, simulate
+from .analysis import runner
+from .analysis.experiments import EXPERIMENTS, make_config, run_experiment
 from .analysis.figures import render_series
 from .analysis.tables import render_kv, render_table
 from .common.config import DirectoryKind, MemoryModel
@@ -56,29 +57,6 @@ from .sim.simulator import Simulator, run_trace
 from .sim.system import build_system
 from .sim.trace import Trace
 from .workloads.suite import build_workload, workload_names
-
-#: Experiment-id -> registry runner (kwargs: workloads / ops where relevant).
-EXPERIMENTS: Dict[str, Callable] = {
-    "T1": analysis.run_config_table,
-    "T2": analysis.run_storage_table,
-    "F1": analysis.run_characterization,
-    "F2": analysis.run_invalidation_sweep,
-    "F3": analysis.run_performance_sweep,
-    "F4": analysis.run_invalidation_comparison,
-    "F5": analysis.run_traffic_sweep,
-    "F6": analysis.run_discovery_stats,
-    "F7": analysis.run_effective_capacity,
-    "F8": analysis.run_assoc_sensitivity,
-    "F9": analysis.run_core_scaling,
-    "F10": analysis.run_energy_comparison,
-    "F11": analysis.run_private_l2_headline,
-    "S3": analysis.run_seed_stability,
-    "A1": analysis.run_ablation_eligibility,
-    "A2": analysis.run_ablation_notification,
-    "A3": analysis.run_ablation_sharers,
-    "headline": analysis.run_headline,
-}
-
 
 def _config_from_args(args: argparse.Namespace):
     return make_config(
@@ -203,24 +181,21 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     """Provisioning sweep for several organizations on one workload."""
     kinds = [DirectoryKind(k) for k in args.kinds]
     ratios = args.ratios
-    baseline = simulate(
-        args.workload,
-        make_config(DirectoryKind.SPARSE, 1.0, num_cores=args.cores, seed=args.seed),
-        ops_per_core=args.ops,
-        seed=args.seed,
+
+    def point(kind: DirectoryKind, ratio: float) -> runner.SweepPoint:
+        config = make_config(kind, ratio, num_cores=args.cores, seed=args.seed)
+        return runner.SweepPoint(args.workload, config, args.ops, args.seed)
+
+    points = {(kind, ratio): point(kind, ratio) for kind in kinds for ratio in ratios}
+    baseline, *results = runner.run_points(
+        [point(DirectoryKind.SPARSE, 1.0), *points.values()]
     )
-    series: Dict[str, List[float]] = {}
-    for kind in kinds:
-        values = []
-        for ratio in ratios:
-            result = simulate(
-                args.workload,
-                make_config(kind, ratio, num_cores=args.cores, seed=args.seed),
-                ops_per_core=args.ops,
-                seed=args.seed,
-            )
-            values.append(result.normalized_time(baseline))
-        series[kind.value] = values
+    normalized = {
+        cell: result.normalized_time(baseline) for cell, result in zip(points, results)
+    }
+    series = {
+        kind.value: [normalized[kind, ratio] for ratio in ratios] for kind in kinds
+    }
     x = [f"{r:g}" for r in ratios]
     print(
         render_series(
@@ -242,13 +217,7 @@ def cmd_characterize(args: argparse.Namespace) -> int:
 
 def cmd_experiment(args: argparse.Namespace) -> int:
     """Regenerate one experiment from the DESIGN.md index."""
-    runner = EXPERIMENTS[args.id]
-    kwargs = {}
-    if args.ops is not None and "ops_per_core" in runner.__code__.co_varnames:
-        kwargs["ops_per_core"] = args.ops
-    if args.workloads and "workloads" in runner.__code__.co_varnames:
-        kwargs["workloads"] = args.workloads
-    out = runner(**kwargs)
+    out = run_experiment(args.id, args.workloads or None, args.ops)
     print(out.text)
     return 0
 
@@ -781,8 +750,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    from .analysis import runner
-
     previous = runner.configure()
     runner.configure(
         workers=args.workers,

@@ -132,17 +132,6 @@ class TestSeedStatistics:
 
         assert mean_std([]) == (0.0, 0.0)
 
-    def test_simulate_many_distinct_seeds(self):
-        from repro.analysis.experiments import make_config, simulate_many
-        from repro.common.config import DirectoryKind
-
-        results = simulate_many(
-            "mix", make_config(DirectoryKind.STASH, 0.25), ops_per_core=OPS,
-            seeds=(1, 2),
-        )
-        assert len(results) == 2
-        assert results[0].execution_time != results[1].execution_time
-
     def test_run_seed_stability_output(self):
         from repro.analysis.experiments import run_seed_stability
 

@@ -420,13 +420,14 @@ class TestExperimentsIntegration:
         assert "generated 1" in text
         assert "trace spool    1 files" in text
 
-    def test_prefetch_populates_memo(self, tmp_path):
-        runner.configure(cache_dir=tmp_path)
-        config = tiny_config(check_invariants=False)
-        exp.prefetch([("mix", config)], OPS, 1)
-        assert runner.counters.computed == 1
-        exp.simulate("mix", config, OPS, 1)
-        assert runner.counters.memo_hits == 1
+    def test_cold_sweep_is_one_batch_without_memo_reads(self):
+        # F3 over the quick workloads: 3 x (4 kinds x 4 R + ideal once) = 51
+        # distinct points (sparse@1x is the baseline), each requested once.
+        runner.configure(workers=1, cache_enabled=False, trace_cache_enabled=False)
+        exp.run_performance_sweep(ratios=[1.0, 0.5, 0.25, 0.125], ops_per_core=60)
+        assert runner.counters.computed == 51
+        assert runner.counters.memo_hits == 0
+        assert runner.counters.disk_hits == 0
 
     def test_counters_summary_renders(self):
         exp.simulate("mix", tiny_config(check_invariants=False), OPS, 1)
