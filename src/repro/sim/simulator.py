@@ -62,37 +62,47 @@ class Simulator:
     def run(self, trace: Union[Trace, PackedTrace]) -> SimulationResult:
         """Execute the whole trace; returns the result snapshot.
 
-        Accepts either representation: a :class:`Trace` (per-core tuple
-        lists) or a :class:`PackedTrace` (per-core ``array('Q')`` streams,
-        decoded inline: ``block = word >> (block_shift + 1)``, ``is_write
-        = word & 1``).  Results are bit-identical across the two — the
-        decode recovers exactly the packed ``(addr, is_write)`` pair.
+        The loop reads one ``(addr << 1) | is_write`` word per operation
+        and decodes it inline: ``block = word >> (block_shift + 1)``,
+        ``is_write = word & 1``.  A :class:`PackedTrace` is read as is; a
+        :class:`Trace` is converted once into per-core lists of the same
+        words.  Those are plain Python ints, so addresses beyond
+        :data:`~repro.sim.trace.MAX_PACKED_ADDR` still run, and results
+        are bit-identical across the two forms.
 
         The interleave is identical to a pure pop/push min-heap loop (ties
         broken by core index), but the hot path avoids heap churn: after a
         core issues an op it keeps running inline while its ``(clock,
         core)`` pair is still the global minimum, so a heap transaction
-        only happens when the lead actually changes hands.  Traces with a
-        single active core skip the heap entirely.
+        only happens when the lead actually changes hands.
+
+        Raises :class:`TraceError` when the trace has more cores than the
+        system, or fewer operations than ``warmup_ops``.
         """
         config = self.system.config
         if trace.num_cores > config.num_cores:
             raise TraceError(
                 f"trace has {trace.num_cores} cores, system only {config.num_cores}"
             )
-        shift = log2_exact(config.block_bytes)
+        total_ops = trace.total_ops()
+        if self.warmup_ops > total_ops:
+            raise TraceError(
+                f"warmup of {self.warmup_ops} ops exceeds the trace's "
+                f"{total_ops} ops"
+            )
+        if isinstance(trace, PackedTrace):
+            streams = trace.streams
+        else:
+            streams = [
+                [(addr << 1) | 1 if is_write else addr << 1 for addr, is_write in ops]
+                for ops in trace.ops
+            ]
+        packshift = log2_exact(config.block_bytes) + 1  # block bits + write bit
         fixed = config.timing.core_fixed_cpi
         check = config.check_invariants
 
-        # One iteration discipline for both trace forms: ``streams[core]``
-        # yields raw u64 words (packed) or ``(addr, is_write)`` tuples.
-        is_packed = isinstance(trace, PackedTrace)
-        streams = trace.streams if is_packed else trace.ops
-        packshift = shift + 1  # block = word >> (shift + write bit)
-
         clocks = [0.0] * trace.num_cores
         cursors = [0] * trace.num_cores
-        active = [core for core in range(trace.num_cores) if streams[core]]
 
         samples: List[int] = []
         processed = 0
@@ -117,49 +127,44 @@ class Simulator:
         next_epoch = epoch_interval if epoch_interval else -1
         warmup_clocks = [0.0] * trace.num_cores
         system = self.system
-        access = system.access
         check_invariants = system.check_invariants
         effective_tracking = system.effective_tracking
-        # Inlined per-op accounting (equivalent to CoherentSystem.access):
-        # the home clock, the per-core controller entry points and the
-        # latency_total cell are hoisted out of the loop.  Only engaged when
-        # ``access`` is the stock method — instance- or subclass-level
-        # overrides (test spies, tracers) keep the call-through seam.
-        home = getattr(system, "home", None)
-        l1_access = getattr(system, "_l1_access", None)
-        fast = (
-            l1_access is not None
-            and home is not None
-            and type(system).access is CoherentSystem.access
-            and "access" not in system.__dict__
-        )
+        # CoherentSystem.access, inlined: the home clock, the per-core
+        # controller entry points and the latency_total cell are hoisted
+        # out of the loop.  The cell is bound after the first access, as
+        # access() binds it, so the statistics keep their key order.
+        home = system.home
+        l1_access = system._l1_access
         lat_cell = None
 
-        if len(active) == 1:
-            # Single-core fast path: no interleaving decisions to make.
-            core = active[0]
-            core_access = l1_access[core] if fast else None
-            clock = 0.0
-            for op in streams[core]:
-                if is_packed:
-                    block = op >> packshift
-                    is_write = op & 1
-                else:
-                    addr, is_write = op
-                    block = addr >> shift
-                if fast:
-                    home.now = clock
-                    latency = core_access(block, is_write)
-                    if lat_cell is None:
-                        lat_cell = system.latency_cell()
-                    lat_cell.value += latency
-                else:
-                    latency = access(core, block, is_write, clock)
+        # Min-heap of (clock, core) for the timestamp-ordered interleave.
+        heap = [(0.0, core) for core in range(trace.num_cores) if streams[core]]
+        heapq.heapify(heap)
+        heappush = heapq.heappush
+        heappop = heapq.heappop
+        while heap:
+            clock, core = heappop(heap)
+            ops = streams[core]
+            cursor = cursors[core]
+            remaining = len(ops)
+            core_access = l1_access[core]
+            while True:
+                word = ops[cursor]
+                cursor += 1
+                home.now = clock
+                latency = core_access(word >> packshift, word & 1)
+                if lat_cell is None:
+                    lat_cell = system.latency_cell()
+                lat_cell.value += latency
                 clock += latency + fixed
                 processed += 1
                 if processed == warmup_ops:
-                    self.system.stats.reset()
+                    # End of warmup: discard statistics, keep all cache
+                    # and directory state, and measure time from here
+                    # (the standard region-of-interest discipline).
+                    system.stats.reset()
                     clocks[core] = clock
+                    cursors[core] = cursor
                     warmup_clocks = list(clocks)
                 if processed == next_invariant:
                     next_invariant += invariant_interval
@@ -170,65 +175,15 @@ class Simulator:
                 if processed == next_epoch:
                     next_epoch += epoch_interval
                     sample_epoch(processed, clock)
-            clocks[core] = clock
-            cursors[core] = len(streams[core])
-        else:
-            # Min-heap of (clock, core) for the timestamp-ordered interleave.
-            heap = [(0.0, core) for core in active]
-            heapq.heapify(heap)
-            heappush = heapq.heappush
-            heappop = heapq.heappop
-            while heap:
-                clock, core = heappop(heap)
-                ops = streams[core]
-                cursor = cursors[core]
-                remaining = len(ops)
-                core_access = l1_access[core] if fast else None
-                while True:
-                    op = ops[cursor]
-                    cursor += 1
-                    if is_packed:
-                        block = op >> packshift
-                        is_write = op & 1
-                    else:
-                        addr, is_write = op
-                        block = addr >> shift
-                    if fast:
-                        home.now = clock
-                        latency = core_access(block, is_write)
-                        if lat_cell is None:
-                            lat_cell = system.latency_cell()
-                        lat_cell.value += latency
-                    else:
-                        latency = access(core, block, is_write, clock)
-                    clock += latency + fixed
-                    processed += 1
-                    if processed == warmup_ops:
-                        # End of warmup: discard statistics, keep all cache
-                        # and directory state, and measure time from here
-                        # (the standard region-of-interest discipline).
-                        self.system.stats.reset()
-                        clocks[core] = clock
-                        cursors[core] = cursor
-                        warmup_clocks = list(clocks)
-                    if processed == next_invariant:
-                        next_invariant += invariant_interval
-                        check_invariants()
-                    if processed == next_sample:
-                        next_sample += sample_interval
-                        samples.append(effective_tracking())
-                    if processed == next_epoch:
-                        next_epoch += epoch_interval
-                        sample_epoch(processed, clock)
-                    if cursor == remaining:
+                if cursor == remaining:
+                    break
+                if heap:
+                    head = heap[0]
+                    if clock > head[0] or (clock == head[0] and core > head[1]):
+                        heappush(heap, (clock, core))
                         break
-                    if heap:
-                        head = heap[0]
-                        if clock > head[0] or (clock == head[0] and core > head[1]):
-                            heappush(heap, (clock, core))
-                            break
-                clocks[core] = clock
-                cursors[core] = cursor
+            clocks[core] = clock
+            cursors[core] = cursor
 
         if check:
             check_invariants()
@@ -240,7 +195,7 @@ class Simulator:
             cycles_per_core=[
                 int(c - w) for c, w in zip(clocks, warmup_clocks)
             ],
-            stats=self.system.flat_stats(),
+            stats=system.flat_stats(),
             effective_tracking_samples=samples,
         )
 

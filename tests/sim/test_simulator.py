@@ -4,9 +4,12 @@ import pytest
 
 from repro.common.config import DirectoryKind
 from repro.common.errors import TraceError
+from repro.obs import ObsConfig, attach
+from repro.obs.events import EV_MISS
 from repro.sim.simulator import Simulator, run_trace
 from repro.sim.system import build_system
 from repro.sim.trace import Trace
+from repro.workloads.suite import build_workload
 from tests.conftest import tiny_config
 
 
@@ -56,16 +59,11 @@ class TestInterleave:
     def test_timestamp_order_interleaves_cores(self):
         """All cores make progress; no core finishes before others start."""
         system = build_system(tiny_config(check_invariants=False))
-        order = []
-        original = system.access
-
-        def spy(core, addr, is_write, now=0.0):
-            order.append(core)
-            return original(core, addr, is_write, now)
-
-        system.access = spy
-        Simulator(system).run(make_trace(num_cores=4, ops_per_core=5))
-        # The first 4 issued ops must come from 4 different cores.
+        observer = attach(system, ObsConfig(trace_capacity=1024))
+        Simulator(system, observer=observer).run(make_trace(num_cores=4, ops_per_core=5))
+        # Every op touches a fresh block, so the misses give the issue
+        # order: the first 4 issued ops must come from 4 different cores.
+        order = [event[2] for event in observer.ring if event[1] == EV_MISS]
         assert set(order[:4]) == {0, 1, 2, 3}
 
     def test_invariant_interval_runs_checks(self):
@@ -126,6 +124,14 @@ class TestWarmup:
         with pytest.raises(TraceError):
             Simulator(system, warmup_ops=-1)
 
+    def test_warmup_longer_than_trace_rejected(self):
+        trace = make_trace(num_cores=4, ops_per_core=10)
+        config = tiny_config(check_invariants=False)
+        whole = Simulator(build_system(config), warmup_ops=40).run(trace)
+        assert whole.total_accesses == 0
+        with pytest.raises(TraceError, match="exceeds"):
+            Simulator(build_system(config), warmup_ops=41).run(trace)
+
     def test_zero_warmup_is_default_behaviour(self):
         trace = make_trace()
         a = run_trace(tiny_config(check_invariants=False), trace)
@@ -133,3 +139,25 @@ class TestWarmup:
         b = Simulator(system, warmup_ops=0).run(trace)
         assert a.total_accesses == b.total_accesses
         assert a.execution_time == b.execution_time
+
+
+class TestWideAddresses:
+    """Addresses past the 63 bits a packed word holds still simulate."""
+
+    @pytest.mark.parametrize("kind", [
+        DirectoryKind.SPARSE, DirectoryKind.STASH, DirectoryKind.SCD,
+        DirectoryKind.IDEAL,
+    ])
+    def test_offset_beyond_packed_range_changes_nothing(self, kind):
+        config = tiny_config(kind, ratio=0.5, check_invariants=False)
+        trace = build_workload("mix", 4, 150, seed=2).to_trace()
+        shifted = Trace(trace.num_cores)
+        for core, ops in enumerate(trace.ops):
+            shifted.ops[core] = [(addr + (1 << 70), w) for addr, w in ops]
+        expected = run_trace(config, trace, engine="vector")
+        assert expected.engine == "vector"
+        interp = Simulator(build_system(config)).run(shifted)
+        assert interp == expected
+        fallback = run_trace(config, shifted, engine="vector")
+        assert fallback.engine == "interp"
+        assert fallback == expected
