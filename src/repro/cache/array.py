@@ -63,15 +63,6 @@ class CacheSet:
         """Way holding ``tag``, or None."""
         return self.by_tag.get(tag)
 
-    def free_way(self) -> Optional[int]:
-        """An unoccupied way, or None if the set is full."""
-        if len(self.by_tag) == self.ways:
-            return None
-        for way, block in enumerate(self.blocks):
-            if block is None:
-                return way
-        raise ProtocolError("set bookkeeping out of sync")  # pragma: no cover
-
     def occupancy(self) -> int:
         """Number of valid lines in the set."""
         return len(self.by_tag)
@@ -100,12 +91,6 @@ class CacheArray:
         self._c_removals: Optional[StatCounter] = None
 
     # -- lookup --------------------------------------------------------------
-
-    def _locate(self, block_addr: int) -> Tuple[CacheSet, int]:
-        return (
-            self._sets[block_addr & self._index_mask],
-            block_addr >> self._tag_shift,
-        )
 
     def lookup(self, block_addr: int, touch: bool = True) -> Optional[CacheBlock]:
         """Return the block if present; update replacement state if ``touch``."""

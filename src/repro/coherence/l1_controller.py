@@ -88,12 +88,6 @@ class L1Controller:
         self._c_upgrade_misses: Optional[StatCounter] = None
         self._c_coverage_misses: Optional[StatCounter] = None
 
-    def _hit_latency(self, level: str) -> int:
-        return self._lat_l2_hit if level == "l2" else self._lat_l1_hit
-
-    def _miss_detect_latency(self) -> int:
-        return self._lat_miss_detect
-
     def access(self, addr: int, is_write: bool) -> int:
         """Perform one memory operation; returns its latency in cycles."""
         cell = self._c_accesses

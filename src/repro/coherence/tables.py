@@ -112,10 +112,6 @@ def _prepare_state(system, addr: int, state: MesiState) -> None:
         raise ProtocolError(f"table probe setup reached {observed}, wanted {state}")
 
 
-def _reachable(state: MesiState, protocol: CoherenceProtocol) -> bool:
-    return state is not MesiState.OWNED or protocol is CoherenceProtocol.MOESI
-
-
 def derive_l1_tables(protocol: CoherenceProtocol) -> L1Tables:
     """Generate the L1 tables by probing the live controllers.
 

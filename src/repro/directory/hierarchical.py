@@ -92,10 +92,6 @@ class _ScdEntry(DirectoryEntry):
 
     # -- line accounting -----------------------------------------------------
 
-    def line_count(self) -> int:
-        """Lines this entry currently occupies."""
-        return self._lines
-
     def _recount(self) -> None:
         new = self._directory.lines_for(self.believed)
         if new != self._lines:

@@ -55,14 +55,6 @@ class _DirSet:
     def find(self, addr: int) -> Optional[int]:
         return self.by_addr.get(addr)
 
-    def free_way(self) -> Optional[int]:
-        if len(self.by_addr) == self.ways:
-            return None
-        for way, entry in enumerate(self.entries):
-            if entry is None:
-                return way
-        raise DirectoryError("directory set bookkeeping out of sync")  # pragma: no cover
-
 
 class SparseDirectory(Directory):
     """Set-associative sparse directory with invalidate-on-eviction."""
