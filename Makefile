@@ -17,9 +17,8 @@ bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only 2>&1 | tee bench_output.txt
 
 quick-bench:
-	$(PYTHON) -m pytest benchmarks/bench_table1_config.py \
-		benchmarks/bench_table2_storage.py \
-		benchmarks/bench_fig1_characterization.py --benchmark-only
+	$(PYTHON) -m pytest benchmarks/bench_experiments.py --benchmark-only \
+		-k "[T1] or [T2] or [F1]"
 
 # Sweep-engine scaling trajectory: cold-sweep wall time at 1/2/4 workers
 # plus the trace-generation share and the host (writes BENCH_runner.json;

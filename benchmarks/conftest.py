@@ -1,9 +1,11 @@
 """Shared fixtures for the benchmark harness.
 
-Every benchmark regenerates one table/figure from DESIGN.md's experiment
-index and prints it (bypassing pytest's capture so the report lands in the
-terminal / CI log).  Simulation results are memoized process-wide, so
-benchmarks that share sweep points do not re-simulate them.
+``bench_experiments.py`` regenerates every table/figure from DESIGN.md's
+experiment index, one case per id, prints it (bypassing pytest's capture
+so the report lands in the terminal / CI log) and asserts its claim.
+Simulation results are memoized process-wide, so cases that share sweep
+points do not re-simulate them.  The other ``bench_*.py`` files measure
+the engines and the service.
 
 Run with::
 

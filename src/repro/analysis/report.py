@@ -5,7 +5,8 @@ scale) and writes one markdown file with every table and text figure —
 the artifact a release ships alongside EXPERIMENTS.md, and the quickest way
 for a reviewer to regenerate the whole evaluation:
 
-    repro-sim report REPORT.md --quick
+    repro-sim report REPORT.md                 # quick workload subset
+    repro-sim report REPORT.md --full --ops 2000
 """
 
 from __future__ import annotations

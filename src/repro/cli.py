@@ -720,7 +720,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="use the full workload suite (default: quick 3-workload subset)",
     )
     report.add_argument(
-        "--sections", nargs="*", default=None,
+        "--sections", nargs="+", default=None, choices=sorted(EXPERIMENTS),
         help="restrict to specific experiment ids (e.g. F3 headline)",
     )
     report.set_defaults(func=cmd_report)

@@ -12,7 +12,6 @@ figure on purpose updates the digest it names.
 from __future__ import annotations
 
 import hashlib
-import importlib
 import json
 
 import pytest
@@ -99,34 +98,23 @@ EXPERIMENT_DIGESTS = {
         "eaf87121a3a3c46e516ef5eb52cfe5ed48b385bcef1d7bf5f0d18ce7765b9862",
         "9649a215246459befb8b963e8e0cb125daf1574439ac48b70bcb2edc6936187c",
     ),
-}
-
-#: The studies that still live in ``benchmarks/`` wrappers, pinned from
-#: each wrapper's runner with its ``BENCH_OPS`` set to 100:
-#: id -> (wrapper module, runner name, text digest, data digest).
-WRAPPER_DIGESTS = {
     "S1": (
-        "bench_sens1_dram", "run_s1",
         "d60e46c6db68795e22cfd1d6baf7fef5ae2adb1a415a5b256a073049452b0773",
         "8cae978a54100c5c46118edda92af99a15c3040dcc3e6c9ec89d4ae2274a32b7",
     ),
     "S2": (
-        "bench_sens2_contention", "run_s2",
         "c0b329c68be8e88be634a75c0c7869fce9bdef2073c03f3d67040c4ad45f9a3e",
         "314aa3a38f3bb71cc2d4b9611d0cc298609bfc5e49cc9e1ba0047061920169e2",
     ),
     "S4": (
-        "bench_sens4_moesi", "run_s4",
         "9438438b5ce137b1641f0023eb7c5b549a49bcbb045c81701d0f11cfcdac2fcf",
         "7771003ee76d94ed5800825711974bd29e864177eaf0454c2dfb422480361888",
     ),
     "A4": (
-        "bench_abl4_adaptive", "run_a4",
         "9831b163a64fda3ce9a69641d054ad1f57a2fdd433c160fb2b83022794dfffe3",
         "3e5aaf7c31bebe9e80200504ba27009db72e2006b41737a4d43e9a6d5a577e32",
     ),
     "A5": (
-        "bench_abl5_filter", "run_a5",
         "97bc829b84253579b53e5e612c0d1ce740b166867f3b77e84104d93917e5f4d7",
         "836a5b47cfbcc649602fca7f4bca62b313afe0238e8c7cade7632187dbad1b4a",
     ),
@@ -151,7 +139,7 @@ def sha256(text: str) -> str:
 
 
 def experiment_digests(exp_id: str):
-    run = EXPERIMENTS[exp_id]
+    run = EXPERIMENTS[exp_id].run
     out = run() if exp_id in NO_OPS else run(ops_per_core=OPS)
     return sha256(out.text), sha256(json.dumps(out.data, sort_keys=True))
 
@@ -177,17 +165,6 @@ def test_every_experiment_is_pinned():
 @pytest.mark.parametrize("exp_id", sorted(EXPERIMENT_DIGESTS))
 def test_experiment_output_unchanged(cold, exp_id):
     assert experiment_digests(exp_id) == EXPERIMENT_DIGESTS[exp_id]
-
-
-@pytest.mark.parametrize("exp_id", sorted(WRAPPER_DIGESTS))
-def test_wrapper_study_output_unchanged(cold, monkeypatch, exp_id):
-    name, run_name, text_digest, data_digest = WRAPPER_DIGESTS[exp_id]
-    module = importlib.import_module(f"benchmarks.{name}")
-    monkeypatch.setattr(module, "BENCH_OPS", OPS)
-    out = getattr(module, run_name)()
-    assert (sha256(out.text), sha256(json.dumps(out.data, sort_keys=True))) == (
-        text_digest, data_digest,
-    )
 
 
 def test_sweep_stdout_unchanged(cold, capsys):

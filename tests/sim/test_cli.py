@@ -286,6 +286,18 @@ class TestReport:
         assert "## T1" in text and "## T2" in text and "## headline" in text
         assert "Headline: normalized execution time" in text
 
+    @pytest.mark.parametrize("sections, error", [
+        (["F33"], "invalid choice: 'F33'"),
+        ([], "expected at least one argument"),
+    ])
+    def test_report_rejects_bad_sections(self, tmp_path, capsys, sections, error):
+        out_path = tmp_path / "REPORT.md"
+        with pytest.raises(SystemExit) as exit_info:
+            main(["report", str(out_path), "--sections", *sections])
+        assert exit_info.value.code == 2
+        assert error in capsys.readouterr().err
+        assert not out_path.exists()
+
     def test_report_section_order_matches_registry(self):
         from repro.analysis.experiments import EXPERIMENTS
 
