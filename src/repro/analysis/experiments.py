@@ -114,8 +114,9 @@ class Experiment:
     """A registered experiment: its runner and the claim it tests.
 
     ``claim(out.data)`` is True when the run supports the claim its
-    docstring states.  Claims hold at benchmark scale; at a few hundred
-    ops/core the directory is barely pressured and some do not.
+    docstring states.  Claims are judged at benchmark scale
+    (``benchmarks/bench_experiments.py``); at a few hundred ops/core the
+    directory is barely pressured and some do not hold.
     """
 
     run: Callable[..., ExperimentOutput]

@@ -2,11 +2,11 @@
 
 Every entry of :data:`repro.analysis.experiments.EXPERIMENTS` carries a
 claim: a predicate over its ``out.data``.  ``benchmarks/bench_experiments.py``
-evaluates all of them at benchmark scale.  This module evaluates the ones
-that fit in about 20 s here, at that same scale, with the headline on the
-full suite at 2000 ops/core: there sparse@1/8 runs 1.45x slower than
-sparse@1x (1.12x at 300 ops/core), so "stash@1/8 matches sparse@1x and
-sparse@1/8 is worse" has something to hold against.
+evaluates all of them at benchmark scale.  This module evaluates ten of
+them at that same scale, about 20 s on one worker of a 2-CPU host, with
+the headline on the full suite at 2000 ops/core: there sparse@1/8 runs
+1.45x slower than sparse@1x (1.12x at 300 ops/core), so "stash@1/8
+matches sparse@1x and sparse@1/8 is worse" has something to hold against.
 
 One worker, result cache and trace spool off.  The memo stays on for the
 module, so later experiments reuse the headline's points (F7 all of them,
