@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test bench quick-bench bench-scaling bench-runner bench-hotpath bench-vector bench-service obs-smoke service-smoke fuzz fuzz-smoke examples docs clean
+.PHONY: install test bench quick-bench bench-scaling bench-runner obs-smoke service-smoke fuzz fuzz-smoke examples docs clean
 
 install:
 	$(PYTHON) -m pip install -e .[dev]
@@ -32,25 +32,6 @@ bench-runner:
 # see docs/PERFORMANCE.md).  Append `--smoke` by hand for a quick CI run.
 bench-scaling:
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_scaling.py
-
-# Hot-path throughput: accesses/sec per directory kind vs the frozen
-# pre-overhaul baseline (writes BENCH_hotpath.json; see
-# docs/PERFORMANCE.md).  Append `--smoke` by hand for a quick CI-style run.
-bench-hotpath:
-	PYTHONPATH=src $(PYTHON) benchmarks/bench_hotpath.py
-
-# Vector-engine throughput: interp vs vector accesses/sec for every
-# flat-capable directory kind (writes BENCH_vector.json; see
-# docs/PERFORMANCE.md).  Append `--smoke` by hand for a quick CI-style run.
-bench-vector:
-	PYTHONPATH=src $(PYTHON) benchmarks/bench_vector.py
-
-# Campaign-service load benchmark: boots the HTTP service in-process,
-# drives it with the synthetic load client, and reports sustained
-# points/s plus submit-to-result latency percentiles, cold vs warm cache
-# (writes BENCH_service.json; see docs/SERVICE.md).
-bench-service:
-	$(PYTHON) -m pytest benchmarks/bench_service.py --benchmark-only
 
 # Boot `repro serve` as a real subprocess on each backend, submit a tiny
 # campaign over HTTP, read its stream to EOF, poll it to completion, check

@@ -4,8 +4,8 @@ Runs the same provisioning sweep (a subset of the F3 point set) through
 :func:`repro.analysis.runner.run_points` with every cache layer cold, at
 each worker count, checks that every run reproduces the serial results
 exactly, and writes the timing trajectory, the measured trace-generation
-share and the host to ``BENCH_runner.json`` at the repository root so
-speedups are trackable across commits.
+share, the host and the commit to ``BENCH_runner.json`` at the repository
+root so speedups are trackable across commits.
 
 Speedup expectations scale with the host: on a single-CPU machine the
 parallel runs mostly measure process-pool overhead, so the benchmark
@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import os
 import platform
+import subprocess
 import time
 from pathlib import Path
 
@@ -40,7 +41,19 @@ SCALING_POINTS = [
     for workload in ("blackscholes-like", "mix")
 ]
 
-OUTPUT = Path(__file__).resolve().parents[1] / "BENCH_runner.json"
+ROOT = Path(__file__).resolve().parents[1]
+OUTPUT = ROOT / "BENCH_runner.json"
+
+
+def _commit():
+    """The checkout's HEAD commit, or None outside a git repository."""
+    try:
+        return subprocess.run(
+            ["git", "rev-parse", "HEAD"], cwd=ROOT, capture_output=True,
+            text=True, check=True,
+        ).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        return None
 
 
 def _cold_sweep(workers: int):
@@ -94,6 +107,7 @@ def test_runner_scaling(benchmark):
         "points": len(SCALING_POINTS),
         "ops_per_core": SCALING_OPS,
         "cpu_count": os.cpu_count(),
+        "commit": _commit(),
         "python": platform.python_version(),
         "trace_generation": _trace_share(),
         "trajectory": trajectory,

@@ -11,10 +11,17 @@ for a reviewer to regenerate the whole evaluation:
 
 from __future__ import annotations
 
+import inspect
 from pathlib import Path
 from typing import Callable, List, Optional, Sequence, Union
 
 from . import experiments as exp
+
+
+def _default_workloads(exp_id: str) -> Optional[List[str]]:
+    """The workloads an experiment runs when given none; None if it takes none."""
+    param = inspect.signature(exp.EXPERIMENTS[exp_id].run).parameters.get("workloads")
+    return None if param is None else exp.resolve_workloads(param.default)
 
 
 def generate_report(
@@ -29,14 +36,16 @@ def generate_report(
     The order and the ids are those of
     :data:`~repro.analysis.experiments.EXPERIMENTS`.  ``workloads`` follows :func:`~repro.analysis.experiments.resolve_workloads`
     (None = quick subset, "all" = the full suite); ``sections`` restricts
-    to specific experiment ids.  Returns the list of section ids written.
+    to specific experiment ids.  With ``workloads`` None, a section whose
+    experiment runs its own default workloads names them under its
+    heading.  Returns the list of section ids written.
     """
     wanted = set(sections) if sections is not None else None
+    header = exp.resolve_workloads(workloads)
     chunks: List[str] = [
         "# Stash Directory — regenerated evaluation report",
         "",
-        f"Scale: {ops_per_core} ops/core; workloads: "
-        f"{', '.join(exp.resolve_workloads(workloads))}.",
+        f"Scale: {ops_per_core} ops/core; workloads: {', '.join(header)}.",
         "Regenerate with `repro-sim report` (see DESIGN.md for the experiment index).",
         "",
     ]
@@ -49,6 +58,10 @@ def generate_report(
         out = exp.run_experiment(exp_id, workloads, ops_per_core)
         chunks.append(f"## {out.experiment_id}: {out.title}")
         chunks.append("")
+        own = _default_workloads(exp_id) if workloads is None else None
+        if own is not None and own != header:
+            chunks.append(f"Workloads: {', '.join(own)}.")
+            chunks.append("")
         chunks.append("```")
         chunks.append(out.text)
         chunks.append("```")

@@ -19,11 +19,11 @@ The null-probe contract: with everything off, :func:`attach` returns
 ``None`` and **touches nothing** — the controllers keep their ``_obs is
 None`` fast test, the simulator's epoch threshold never fires, no counter
 is added to the statistics tree, and the golden hot-path capture stays
-bit-identical (``tests/integration/test_golden_hotpath.py`` and the
-``bench_hotpath`` smoke enforce this).  Even with probes *on*, the
-statistics tree is unchanged: observability data lives beside the stats,
-never inside them, so an observed run reports the exact numbers an
-unobserved run does (``tests/obs/test_integration_obs.py`` proves it).
+bit-identical (``tests/integration/test_golden_hotpath.py`` enforces
+this).  Even with probes *on*, the statistics tree is unchanged:
+observability data lives beside the stats, never inside them, so an
+observed run reports the exact numbers an unobserved run does
+(``tests/obs/test_integration_obs.py`` proves it).
 
 Usage::
 

@@ -286,6 +286,17 @@ class TestReport:
         assert "## T1" in text and "## T2" in text and "## headline" in text
         assert "Headline: normalized execution time" in text
 
+    def test_report_names_the_workloads_a_section_ran(self, tmp_path, capsys):
+        out_path = tmp_path / "REPORT.md"
+        code = main(["report", str(out_path), "--ops", "100", "--sections", "A4"])
+        assert code == 0
+        text = out_path.read_text()
+        assert "workloads: blackscholes-like, canneal-like, mix." in text
+        section = text.split("## A4", 1)[1]
+        assert section.split("```", 1)[0].strip().endswith(
+            "Workloads: blackscholes-like, swaptions-like, ocean-like, radix-like, mix."
+        )
+
     @pytest.mark.parametrize("sections, error", [
         (["F33"], "invalid choice: 'F33'"),
         ([], "expected at least one argument"),
