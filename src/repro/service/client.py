@@ -24,8 +24,6 @@ class ServiceClientError(RuntimeError):
     """An HTTP call to the campaign service failed."""
 
 
-# --------------------------------------------------------------- HTTP client
-
 def _request(
     base_url: str,
     path: str,

@@ -35,8 +35,6 @@ class TestHelpers:
         assert exp.resolve_workloads(None) == exp.QUICK_WORKLOADS
         assert len(exp.resolve_workloads("all")) == 9
         assert exp.resolve_workloads(["mix"]) == ["mix"]
-
-    def test_resolve_workloads_takes_one_name(self):
         assert exp.resolve_workloads("mix") == ["mix"]
 
     def test_make_config_core_scaling(self):
@@ -95,10 +93,6 @@ class TestSimulationExperiments:
         geomean_row = rows[-1]
         assert geomean_row[0] == "geomean"
         assert geomean_row[3] < geomean_row[2]  # stash@1/8 beats sparse@1/8
-
-    def test_headline_on_one_named_workload(self):
-        out = exp.run_headline("blackscholes-like", ops_per_core=OPS)
-        assert [row[0] for row in out.data["rows"]] == ["blackscholes-like", "geomean"]
 
     def test_discovery_stats(self):
         out = exp.run_discovery_stats(WLS, ratios=[0.125], ops_per_core=OPS)
