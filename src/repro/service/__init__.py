@@ -6,7 +6,7 @@ asyncio, stdlib-only HTTP server that accepts **campaign manifests**
 their sweep points through the pluggable dispatch backends of
 :mod:`repro.analysis.dispatch`, journals every completion for crash-safe
 resume (:mod:`repro.service.store`) and exposes live Prometheus metrics
-(:mod:`repro.service.metrics`).  :mod:`repro.service.client` is a
+(:mod:`repro.service.metrics`).  :mod:`repro.service.loadgen` is a
 stdlib HTTP client for it.  See docs/SERVICE.md for the HTTP API.
 """
 

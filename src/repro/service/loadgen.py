@@ -3,7 +3,9 @@
 The client half of ``tools/service_smoke.py``: POST a campaign manifest,
 GET a JSON endpoint, poll a campaign to a terminal state, and fetch
 ``/metrics``.  Every ``/metrics`` fetch round-trips through the strict
-parser, so a format regression fails the caller loudly.
+parser, so a format regression fails the caller loudly.  The load
+generator that gave the module its name is gone; perfbench's
+campaign-serve workload drives the service under load.
 """
 
 from __future__ import annotations

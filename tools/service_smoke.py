@@ -32,7 +32,7 @@ import urllib.request
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from repro.service.client import (  # noqa: E402
+from repro.service.loadgen import (  # noqa: E402
     fetch_metrics,
     post_json,
     wait_campaign,
