@@ -5,7 +5,11 @@ Runs the same provisioning sweep (a subset of the F3 point set) through
 each worker count, checks that every run reproduces the serial results
 exactly, and writes the timing trajectory, the measured trace-generation
 share, the host and the commit to ``BENCH_runner.json`` at the repository
-root so speedups are trackable across commits.
+root so speedups are trackable across commits.  Each worker count is
+timed in :data:`ROUNDS` rounds interleaved with the others (1, 2, 4, 1,
+2, 4, ...) and its time is the median round: the sweep takes well under
+a second, so on a shared host one slow spell would otherwise decide the
+comparison.
 
 Speedup expectations scale with the host: on a single-CPU machine the
 parallel runs mostly measure process-pool overhead, so the benchmark
@@ -17,6 +21,7 @@ from __future__ import annotations
 import json
 import os
 import platform
+import statistics
 import subprocess
 import time
 from pathlib import Path
@@ -30,6 +35,9 @@ from benchmarks.conftest import once
 
 #: Worker counts the trajectory records.
 WORKER_COUNTS = [1, 2, 4]
+
+#: Interleaved timing rounds per worker count (the median is reported).
+ROUNDS = 3
 
 #: A small but representative cold sweep: 2 organizations x 3 ratios x
 #: 2 workloads = 12 independent points sharing 2 distinct traces.
@@ -90,16 +98,25 @@ def _trace_share():
 
 
 def test_runner_scaling(benchmark):
-    trajectory = []
+    rounds = {workers: [] for workers in WORKER_COUNTS}
     reference = None
-    for workers in WORKER_COUNTS:
-        seconds, results = _cold_sweep(workers)
-        if reference is None:
-            reference = results
-        else:
-            # Parallel fan-out must reproduce the serial run exactly.
-            assert results == reference, f"workers={workers} diverged from serial"
-        trajectory.append({"workers": workers, "seconds": round(seconds, 4)})
+    for _ in range(ROUNDS):
+        for workers in WORKER_COUNTS:
+            seconds, results = _cold_sweep(workers)
+            if reference is None:
+                reference = results
+            else:
+                # Every run must reproduce the first serial run exactly.
+                assert results == reference, f"workers={workers} diverged from serial"
+            rounds[workers].append(round(seconds, 4))
+    trajectory = [
+        {
+            "workers": workers,
+            "seconds": statistics.median(rounds[workers]),
+            "rounds": rounds[workers],
+        }
+        for workers in WORKER_COUNTS
+    ]
 
     serial = trajectory[0]["seconds"]
     payload = {

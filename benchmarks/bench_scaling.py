@@ -5,8 +5,7 @@ the machine grows; this benchmark makes the simulator itself answer at
 those sizes.  For each core count it runs the ``weakscale-like`` workload
 (fixed ops *per core*, so total work grows with the machine) through the
 serial vector engine and through the bank-parallel run-length batching
-engine (:mod:`repro.sim.parallel`, conservative and with the optimistic
-warp + replay speculation layer), asserts the results are
+engine (:mod:`repro.sim.parallel`), asserts the results are
 **bit-identical** — per-core cycles, the full statistics tree and the
 effective-tracking samples — and records:
 
@@ -16,8 +15,8 @@ effective-tracking samples — and records:
   SCD-style hierarchical sharer formats — the O(N) vs O(sqrt(N) * log N)
   storage story that motivates the scaling work.
 
-The report lands in ``BENCH_scaling.json`` at the repository root.  As
-with the other throughput benchmarks, full mode is the comparable one;
+The report lands in ``BENCH_scaling.json`` at the repository root, with
+the host and the commit it ran on.  Full mode is the comparable one;
 ``--smoke`` shrinks traces for CI shape-checking.
 
 Run standalone::
@@ -36,6 +35,7 @@ import argparse
 import json
 import os
 import platform
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -56,11 +56,11 @@ from repro.workloads.suite import build_workload
 #: 1024 (its scaling-argument regime).
 SIZES = (16, 64, 256, 1024)
 
-#: Fixed work per core.  Long streams matter: the conservative engine
-#: pays a serial warmup crawl bounded by the slowest-warming core (see
-#: docs/PERFORMANCE.md); the speculation layer attacks exactly that, so
-#: full mode measures both ends — long streams (``FULL_OPS``) and a
-#: short-trace row (``SHORT_OPS``) that is nearly all warmup.
+#: Fixed work per core.  Long streams matter: the parallel engine pays a
+#: serial warmup crawl bounded by the slowest-warming core (see
+#: docs/PERFORMANCE.md), so full mode measures both ends — long streams
+#: (``FULL_OPS``) and a short-trace row (``SHORT_OPS``) that is nearly
+#: all warmup.
 FULL_OPS = 16000
 SHORT_OPS = 400
 SMOKE_OPS = 400
@@ -70,7 +70,19 @@ RATIO = 0.125
 SEED = 1
 WORKLOAD = "weakscale-like"
 
-OUTPUT = Path(__file__).resolve().parents[1] / "BENCH_scaling.json"
+ROOT = Path(__file__).resolve().parents[1]
+OUTPUT = ROOT / "BENCH_scaling.json"
+
+
+def _commit():
+    """The checkout's HEAD commit, or None outside a git repository."""
+    try:
+        return subprocess.run(
+            ["git", "rev-parse", "HEAD"], cwd=ROOT, capture_output=True,
+            text=True, check=True,
+        ).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        return None
 
 
 def _result_key(result):
@@ -98,7 +110,6 @@ def measure_size(num_cores: int, ops_per_core: int) -> dict:
     runs = (
         ("vector", dict(engine="vector")),
         ("parallel", dict(engine="parallel")),
-        ("parallel_spec", dict(engine="parallel", speculate=True)),
     )
     for name, kwargs in runs:
         start = time.perf_counter()
@@ -133,7 +144,6 @@ def measure_size(num_cores: int, ops_per_core: int) -> dict:
 
     vector_rate = rates["vector"]
     parallel_rate = rates["parallel"]
-    spec_rate = rates["parallel_spec"]
     return {
         "ops_per_core": ops_per_core,
         "total_ops": total,
@@ -141,10 +151,6 @@ def measure_size(num_cores: int, ops_per_core: int) -> dict:
         "parallel_speedup": (
             round(parallel_rate / vector_rate, 3)
             if vector_rate and parallel_rate else None
-        ),
-        "speculative_speedup": (
-            round(spec_rate / vector_rate, 3)
-            if vector_rate and spec_rate else None
         ),
         "directory_storage": storage,
         "bit_identical": True,  # asserted above, recorded for readers
@@ -161,6 +167,7 @@ def run_report(smoke: bool = False, ops: int | None = None) -> dict:
         "ratio": RATIO,
         "seed": SEED,
         "cpu_count": os.cpu_count(),
+        "commit": _commit(),
         "python": platform.python_version(),
         "sizes": {
             str(num_cores): measure_size(num_cores, ops)
@@ -187,11 +194,9 @@ def test_weak_scaling(benchmark):
     """Measure the sweep, write BENCH_scaling.json, check the shape.
 
     Host-independent claims: every size produced positive rates and
-    bit-identical results (speculation included), hierarchical storage
-    per core shrinks relative to the full bit vector as the machine
-    grows, the conservative parallel engine beats the serial vector
-    engine at 256 cores, and the speculative engine holds at least
-    parity at 1024 cores — the crossover acceptance criterion.
+    bit-identical results, hierarchical storage per core shrinks
+    relative to the full bit vector as the machine grows, and the
+    parallel engine beats the serial vector engine at 256 cores.
     """
     from benchmarks.conftest import once
 
@@ -211,7 +216,6 @@ def test_weak_scaling(benchmark):
         )
     assert all(a > b for a, b in zip(ratios, ratios[1:]))
     assert payload["sizes"]["256"]["parallel_speedup"] > 1.0
-    assert payload["sizes"]["1024"]["speculative_speedup"] >= 1.0
     for row in payload["short_sizes"].values():
         assert row["bit_identical"]
     assert json.loads(OUTPUT.read_text()) == payload
@@ -253,8 +257,6 @@ def main(argv=None) -> int:
                 f"  vector {rates['vector']:>12,.0f} acc/s"
                 f"  parallel {rates['parallel']:>12,.0f}"
                 f"  ({row['parallel_speedup']:.2f}x)"
-                f"  spec {rates['parallel_spec']:>12,.0f}"
-                f"  ({row['speculative_speedup']:.2f}x)"
                 f"  dir B/core: fbv"
                 f" {storage['full_bit_vector']['bytes_per_core']:,.0f}"
                 f" / hier {storage['hierarchical']['bytes_per_core']:,.0f}"

@@ -116,7 +116,7 @@ def _simulate(config, trace, args: argparse.Namespace):
     if args.engine != "interp" and not obs.enabled and not args.warmup:
         result = run_trace(
             config, trace, engine=args.engine,
-            epoch_ops=args.epoch_batch, speculate=args.speculate,
+            epoch_ops=args.epoch_batch,
         )
         return result, None
     system = build_system(config)
@@ -309,8 +309,8 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
     Generates adversarial flat programs (eviction storms, stash/discovery
     races, pointer overflow, coarse-group aliasing, set pile-ups) and runs
     each on a matrix: rows are IDEAL plus every requested organization,
-    columns are the interpreter, the vector engine and the parallel engine
-    with speculation off and on.  Interpreter cells are diffed against
+    columns are the interpreter, the vector engine and the parallel
+    engine.  Interpreter cells are diffed against
     IDEAL (observed data versions, the invariant suite, final
     architectural state); fast-engine cells must match the interpreter
     bit-for-bit, statistics included.  A divergence is delta-debugged
@@ -568,11 +568,6 @@ def build_parser() -> argparse.ArgumentParser:
              "scan-window ops (parallel); 0 = engine default",
     )
     run.add_argument(
-        "--speculate", action=argparse.BooleanOptionalAction, default=False,
-        help="parallel engine: optimistic warp + replay past the "
-             "conservative horizon (results stay bit-identical)",
-    )
-    run.add_argument(
         "--check-invariants", nargs="?", const=1024, type=int, default=0,
         metavar="N",
         help="run the invariant suite every N ops (bare flag = 1024)",
@@ -624,11 +619,6 @@ def build_parser() -> argparse.ArgumentParser:
     replay.add_argument(
         "--epoch-batch", type=int, default=0, metavar="N",
         help="fast-engine batch size in ops (0 = engine default)",
-    )
-    replay.add_argument(
-        "--speculate", action=argparse.BooleanOptionalAction, default=False,
-        help="parallel engine: optimistic warp + replay past the "
-             "conservative horizon (results stay bit-identical)",
     )
     replay.add_argument(
         "--check-invariants", nargs="?", const=1024, type=int, default=0,

@@ -207,7 +207,6 @@ def run_trace(
     observer=None,
     engine: str = "interp",
     epoch_ops: int = 0,
-    speculate: bool = False,
 ) -> SimulationResult:
     """Convenience one-shot: build the system (unless given) and run.
 
@@ -219,10 +218,9 @@ def run_trace(
     ``engine`` selects the execution engine: ``"interp"`` (the controller
     interpreter above), ``"vector"`` (the flat table-driven engine of
     :mod:`repro.sim.vector`), or ``"parallel"`` (the run-length batching
-    engine of :mod:`repro.sim.parallel`; ``speculate`` turns on its
-    optimistic warp + replay layer).  ``epoch_ops`` sets the scan-window /
-    decode-batch size for both fast engines.  All three produce
-    bit-identical results for any window size and speculation setting;
+    engine of :mod:`repro.sim.parallel`).  ``epoch_ops`` sets the
+    scan-window / decode-batch size for both fast engines.  All three
+    produce bit-identical results for any window size;
     ``"vector"`` and ``"parallel"`` fall back to the interpreter
     transparently when the configuration is outside the flat model (see
     :func:`repro.sim.vector.vector_supports`), when a pre-built ``system``
@@ -247,9 +245,7 @@ def run_trace(
                 if engine == "parallel":
                     from .parallel import ParallelEngine
 
-                    return ParallelEngine(
-                        config, epoch_ops=batch, speculate=speculate
-                    ).run(packed)
+                    return ParallelEngine(config, epoch_ops=batch).run(packed)
                 return VectorEngine(config, epoch_ops=batch).run(packed)
     if system is None:
         system = build_system(config)

@@ -312,10 +312,10 @@ class PackedTrace:
         array (``None`` for empty streams).  ``packshift`` is
         ``log2(block_bytes) + 1`` — the block id is the packed word with
         the write bit and the intra-block offset stripped.  This is the
-        native input of the batch engines (:mod:`repro.sim.parallel`):
-        run classification, warp commits and speculative undo logs all
-        index these arrays directly, so the decode lives here with the
-        packing format rather than in each engine.
+        native input of the batch engine (:mod:`repro.sim.parallel`):
+        run classification and warp commits index these arrays directly,
+        so the decode lives here with the packing format rather than in
+        the engine.
         """
         import numpy as np
 

@@ -21,12 +21,11 @@ are directory kinds, IDEAL included; its :data:`COLUMNS` are engines:
   machine (:func:`repro.sim.vector.flat_machine`).  The per-op versions,
   the final state and the full statistics tree must equal the clean
   interp cell of the same kind.
-* ``parallel`` and ``parallel-spec`` — the program is regrouped into
-  per-core streams (per-core order kept) and runs end to end on the
-  run-length batching engine (:mod:`repro.sim.parallel`), speculation
-  off and on.  Per-core cycles, the full statistics tree and the
-  effective-tracking samples must equal the interpreter's run of the same
-  whole trace.
+* ``parallel`` — the program is regrouped into per-core streams
+  (per-core order kept) and runs end to end on the run-length batching
+  engine (:mod:`repro.sim.parallel`).  Per-core cycles, the full
+  statistics tree and the effective-tracking samples must equal the
+  interpreter's run of the same whole trace.
 
 Every cell must also satisfy the accounting identities of
 :func:`check_stat_sanity` (reads + writes = accesses, ...).
@@ -40,8 +39,8 @@ so failure-corpus signatures, the ``(kind, category)`` pairs the
 minimizer keys on, stay disjoint across columns.
 
 Fault injection: :data:`FAULTS` maps names to test-only mutations.  Each
-names what it corrupts — a built system, the derived transition tables or
-the speculation undo log — and with it the cells it reaches.  They exist
+names what it corrupts — a built system or the derived transition tables
+— and with it the cells it reaches.  They exist
 to prove the harness *can* catch bugs.  The references always run clean:
 no cell is ever judged against a faulted cell.
 """
@@ -67,7 +66,6 @@ from ..common.mesi import CoherenceProtocol
 from ..coherence.protocol import CoherentSystem
 from ..coherence.tables import L1Tables, corrupt_l1_tables, l1_tables
 from ..directory.sharers import CoarseVector, LimitedPointer
-from ..sim.parallel import ParallelEngine
 from ..sim.simulator import run_trace
 from ..sim.system import build_system
 from ..sim.trace import FlatOp, PackedTrace
@@ -77,9 +75,9 @@ from ..sim.vector import flat_machine, vector_supports
 DEFAULT_FUZZ_KINDS = tuple(DirectoryKind)
 
 #: The judged columns, in the order a row runs them.
-COLUMNS = ("interp", "vector", "parallel", "parallel-spec")
+COLUMNS = ("interp", "vector", "parallel")
 
-#: The interpreter on the whole regrouped trace: the parallel columns'
+#: The interpreter on the whole regrouped trace: the parallel column's
 #: reference, never judged itself.
 _WHOLE_TRACE_REFERENCE = "interp-trace"
 
@@ -88,16 +86,12 @@ _PREFIX = {
     "interp": "",
     "vector": "engine-",
     "parallel": "parallel-",
-    "parallel-spec": "parallel-",
 }
 
-#: Parallel-engine settings.  The scan window is tiny so a few hundred ops
-#: cross many windows (stale-snapshot revalidation, window refills and
-#: warp commits all fire), and the speculative chunk threshold is low so
-#: short adversarial programs still build, flush, validate and squash
-#: undo logs.
+#: The parallel engine's scan window: tiny, so a few hundred ops cross
+#: many windows (stale-snapshot revalidation, window refills and warp
+#: commits all fire).
 _EPOCH_OPS = 96
-_SPEC_MIN = 4
 
 
 @dataclass(frozen=True)
@@ -187,8 +181,7 @@ def make_fuzz_config(kind: DirectoryKind, options: RunOptions) -> SystemConfig:
 #: interp cell, the reference of every other interp cell.
 _FAULT_COLUMNS = {
     "system": ("interp",),
-    "tables": ("vector", "parallel", "parallel-spec"),
-    "undo-log": ("parallel-spec",),
+    "tables": ("vector", "parallel"),
 }
 
 
@@ -198,8 +191,7 @@ class FaultSpec:
 
     ``"system"``: ``inject`` mutates a built interpreter system in place.
     ``"tables"``: it maps the derived L1 transition tables to a corrupted
-    copy.  ``"undo-log"``: it arms a speculating
-    :class:`~repro.sim.parallel.ParallelEngine` in place.
+    copy.
     """
 
     name: str
@@ -303,12 +295,6 @@ def _corrupt_e_write_cell(tables: L1Tables) -> L1Tables:
     return corrupt_l1_tables(tables, cell=5)
 
 
-def _corrupt_undo_log(engine: ParallelEngine) -> None:
-    # The first deferred write the speculation layer surfaces from an
-    # undo log downgrades to SHARED.
-    engine._corrupt_flush = True
-
-
 #: Registry of injectable faults (``repro fuzz --inject-fault <name>``).
 FAULTS: Dict[str, FaultSpec] = {
     spec.name: spec
@@ -348,13 +334,6 @@ FAULTS: Dict[str, FaultSpec] = {
             "tables",
             "flip the (EXCLUSIVE, write) cell of the derived L1 action table",
             _corrupt_e_write_cell,
-        ),
-        FaultSpec(
-            "undo-corrupt",
-            "undo-log",
-            "corrupt the first deferred write the speculation layer"
-            " surfaces from an undo log",
-            _corrupt_undo_log,
         ),
     )
 }
@@ -402,9 +381,9 @@ def execute_program(
 
     ``interp`` and ``vector`` replay the program op by op; ``interp``
     also runs the invariant suite every ``check_every`` ops (0 disables
-    the cadence; the final check always runs).  ``parallel``,
-    ``parallel-spec`` and ``interp-trace`` regroup it into per-core
-    streams and run the whole trace.  ``fault`` applies only to the
+    the cadence; the final check always runs).  ``parallel`` and
+    ``interp-trace`` regroup it into per-core streams and run the whole
+    trace.  ``fault`` applies only to the
     columns it corrupts.  Exceptions never escape: they are folded into
     the result as a ``crash`` or ``invariant`` record.
     """
@@ -449,17 +428,12 @@ def execute_program(
             if column == _WHOLE_TRACE_REFERENCE:
                 run = run_trace(config, trace, engine="interp")
             else:
-                speculate = column == "parallel-spec"
-                engine = ParallelEngine(
-                    config,
-                    tables=tables,
-                    epoch_ops=_EPOCH_OPS,
-                    speculate=speculate,
-                    spec_min=_SPEC_MIN if speculate else None,
-                )
-                if fault is not None and fault.corrupts == "undo-log":
-                    fault.inject(engine)
-                run = engine.run(trace)
+                # Imported here so numpy loads only when a parallel cell runs.
+                from ..sim.parallel import ParallelEngine
+
+                run = ParallelEngine(
+                    config, tables=tables, epoch_ops=_EPOCH_OPS
+                ).run(trace)
             result.cycles = list(run.cycles_per_core)
             result.stats = dict(run.stats)
             result.samples = list(run.effective_tracking_samples)

@@ -215,6 +215,14 @@ class TestDiskCache:
         assert runner.counters.corrupt_entries >= 1
         assert not path.exists() or json.loads(path.read_text())  # repaired
 
+    def test_stored_text_is_one_compact_json_document(self, tmp_path):
+        point = tiny_point()
+        runner.run_points([point], cache_dir=tmp_path, cache_enabled=True)
+        text = runner.DiskCache(tmp_path).path_for(
+            runner.cache_key(point)
+        ).read_text()
+        assert text == json.dumps(json.loads(text), separators=(",", ":"))
+
     def test_key_mismatch_inside_wrapper_rejected(self, tmp_path):
         point = tiny_point()
         runner.run_points([point], cache_dir=tmp_path, cache_enabled=True)

@@ -208,8 +208,7 @@ class TestFuzz:
         code = main(["fuzz", "--ops", "80", "--seeds", "2"])
         assert code == 0
         out = capsys.readouterr().out
-        assert "cells per column: interp 16, vector 10, parallel 10, " \
-            "parallel-spec 10" in out
+        assert "cells per column: interp 16, vector 10, parallel 10\n" in out
         assert "every engine with the interpreter bit-for-bit" in out
 
     def test_fuzz_engine_fault_caught_minimized_replayed(

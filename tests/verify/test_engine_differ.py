@@ -56,7 +56,6 @@ class TestCleanAgreement:
         rows = len(FLAT_KINDS)
         assert divergences.cells == {
             "interp": rows, "vector": rows, "parallel": rows,
-            "parallel-spec": rows,
         }
 
     def test_engines_agree_on_mixed_program(self):
@@ -106,7 +105,7 @@ class TestVectorExecution:
 
     def test_out_of_range_core_is_crash_not_raise(self):
         config = make_fuzz_config(DirectoryKind.SPARSE, RunOptions(num_cores=4))
-        for column in ("vector", "parallel", "parallel-spec"):
+        for column in ("vector", "parallel"):
             result = execute_program([(7, 1, True)], config, column=column)
             assert not result.ok
             assert result.error_category == "crash"
@@ -236,37 +235,3 @@ class TestFlatModelMutations:
         monkeypatch.setattr(vector, "scd_lines", lambda mask: 1)
         self.assert_caught_on(DirectoryKind.SCD)
 
-
-class TestParallelSpeculationAxis:
-    """The parallel column runs speculation on and off for every program."""
-
-    def test_clean_program_agrees_with_speculation(self):
-        options = RunOptions()
-        program = program_for("stash_race", options, ops=300)
-        divergences = run_differential(program, kinds=FLAT_KINDS, options=options)
-        assert divergences == []
-        assert divergences.cells["parallel-spec"] == len(FLAT_KINDS)
-
-    def test_undo_corrupt_caught_only_by_speculative_runs(self):
-        options = RunOptions()
-        program = program_for("stash_race", options, ops=300)
-        divergences = run_differential(
-            program, kinds=FLAT_KINDS, options=options,
-            fault=FAULTS["undo-corrupt"],
-        )
-        assert divergences, "undo-log corruption must be detected"
-        assert all(d.category.startswith("parallel-") for d in divergences)
-        assert all(d.detail.startswith("parallel-spec:") for d in divergences)
-
-    def test_undo_corrupt_inject_leaves_tables_clean(self):
-        # The fault arms the speculation layer only: the columns that run
-        # the transition tables without speculating capture clean runs.
-        options = RunOptions()
-        program = program_for("stash_race", options, ops=300)
-        config = make_fuzz_config(DirectoryKind.STASH, options)
-        for column in ("vector", "parallel"):
-            clean = execute_program(program, config, column=column)
-            armed = execute_program(
-                program, config, column=column, fault=FAULTS["undo-corrupt"]
-            )
-            assert armed == clean
