@@ -157,8 +157,22 @@ def measure_size(num_cores: int, ops_per_core: int) -> dict:
     }
 
 
+def _warm_up() -> None:
+    """Run each engine once, untimed, on a tiny trace.
+
+    The first run in a process pays one-time costs (the parallel engine's
+    numpy import among them, about 0.15 s) that would otherwise land on
+    the 16-core row, whose whole run takes about as long.
+    """
+    config = make_config(KIND, ratio=RATIO, num_cores=SIZES[0], seed=SEED)
+    trace = build_workload(WORKLOAD, SIZES[0], 50, seed=SEED)
+    for engine in ("vector", "parallel"):
+        run_trace(config, trace, engine=engine)
+
+
 def run_report(smoke: bool = False, ops: int | None = None) -> dict:
     ops = ops if ops is not None else (SMOKE_OPS if smoke else FULL_OPS)
+    _warm_up()
     payload = {
         "benchmark": "weak_scaling",
         "mode": "smoke" if smoke else "full",
