@@ -234,7 +234,7 @@ class DiskCache:
         try:
             self.root.mkdir(parents=True, exist_ok=True)
             # One json.dumps call takes the C encoder; json.dump would
-            # stream through the pure-Python one, about twice as slow.
+            # stream through the pure-Python one, several times slower.
             text = json.dumps(wrapper, separators=(",", ":"))
             with open(tmp, "w") as handle:
                 handle.write(text)

@@ -310,10 +310,10 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
     races, pointer overflow, coarse-group aliasing, set pile-ups) and runs
     each on a matrix: rows are IDEAL plus every requested organization,
     columns are the interpreter, the vector engine and the parallel
-    engine.  Interpreter cells are diffed against
-    IDEAL (observed data versions, the invariant suite, final
-    architectural state); fast-engine cells must match the interpreter
-    bit-for-bit, statistics included.  A divergence is delta-debugged
+    engine.  Interpreter cells are diffed against IDEAL (observed data
+    versions, the invariant suite, final architectural state);
+    fast-engine cells must match the interpreter bit-for-bit, statistics
+    included.  A divergence is delta-debugged
     down to a minimal program, serialized under the failure corpus and
     printed with a one-command reproduction line.  See docs/VERIFICATION.md.
     """

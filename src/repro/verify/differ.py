@@ -40,9 +40,9 @@ minimizer keys on, stay disjoint across columns.
 
 Fault injection: :data:`FAULTS` maps names to test-only mutations.  Each
 names what it corrupts — a built system or the derived transition tables
-— and with it the cells it reaches.  They exist
-to prove the harness *can* catch bugs.  The references always run clean:
-no cell is ever judged against a faulted cell.
+— and with it the cells it reaches.  They exist to prove the harness
+*can* catch bugs.  The references always run clean: no cell is ever
+judged against a faulted cell.
 """
 
 from __future__ import annotations
@@ -383,9 +383,9 @@ def execute_program(
     also runs the invariant suite every ``check_every`` ops (0 disables
     the cadence; the final check always runs).  ``parallel`` and
     ``interp-trace`` regroup it into per-core streams and run the whole
-    trace.  ``fault`` applies only to the
-    columns it corrupts.  Exceptions never escape: they are folded into
-    the result as a ``crash`` or ``invariant`` record.
+    trace.  ``fault`` applies only to the columns it corrupts.  Exceptions
+    never escape: they are folded into the result as a ``crash`` or
+    ``invariant`` record.
     """
     result = ExecutionResult(kind=config.directory.kind, column=column)
     if fault is not None and column not in fault.columns:
