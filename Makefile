@@ -27,9 +27,9 @@ quick-bench:
 bench-runner:
 	$(PYTHON) -m pytest benchmarks/bench_runner_scaling.py --benchmark-only
 
-# Weak-scaling sweep: vector vs bank-parallel engine throughput and
-# directory bytes/core at 16/64/256/1024 cores (writes BENCH_scaling.json;
-# see docs/PERFORMANCE.md).  Append `--smoke` by hand for a quick CI run.
+# Weak-scaling sweep: vector engine throughput and directory bytes/core
+# at 16/64/256/1024 cores (writes BENCH_scaling.json; see
+# docs/PERFORMANCE.md).  Append `--smoke` by hand for a quick CI run.
 bench-scaling:
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_scaling.py
 

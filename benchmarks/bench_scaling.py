@@ -4,12 +4,9 @@ The paper's scaling argument (§6) is about what happens to a directory as
 the machine grows; this benchmark makes the simulator itself answer at
 those sizes.  For each core count it runs the ``weakscale-like`` workload
 (fixed ops *per core*, so total work grows with the machine) through the
-serial vector engine and through the bank-parallel run-length batching
-engine (:mod:`repro.sim.parallel`), asserts the results are
-**bit-identical** — per-core cycles, the full statistics tree and the
-effective-tracking samples — and records:
+vector engine and records:
 
-* ``accesses_per_sec`` for each engine (simulator throughput), and
+* ``accesses_per_sec`` (simulator throughput), and
 * directory ``bytes_per_core`` from the storage model
   (:func:`repro.energy.area.storage_of`) for the full-bit-vector and the
   SCD-style hierarchical sharer formats — the O(N) vs O(sqrt(N) * log N)
@@ -56,13 +53,8 @@ from repro.workloads.suite import build_workload
 #: 1024 (its scaling-argument regime).
 SIZES = (16, 64, 256, 1024)
 
-#: Fixed work per core.  Long streams matter: the parallel engine pays a
-#: serial warmup crawl bounded by the slowest-warming core (see
-#: docs/PERFORMANCE.md), so full mode measures both ends — long streams
-#: (``FULL_OPS``) and a short-trace row (``SHORT_OPS``) that is nearly
-#: all warmup.
+#: Fixed work per core.
 FULL_OPS = 16000
-SHORT_OPS = 400
 SMOKE_OPS = 400
 
 KIND = DirectoryKind.STASH
@@ -85,16 +77,8 @@ def _commit():
         return None
 
 
-def _result_key(result):
-    return (
-        result.cycles_per_core,
-        sorted(result.stats.items()),
-        result.effective_tracking_samples,
-    )
-
-
 def measure_size(num_cores: int, ops_per_core: int) -> dict:
-    """One weak-scaling point: every engine, identity-checked, plus storage."""
+    """One weak-scaling point: vector throughput plus directory storage."""
     config = make_config(KIND, ratio=RATIO, num_cores=num_cores, seed=SEED)
     assert vector_supports(config) is None, num_cores
     trace = PackedTrace.from_trace(
@@ -105,25 +89,10 @@ def measure_size(num_cores: int, ops_per_core: int) -> dict:
     )
     total = trace.total_ops()
 
-    rates = {}
-    reference_key = None
-    runs = (
-        ("vector", dict(engine="vector")),
-        ("parallel", dict(engine="parallel")),
-    )
-    for name, kwargs in runs:
-        start = time.perf_counter()
-        result = run_trace(config, trace, **kwargs)
-        elapsed = time.perf_counter() - start
-        assert result.engine == kwargs["engine"], (num_cores, name)
-        key = _result_key(result)
-        if reference_key is None:
-            reference_key = key
-        else:
-            assert key == reference_key, (
-                f"{name} diverged from vector at {num_cores} cores"
-            )
-        rates[name] = round(total / elapsed, 1) if elapsed > 0 else None
+    start = time.perf_counter()
+    result = run_trace(config, trace, engine="vector")
+    elapsed = time.perf_counter() - start
+    assert result.engine == "vector", num_cores
 
     storage = {}
     for label, fmt in (
@@ -142,32 +111,24 @@ def measure_size(num_cores: int, ops_per_core: int) -> dict:
             ),
         }
 
-    vector_rate = rates["vector"]
-    parallel_rate = rates["parallel"]
     return {
         "ops_per_core": ops_per_core,
         "total_ops": total,
-        "accesses_per_sec": rates,
-        "parallel_speedup": (
-            round(parallel_rate / vector_rate, 3)
-            if vector_rate and parallel_rate else None
-        ),
+        "accesses_per_sec": round(total / elapsed, 1) if elapsed > 0 else None,
         "directory_storage": storage,
-        "bit_identical": True,  # asserted above, recorded for readers
     }
 
 
 def _warm_up() -> None:
-    """Run each engine once, untimed, on a tiny trace.
+    """Run the engine once, untimed, on a tiny trace.
 
-    The first run in a process pays one-time costs (the parallel engine's
-    numpy import among them, about 0.15 s) that would otherwise land on
-    the 16-core row, whose whole run takes about as long.
+    The first run in a process pays one-time costs (imports, the
+    transition-table derivation) that would otherwise land on the
+    16-core row.
     """
     config = make_config(KIND, ratio=RATIO, num_cores=SIZES[0], seed=SEED)
     trace = build_workload(WORKLOAD, SIZES[0], 50, seed=SEED)
-    for engine in ("vector", "parallel"):
-        run_trace(config, trace, engine=engine)
+    run_trace(config, trace, engine="vector")
 
 
 def run_report(smoke: bool = False, ops: int | None = None) -> dict:
@@ -177,6 +138,7 @@ def run_report(smoke: bool = False, ops: int | None = None) -> dict:
         "benchmark": "weak_scaling",
         "mode": "smoke" if smoke else "full",
         "workload": WORKLOAD,
+        "engine": "vector",
         "kind": KIND.value,
         "ratio": RATIO,
         "seed": SEED,
@@ -188,13 +150,6 @@ def run_report(smoke: bool = False, ops: int | None = None) -> dict:
             for num_cores in SIZES
         },
     }
-    if not smoke and ops != SHORT_OPS:
-        # The warmup-dominated end: short streams are where the serial
-        # warmup crawl used to eat the whole run.
-        payload["short_sizes"] = {
-            str(num_cores): measure_size(num_cores, SHORT_OPS)
-            for num_cores in SIZES
-        }
     return payload
 
 
@@ -207,10 +162,9 @@ def write_report(payload: dict, output: Path = OUTPUT) -> None:
 def test_weak_scaling(benchmark):
     """Measure the sweep, write BENCH_scaling.json, check the shape.
 
-    Host-independent claims: every size produced positive rates and
-    bit-identical results, hierarchical storage per core shrinks
-    relative to the full bit vector as the machine grows, and the
-    parallel engine beats the serial vector engine at 256 cores.
+    Host-independent claims: every size produced a positive rate, and
+    hierarchical storage per core shrinks relative to the full bit
+    vector as the machine grows.
     """
     from benchmarks.conftest import once
 
@@ -220,18 +174,13 @@ def test_weak_scaling(benchmark):
     ratios = []
     for num_cores in SIZES:
         row = payload["sizes"][str(num_cores)]
-        assert row["bit_identical"]
-        for rate in row["accesses_per_sec"].values():
-            assert rate and rate > 0, num_cores
+        assert row["accesses_per_sec"] and row["accesses_per_sec"] > 0, num_cores
         storage = row["directory_storage"]
         ratios.append(
             storage["hierarchical"]["bytes_per_core"]
             / storage["full_bit_vector"]["bytes_per_core"]
         )
     assert all(a > b for a, b in zip(ratios, ratios[1:]))
-    assert payload["sizes"]["256"]["parallel_speedup"] > 1.0
-    for row in payload["short_sizes"].values():
-        assert row["bit_identical"]
     assert json.loads(OUTPUT.read_text()) == payload
 
 
@@ -256,25 +205,16 @@ def main(argv=None) -> int:
     payload = run_report(smoke=args.smoke, ops=args.ops)
     write_report(payload, args.output)
     print(f"wrote {args.output}")
-    sections = [("sizes", "")]
-    if "short_sizes" in payload:
-        sections.append(("short_sizes", f" (short, {SHORT_OPS} ops/core)"))
-    for section, note in sections:
-        if note:
-            print(f" {note.strip()}")
-        for num_cores in SIZES:
-            row = payload[section][str(num_cores)]
-            rates = row["accesses_per_sec"]
-            storage = row["directory_storage"]
-            print(
-                f"  {num_cores:>5} cores:"
-                f"  vector {rates['vector']:>12,.0f} acc/s"
-                f"  parallel {rates['parallel']:>12,.0f}"
-                f"  ({row['parallel_speedup']:.2f}x)"
-                f"  dir B/core: fbv"
-                f" {storage['full_bit_vector']['bytes_per_core']:,.0f}"
-                f" / hier {storage['hierarchical']['bytes_per_core']:,.0f}"
-            )
+    for num_cores in SIZES:
+        row = payload["sizes"][str(num_cores)]
+        storage = row["directory_storage"]
+        print(
+            f"  {num_cores:>5} cores:"
+            f"  vector {row['accesses_per_sec']:>12,.0f} acc/s"
+            f"  dir B/core: fbv"
+            f" {storage['full_bit_vector']['bytes_per_core']:,.0f}"
+            f" / hier {storage['hierarchical']['bytes_per_core']:,.0f}"
+        )
     if payload["mode"] == "smoke":
         print("  (smoke mode: shape check only, not comparable)")
     return 0

@@ -106,14 +106,14 @@ class SweepPoint:
     silently skip the exports.  ``cache_key`` builds its payload from
     explicit fields, so plain points keep their existing cache keys.
 
-    ``engine`` selects the execution engine (``"interp"``, ``"vector"``
-    or ``"parallel"``, see :func:`repro.sim.simulator.run_trace`).  The
+    ``engine`` selects the execution engine (``"interp"`` or
+    ``"vector"``, see :func:`repro.sim.simulator.run_trace`).  The
     default, ``"vector"``, runs the flat engine on every configuration
     :func:`repro.sim.vector.vector_supports` accepts (all five evaluation
     organizations, without private L2s) and the interpreter on the rest.
-    The engines produce
-    bit-identical results, so a point is keyed and cached once whatever
-    engine computes it; ``result.engine`` records which engine did.
+    The engines produce bit-identical results, so a point is keyed and
+    cached once whatever engine computes it; ``result.engine`` records
+    which engine did.
     """
 
     workload: str

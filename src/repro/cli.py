@@ -114,11 +114,7 @@ def _simulate(config, trace, args: argparse.Namespace):
         out_prefix=getattr(args, "obs_out", None),
     )
     if args.engine != "interp" and not obs.enabled and not args.warmup:
-        result = run_trace(
-            config, trace, engine=args.engine,
-            epoch_ops=args.epoch_batch,
-        )
-        return result, None
+        return run_trace(config, trace, engine=args.engine), None
     system = build_system(config)
     observer = attach(system, obs)
     simulator = Simulator(system, warmup_ops=args.warmup, observer=observer)
@@ -309,11 +305,12 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
     Generates adversarial flat programs (eviction storms, stash/discovery
     races, pointer overflow, coarse-group aliasing, set pile-ups) and runs
     each on a matrix: rows are IDEAL plus every requested organization,
-    columns are the interpreter, the vector engine and the parallel
-    engine.  Interpreter cells are diffed against IDEAL (observed data
-    versions, the invariant suite, final architectural state);
-    fast-engine cells must match the interpreter bit-for-bit, statistics
-    included.  A divergence is delta-debugged
+    columns are the interpreter, the vector engine's flat machine op by
+    op, and the vector engine's run loop over the whole trace.
+    Interpreter cells are diffed against IDEAL (observed data versions,
+    the invariant suite, final architectural state); vector cells must
+    match the interpreter bit-for-bit, statistics included.  A divergence
+    is delta-debugged
     down to a minimal program, serialized under the failure corpus and
     printed with a one-command reproduction line.  See docs/VERIFICATION.md.
     """
@@ -557,15 +554,9 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--dram", action="store_true", help="use the banked DRAM model")
     run.add_argument("--moesi", action="store_true", help="run MOESI instead of MESI")
     run.add_argument(
-        "--engine", default="interp", choices=["interp", "vector", "parallel"],
-        help="execution engine (vector = flat table-driven engine, parallel "
-             "= run-length batching engine; bit-identical results, both fall "
-             "back when unsupported)",
-    )
-    run.add_argument(
-        "--epoch-batch", type=int, default=0, metavar="N",
-        help="fast-engine batch size: decode-epoch ops (vector) or "
-             "scan-window ops (parallel); 0 = engine default",
+        "--engine", default="interp", choices=["interp", "vector"],
+        help="execution engine (vector = flat table-driven engine; "
+             "bit-identical results, falls back when unsupported)",
     )
     run.add_argument(
         "--check-invariants", nargs="?", const=1024, type=int, default=0,
@@ -612,13 +603,8 @@ def build_parser() -> argparse.ArgumentParser:
     replay.add_argument("--seed", type=int, default=1)
     replay.add_argument("--warmup", type=int, default=0)
     replay.add_argument(
-        "--engine", default="interp", choices=["interp", "vector", "parallel"],
-        help="execution engine (vector = flat table-driven engine, "
-             "parallel = run-length batching engine)",
-    )
-    replay.add_argument(
-        "--epoch-batch", type=int, default=0, metavar="N",
-        help="fast-engine batch size in ops (0 = engine default)",
+        "--engine", default="interp", choices=["interp", "vector"],
+        help="execution engine (vector = flat table-driven engine)",
     )
     replay.add_argument(
         "--check-invariants", nargs="?", const=1024, type=int, default=0,

@@ -25,9 +25,9 @@ class SimulationResult:
     cycles_per_core: List[int]
     stats: Dict[str, float] = field(default_factory=dict)
     effective_tracking_samples: List[int] = field(default_factory=list)
-    #: Which engine produced the result ("interp", "vector" or
-    #: "parallel").  Excluded from equality: the engines' bit-identical-
-    #: output contract is stated as ``interp_result == vector_result``.
+    #: Which engine produced the result ("interp" or "vector").
+    #: Excluded from equality: the engines' bit-identical-output contract
+    #: is stated as ``interp_result == vector_result``.
     engine: str = field(default="interp", compare=False)
 
     # -- core performance metrics -------------------------------------------------

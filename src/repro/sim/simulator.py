@@ -206,7 +206,6 @@ def run_trace(
     system: Optional[CoherentSystem] = None,
     observer=None,
     engine: str = "interp",
-    epoch_ops: int = 0,
 ) -> SimulationResult:
     """Convenience one-shot: build the system (unless given) and run.
 
@@ -216,23 +215,20 @@ def run_trace(
     the same ``system`` when one is passed).
 
     ``engine`` selects the execution engine: ``"interp"`` (the controller
-    interpreter above), ``"vector"`` (the flat table-driven engine of
-    :mod:`repro.sim.vector`), or ``"parallel"`` (the run-length batching
-    engine of :mod:`repro.sim.parallel`).  ``epoch_ops`` sets the
-    scan-window / decode-batch size for both fast engines.  All three
-    produce bit-identical results for any window size;
-    ``"vector"`` and ``"parallel"`` fall back to the interpreter
-    transparently when the configuration is outside the flat model (see
+    interpreter above) or ``"vector"`` (the flat table-driven engine of
+    :mod:`repro.sim.vector`).  Both produce bit-identical results;
+    ``"vector"`` falls back to the interpreter transparently when the
+    configuration is outside the flat model (see
     :func:`repro.sim.vector.vector_supports`), when a pre-built ``system``
     or ``observer`` needs the live objects, or when the trace cannot be
     packed.  ``result.engine`` records which engine actually ran.
     """
-    if engine not in ("interp", "vector", "parallel"):
+    if engine not in ("interp", "vector"):
         raise TraceError(
-            f"unknown engine {engine!r} (expected 'interp', 'vector' or 'parallel')"
+            f"unknown engine {engine!r} (expected 'interp' or 'vector')"
         )
-    if engine in ("vector", "parallel") and system is None and observer is None:
-        from .vector import DEFAULT_EPOCH_OPS, VectorEngine, vector_supports
+    if engine == "vector" and system is None and observer is None:
+        from .vector import VectorEngine, vector_supports
 
         if vector_supports(config) is None:
             packed: Optional[PackedTrace]
@@ -241,12 +237,7 @@ def run_trace(
             except TraceError:
                 packed = None  # e.g. addresses beyond the packed range
             if packed is not None:
-                batch = epoch_ops if epoch_ops else DEFAULT_EPOCH_OPS
-                if engine == "parallel":
-                    from .parallel import ParallelEngine
-
-                    return ParallelEngine(config, epoch_ops=batch).run(packed)
-                return VectorEngine(config, epoch_ops=batch).run(packed)
+                return VectorEngine(config).run(packed)
     if system is None:
         system = build_system(config)
     return Simulator(system, observer=observer).run(trace)

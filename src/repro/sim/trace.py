@@ -304,38 +304,6 @@ class PackedTrace:
             trace.ops[core] = [(word >> 1, bool(word & 1)) for word in stream]
         return trace
 
-    def numpy_streams(self, packshift: int):
-        """Decode the packed streams into per-core numpy block/write arrays.
-
-        Returns ``(blk_arrs, wr_arrs, writes_total)`` where each core
-        contributes an ``int64`` block array and a ``uint8`` write-flag
-        array (``None`` for empty streams).  ``packshift`` is
-        ``log2(block_bytes) + 1`` — the block id is the packed word with
-        the write bit and the intra-block offset stripped.  This is the
-        native input of the batch engine (:mod:`repro.sim.parallel`):
-        run classification and warp commits index these arrays directly,
-        so the decode lives here with the packing format rather than in
-        the engine.
-        """
-        import numpy as np
-
-        blk_arrs: list = []
-        wr_arrs: list = []
-        writes_total = 0
-        for stream in self.streams:
-            if len(stream):
-                words = np.frombuffer(stream, dtype=np.uint64)
-                wr = (words & np.uint64(1)).astype(np.uint8)
-                writes_total += int(wr.sum())
-                blk_arrs.append(
-                    (words >> np.uint64(packshift)).astype(np.int64)
-                )
-                wr_arrs.append(wr)
-            else:
-                blk_arrs.append(None)
-                wr_arrs.append(None)
-        return blk_arrs, wr_arrs, writes_total
-
     # -- inspection ---------------------------------------------------------------
 
     def total_ops(self) -> int:

@@ -344,15 +344,6 @@ class _FlatMachine:
         self.writes_ct = 0
         self.latency_total = 0
 
-        # Optional scan-invalidation feed for the bank-parallel engine
-        # (repro.sim.parallel): when set to per-core lists, every slow-path
-        # event that removes or demotes a core's L1 line appends the block
-        # to that core's list.  A core's *own* fills and upgrades are not
-        # recorded — they can only turn predicted hits conservative (false
-        # run-enders), never unsafe.  ``None`` (the default) keeps the
-        # serial engines entirely hook-free.
-        self.touched: Optional[List[List[int]]] = None
-
     # -- NoC -------------------------------------------------------------------
 
     def _send(self, src: int, dst: int, ci: int) -> int:
@@ -620,8 +611,6 @@ class _FlatMachine:
                     worst = rt
                 removed = l1maps[target].pop(vaddr, None)
                 if removed is not None:
-                    if self.touched is not None:
-                        self.touched[target].append(vaddr)
                     p = removed[1]
                     l1_blocks[target][p] = -1
                     l1_occ[target][p // lways] -= 1
@@ -657,8 +646,6 @@ class _FlatMachine:
         rec = self.l1maps[core].pop(blk, None)
         if rec is None:
             return None
-        if self.touched is not None:
-            self.touched[core].append(blk)
         pos = rec[1]
         self.l1_blocks[core][pos] = -1
         self.l1_occ[core][pos // self.l1_ways] -= 1
@@ -808,8 +795,6 @@ class _FlatMachine:
                     vpos = pos
             vblk = blocks[vpos]
             vrec = lmap.pop(vblk)
-            if self.touched is not None:
-                self.touched[core].append(vblk)
             blocks[vpos] = -1
             occ[s] -= 1
             self.l1_removals[core] += 1
@@ -936,8 +921,6 @@ class _FlatMachine:
                     else:
                         was_dirty = orec[2]
                         version = orec[3]
-                        if self.touched is not None:
-                            self.touched[owner].append(blk)
                         if self.moesi and was_dirty:
                             if orec[0] == _ST_MODIFIED:
                                 orec[0] = _ST_OWNED
@@ -1022,8 +1005,6 @@ class _FlatMachine:
                     latency += lat_home[owner]
                     removed = self.l1maps[owner].pop(blk, None)
                     if removed is not None:
-                        if self.touched is not None:
-                            self.touched[owner].append(blk)
                         p = removed[1]
                         self.l1_blocks[owner][p] = -1
                         self.l1_occ[owner][p // lways] -= 1
@@ -1281,8 +1262,6 @@ class _FlatMachine:
                     worst = rt
                 removed = l1maps[target].pop(blk, None)
                 if removed is not None:
-                    if self.touched is not None:
-                        self.touched[target].append(blk)
                     p = removed[1]
                     l1_blocks[target][p] = -1
                     l1_occ[target][p // lways] -= 1
@@ -1397,8 +1376,6 @@ class _FlatMachine:
                     nf[_INV_ACK] += h
                     removed = l1maps[target].pop(vblk, None)
                     if removed is not None:
-                        if self.touched is not None:
-                            self.touched[target].append(vblk)
                         p = removed[1]
                         l1_blocks[target][p] = -1
                         l1_occ[target][p // lways] -= 1
@@ -1495,8 +1472,6 @@ class _FlatMachine:
             was_dirty = orec[2]
             version = orec[3]
             if demand == 0:
-                if self.touched is not None:
-                    self.touched[dst].append(blk)
                 orec[0] = _ST_SHARED
                 orec[2] = 0
             else:

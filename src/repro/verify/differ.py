@@ -21,9 +21,10 @@ are directory kinds, IDEAL included; its :data:`COLUMNS` are engines:
   machine (:func:`repro.sim.vector.flat_machine`).  The per-op versions,
   the final state and the full statistics tree must equal the clean
   interp cell of the same kind.
-* ``parallel`` — the program is regrouped into per-core streams
-  (per-core order kept) and runs end to end on the run-length batching
-  engine (:mod:`repro.sim.parallel`).  Per-core cycles, the full
+* ``vector-trace`` — the program is regrouped into per-core streams
+  (per-core order kept) and runs end to end through
+  :meth:`repro.sim.vector.VectorEngine.run`, the inlined hit loop and
+  core interleave every sweep runs.  Per-core cycles, the full
   statistics tree and the effective-tracking samples must equal the
   interpreter's run of the same whole trace.
 
@@ -34,9 +35,9 @@ A :class:`Divergence` names the kind, a category and the first offending
 operation where one applies.  Interp cells report ``crash``,
 ``invariant``, ``value``, ``final-state`` and ``stats``, and Tardis's
 oracle ``tardis-write``, ``tardis-value`` and ``tardis-stale``.  Fast
-cells prefix their category with ``engine-`` (vector) or ``parallel-``,
-so failure-corpus signatures, the ``(kind, category)`` pairs the
-minimizer keys on, stay disjoint across columns.
+cells prefix their category with ``engine-`` (vector) or ``trace-``
+(vector-trace), so failure-corpus signatures, the ``(kind, category)``
+pairs the minimizer keys on, stay disjoint across columns.
 
 Fault injection: :data:`FAULTS` maps names to test-only mutations.  Each
 names what it corrupts — a built system or the derived transition tables
@@ -69,28 +70,27 @@ from ..directory.sharers import CoarseVector, LimitedPointer
 from ..sim.simulator import run_trace
 from ..sim.system import build_system
 from ..sim.trace import FlatOp, PackedTrace
-from ..sim.vector import flat_machine, vector_supports
+from ..sim.vector import VectorEngine, flat_machine, vector_supports
 
 #: Rows the matrix runs by default: every directory kind, IDEAL included.
 DEFAULT_FUZZ_KINDS = tuple(DirectoryKind)
 
 #: The judged columns, in the order a row runs them.
-COLUMNS = ("interp", "vector", "parallel")
+COLUMNS = ("interp", "vector", "vector-trace")
 
-#: The interpreter on the whole regrouped trace: the parallel column's
-#: reference, never judged itself.
+#: The interpreter on the whole regrouped trace: the vector-trace
+#: column's reference, never judged itself.
 _WHOLE_TRACE_REFERENCE = "interp-trace"
 
 #: Category prefix of each column's divergences.
 _PREFIX = {
     "interp": "",
     "vector": "engine-",
-    "parallel": "parallel-",
+    "vector-trace": "trace-",
 }
 
-#: The parallel engine's scan window: tiny, so a few hundred ops cross
-#: many windows (stale-snapshot revalidation, window refills and warp
-#: commits all fire).
+#: The vector-trace column's decode batch: tiny, so a few hundred ops
+#: cross many batch refills.
 _EPOCH_OPS = 96
 
 
@@ -181,7 +181,7 @@ def make_fuzz_config(kind: DirectoryKind, options: RunOptions) -> SystemConfig:
 #: interp cell, the reference of every other interp cell.
 _FAULT_COLUMNS = {
     "system": ("interp",),
-    "tables": ("vector", "parallel"),
+    "tables": ("vector", "vector-trace"),
 }
 
 
@@ -381,7 +381,7 @@ def execute_program(
 
     ``interp`` and ``vector`` replay the program op by op; ``interp``
     also runs the invariant suite every ``check_every`` ops (0 disables
-    the cadence; the final check always runs).  ``parallel`` and
+    the cadence; the final check always runs).  ``vector-trace`` and
     ``interp-trace`` regroup it into per-core streams and run the whole
     trace.  ``fault`` applies only to the columns it corrupts.  Exceptions
     never escape: they are folded into the result as a ``crash`` or
@@ -428,10 +428,7 @@ def execute_program(
             if column == _WHOLE_TRACE_REFERENCE:
                 run = run_trace(config, trace, engine="interp")
             else:
-                # Imported here so numpy loads only when a parallel cell runs.
-                from ..sim.parallel import ParallelEngine
-
-                run = ParallelEngine(
+                run = VectorEngine(
                     config, tables=tables, epoch_ops=_EPOCH_OPS
                 ).run(trace)
             result.cycles = list(run.cycles_per_core)

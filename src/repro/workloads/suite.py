@@ -204,7 +204,7 @@ SUITE: Dict[str, WorkloadSpec] = {
             patterns.private_working_set,
             # Uniform draws over an L1-resident set: every block is touched
             # early (coupon-collector warmup), then the steady state is
-            # event-free — the regime where run-length batching pays.
+            # event-free.
             {"ws_blocks": 64, "write_frac": 0.25, "zipf_alpha": 0.0},
         ),
     ]

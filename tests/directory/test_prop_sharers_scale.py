@@ -1,6 +1,6 @@
 """Property tests for sharer representations at scaling-regime core counts.
 
-The bank-parallel scaling work pushes configurations to 1024 cores, where
+The weak-scaling benchmark pushes configurations to 1024 cores, where
 the sharer format is what decides whether directory state stays affordable
 (the paper's §6 scaling argument, and SCD's two-level encoding for the
 hierarchical format).  These tests pin, for N from 16 to 1024 and for

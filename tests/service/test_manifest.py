@@ -98,6 +98,7 @@ class TestRejection:
             ({"factors": {"ratio": [-1.0]}}, "ratio levels"),
             ({"factors": {"ops": [0]}}, "ops levels"),
             ({"factors": {"engine": ["warp"]}}, "unknown engine"),
+            ({"factors": {"engine": ["parallel"]}}, "unknown engine"),
             ({"factors": {"seed": ["one"]}}, "seed levels"),
             ({"replicates": 0}, "'replicates'"),
             ({"seed_stride": 0}, "'seed_stride'"),

@@ -27,6 +27,12 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "--workload", "nope"])
 
+    def test_rejects_the_deleted_parallel_engine(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(["run", "--engine", "parallel"])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'parallel'" in capsys.readouterr().err
+
     def test_rejects_unknown_experiment(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["experiment", "F99"])
@@ -49,7 +55,7 @@ class TestParser:
 
     def test_building_the_parser_skips_the_verifier(self):
         # Every command builds the parser; only `repro fuzz` needs the
-        # differ, numpy and the vector engine behind repro.verify.
+        # differ and the vector engine behind repro.verify.
         program = (
             "import sys\n"
             "from repro.cli import build_parser\n"
@@ -208,7 +214,7 @@ class TestFuzz:
         code = main(["fuzz", "--ops", "80", "--seeds", "2"])
         assert code == 0
         out = capsys.readouterr().out
-        assert "cells per column: interp 16, vector 10, parallel 10\n" in out
+        assert "cells per column: interp 16, vector 10, vector-trace 10\n" in out
         assert "every engine with the interpreter bit-for-bit" in out
 
     def test_fuzz_engine_fault_caught_minimized_replayed(

@@ -1,4 +1,4 @@
-"""Every repro module but the parallel engine imports without numpy."""
+"""Every repro module imports without numpy."""
 
 from __future__ import annotations
 
@@ -10,25 +10,23 @@ from pathlib import Path
 import repro
 
 
-def test_every_module_but_the_parallel_engine_imports_without_numpy():
+def test_every_module_imports_without_numpy():
     """A fresh interpreter with numpy blocked imports the whole package.
 
-    ``repro.sim.parallel`` is the one numpy user and is left out (it must
-    fail, which shows the block works); ``repro.__main__`` runs the CLI.
+    ``repro.__main__`` runs the CLI, so it is left out.
     """
     program = (
         "import importlib, pkgutil, sys\n"
         "sys.modules['numpy'] = None\n"
         "import repro\n"
-        "skip = {'repro.sim.parallel', 'repro.__main__'}\n"
         "names = [info.name for info in pkgutil.walk_packages(\n"
-        "    repro.__path__, prefix='repro.') if info.name not in skip]\n"
+        "    repro.__path__, prefix='repro.') if info.name != 'repro.__main__']\n"
         "for name in names:\n"
         "    importlib.import_module(name)\n"
         "try:\n"
-        "    importlib.import_module('repro.sim.parallel')\n"
+        "    import numpy\n"
         "except ImportError:\n"
-        "    print('parallel blocked')\n"
+        "    print('numpy blocked')\n"
         "print(len(names), 'imported')\n"
     )
     src = Path(repro.__file__).resolve().parents[1]
@@ -40,5 +38,5 @@ def test_every_module_but_the_parallel_engine_imports_without_numpy():
     )
     assert child.returncode == 0, child.stderr
     blocked, imported = child.stdout.splitlines()
-    assert blocked == "parallel blocked"
+    assert blocked == "numpy blocked"
     assert int(imported.split()[0]) > 40

@@ -165,7 +165,7 @@ class TestFaultDetection:
         assert divergences.cells["vector"] == 5  # every flat kind
         assert not [
             d for d in divergences
-            if d.category.startswith(("engine-", "parallel-"))
+            if d.category.startswith(("engine-", "trace-"))
         ]
 
 

@@ -1,4 +1,4 @@
-"""The matrix's fast columns: vector and parallel vs the interpreter."""
+"""The matrix's fast columns: vector and vector-trace vs the interpreter."""
 
 import inspect
 import textwrap
@@ -16,7 +16,7 @@ from repro.common.errors import ProtocolError
 from repro.common.mesi import CoherenceProtocol
 from repro.common.rng import DeterministicRng
 from repro.sim import vector
-from repro.sim.vector import _CuckooMachine
+from repro.sim.vector import VectorEngine, _CuckooMachine
 from repro.verify import (
     FAULTS,
     RunOptions,
@@ -55,7 +55,7 @@ class TestCleanAgreement:
         assert divergences == []
         rows = len(FLAT_KINDS)
         assert divergences.cells == {
-            "interp": rows, "vector": rows, "parallel": rows,
+            "interp": rows, "vector": rows, "vector-trace": rows,
         }
 
     def test_engines_agree_on_mixed_program(self):
@@ -105,7 +105,7 @@ class TestVectorExecution:
 
     def test_out_of_range_core_is_crash_not_raise(self):
         config = make_fuzz_config(DirectoryKind.SPARSE, RunOptions(num_cores=4))
-        for column in ("vector", "parallel"):
+        for column in ("vector", "vector-trace"):
             result = execute_program([(7, 1, True)], config, column=column)
             assert not result.ok
             assert result.error_category == "crash"
@@ -135,7 +135,7 @@ class TestFaultDetection:
         )
         assert divergences
         assert all(
-            d.category.startswith(("engine-", "parallel-")) for d in divergences
+            d.category.startswith(("engine-", "trace-")) for d in divergences
         )
 
     def test_corrupted_table_fails_validation_too(self):
@@ -235,3 +235,18 @@ class TestFlatModelMutations:
         monkeypatch.setattr(vector, "scd_lines", lambda mask: 1)
         self.assert_caught_on(DirectoryKind.SCD)
 
+
+    def test_run_loop_dropping_the_dirty_bit_is_caught(self, monkeypatch):
+        # Mutate the engine's inlined hit loop: a silent E->M upgrade no
+        # longer marks the line dirty.  Only the vector-trace column runs
+        # that loop; the vector column replays through the flat machine.
+        source = textwrap.dedent(inspect.getsource(VectorEngine.run))
+        assert source.count("rec[2] = 1") == 1
+        namespace = dict(vars(vector))
+        exec(source.replace("rec[2] = 1", "pass"), namespace)
+        monkeypatch.setattr(VectorEngine, "run", namespace["run"])
+        divergences = run_differential(
+            self.PROGRAM, kinds=FLAT_KINDS, options=RunOptions()
+        )
+        assert divergences
+        assert all(d.category.startswith("trace-") for d in divergences)

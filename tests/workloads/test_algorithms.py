@@ -66,8 +66,8 @@ class TestRegionDisjointness:
     @pytest.mark.parametrize("cores", [16, 128, 1024])
     def test_private_regions_never_cross(self, generator, cores):
         # Region slots below num_cores are private; a core must never
-        # touch another core's private slot, at any scale the bank-
-        # parallel engine sweeps.
+        # touch another core's private slot, at any scale the weak-
+        # scaling benchmark sweeps.
         ops = 64 if cores >= 128 else 200
         trace = generator(cores, ops, rng()).to_trace()
         for core in range(cores):

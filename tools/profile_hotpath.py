@@ -11,7 +11,7 @@ statistics on the pipeline::
     python tools/profile_hotpath.py cuckoo --sort cumtime
     python tools/profile_hotpath.py sparse --ops 6000 --callers
     python tools/profile_hotpath.py stash --cores 256 \
-        --workload weakscale-like --engine parallel   # scaling regime
+        --workload weakscale-like --engine vector     # scaling regime
 
 Interpreting the output: the top entries should be the simulator run loop,
 ``CacheArray.lookup``, ``Network.send`` and the L1/home controllers.  Red
@@ -81,11 +81,11 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--cores", type=int, default=0,
         help="core count (0 = the default 16-core evaluation machine); "
-             "scaling-regime profiles pair this with --engine parallel",
+             "scaling-regime profiles pair this with --engine vector",
     )
     parser.add_argument(
         "--engine", default="interp",
-        choices=["interp", "vector", "parallel"],
+        choices=["interp", "vector"],
         help="execution engine to profile",
     )
     parser.add_argument("--top", type=int, default=25, help="rows to print")
