@@ -21,9 +21,11 @@ Run standalone::
     python benchmarks/bench_scaling.py           # full measurement
     python benchmarks/bench_scaling.py --smoke   # CI smoke (short traces)
 
-or through pytest (``make bench-scaling``)::
+or through pytest, which also checks the report's shape::
 
     pytest benchmarks/bench_scaling.py --benchmark-only
+
+``make bench-scaling`` runs the full measurement standalone.
 """
 
 from __future__ import annotations

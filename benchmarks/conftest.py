@@ -5,8 +5,8 @@ experiment index, one case per id, prints it (bypassing pytest's capture
 so the report lands in the terminal / CI log) and asserts its claim.
 Simulation results are memoized process-wide, so cases that share sweep
 points do not re-simulate them.  ``bench_runner_scaling.py`` times the
-sweep pool at 1, 2 and 4 workers, and ``bench_scaling.py`` the engines
-and the directory storage model at 16 to 1024 cores.
+sweep pool at 1, 2 and 4 workers, and ``bench_scaling.py`` the vector
+engine and the directory storage model at 16 to 1024 cores.
 
 Run with::
 

@@ -310,9 +310,9 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
     Interpreter cells are diffed against IDEAL (observed data versions,
     the invariant suite, final architectural state); vector cells must
     match the interpreter bit-for-bit, statistics included.  A divergence
-    is delta-debugged
-    down to a minimal program, serialized under the failure corpus and
-    printed with a one-command reproduction line.  See docs/VERIFICATION.md.
+    is delta-debugged down to a minimal program, serialized under the
+    failure corpus and printed with a one-command reproduction line.  See
+    docs/VERIFICATION.md.
     """
     from collections import Counter
 

@@ -98,7 +98,6 @@ class TestRejection:
             ({"factors": {"ratio": [-1.0]}}, "ratio levels"),
             ({"factors": {"ops": [0]}}, "ops levels"),
             ({"factors": {"engine": ["warp"]}}, "unknown engine"),
-            ({"factors": {"engine": ["parallel"]}}, "unknown engine"),
             ({"factors": {"seed": ["one"]}}, "seed levels"),
             ({"replicates": 0}, "'replicates'"),
             ({"seed_stride": 0}, "'seed_stride'"),
@@ -108,6 +107,7 @@ class TestRejection:
             ({"config": {"sharer_format": "morse"}}, "unknown sharer_format"),
             ({"observe": {"trace": 1}}, "only the 'epoch' key"),
             ({"observe": {"epoch": -1}}, "'observe.epoch'"),
+            ({"factors": {"engine": ["parallel"]}}, "unknown engine"),
         ],
     )
     def test_invalid_manifest_raises(self, data, match):

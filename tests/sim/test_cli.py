@@ -27,7 +27,7 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "--workload", "nope"])
 
-    def test_rejects_the_deleted_parallel_engine(self, capsys):
+    def test_run_rejects_parallel_engine(self, capsys):
         with pytest.raises(SystemExit) as exit_info:
             build_parser().parse_args(["run", "--engine", "parallel"])
         assert exit_info.value.code == 2
