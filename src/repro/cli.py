@@ -100,8 +100,8 @@ def _add_obs_args(parser: argparse.ArgumentParser) -> None:
 def _simulate(config, trace, args: argparse.Namespace):
     """Run ``trace`` on the engine the flags pick; returns (result, observer).
 
-    The fast engines need no :class:`CoherentSystem`, so one is built only
-    when the interpreter runs: ``--engine interp``, ``--warmup``, or any
+    The vector engine needs no :class:`CoherentSystem`, so one is built
+    only when the interpreter runs: ``--engine interp``, ``--warmup``, or any
     observer flag.  ``run_trace`` still falls back to the interpreter
     transparently when the config is outside the flat model.
     """

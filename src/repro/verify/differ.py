@@ -2,8 +2,8 @@
 
 The IDEAL directory (infinite duplicate-tag, no conflicts) defines the
 architectural contract: every other organization may differ in *latency*
-and *traffic* but never in the values a program observes.  The fast
-engines carry a stricter contract: they must reproduce the interpreter
+and *traffic* but never in the values a program observes.  The vector
+engine carries a stricter contract: it must reproduce the interpreter
 bit-for-bit, statistics included.  :func:`run_differential` checks both
 on one flat program (one global operation order) as a matrix.  Its rows
 are directory kinds, IDEAL included; its :data:`COLUMNS` are engines:
@@ -290,7 +290,7 @@ def _inject_ts_rollover(system: CoherentSystem) -> None:
 
 def _corrupt_e_write_cell(tables: L1Tables) -> L1Tables:
     # Cell 5 = (EXCLUSIVE, write): the silent E->M upgrade becomes a plain
-    # read hit, so the fast engines lose a version mint the interpreter
+    # read hit, so both vector columns lose a version mint the interpreter
     # performs — the signature of a mis-generated table.
     return corrupt_l1_tables(tables, cell=5)
 

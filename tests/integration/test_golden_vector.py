@@ -122,7 +122,7 @@ def test_vector_1024core_bit_identical():
 
 
 def test_contended_locks_bit_identical():
-    """Heavy contention: nearly every op on ``locks-like`` is a slow event."""
+    """Heavy contention: over half the ops on this trace miss or upgrade."""
     config = make_config(DirectoryKind.STASH, 0.125, num_cores=16, seed=1)
     trace = PackedTrace.from_trace(build_workload("locks-like", 16, 1200, seed=1))
     vector = run_trace(config, trace, engine="vector")
