@@ -6,15 +6,22 @@ those sizes.  For each core count it runs the ``weakscale-like`` workload
 (fixed ops *per core*, so total work grows with the machine) through the
 vector engine and records:
 
-* ``accesses_per_sec`` (simulator throughput), and
+* ``seconds`` and ``accesses_per_sec`` (simulator throughput), and
 * directory ``bytes_per_core`` from the storage model
   (:func:`repro.energy.area.storage_of`) for the full-bit-vector and the
   SCD-style hierarchical sharer formats — the O(N) vs O(sqrt(N) * log N)
   storage story that motivates the scaling work.
 
+weakscale-like is a lockstep-hit shape: past its cold start nearly every
+op hits.  One more row runs a miss-bound paper workload, canneal-like at
+256 cores x 1000 ops/core, on stash@1/8 and sparse@1/8 (``paper_workload``
+in the report), where directory conflicts and discovery set the pace.
+
 The report lands in ``BENCH_scaling.json`` at the repository root, with
-the host and the commit it ran on.  Full mode is the comparable one;
-``--smoke`` shrinks traces for CI shape-checking.
+the host and the commit it ran on, and its table is rewritten between
+the ``bench_scaling`` marker comments of ``docs/PERFORMANCE.md``.  Full
+mode is the comparable one; ``--smoke`` shrinks every trace by the same
+factor for CI shape-checking.
 
 Run standalone::
 
@@ -37,6 +44,7 @@ import platform
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 _SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -64,8 +72,18 @@ RATIO = 0.125
 SEED = 1
 WORKLOAD = "weakscale-like"
 
+#: The miss-bound paper-workload row; its ops per core shrink with the
+#: weak-scaling rows' (1000 at FULL_OPS).
+PAPER_WORKLOAD = "canneal-like"
+PAPER_CORES = 256
+PAPER_OPS = 1000
+PAPER_KINDS = (DirectoryKind.STASH, DirectoryKind.SPARSE)
+
 ROOT = Path(__file__).resolve().parents[1]
 OUTPUT = ROOT / "BENCH_scaling.json"
+DOC = ROOT / "docs" / "PERFORMANCE.md"
+DOC_BEGIN = "<!-- bench_scaling table: begin (generated from BENCH_scaling.json) -->"
+DOC_END = "<!-- bench_scaling table: end -->"
 
 
 def _commit():
@@ -79,22 +97,34 @@ def _commit():
         return None
 
 
-def measure_size(num_cores: int, ops_per_core: int) -> dict:
-    """One weak-scaling point: vector throughput plus directory storage."""
-    config = make_config(KIND, ratio=RATIO, num_cores=num_cores, seed=SEED)
-    assert vector_supports(config) is None, num_cores
-    trace = PackedTrace.from_trace(
-        build_workload(
-            WORKLOAD, num_cores, ops_per_core,
-            seed=SEED, block_bytes=config.block_bytes,
-        )
-    )
-    total = trace.total_ops()
-
+def _timed_run(config, trace) -> dict:
+    """Seconds and accesses/s of one vector-engine run."""
+    assert vector_supports(config) is None, config.describe()
     start = time.perf_counter()
     result = run_trace(config, trace, engine="vector")
     elapsed = time.perf_counter() - start
-    assert result.engine == "vector", num_cores
+    assert result.engine == "vector", config.describe()
+    total = trace.total_ops()
+    return {
+        "seconds": round(elapsed, 3),
+        "accesses_per_sec": round(total / elapsed, 1) if elapsed > 0 else None,
+    }
+
+
+def _trace(workload: str, config, ops_per_core: int) -> PackedTrace:
+    return PackedTrace.from_trace(
+        build_workload(
+            workload, config.num_cores, ops_per_core,
+            seed=SEED, block_bytes=config.block_bytes,
+        )
+    )
+
+
+def measure_size(num_cores: int, ops_per_core: int) -> dict:
+    """One weak-scaling point: vector throughput plus directory storage."""
+    config = make_config(KIND, ratio=RATIO, num_cores=num_cores, seed=SEED)
+    trace = _trace(WORKLOAD, config, ops_per_core)
+    timing = _timed_run(config, trace)
 
     storage = {}
     for label, fmt in (
@@ -115,9 +145,29 @@ def measure_size(num_cores: int, ops_per_core: int) -> dict:
 
     return {
         "ops_per_core": ops_per_core,
-        "total_ops": total,
-        "accesses_per_sec": round(total / elapsed, 1) if elapsed > 0 else None,
+        "total_ops": trace.total_ops(),
+        **timing,
         "directory_storage": storage,
+    }
+
+
+def measure_paper_workload(ops_per_core: int) -> dict:
+    """The miss-bound row: one trace, one vector run per directory kind."""
+    configs = [
+        make_config(kind, ratio=RATIO, num_cores=PAPER_CORES, seed=SEED)
+        for kind in PAPER_KINDS
+    ]
+    trace = _trace(PAPER_WORKLOAD, configs[0], ops_per_core)
+    return {
+        "workload": PAPER_WORKLOAD,
+        "cores": PAPER_CORES,
+        "ops_per_core": ops_per_core,
+        "total_ops": trace.total_ops(),
+        "ratio": RATIO,
+        "kinds": {
+            config.directory.kind.value: _timed_run(config, trace)
+            for config in configs
+        },
     }
 
 
@@ -151,12 +201,62 @@ def run_report(smoke: bool = False, ops: int | None = None) -> dict:
             str(num_cores): measure_size(num_cores, ops)
             for num_cores in SIZES
         },
+        "paper_workload": measure_paper_workload(
+            max(1, PAPER_OPS * ops // FULL_OPS)
+        ),
     }
     return payload
 
 
+def _directory(kind: str, ratio: float) -> str:
+    return f"{kind}@{Fraction(ratio).limit_denominator()}"
+
+
+def render_table(payload: dict) -> str:
+    """The report as the markdown block docs/PERFORMANCE.md shows."""
+    commit = (payload["commit"] or "unknown")[:7]
+    lines = [
+        f"One {payload['mode']}-mode run on a {payload['cpu_count']}-CPU host "
+        f"(Python {payload['python']}, commit `{commit}`).",
+        "",
+        "| workload | cores | ops/core | directory | seconds | vector acc/s "
+        "| dir B/core fbv | hier |",
+        "|---|---:|---:|---|---:|---:|---:|---:|",
+    ]
+    for num_cores, row in payload["sizes"].items():
+        storage = row["directory_storage"]
+        lines.append(
+            f"| {payload['workload']} | {num_cores} | {row['ops_per_core']:,} "
+            f"| {_directory(payload['kind'], payload['ratio'])} "
+            f"| {row['seconds']:.2f} | {row['accesses_per_sec']:,.0f} "
+            f"| {storage['full_bit_vector']['bytes_per_core']:,.0f} "
+            f"| {storage['hierarchical']['bytes_per_core']:,.0f} |"
+        )
+    paper = payload["paper_workload"]
+    for kind, row in paper["kinds"].items():
+        lines.append(
+            f"| {paper['workload']} | {paper['cores']} "
+            f"| {paper['ops_per_core']:,} | {_directory(kind, paper['ratio'])} "
+            f"| {row['seconds']:.2f} | {row['accesses_per_sec']:,.0f} | | |"
+        )
+    return "\n".join(lines) + "\n"
+
+
+def doc_table(text: str) -> str:
+    """The block between the marker comments of ``text``."""
+    begin = text.index(DOC_BEGIN) + len(DOC_BEGIN) + 1
+    return text[begin : text.index(DOC_END, begin)]
+
+
 def write_report(payload: dict, output: Path = OUTPUT) -> None:
+    """Write the report; the committed one also regenerates the doc table."""
     output.write_text(json.dumps(payload, indent=1) + "\n")
+    if output.resolve() == OUTPUT:
+        text = DOC.read_text()
+        old = doc_table(text)
+        DOC.write_text(text.replace(
+            DOC_BEGIN + "\n" + old, DOC_BEGIN + "\n" + render_table(payload), 1
+        ))
 
 
 # ---------------------------------------------------------------- pytest entry
@@ -164,9 +264,9 @@ def write_report(payload: dict, output: Path = OUTPUT) -> None:
 def test_weak_scaling(benchmark):
     """Measure the sweep, write BENCH_scaling.json, check the shape.
 
-    Host-independent claims: every size produced a positive rate, and
-    hierarchical storage per core shrinks relative to the full bit
-    vector as the machine grows.
+    Host-independent claims: every size and every kind of the
+    paper-workload row produced a positive rate, and hierarchical storage
+    per core shrinks relative to the full bit vector as the machine grows.
     """
     from benchmarks.conftest import once
 
@@ -183,7 +283,12 @@ def test_weak_scaling(benchmark):
             / storage["full_bit_vector"]["bytes_per_core"]
         )
     assert all(a > b for a, b in zip(ratios, ratios[1:]))
+    paper = payload["paper_workload"]
+    assert set(paper["kinds"]) == {kind.value for kind in PAPER_KINDS}
+    for kind, row in paper["kinds"].items():
+        assert row["accesses_per_sec"] and row["accesses_per_sec"] > 0, kind
     assert json.loads(OUTPUT.read_text()) == payload
+    assert doc_table(DOC.read_text()) == render_table(payload)
 
 
 # ---------------------------------------------------------------- CLI entry
@@ -196,7 +301,8 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--ops", type=int, default=None,
-        help="override ops per core",
+        help="override weak-scaling ops per core (the paper-workload row "
+        "scales with it)",
     )
     parser.add_argument(
         "--output", type=Path, default=OUTPUT,
@@ -216,6 +322,13 @@ def main(argv=None) -> int:
             f"  dir B/core: fbv"
             f" {storage['full_bit_vector']['bytes_per_core']:,.0f}"
             f" / hier {storage['hierarchical']['bytes_per_core']:,.0f}"
+        )
+    paper = payload["paper_workload"]
+    for kind, row in paper["kinds"].items():
+        print(
+            f"  {paper['workload']} {paper['cores']} x {paper['ops_per_core']}"
+            f" {_directory(kind, paper['ratio'])}:"
+            f"  {row['seconds']:.2f} s, {row['accesses_per_sec']:,.0f} acc/s"
         )
     if payload["mode"] == "smoke":
         print("  (smoke mode: shape check only, not comparable)")

@@ -181,6 +181,20 @@ class DirectoryConfig:
         return sets * self.ways
 
 
+def _check_cycles(config, names) -> None:
+    """Each field in ``names`` must be a non-negative ``int`` cycle count.
+
+    A fraction made the engines disagree (the interpreter truncates its
+    per-core cycles), and the vector engine's heap keys are ints.
+    """
+    for name in names:
+        value = getattr(config, name)
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ConfigError(f"{name} must be an int cycle count, got {value!r}")
+        if value < 0:
+            raise ConfigError(f"{name} must be non-negative")
+
+
 @dataclass(frozen=True)
 class NoCConfig:
     """2-D mesh network model.
@@ -198,8 +212,7 @@ class NoCConfig:
     def __post_init__(self) -> None:
         if self.mesh_width < 1 or self.mesh_height < 1:
             raise ConfigError("mesh dimensions must be >= 1")
-        if self.hop_cycles < 0 or self.router_cycles < 0:
-            raise ConfigError("NoC latencies must be non-negative")
+        _check_cycles(self, ("hop_cycles", "router_cycles"))
 
     @property
     def nodes(self) -> int:
@@ -223,12 +236,10 @@ class TimingConfig:
     home_occupancy: int = 0
 
     def __post_init__(self) -> None:
-        for name in (
+        _check_cycles(self, (
             "l1_hit", "l2_hit", "llc_access", "directory_access",
             "memory_latency", "home_occupancy",
-        ):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be non-negative")
+        ))
         if self.core_fixed_cpi < 0:
             raise ConfigError("core_fixed_cpi must be non-negative")
 

@@ -15,7 +15,7 @@ the interleave loop splits each raw word with one shift and one mask.
 The contract is the golden one: per-core cycle counts, the full flattened
 statistics tree, observed data versions and effective-tracking samples are
 **bit-identical** to the interpreter for every supported configuration.
-Three structural tricks make the fast path cheap without breaking that
+Four structural tricks make the fast path cheap without breaking that
 contract:
 
 * **One global LRU tick.**  The interpreter keeps one monotone clock per
@@ -28,11 +28,17 @@ contract:
   whose write bit is set (one C-level byte pass per stream) and ``reads``
   the rest, ``l1_hits`` is
   ``accesses - l1_misses - upgrade_misses``, and ``latency_total`` is
-  recovered from the final core clocks (all latencies are integers when
-  ``core_fixed_cpi`` is integral, so the arithmetic is exact).
+  recovered from the final core clocks.  Clocks are ints by construction
+  (configs take only ``int`` cycle counts, and :func:`vector_supports`
+  refuses a fractional ``core_fixed_cpi``), so the arithmetic is exact.
 * **Scalar slow path.**  Rare events — misses, upgrades, evictions, stash
   discovery, sharer-pointer overflow — run in ordinary Python over the
   same flat state, replicating the interpreter's exact decision order.
+* **A cheap core switch.**  The interleave keeps the interpreter's
+  ``(clock, core)`` order with one int heap key per waiting core, ``clock
+  << shift | core``.  The running core turns the heap head into one clock
+  bound per slice, tests only ``clock > bound`` after each op, resumes its
+  decoded slice as a list iterator, and yields with one ``heapreplace``.
 
 Every organization the paper's figures compare has a flat directory
 model: the set-associative sparse and stash directories, the ideal
@@ -83,6 +89,9 @@ DEFAULT_EPOCH_OPS = 8192
 # even bytes from a stream's low bytes leaves one byte per write.
 _LOW_BYTE = 0 if sys.byteorder == "little" else 7
 _EVEN_BYTES = bytes(range(0, 256, 2))
+
+# The clock bound of a core that runs alone: no clock passes it.
+_NEVER = float("inf")
 
 #: Directory kinds with a flat model: every organization the paper's
 #: figures compare.  Adaptive stash, in-LLC and Tardis fall back to the
@@ -163,8 +172,8 @@ def vector_supports(config: SystemConfig) -> Optional[str]:
 def flat_machine(config: SystemConfig, tables: Optional[L1Tables] = None):
     """Build the flat machine for ``config``'s directory organization.
 
-    Both flat engines run on it, and the fuzzer's vector column drives it
-    op by op.
+    The vector engine runs on it, and the fuzzer's vector column drives
+    it op by op.
 
     ``tables`` overrides the derived transition tables — the fuzz differ
     passes a deliberately corrupted table to prove engine-vs-engine
@@ -1890,7 +1899,19 @@ class VectorEngine:
         self.sample_interval = sample_interval
 
     def run(self, trace) -> SimulationResult:
-        """Execute the whole trace; bit-identical to the interpreter."""
+        """Execute the whole trace; bit-identical to the interpreter.
+
+        Cores run in the interpreter's order: least ``(clock, core)``
+        first, each until its pair passes the next one.  A waiting core's
+        heap key is ``clock << shift | core`` with ``shift =
+        ncores.bit_length()``, one int that orders like the pair.  The
+        running core is out of the heap and nothing else touches it, so
+        the head is read once per slice into ``bound``, the last clock at
+        which the core still orders first; after each op the loop tests
+        only ``clock > bound``, and a switch is one ``heapreplace``.  Each
+        core's decoded epoch slice is a list iterator, resumed where the
+        core yielded; ``ends[core]`` is where its next slice starts.
+        """
         config = self.config
         trace = PackedTrace.from_trace(trace)
         if trace.num_cores > config.num_cores:
@@ -1908,11 +1929,9 @@ class VectorEngine:
         streams = trace.streams
         writes_total = sum(_count_writes(stream) for stream in streams)
 
-        totals = [len(stream) for stream in streams]
         clocks = [0] * ncores
-        cursors = [0] * ncores
-        chunk_lists: List[List[int]] = [[] for _ in range(ncores)]
-        chunk_base = [0] * ncores
+        slices = [iter(())] * ncores
+        ends = [0] * ncores
         samples: List[int] = []
         sample_interval = self.sample_interval
         next_sample = sample_interval
@@ -1923,7 +1942,7 @@ class VectorEngine:
         act = m.act
         fixed = m.fixed
         hit_step = m.t_l1 + fixed
-        l1maps = m.l1maps
+        l1_gets = [lines.get for lines in m.l1maps]
         l1_lus = m.l1_lu
         latest_version = m.latest_version
         miss = m._miss
@@ -1931,85 +1950,73 @@ class VectorEngine:
         tick = m.tick
         vclock = m.vclock
 
-        heap = [(0, core) for core in range(ncores) if totals[core]]
-        heapq.heapify(heap)
-        heappush = heapq.heappush
+        shift = ncores.bit_length()
+        mask = (1 << shift) - 1
+        # Every core starts at clock 0, so its key is its index and the
+        # ascending list is already a heap.
+        heap = [core for core in range(ncores) if streams[core]]
         heappop = heapq.heappop
+        heapreplace = heapq.heapreplace
         while heap:
-            clock, core = heappop(heap)
-            cur = cursors[core]
-            total = totals[core]
-            ops = chunk_lists[core]
-            bas = chunk_base[core]
-            n = len(ops)
-            i = cur - bas
-            if i == n:
-                ops = streams[core][cur : cur + epoch].tolist()
-                chunk_lists[core] = ops
-                chunk_base[core] = bas = cur
-                n = len(ops)
-                i = 0
-            lines_get = l1maps[core].get
-            lu = l1_lus[core]
+            key = heappop(heap)
             while True:
-                word = ops[i]
-                i += 1
-                blk = word >> packshift
-                rec = lines_get(blk)
-                if rec is not None:
-                    tick += 1
-                    lu[rec[1]] = tick
-                    a = act[(rec[0] << 1) | (word & 1)]
-                    if a == 1:
-                        clock += hit_step
-                    elif a == 2:
-                        rec[0] = _ST_MODIFIED
-                        rec[2] = 1
-                        vclock += 1
-                        latest_version[blk] = vclock
-                        rec[3] = vclock
-                        clock += hit_step
-                    elif a == 3:
+                clock = key >> shift
+                core = key & mask
+                # The last clock at which this core still runs first: the
+                # head's clock, less one if the head's core index is lower.
+                bound = (heap[0] - core) >> shift if heap else _NEVER
+                lines_get = l1_gets[core]
+                lu = l1_lus[core]
+                for word in slices[core]:
+                    blk = word >> packshift
+                    rec = lines_get(blk)
+                    if rec is not None:
+                        tick += 1
+                        lu[rec[1]] = tick
+                        a = act[(rec[0] << 1) | (word & 1)]
+                        if a == 1:
+                            clock += hit_step
+                        elif a == 2:
+                            rec[0] = _ST_MODIFIED
+                            rec[2] = 1
+                            vclock += 1
+                            latest_version[blk] = vclock
+                            rec[3] = vclock
+                            clock += hit_step
+                        elif a == 3:
+                            m.tick = tick
+                            m.vclock = vclock
+                            clock += upgrade(core, blk, rec) + fixed
+                            tick = m.tick
+                            vclock = m.vclock
+                        else:
+                            raise ProtocolError(
+                                f"table dispatched resident line {blk:#x} to action {a}"
+                            )
+                    else:
                         m.tick = tick
                         m.vclock = vclock
-                        clock += upgrade(core, blk, rec) + fixed
+                        clock += miss(core, blk, word & 1) + fixed
                         tick = m.tick
                         vclock = m.vclock
-                    else:
-                        raise ProtocolError(
-                            f"table dispatched resident line {blk:#x} to action {a}"
-                        )
+                    processed += 1
+                    if processed == next_sample:
+                        next_sample += sample_interval
+                        samples.append(m.dir_occ_total + m.stash_bits)
+                    if clock > bound:
+                        break
                 else:
-                    m.tick = tick
-                    m.vclock = vclock
-                    clock += miss(core, blk, word & 1) + fixed
-                    tick = m.tick
-                    vclock = m.vclock
-                processed += 1
-                if processed == next_sample:
-                    next_sample += sample_interval
-                    samples.append(m.dir_occ_total + m.stash_bits)
-                if i == n:
-                    if bas + n == total:
-                        cur = total
-                        break
-                    cur = bas + n
-                    ops = streams[core][cur : cur + epoch].tolist()
-                    chunk_lists[core] = ops
-                    chunk_base[core] = bas = cur
-                    n = len(ops)
-                    i = 0
-                if heap:
-                    head = heap[0]
-                    head_clock = head[0]
-                    if clock > head_clock or (
-                        clock == head_clock and core > head[1]
-                    ):
-                        cur = bas + i
-                        heappush(heap, (clock, core))
-                        break
-            clocks[core] = clock
-            cursors[core] = cur
+                    # The slice ran out: decode the next one, or finish.
+                    start = ends[core]
+                    stream = streams[core]
+                    if start < len(stream):
+                        ends[core] = start + epoch
+                        slices[core] = iter(stream[start : start + epoch].tolist())
+                        key = clock << shift | core
+                        continue
+                    clocks[core] = clock
+                    break
+                key = heapreplace(heap, clock << shift | core)
         m.tick = tick
         m.vclock = vclock
         m.processed = processed

@@ -78,6 +78,12 @@ class TestNoCConfig:
         with pytest.raises(ConfigError):
             NoCConfig(hop_cycles=-1)
 
+    @pytest.mark.parametrize("name", ["hop_cycles", "router_cycles"])
+    @pytest.mark.parametrize("value", [1.5, 2.0, True])
+    def test_rejects_non_int_latency(self, name, value):
+        with pytest.raises(ConfigError, match="int cycle count"):
+            NoCConfig(**{name: value})
+
 
 class TestTimingConfig:
     def test_defaults_valid(self):
@@ -86,6 +92,21 @@ class TestTimingConfig:
     def test_rejects_negative(self):
         with pytest.raises(ConfigError):
             TimingConfig(memory_latency=-5)
+
+    @pytest.mark.parametrize(
+        "name",
+        ["l1_hit", "l2_hit", "llc_access", "directory_access",
+         "memory_latency", "home_occupancy"],
+    )
+    @pytest.mark.parametrize("value", [120.5, 120.0, False])
+    def test_rejects_non_int_cycles(self, name, value):
+        # A fractional latency made the engines' cycle counts differ by
+        # the fraction; a bool is an int to Python but no cycle count.
+        with pytest.raises(ConfigError, match="int cycle count"):
+            TimingConfig(**{name: value})
+
+    def test_fixed_cpi_may_be_fractional(self):
+        assert TimingConfig(core_fixed_cpi=1.5).core_fixed_cpi == 1.5
 
 
 class TestEnergyConfig:

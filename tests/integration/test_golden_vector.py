@@ -121,6 +121,23 @@ def test_vector_1024core_bit_identical():
     assert vector.engine == "vector"
 
 
+def test_vector_lockstep_phase_bit_identical():
+    """Past the cold start, where the lead changes hands on nearly every op.
+
+    At 120 ops/core the 1024-core test above still misses on 45% of its
+    ops; here most ops hit, so nearly every op ends with a core switch in
+    the vector engine's interleave.
+    """
+    config = make_config(DirectoryKind.STASH, 0.125, num_cores=256, seed=1)
+    trace = PackedTrace.from_trace(
+        build_workload("weakscale-like", 256, 600, seed=1)
+    )
+    vector = run_trace(config, trace, engine="vector")
+    assert vector == run_trace(config, trace)
+    assert vector.engine == "vector"
+    assert vector.l1_miss_rate < 0.2
+
+
 def test_contended_locks_bit_identical():
     """Heavy contention: over half the ops on this trace miss or upgrade."""
     config = make_config(DirectoryKind.STASH, 0.125, num_cores=16, seed=1)
