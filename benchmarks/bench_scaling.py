@@ -17,11 +17,18 @@ op hits.  One more row runs a miss-bound paper workload, canneal-like at
 256 cores x 1000 ops/core, on stash@1/8 and sparse@1/8 (``paper_workload``
 in the report), where directory conflicts and discovery set the pace.
 
+Times are in reference-speed seconds: the vCPUs of a shared host
+change speed by up to 2x from one second to the next, so perfbench's
+host-speed sampler (``perfbench/measure.py``) runs beside the sweep and
+each run's host time is scaled by ``speed_factor`` over the samples
+taken during it.  Full mode times every row three times and reports the
+median, with every run's raw and scaled seconds beside it; it is the
+comparable one.  ``--smoke`` shrinks every trace by the same factor and
+times each row once, for CI shape-checking.
+
 The report lands in ``BENCH_scaling.json`` at the repository root, with
 the host and the commit it ran on, and its table is rewritten between
-the ``bench_scaling`` marker comments of ``docs/PERFORMANCE.md``.  Full
-mode is the comparable one; ``--smoke`` shrinks every trace by the same
-factor for CI shape-checking.
+the ``bench_scaling`` marker comments of ``docs/PERFORMANCE.md``.
 
 Run standalone::
 
@@ -48,9 +55,12 @@ from fractions import Fraction
 from pathlib import Path
 
 _SRC = str(Path(__file__).resolve().parents[1] / "src")
-if _SRC not in sys.path:
-    sys.path.insert(0, _SRC)
+_PERFBENCH = str(Path(__file__).resolve().parents[1] / "perfbench")
+for _path in (_SRC, _PERFBENCH):
+    if _path not in sys.path:
+        sys.path.insert(0, _path)
 
+from measure import SpeedSampler, median, speed_factor  # perfbench's helpers
 from repro.analysis.experiments import make_config
 from repro.common.config import DirectoryKind, SharerFormat
 from repro.energy.area import storage_of
@@ -66,6 +76,10 @@ SIZES = (16, 64, 256, 1024)
 #: Fixed work per core.
 FULL_OPS = 16000
 SMOKE_OPS = 400
+
+#: Timed runs per row; a row reports their median.
+FULL_RUNS = 3
+SMOKE_RUNS = 1
 
 KIND = DirectoryKind.STASH
 RATIO = 0.125
@@ -97,17 +111,32 @@ def _commit():
         return None
 
 
-def _timed_run(config, trace) -> dict:
-    """Seconds and accesses/s of one vector-engine run."""
+def _timed_runs(config, trace, runs: int, sampler: SpeedSampler) -> dict:
+    """Median reference-speed seconds and accesses/s of vector-engine runs.
+
+    Each run's host time is scaled by the speed factor of the samples
+    ``sampler`` took during it; the raw and scaled seconds of every run
+    are kept beside the median.
+    """
     assert vector_supports(config) is None, config.describe()
-    start = time.perf_counter()
-    result = run_trace(config, trace, engine="vector")
-    elapsed = time.perf_counter() - start
-    assert result.engine == "vector", config.describe()
+    raw = []
+    scaled = []
+    for _ in range(runs):
+        start = time.monotonic()
+        begin = time.perf_counter()
+        result = run_trace(config, trace, engine="vector")
+        elapsed = time.perf_counter() - begin
+        factor = speed_factor(sampler.samples, start, time.monotonic())
+        assert result.engine == "vector", config.describe()
+        raw.append(elapsed)
+        scaled.append(elapsed * factor)
+    seconds = median(scaled)
     total = trace.total_ops()
     return {
-        "seconds": round(elapsed, 3),
-        "accesses_per_sec": round(total / elapsed, 1) if elapsed > 0 else None,
+        "seconds": round(seconds, 3),
+        "accesses_per_sec": round(total / seconds, 1) if seconds > 0 else None,
+        "runs_seconds": [round(s, 3) for s in scaled],
+        "runs_raw_seconds": [round(s, 3) for s in raw],
     }
 
 
@@ -120,11 +149,13 @@ def _trace(workload: str, config, ops_per_core: int) -> PackedTrace:
     )
 
 
-def measure_size(num_cores: int, ops_per_core: int) -> dict:
+def measure_size(
+    num_cores: int, ops_per_core: int, runs: int, sampler: SpeedSampler
+) -> dict:
     """One weak-scaling point: vector throughput plus directory storage."""
     config = make_config(KIND, ratio=RATIO, num_cores=num_cores, seed=SEED)
     trace = _trace(WORKLOAD, config, ops_per_core)
-    timing = _timed_run(config, trace)
+    timing = _timed_runs(config, trace, runs, sampler)
 
     storage = {}
     for label, fmt in (
@@ -151,8 +182,10 @@ def measure_size(num_cores: int, ops_per_core: int) -> dict:
     }
 
 
-def measure_paper_workload(ops_per_core: int) -> dict:
-    """The miss-bound row: one trace, one vector run per directory kind."""
+def measure_paper_workload(
+    ops_per_core: int, runs: int, sampler: SpeedSampler
+) -> dict:
+    """The miss-bound row: one trace, timed on each directory kind."""
     configs = [
         make_config(kind, ratio=RATIO, num_cores=PAPER_CORES, seed=SEED)
         for kind in PAPER_KINDS
@@ -165,7 +198,7 @@ def measure_paper_workload(ops_per_core: int) -> dict:
         "total_ops": trace.total_ops(),
         "ratio": RATIO,
         "kinds": {
-            config.directory.kind.value: _timed_run(config, trace)
+            config.directory.kind.value: _timed_runs(config, trace, runs, sampler)
             for config in configs
         },
     }
@@ -185,26 +218,33 @@ def _warm_up() -> None:
 
 def run_report(smoke: bool = False, ops: int | None = None) -> dict:
     ops = ops if ops is not None else (SMOKE_OPS if smoke else FULL_OPS)
+    runs = SMOKE_RUNS if smoke else FULL_RUNS
     _warm_up()
-    payload = {
-        "benchmark": "weak_scaling",
-        "mode": "smoke" if smoke else "full",
-        "workload": WORKLOAD,
-        "engine": "vector",
-        "kind": KIND.value,
-        "ratio": RATIO,
-        "seed": SEED,
-        "cpu_count": os.cpu_count(),
-        "commit": _commit(),
-        "python": platform.python_version(),
-        "sizes": {
-            str(num_cores): measure_size(num_cores, ops)
-            for num_cores in SIZES
-        },
-        "paper_workload": measure_paper_workload(
-            max(1, PAPER_OPS * ops // FULL_OPS)
-        ),
-    }
+    sampler = SpeedSampler().start()
+    try:
+        payload = {
+            "benchmark": "weak_scaling",
+            "mode": "smoke" if smoke else "full",
+            "workload": WORKLOAD,
+            "engine": "vector",
+            "kind": KIND.value,
+            "ratio": RATIO,
+            "seed": SEED,
+            "runs": runs,
+            "time_unit": "reference-speed seconds (perfbench/measure.py)",
+            "cpu_count": os.cpu_count(),
+            "commit": _commit(),
+            "python": platform.python_version(),
+            "sizes": {
+                str(num_cores): measure_size(num_cores, ops, runs, sampler)
+                for num_cores in SIZES
+            },
+            "paper_workload": measure_paper_workload(
+                max(1, PAPER_OPS * ops // FULL_OPS), runs, sampler
+            ),
+        }
+    finally:
+        sampler.stop()
     return payload
 
 
@@ -215,8 +255,13 @@ def _directory(kind: str, ratio: float) -> str:
 def render_table(payload: dict) -> str:
     """The report as the markdown block docs/PERFORMANCE.md shows."""
     commit = (payload["commit"] or "unknown")[:7]
+    runs = payload["runs"]
+    timing = (
+        f"median of {runs} runs per row" if runs > 1 else "one run per row"
+    )
     lines = [
-        f"One {payload['mode']}-mode run on a {payload['cpu_count']}-CPU host "
+        f"{payload['mode'].capitalize()} mode, {timing}, in reference-speed "
+        f"seconds, on a {payload['cpu_count']}-CPU host "
         f"(Python {payload['python']}, commit `{commit}`).",
         "",
         "| workload | cores | ops/core | directory | seconds | vector acc/s "

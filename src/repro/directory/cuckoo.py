@@ -14,9 +14,10 @@ copies.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Tuple
+import functools
+import struct
+from typing import Callable, Iterator, List, Optional, Tuple
 
-from ..common.addr import stride_hash
 from ..common.config import DirectoryConfig
 from ..common.errors import ConfigError, DirectoryError
 from ..common.rng import DeterministicRng
@@ -34,6 +35,25 @@ from .sharers import make_sharer_rep
 DEFAULT_MAX_PATH = 8
 
 
+_MASK64 = (1 << 64) - 1
+
+
+@functools.lru_cache(maxsize=None)
+def _lanes(ways: int) -> Tuple[int, int, int, Callable, int]:
+    """Constants of cuckoo_slots' lane hash for ``ways`` lanes.
+
+    The lane replicator, the salted lane offsets, the low-64-bit lane
+    mask, the lane unpacker and the packed byte length.
+    """
+    rep = sum(1 << (128 * way) for way in range(ways))
+    salts = sum(
+        (((way + 1) * 0x9E3779B97F4A7C15) & _MASK64) << (128 * way)
+        for way in range(ways)
+    )
+    unpack = struct.Struct("<" + "Q8x" * ways).unpack
+    return rep, salts, _MASK64 * rep, unpack, 16 * ways
+
+
 def cuckoo_slots(addr: int, ways: int, slots_per_way: int) -> Tuple[int, ...]:
     """Candidate slot of ``addr`` in each hash way, as flat table indices.
 
@@ -42,10 +62,27 @@ def cuckoo_slots(addr: int, ways: int, slots_per_way: int) -> Tuple[int, ...]:
     slots_per_way)`` of one flat table.  The interpreter's
     :class:`CuckooDirectory` and the vector engine's flat model share this
     rule, so both place every block in the same slots.
+
+    All ways hash at once, on one int with a 128-bit lane per way: lane
+    ``w`` holds way ``w``'s 64-bit state in its low half, so a 64 x 64-bit
+    product never leaves its lane.  :func:`~repro.common.addr.stride_hash`
+    works modulo 2**64: the address is cut to 64 bits before it is copied
+    into every lane (a wider one would reach the next lane), and each
+    salted sum and each product is cut back to its lane's low 64 bits
+    (``mask``) before a shift reads it.  A right shift by 33 moves the low
+    bits of lane ``w + 1`` into the top of lane ``w``, where the next
+    multiply would carry them into lane ``w + 1``, so each shift is masked
+    before the next multiply.  The last shift needs no mask: the unpacker
+    reads only the low 8 bytes of each lane.
     """
+    rep, salts, mask, unpack, nbytes = _lanes(ways)
+    x = ((addr & _MASK64) * rep + salts) & mask
+    x = (((x ^ (x >> 33)) & mask) * 0xFF51AFD7ED558CCD) & mask
+    x = (((x ^ (x >> 33)) & mask) * 0xC4CEB9FE1A85EC53) & mask
+    x ^= x >> 33
     return tuple([
-        way * slots_per_way + stride_hash(addr, way + 1) % slots_per_way
-        for way in range(ways)
+        way * slots_per_way + h % slots_per_way
+        for way, h in enumerate(unpack(x.to_bytes(nbytes, "little")))
     ])
 
 

@@ -4,12 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.common.addr import stride_hash
 from repro.common.config import DirectoryConfig, DirectoryKind
 from repro.common.errors import ConfigError, DirectoryError
 from repro.common.rng import DeterministicRng
 from repro.common.stats import StatGroup
 from repro.directory.base import EvictionAction
-from repro.directory.cuckoo import CuckooDirectory
+from repro.directory.cuckoo import CuckooDirectory, cuckoo_slots
 
 
 def make_cuckoo(entries=16, d=4, num_cores=4, max_path=8, seed=1):
@@ -113,3 +114,22 @@ def test_property_allocate_then_always_findable(seed, addrs):
     assert {e.addr for e in d.iter_entries()} == live
     for addr in live:
         assert d.lookup(addr, touch=False) is not None
+
+
+@settings(max_examples=500)
+@given(
+    addr=st.integers(-(2**130), 2**130),
+    ways=st.integers(1, 16),
+    slots_per_way=st.integers(1, 5000),
+)
+def test_property_cuckoo_slots_match_stride_hash(addr, ways, slots_per_way):
+    """The one-pass lane hash is way-for-way ``stride_hash``.
+
+    Both engines place blocks with ``cuckoo_slots``, so a wrong lane
+    would pass every interpreter-against-vector comparison; only its
+    definition can catch it.
+    """
+    assert cuckoo_slots(addr, ways, slots_per_way) == tuple(
+        i * slots_per_way + stride_hash(addr, i + 1) % slots_per_way
+        for i in range(ways)
+    )

@@ -2,20 +2,29 @@
 
 Profiles one full ``run_trace`` of the default 16-core ``mix`` workload for
 a chosen directory kind and prints the top functions by internal time —
-the view the hot-path work is tuned against.  Use it to check that a change
-did not reintroduce per-access allocation, wrapper frames or string-keyed
-statistics on the pipeline::
+the view the hot-path work is tuned against.  It profiles the vector
+engine, which every sweep runs, unless ``--engine interp`` asks for the
+interpreter.  Use it to check that a change did not reintroduce
+per-access frames, allocation or string-keyed statistics::
 
     python tools/profile_hotpath.py                  # sparse, top 25
     python tools/profile_hotpath.py stash --top 40
     python tools/profile_hotpath.py cuckoo --sort cumtime
     python tools/profile_hotpath.py sparse --ops 6000 --callers
     python tools/profile_hotpath.py stash --cores 256 \
-        --workload weakscale-like --engine vector     # scaling regime
+        --workload weakscale-like                   # scaling regime
+    python tools/profile_hotpath.py sparse --engine interp
 
-Interpreting the output: the top entries should be the simulator run loop,
-``CacheArray.lookup``, ``Network.send`` and the L1/home controllers.  Red
-flags are ``GrantResult``/dataclass constructors, ``MesiState.__new__``,
+Interpreting the output.  A healthy vector profile is
+``_FlatMachine._miss`` (a whole L1 miss, LLC miss included, in one
+frame), ``VectorEngine.run`` (the interleave and the inlined hit path)
+and, for ideal, cuckoo and SCD, the organization's ``_dir_allocate``;
+then the invalidation and eviction helpers at their event counts.  Red
+flags are an ``_llc_miss``, ``_new_entry``, ``_rep_new`` or
+``stride_hash`` frame per miss.  On the interpreter the top entries
+should be the simulator run loop, ``CacheArray.lookup``,
+``Network.send`` and the L1/home controllers; red flags there are
+``GrantResult``/dataclass constructors, ``MesiState.__new__``,
 ``StatGroup.add`` or route/hash helpers showing per-access call counts.
 """
 
@@ -53,7 +62,7 @@ def profile_run(
     workload: str,
     seed: int,
     num_cores: int = 0,
-    engine: str = "interp",
+    engine: str = "vector",
 ) -> cProfile.Profile:
     """Profile one run_trace invocation; returns the filled profiler."""
     if num_cores:
@@ -80,13 +89,12 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument(
         "--cores", type=int, default=0,
-        help="core count (0 = the default 16-core evaluation machine); "
-             "scaling-regime profiles pair this with --engine vector",
+        help="core count (0 = the default 16-core evaluation machine)",
     )
     parser.add_argument(
-        "--engine", default="interp",
+        "--engine", default="vector",
         choices=["interp", "vector"],
-        help="execution engine to profile",
+        help="execution engine to profile (default: vector, as sweeps run)",
     )
     parser.add_argument("--top", type=int, default=25, help="rows to print")
     parser.add_argument(
