@@ -39,15 +39,15 @@ class RandomStashDirectory(SparseDirectory):
         self._victim_rng = rng.spawn(999)
         self.eligibility = config.stash_eligibility  # marks us stash-capable
 
-    def choose_victim(self, dirset) -> Tuple[int, EvictionAction]:
+    def choose_victim(self, slots) -> Tuple[int, EvictionAction]:
+        # ``slots`` is the full set's slot range; ``self.entries`` is indexed
+        # by slot.
         eligible = [
-            way
-            for way, entry in enumerate(dirset.entries)
-            if entry is not None and is_stash_eligible(entry, self.eligibility)
+            slot for slot in slots if is_stash_eligible(self.entries[slot], self.eligibility)
         ]
         if eligible:
             return self._victim_rng.choice(eligible), EvictionAction.STASH
-        return dirset.policy.victim(), EvictionAction.INVALIDATE
+        return self.lru_slot(slots), EvictionAction.INVALIDATE
 
 
 def build_custom_system(config) -> CoherentSystem:
@@ -55,10 +55,10 @@ def build_custom_system(config) -> CoherentSystem:
     stats = StatGroup("system")
     rng = DeterministicRng(config.seed)
     l1s = [
-        L1Cache(core, config.l1, rng.spawn(1000 + core), stats.child(f"l1.{core}"))
+        L1Cache(core, config.l1, stats.child(f"l1.{core}"))
         for core in range(config.num_cores)
     ]
-    llc = SharedLLC(config.llc, config.num_cores, rng.spawn(2000), stats.child("llc"))
+    llc = SharedLLC(config.llc, config.num_cores, stats.child("llc"))
     directory = RandomStashDirectory(
         config.directory, config.num_cores, config.directory_entries,
         rng.spawn(3000), stats.child("directory"),

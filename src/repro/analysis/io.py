@@ -29,7 +29,7 @@ from ..common.config import (
     SystemConfig,
     TimingConfig,
 )
-from ..common.errors import TraceError
+from ..common.errors import ConfigError, TraceError
 from ..common.mesi import CoherenceProtocol
 from ..sim.results import SimulationResult
 from .tables import render_table
@@ -52,6 +52,19 @@ def config_to_dict(config: SystemConfig) -> Dict:
     return json.loads(json.dumps(raw, default=lambda v: v.value if isinstance(v, Enum) else v))
 
 
+def _cache_from_dict(data: Dict) -> CacheConfig:
+    """A CacheConfig; drops the ``"replacement": "lru"`` of older files.
+
+    Every cache is LRU, so any other saved policy names a machine this
+    code cannot rebuild.
+    """
+    fields = dict(data)
+    policy = fields.pop("replacement", "lru")
+    if policy != "lru":
+        raise ConfigError(f"replacement policy {policy!r} is gone; every cache is LRU")
+    return CacheConfig(**fields)
+
+
 def config_from_dict(data: Dict) -> SystemConfig:
     """Reconstruct a typed SystemConfig from :func:`config_to_dict` output."""
     directory = dict(data["directory"])
@@ -61,9 +74,9 @@ def config_from_dict(data: Dict) -> SystemConfig:
     l2 = data.get("l2")
     return SystemConfig(
         num_cores=data["num_cores"],
-        l1=CacheConfig(**data["l1"]),
-        l2=CacheConfig(**l2) if l2 is not None else None,
-        llc=CacheConfig(**data["llc"]),
+        l1=_cache_from_dict(data["l1"]),
+        l2=_cache_from_dict(l2) if l2 is not None else None,
+        llc=_cache_from_dict(data["llc"]),
         directory=DirectoryConfig(**directory),
         noc=NoCConfig(**data["noc"]),
         timing=TimingConfig(**data["timing"]),

@@ -1,33 +1,14 @@
-"""Cache substrate: generic set-associative arrays, L1s and the shared LLC."""
+"""Cache substrate: flat LRU set-associative arrays, L1s and the shared LLC."""
 
-from .array import CacheArray, CacheSet
+from .array import CacheArray
 from .block import CacheBlock, copy_block
 from .l1 import L1Cache
 from .llc import SharedLLC
-from .replacement import (
-    LruPolicy,
-    NruPolicy,
-    RandomPolicy,
-    ReplacementPolicy,
-    SrripPolicy,
-    TreePlruPolicy,
-    make_policy,
-    policy_names,
-)
 
 __all__ = [
     "CacheArray",
     "CacheBlock",
-    "CacheSet",
     "L1Cache",
-    "LruPolicy",
-    "NruPolicy",
-    "RandomPolicy",
-    "ReplacementPolicy",
     "SharedLLC",
-    "SrripPolicy",
-    "TreePlruPolicy",
     "copy_block",
-    "make_policy",
-    "policy_names",
 ]

@@ -21,11 +21,10 @@ from typing import Optional
 class CacheBlock:
     """Mutable per-line metadata. ``__slots__`` keeps millions of them cheap."""
 
-    __slots__ = ("addr", "tag", "state", "dirty", "stash", "version")
+    __slots__ = ("addr", "state", "dirty", "stash", "version")
 
-    def __init__(self, addr: int, tag: int, state: int, dirty: bool = False) -> None:
-        self.addr = addr      # full block address (not just the tag)
-        self.tag = tag
+    def __init__(self, addr: int, state: int, dirty: bool = False) -> None:
+        self.addr = addr
         self.state = state
         self.dirty = dirty
         self.stash = False
@@ -45,7 +44,7 @@ def copy_block(block: Optional[CacheBlock]) -> Optional[CacheBlock]:
     """Snapshot a block's metadata (used when reporting evicted victims)."""
     if block is None:
         return None
-    clone = CacheBlock(block.addr, block.tag, block.state, block.dirty)
+    clone = CacheBlock(block.addr, block.state, block.dirty)
     clone.stash = block.stash
     clone.version = block.version
     return clone

@@ -29,7 +29,6 @@ from typing import Iterator, Optional, Tuple
 from ..common.config import CacheConfig
 from ..common.errors import ConfigError, ProtocolError
 from ..common.mesi import MesiState
-from ..common.rng import DeterministicRng
 from ..common.stats import StatGroup
 from .array import CacheArray
 from .block import CacheBlock
@@ -43,7 +42,6 @@ class PrivateHierarchy:
         core_id: int,
         l1_config: CacheConfig,
         l2_config: CacheConfig,
-        rng: DeterministicRng,
         stats: StatGroup,
     ) -> None:
         if l2_config.block_bytes != l1_config.block_bytes:
@@ -57,8 +55,8 @@ class PrivateHierarchy:
         self.config = l1_config      # interface parity with L1Cache
         self.l2_config = l2_config
         self.stats = stats
-        self._l1 = CacheArray(l1_config, rng.spawn(1), stats.child("l1_array"))
-        self._l2 = CacheArray(l2_config, rng.spawn(2), stats.child("l2_array"))
+        self._l1 = CacheArray(l1_config, stats.child("l1_array"))
+        self._l2 = CacheArray(l2_config, stats.child("l2_array"))
 
     # -- internal helpers ---------------------------------------------------------
 

@@ -14,7 +14,6 @@ from typing import Iterator, Optional
 from ..common.mesi import MesiState
 from ..common.config import CacheConfig
 from ..common.errors import ProtocolError
-from ..common.rng import DeterministicRng
 from ..common.stats import StatGroup
 from .array import CacheArray
 from .block import CacheBlock
@@ -27,13 +26,12 @@ class L1Cache:
         self,
         core_id: int,
         config: CacheConfig,
-        rng: DeterministicRng,
         stats: StatGroup,
     ) -> None:
         self.core_id = core_id
         self.config = config
         self.stats = stats
-        self._array = CacheArray(config, rng, stats.child("array"))
+        self._array = CacheArray(config, stats.child("array"))
         # Hot-path handles: these operations are pure delegations to the
         # array, so the instance binds them directly and callers skip a
         # wrapper frame per event.

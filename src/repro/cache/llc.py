@@ -23,7 +23,6 @@ from ..common.mesi import LlcState
 from ..common.addr import home_bank
 from ..common.config import CacheConfig
 from ..common.errors import ProtocolError
-from ..common.rng import DeterministicRng
 from ..common.stats import StatGroup
 from .array import CacheArray
 from .block import CacheBlock
@@ -36,13 +35,12 @@ class SharedLLC:
         self,
         config: CacheConfig,
         num_banks: int,
-        rng: DeterministicRng,
         stats: StatGroup,
     ) -> None:
         self.config = config
         self.num_banks = num_banks
         self.stats = stats
-        self._array = CacheArray(config, rng, stats.child("array"))
+        self._array = CacheArray(config, stats.child("array"))
         # Hot-path handles: pure delegations bound per instance so the
         # protocol engine's probes skip a wrapper frame (signatures match
         # the shadowed methods below).

@@ -75,13 +75,13 @@ class CacheConfig:
         sets: number of sets (power of two).
         ways: associativity.
         block_bytes: line size in bytes (power of two, same system-wide).
-        replacement: policy name registered in :mod:`repro.cache.replacement`.
+
+    Every cache replaces its least recently used line.
     """
 
     sets: int
     ways: int
     block_bytes: int = 64
-    replacement: str = "lru"
 
     def __post_init__(self) -> None:
         if not is_power_of_two(self.sets):
@@ -364,17 +364,17 @@ class SystemConfig:
             "block size": f"{self.block_bytes} B",
             "L1 (per core)": (
                 f"{self.l1.capacity_bytes // 1024} KiB, {self.l1.ways}-way, "
-                f"{self.l1.sets} sets, {self.l1.replacement}"
+                f"{self.l1.sets} sets, lru"
             ),
             "L2 (per core)": (
                 "none"
                 if self.l2 is None
                 else f"{self.l2.capacity_bytes // 1024} KiB, {self.l2.ways}-way, "
-                f"{self.l2.sets} sets, {self.l2.replacement}"
+                f"{self.l2.sets} sets, lru"
             ),
             "LLC (shared)": (
                 f"{self.llc.capacity_bytes // 1024} KiB, {self.llc.ways}-way, "
-                f"{self.llc.sets} sets, {self.llc.replacement}"
+                f"{self.llc.sets} sets, lru"
             ),
             "directory": (
                 f"{self.directory.kind.value}, R={self.directory.coverage_ratio:g}, "

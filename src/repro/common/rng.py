@@ -1,7 +1,7 @@
 """Deterministic random-number utilities.
 
-Every stochastic component in the library (workload generators, the Random
-replacement policy) draws from a :class:`DeterministicRng` seeded explicitly,
+Every stochastic component in the library (workload generators, the cuckoo
+directory) draws from a :class:`DeterministicRng` seeded explicitly,
 so a simulation is reproducible bit-for-bit from its configuration.  Nothing
 in the library ever touches the global :mod:`random` state.
 """
@@ -26,10 +26,8 @@ class DeterministicRng:
 
     def __init__(self, seed: int) -> None:
         self._seed = seed
-        # The underlying Random is created on first draw: system construction
-        # spawns one stream per cache/directory set, and most of them (every
-        # LRU set, for instance) never draw a number.  Seeding thousands of
-        # Mersenne Twister states up front is pure overhead.
+        # The underlying Random is created on first draw: every directory
+        # organization is handed a stream, and only cuckoo draws from it.
         self._rng: random.Random | None = None
 
     def _materialize(self) -> random.Random:

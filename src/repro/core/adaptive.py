@@ -23,7 +23,6 @@ from ..common.errors import ConfigError
 from ..common.rng import DeterministicRng
 from ..common.stats import StatGroup
 from ..directory.base import EvictionAction
-from ..directory.sparse import _DirSet
 from .stash_directory import StashDirectory
 
 #: Discovery outcomes per evaluation window.
@@ -84,7 +83,7 @@ class AdaptiveStashDirectory(StashDirectory):
 
     # -- victim policy ---------------------------------------------------------------
 
-    def choose_victim(self, dirset: _DirSet) -> Tuple[int, EvictionAction]:
+    def choose_victim(self, slots: range) -> Tuple[int, EvictionAction]:
         if not self.stash_enabled:
             self._cooloff_left -= 1
             if self._cooloff_left <= 0:
@@ -93,5 +92,5 @@ class AdaptiveStashDirectory(StashDirectory):
                 self.stats.add("throttle_probations")
             else:
                 self.stats.add("throttled_evictions")
-                return dirset.policy.victim(), EvictionAction.INVALIDATE
-        return super().choose_victim(dirset)
+                return self.lru_slot(slots), EvictionAction.INVALIDATE
+        return super().choose_victim(slots)

@@ -26,8 +26,8 @@ from ..common.config import DirectoryConfig
 from ..common.rng import DeterministicRng
 from ..common.stats import StatGroup
 from ..directory.base import EvictionAction
-from ..directory.sparse import SparseDirectory, _DirSet
-from .stash_policy import is_stash_eligible
+from ..directory.sparse import SparseDirectory
+from .stash_policy import eligible_ways, is_stash_eligible
 
 
 class StashDirectory(SparseDirectory):
@@ -44,17 +44,15 @@ class StashDirectory(SparseDirectory):
         super().__init__(config, num_cores, entries, rng, stats)
         self.eligibility = config.stash_eligibility
 
-    def choose_victim(self, dirset: _DirSet) -> Tuple[int, EvictionAction]:
+    def choose_victim(self, slots: range) -> Tuple[int, EvictionAction]:
         """Prefer the LRU stash-eligible entry; invalidate only when forced."""
-        eligible = [
-            way
-            for way, entry in enumerate(dirset.entries)
-            if entry is not None and is_stash_eligible(entry, self.eligibility)
-        ]
+        eligible = eligible_ways(
+            self.entries[slots.start:slots.stop], slots, self.eligibility
+        )
         if eligible:
-            return dirset.policy.victim(eligible), EvictionAction.STASH
+            return self.lru_slot(eligible), EvictionAction.STASH
         self.stats.add("forced_invalidations")
-        return dirset.policy.victim(), EvictionAction.INVALIDATE
+        return self.lru_slot(slots), EvictionAction.INVALIDATE
 
     def obs_gauges(self) -> dict:
         gauges = super().obs_gauges()

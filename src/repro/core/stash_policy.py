@@ -41,9 +41,9 @@ def eligible_ways(
 ) -> List[int]:
     """Filter ``(entries, ways)`` pairs down to the stash-eligible way indices.
 
-    ``entries`` and ``ways`` iterate in lockstep (the directory set's
-    occupied slots); the return value feeds the replacement policy's
-    restricted victim selection.
+    ``entries`` and ``ways`` iterate in lockstep (a full directory set's
+    entries and their slots); the stash directory takes the LRU of the
+    result as its victim.
     """
     return [
         way

@@ -1,24 +1,26 @@
 """Conventional set-associative sparse directory.
 
 The baseline the paper improves on: a directory *cache* with ``sets x ways``
-entries.  When a set is full and a new block needs tracking, the replacement
-policy picks a victim entry and — because the conventional design maintains
-**strict inclusion** ("every privately cached block is tracked") — the
-protocol must invalidate every cached copy of the victim block.  These
-directory-induced invalidations are exactly what destroys performance when
-the directory is under-provisioned, and what the stash directory removes.
+entries.  When a set is full and a new block needs tracking, the LRU entry
+is the victim and — because the conventional design maintains **strict
+inclusion** ("every privately cached block is tracked") — the protocol must
+invalidate every cached copy of the victim block.  These directory-induced
+invalidations are exactly what destroys performance when the directory is
+under-provisioned, and what the stash directory removes.
 
-The set/way mechanics mirror :class:`~repro.cache.array.CacheArray` but store
-:class:`~repro.directory.base.DirectoryEntry` records; victim choice is
-factored into :meth:`choose_victim` so the stash directory can subclass and
-redirect it.
+The state is flat and per directory, like
+:class:`~repro.cache.array.CacheArray`'s: ``sets x ways`` slots (slot
+``set * ways + way``) holding :class:`~repro.directory.base.DirectoryEntry`
+records and their last-use ticks, one dict from block address to slot, one
+fill count per set and one LRU clock.  Victim choice is factored into
+:meth:`SparseDirectory.choose_victim`, which receives the full set's slot
+range, so the stash directory can subclass and redirect it.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
-from ..cache.replacement import LruPolicy, ReplacementPolicy, make_policy
 from ..common.addr import log2_exact
 from ..common.config import DirectoryConfig
 from ..common.errors import ConfigError, DirectoryError
@@ -34,28 +36,6 @@ from .base import (
 from .sharers import make_sharer_rep
 
 
-class _DirSet:
-    """One directory set: way-slots, an address index and replacement state.
-
-    Like :class:`~repro.cache.array.CacheSet`, the policy hooks are bound
-    once at construction so the per-lookup path has no policy dispatch.
-    """
-
-    __slots__ = ("ways", "entries", "by_addr", "policy", "touch", "fill_touch", "lru")
-
-    def __init__(self, ways: int, policy: ReplacementPolicy) -> None:
-        self.ways = ways
-        self.entries: List[Optional[DirectoryEntry]] = [None] * ways
-        self.by_addr: Dict[int, int] = {}
-        self.policy = policy
-        self.touch = policy.on_access
-        self.fill_touch = policy.on_fill
-        self.lru = policy if type(policy) is LruPolicy else None
-
-    def find(self, addr: int) -> Optional[int]:
-        return self.by_addr.get(addr)
-
-
 class SparseDirectory(Directory):
     """Set-associative sparse directory with invalidate-on-eviction."""
 
@@ -64,7 +44,7 @@ class SparseDirectory(Directory):
         config: DirectoryConfig,
         num_cores: int,
         entries: int,
-        rng: DeterministicRng,
+        rng: DeterministicRng,  # unused by LRU; uniform factory signature
         stats: StatGroup,
     ) -> None:
         super().__init__(config, num_cores, entries)
@@ -75,11 +55,14 @@ class SparseDirectory(Directory):
         self.sets = entries // config.ways
         log2_exact(self.sets)  # indexing requires power-of-two sets
         self._index_mask = self.sets - 1
+        self._ways = config.ways
         self.stats = stats
-        self._sets: List[_DirSet] = [
-            _DirSet(config.ways, make_policy("lru", config.ways, rng.spawn(i)))
-            for i in range(self.sets)
-        ]
+        #: Slot-indexed entries (slot ``set * ways + way``); None is a free way.
+        self.entries: List[Optional[DirectoryEntry]] = [None] * entries
+        self._last_use: List[int] = [0] * entries
+        self._slot_of: Dict[int, int] = {}
+        self._fill: List[int] = [0] * self.sets
+        self._clock = 0
         # Lookup/allocation counters, bound on first event (see
         # StatGroup.counter); eviction counters are keyed per action kind.
         self._c_hits: Optional[StatCounter] = None
@@ -100,26 +83,26 @@ class SparseDirectory(Directory):
 
     # -- internals -------------------------------------------------------------
 
-    def _set_of(self, addr: int) -> _DirSet:
-        return self._sets[addr & self._index_mask]
-
     def _new_entry(self, addr: int) -> DirectoryEntry:
         return DirectoryEntry(addr, self._rep_template.fresh())
 
-    def choose_victim(self, dirset: _DirSet) -> Tuple[int, EvictionAction]:
-        """Pick ``(way, action)`` when the set is full.
+    def lru_slot(self, slots: Iterable[int]) -> int:
+        """The least recently used of ``slots`` (the first one on a tie)."""
+        return min(slots, key=self._last_use.__getitem__)
 
-        The conventional design always invalidates; the stash directory
-        overrides this to prefer stash-eligible entries.
+    def choose_victim(self, slots: range) -> Tuple[int, EvictionAction]:
+        """Pick ``(slot, action)`` among a full set's ``slots``.
+
+        The conventional design always invalidates the LRU entry; the stash
+        directory overrides this to prefer stash-eligible entries.
         """
-        return dirset.policy.victim(), EvictionAction.INVALIDATE
+        return self.lru_slot(slots), EvictionAction.INVALIDATE
 
     # -- Directory interface ------------------------------------------------------
 
     def lookup(self, addr: int, touch: bool = True) -> Optional[DirectoryEntry]:
-        dirset = self._sets[addr & self._index_mask]
-        way = dirset.by_addr.get(addr)
-        if way is None:
+        slot = self._slot_of.get(addr)
+        if slot is None:
             if touch:
                 cell = self._c_misses
                 if cell is None:
@@ -127,31 +110,28 @@ class SparseDirectory(Directory):
                 cell.value += 1
             return None
         if touch:
-            lru = dirset.lru
-            if lru is not None:
-                # Inline of LruPolicy.on_access (package-internal fast path).
-                lru._clock = clock = lru._clock + 1
-                lru._last_use[way] = clock
-            else:
-                dirset.touch(way)
+            self._clock = clock = self._clock + 1
+            self._last_use[slot] = clock
             cell = self._c_hits
             if cell is None:
                 cell = self._c_hits = self.stats.counter("hits")
             cell.value += 1
-        return dirset.entries[way]
+        return self.entries[slot]
 
     def allocate(self, addr: int) -> AllocationResult:
-        dirset = self._sets[addr & self._index_mask]
-        by_addr = dirset.by_addr
-        if addr in by_addr:
+        slot_of = self._slot_of
+        if addr in slot_of:
             raise DirectoryError(f"block {addr:#x} is already tracked")
-        entries = dirset.entries
+        s = addr & self._index_mask
+        ways = self._ways
+        entries = self.entries
         eviction: Optional[Eviction] = None
-        if len(by_addr) == dirset.ways:
-            way, action = self.choose_victim(dirset)
-            victim = entries[way]
+        if self._fill[s] == ways:
+            base = s * ways
+            slot, action = self.choose_victim(range(base, base + ways))
+            victim = entries[slot]
             assert victim is not None
-            del by_addr[victim.addr]
+            del slot_of[victim.addr]
             eviction = Eviction(victim, action)
             cell = self._c_evictions
             if cell is None:
@@ -164,13 +144,15 @@ class SparseDirectory(Directory):
                 )
             action_cell.value += 1
         else:
-            way = 0
-            while entries[way] is not None:
-                way += 1
+            slot = s * ways
+            while entries[slot] is not None:
+                slot += 1
+            self._fill[s] += 1
         entry = self._new_entry(addr)
-        entries[way] = entry
-        by_addr[addr] = way
-        dirset.fill_touch(way)
+        entries[slot] = entry
+        slot_of[addr] = slot
+        self._clock = clock = self._clock + 1
+        self._last_use[slot] = clock
         cell = self._c_allocations
         if cell is None:
             cell = self._c_allocations = self.stats.counter("allocations")
@@ -178,12 +160,11 @@ class SparseDirectory(Directory):
         return AllocationResult(entry, eviction)
 
     def deallocate(self, addr: int) -> None:
-        dirset = self._sets[addr & self._index_mask]
-        way = dirset.by_addr.get(addr)
-        if way is None:
+        slot = self._slot_of.pop(addr, None)
+        if slot is None:
             return
-        dirset.entries[way] = None
-        del dirset.by_addr[addr]
+        self.entries[slot] = None
+        self._fill[slot // self._ways] -= 1
         cell = self._c_deallocations
         if cell is None:
             cell = self._c_deallocations = self.stats.counter("deallocations")
@@ -192,21 +173,18 @@ class SparseDirectory(Directory):
     # -- inspection ------------------------------------------------------------------
 
     def occupancy(self) -> int:
-        return sum(len(dirset.by_addr) for dirset in self._sets)
+        return len(self._slot_of)
 
     def iter_entries(self) -> Iterator[DirectoryEntry]:
-        for dirset in self._sets:
-            for entry in dirset.entries:
-                if entry is not None:
-                    yield entry
+        for entry in self.entries:
+            if entry is not None:
+                yield entry
 
     def set_occupancy(self, addr: int) -> int:
         """Live entries in the set ``addr`` maps to (test helper)."""
-        return len(self._set_of(addr).by_addr)
+        return self._fill[addr & self._index_mask]
 
     def obs_gauges(self) -> dict:
         gauges = super().obs_gauges()
-        gauges["full_sets"] = sum(
-            1 for dirset in self._sets if len(dirset.by_addr) == dirset.ways
-        )
+        gauges["full_sets"] = self._fill.count(self._ways)
         return gauges

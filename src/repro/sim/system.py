@@ -23,32 +23,23 @@ from ..noc.network import Network
 def build_system(config: SystemConfig) -> CoherentSystem:
     """Construct a ready-to-run coherent memory system from its config."""
     stats = StatGroup("system")
-    rng = DeterministicRng(config.seed)
 
     if config.l2 is not None:
         l1s = [
-            PrivateHierarchy(
-                core, config.l1, config.l2, rng.spawn(1000 + core),
-                stats.child(f"private.{core}"),
-            )
+            PrivateHierarchy(core, config.l1, config.l2, stats.child(f"private.{core}"))
             for core in range(config.num_cores)
         ]
     else:
         l1s = [
-            L1Cache(core, config.l1, rng.spawn(1000 + core), stats.child(f"l1.{core}"))
+            L1Cache(core, config.l1, stats.child(f"l1.{core}"))
             for core in range(config.num_cores)
         ]
-    llc = SharedLLC(
-        config.llc,
-        num_banks=config.num_cores,
-        rng=rng.spawn(2000),
-        stats=stats.child("llc"),
-    )
+    llc = SharedLLC(config.llc, num_banks=config.num_cores, stats=stats.child("llc"))
     directory = make_directory(
         config.directory,
         config.num_cores,
         config.directory_entries,
-        rng.spawn(DIRECTORY_RNG_STREAM),
+        DeterministicRng(config.seed).spawn(DIRECTORY_RNG_STREAM),
         stats.child("directory"),
     )
     network = Network(config.noc, stats.child("noc"))

@@ -19,10 +19,10 @@ Four structural tricks make the fast path cheap without breaking that
 contract:
 
 * **One global LRU tick.**  The interpreter keeps one monotone clock per
-  cache/directory set; replacement only ever compares last-use values
-  *within* one set, so a single engine-wide tick preserves every relative
-  order (ties keep the interpreter's lowest-way preference because victim
-  scans walk ways in ascending order).
+  tag array; replacement only ever compares last-use values *within* one
+  set, so a single engine-wide tick preserves every relative order (ties
+  keep the interpreter's lowest-way preference because victim scans walk
+  ways in ascending order).
 * **Derived counters.**  No path counts a fact that other counts already
   fix.  The hit path maintains no statistics at all: ``accesses`` is the
   stream length, ``writes`` counts the packed words whose write bit is
@@ -97,9 +97,10 @@ from .results import SimulationResult
 from .trace import PackedTrace
 
 #: Operations decoded per core per batch.  One array slice + ``tolist()``
-#: per epoch bounds the decoded-int working set while amortizing the
-#: per-slice call over thousands of operations.
-DEFAULT_EPOCH_OPS = 8192
+#: per epoch amortizes the per-slice call over hundreds of operations and
+#: bounds the decoded-int working set at ``cores x epoch``: 262,144 ints
+#: at 1024 cores, not every core's whole stream.
+DEFAULT_EPOCH_OPS = 256
 
 # A packed word's write bit is the low bit of its low byte; deleting the
 # even bytes from a stream's low bytes leaves one byte per write.
@@ -178,8 +179,6 @@ def vector_supports(config: SystemConfig) -> Optional[str]:
         return "invariant checking walks the live controller objects"
     if config.noc.track_links:
         return "per-link flit attribution is interpreter-only"
-    if config.l1.replacement != "lru" or config.llc.replacement != "lru":
-        return "only LRU replacement has a flat encoding"
     if not float(config.timing.core_fixed_cpi).is_integer():
         return "fractional core_fixed_cpi breaks exact integer clocks"
     return None
@@ -247,7 +246,7 @@ class _FlatMachine:
         self.nh = [0] * nclasses
 
         # One engine-wide LRU tick (see module docstring for why this is
-        # order-equivalent to the interpreter's per-set clocks).
+        # order-equivalent to the interpreter's per-array clocks).
         self.tick = 0
 
         # L1s: per-core line map plus flat LRU/tag/occupancy arrays.

@@ -10,7 +10,8 @@ import pytest
 
 import repro
 
-TOOLS = Path(repro.__file__).resolve().parents[2] / "tools"
+ROOT = Path(repro.__file__).resolve().parents[2]
+TOOLS = ROOT / "tools"
 sys.path.insert(0, str(TOOLS))
 
 gen_api_docs = importlib.import_module("gen_api_docs")
@@ -30,6 +31,14 @@ class TestGenerator:
             "build_system",
         ):
             assert symbol in text
+
+    def test_committed_reference_is_current(self, tmp_path):
+        """docs/API.md is exactly what the generator writes today."""
+        output = tmp_path / "API.md"
+        gen_api_docs.generate(output)
+        assert (ROOT / "docs" / "API.md").read_text() == output.read_text(), (
+            "docs/API.md is stale: run python tools/gen_api_docs.py"
+        )
 
     def test_first_paragraph(self):
         assert gen_api_docs.first_paragraph("Line one\nline two.\n\nRest.") == (

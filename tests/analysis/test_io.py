@@ -11,8 +11,8 @@ from repro.analysis.io import (
     result_to_dict,
     save_result,
 )
-from repro.common.config import DirectoryKind, MemoryModel, SharerFormat
-from repro.common.errors import TraceError
+from repro.common.config import CacheConfig, DirectoryKind, MemoryModel, SharerFormat
+from repro.common.errors import ConfigError, TraceError
 from repro.sim.simulator import run_trace
 from repro.sim.trace import Trace
 from tests.conftest import tiny_config
@@ -48,6 +48,23 @@ class TestConfigRoundtrip:
         import json
 
         json.dumps(config_to_dict(tiny_config()))  # must not raise
+
+    def test_saved_lru_replacement_is_dropped(self):
+        # Files written while caches named a replacement policy carry
+        # "replacement": "lru" in every cache level.
+        from dataclasses import replace
+
+        config = replace(tiny_config(), l2=CacheConfig(sets=8, ways=2))
+        data = config_to_dict(config)
+        for level in ("l1", "l2", "llc"):
+            data[level]["replacement"] = "lru"
+        assert config_from_dict(data) == config
+
+    def test_other_saved_replacement_rejected(self):
+        data = config_to_dict(tiny_config())
+        data["llc"]["replacement"] = "plru"
+        with pytest.raises(ConfigError, match="plru"):
+            config_from_dict(data)
 
 
 class TestResultRoundtrip:

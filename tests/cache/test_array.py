@@ -7,16 +7,12 @@ from hypothesis import strategies as st
 from repro.cache.array import CacheArray
 from repro.common.config import CacheConfig
 from repro.common.errors import ProtocolError
-from repro.common.rng import DeterministicRng
 from repro.common.stats import StatGroup
+from tests.conftest import LruModel
 
 
-def make_array(sets=4, ways=2, replacement="lru"):
-    return CacheArray(
-        CacheConfig(sets=sets, ways=ways, replacement=replacement),
-        DeterministicRng(1),
-        StatGroup("array"),
-    )
+def make_array(sets=4, ways=2):
+    return CacheArray(CacheConfig(sets=sets, ways=ways), StatGroup("array"))
 
 
 class TestLookupAllocate:
@@ -129,7 +125,7 @@ class TestInspection:
 
     def test_stats_recorded(self):
         stats = StatGroup("array")
-        array = CacheArray(CacheConfig(sets=1, ways=1), DeterministicRng(1), stats)
+        array = CacheArray(CacheConfig(sets=1, ways=1), stats)
         array.allocate(0, state=1)
         array.allocate(1, state=1)
         array.remove(1)
@@ -138,34 +134,57 @@ class TestInspection:
         assert stats.get("removals") == 1
 
 
-@settings(max_examples=50)
+@settings(max_examples=100)
 @given(
+    sets=st.sampled_from([1, 2, 4]),
+    ways=st.integers(1, 4),
     ops=st.lists(
-        st.tuples(st.sampled_from(["alloc", "remove", "lookup"]), st.integers(0, 30)),
-        max_size=80,
+        st.tuples(
+            st.sampled_from(["alloc", "alloc", "remove", "lookup", "peek", "contains"]),
+            st.integers(0, 11),
+        ),
+        min_size=40,
+        max_size=200,
     ),
-    replacement=st.sampled_from(["lru", "plru", "nru", "srrip", "random"]),
 )
-def test_property_model_equivalence(ops, replacement):
-    """The array behaves like a bounded map: presence matches a model that
-    tracks fills/removals, and per-set occupancy never exceeds ways."""
-    array = make_array(sets=2, ways=2, replacement=replacement)
-    model = set()
+def test_property_model_equivalence(sets, ways, ops):
+    """Every victim, hit, occupancy and iteration order matches exact LRU.
+
+    ``lookup(touch=False)`` and ``contains`` must leave the order alone;
+    ``lookup`` makes the line the set's most recently used.
+    """
+    array = make_array(sets=sets, ways=ways)
+    model = LruModel(sets, ways)
     for op, addr in ops:
         if op == "alloc":
             if addr in model:
+                with pytest.raises(ProtocolError):
+                    array.peek_victim(addr)
                 continue
-            _, evicted = array.allocate(addr, state=1)
-            if evicted is not None:
-                model.discard(evicted.addr)
-            model.add(addr)
+            peeked = array.peek_victim(addr)
+            expected = model.victim(addr)
+            model.fill(addr, expected)
+            block, evicted = array.allocate(addr, state=1)
+            assert block.addr == addr
+            assert (None if evicted is None else evicted.addr) == expected
+            assert peeked is evicted
         elif op == "remove":
             removed = array.remove(addr)
             assert (removed is not None) == (addr in model)
-            model.discard(addr)
+            if removed is not None:
+                assert removed.addr == addr
+                model.remove(addr)
+        elif op == "lookup":
+            block = array.lookup(addr)
+            assert (block is not None) == (addr in model)
+            if block is not None:
+                model.touch(addr)
+        elif op == "peek":
+            block = array.lookup(addr, touch=False)
+            assert (block is not None) == (addr in model)
         else:
-            assert (array.lookup(addr) is not None) == (addr in model)
-    assert {b.addr for b in array.iter_blocks()} == model
-    assert array.occupancy() == len(model)
-    for addr in range(31):
-        assert array.set_occupancy(addr) <= 2
+            assert array.contains(addr) == (addr in model)
+        assert [b.addr for b in array.iter_blocks()] == model.set_major()
+    assert array.occupancy() == len(model.set_major())
+    for s in range(sets):
+        assert array.set_occupancy(s) == len(model.order[s])

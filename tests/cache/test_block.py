@@ -5,7 +5,7 @@ from repro.cache.block import CacheBlock, copy_block
 
 class TestCacheBlock:
     def test_defaults(self):
-        block = CacheBlock(addr=0x10, tag=0x1, state=2)
+        block = CacheBlock(addr=0x10, state=2)
         assert block.addr == 0x10
         assert block.state == 2
         assert not block.dirty
@@ -13,7 +13,7 @@ class TestCacheBlock:
         assert block.version == 0
 
     def test_slots_prevent_stray_attributes(self):
-        block = CacheBlock(0, 0, 0)
+        block = CacheBlock(0, 0)
         try:
             block.bogus = 1
         except AttributeError:
@@ -21,7 +21,7 @@ class TestCacheBlock:
         raise AssertionError("__slots__ should reject unknown attributes")
 
     def test_repr_shows_flags(self):
-        block = CacheBlock(0x40, 1, 3, dirty=True)
+        block = CacheBlock(0x40, 3, dirty=True)
         block.stash = True
         text = repr(block)
         assert "dirty" in text and "stash" in text
@@ -32,12 +32,12 @@ class TestCopyBlock:
         assert copy_block(None) is None
 
     def test_copy_is_deep_snapshot(self):
-        block = CacheBlock(0x40, 1, 3, dirty=True)
+        block = CacheBlock(0x40, 3, dirty=True)
         block.stash = True
         block.version = 7
         clone = copy_block(block)
         assert clone is not block
-        assert (clone.addr, clone.tag, clone.state) == (0x40, 1, 3)
+        assert (clone.addr, clone.state) == (0x40, 3)
         assert clone.dirty and clone.stash and clone.version == 7
         block.version = 8
         assert clone.version == 7

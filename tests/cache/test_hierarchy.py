@@ -7,7 +7,6 @@ from repro.cache.hierarchy import PrivateHierarchy
 from repro.common.config import CacheConfig, DirectoryKind
 from repro.common.errors import ConfigError, ProtocolError
 from repro.common.mesi import MesiState
-from repro.common.rng import DeterministicRng
 from repro.common.stats import StatGroup
 from repro.sim.simulator import Simulator
 from repro.sim.system import build_system
@@ -20,7 +19,6 @@ def make_hierarchy(l1_sets=2, l1_ways=2, l2_sets=4, l2_ways=2):
         core_id=0,
         l1_config=CacheConfig(sets=l1_sets, ways=l1_ways),
         l2_config=CacheConfig(sets=l2_sets, ways=l2_ways),
-        rng=DeterministicRng(1),
         stats=StatGroup("private"),
     )
 
@@ -36,7 +34,6 @@ class TestValidation:
                 0,
                 CacheConfig(sets=2, ways=2, block_bytes=64),
                 CacheConfig(sets=4, ways=2, block_bytes=128),
-                DeterministicRng(1),
                 StatGroup("p"),
             )
 

@@ -6,7 +6,6 @@ from repro.cache.l1 import L1Cache
 from repro.common.config import CacheConfig
 from repro.common.errors import ProtocolError
 from repro.common.mesi import MesiState
-from repro.common.rng import DeterministicRng
 from repro.common.stats import StatGroup
 
 
@@ -14,7 +13,6 @@ def make_l1(sets=2, ways=2):
     return L1Cache(
         core_id=0,
         config=CacheConfig(sets=sets, ways=ways),
-        rng=DeterministicRng(1),
         stats=StatGroup("l1"),
     )
 

@@ -5,7 +5,6 @@ import pytest
 from repro.cache.llc import SharedLLC
 from repro.common.config import CacheConfig
 from repro.common.errors import ProtocolError
-from repro.common.rng import DeterministicRng
 from repro.common.stats import StatGroup
 
 
@@ -13,7 +12,6 @@ def make_llc(sets=4, ways=2, banks=4):
     return SharedLLC(
         CacheConfig(sets=sets, ways=ways),
         num_banks=banks,
-        rng=DeterministicRng(1),
         stats=StatGroup("llc"),
     )
 

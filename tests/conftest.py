@@ -6,6 +6,8 @@ exercise eviction and conflict paths without large traces.
 
 from __future__ import annotations
 
+from collections import OrderedDict
+
 import pytest
 
 from repro.common.config import (
@@ -44,6 +46,55 @@ def tiny_config(
         check_invariants=check_invariants,
         seed=7,
     )
+
+
+class LruModel:
+    """Exact LRU reference for a set-associative structure of block addresses.
+
+    Per set it keeps a way list and an OrderedDict in LRU order (least
+    recently used first).  A fill takes the lowest free way; a full set
+    evicts its LRU line, or with ``prefer`` the LRU line it accepts, when
+    there is one.
+    """
+
+    def __init__(self, sets: int, ways: int) -> None:
+        self.sets = sets
+        self.ways = [[None] * ways for _ in range(sets)]
+        self.order = [OrderedDict() for _ in range(sets)]
+
+    def victim(self, addr, prefer=None):
+        """The address a fill of ``addr`` evicts, or None if a way is free."""
+        order = self.order[addr % self.sets]
+        if len(order) < len(self.ways[0]):
+            return None
+        if prefer is not None:
+            for line in order:
+                if prefer(line):
+                    return line
+        return next(iter(order))
+
+    def fill(self, addr, victim) -> None:
+        """Evict ``victim`` (if any) and install ``addr``."""
+        if victim is not None:
+            self.remove(victim)
+        ways = self.ways[addr % self.sets]
+        ways[ways.index(None)] = addr
+        self.order[addr % self.sets][addr] = None
+
+    def touch(self, addr) -> None:
+        self.order[addr % self.sets].move_to_end(addr)
+
+    def remove(self, addr) -> None:
+        ways = self.ways[addr % self.sets]
+        del self.order[addr % self.sets][addr]
+        ways[ways.index(addr)] = None
+
+    def __contains__(self, addr) -> bool:
+        return addr in self.order[addr % self.sets]
+
+    def set_major(self):
+        """Every line, set by set and way by way."""
+        return [addr for ways in self.ways for addr in ways if addr is not None]
 
 
 @pytest.fixture(scope="session", autouse=True)

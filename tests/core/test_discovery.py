@@ -6,7 +6,6 @@ from repro.cache.l1 import L1Cache
 from repro.common.config import CacheConfig, NoCConfig
 from repro.common.errors import ProtocolError
 from repro.common.mesi import MesiState
-from repro.common.rng import DeterministicRng
 from repro.common.stats import StatGroup
 from repro.core.discovery import DiscoveryDemand, DiscoveryEngine
 from repro.noc.network import Network
@@ -17,7 +16,7 @@ def make_engine(num_cores=4):
     stats = StatGroup("root")
     network = Network(NoCConfig(mesh_width=2, mesh_height=2), stats.child("noc"))
     l1s = [
-        L1Cache(core, CacheConfig(sets=2, ways=2), DeterministicRng(core), stats.child(f"l1.{core}"))
+        L1Cache(core, CacheConfig(sets=2, ways=2), stats.child(f"l1.{core}"))
         for core in range(num_cores)
     ]
     engine = DiscoveryEngine(network, l1s, stats.child("discovery"))

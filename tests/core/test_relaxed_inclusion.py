@@ -4,7 +4,6 @@ from repro.cache.l1 import L1Cache
 from repro.cache.llc import SharedLLC
 from repro.common.config import CacheConfig, DirectoryConfig, DirectoryKind
 from repro.common.mesi import MesiState
-from repro.common.rng import DeterministicRng
 from repro.common.stats import StatGroup
 from repro.core.relaxed_inclusion import (
     check_relaxed_inclusion,
@@ -16,11 +15,11 @@ from repro.directory.ideal import IdealDirectory
 def make_parts(num_cores=2):
     stats = StatGroup("root")
     l1s = [
-        L1Cache(core, CacheConfig(sets=2, ways=2), DeterministicRng(core), stats.child(f"l1.{core}"))
+        L1Cache(core, CacheConfig(sets=2, ways=2), stats.child(f"l1.{core}"))
         for core in range(num_cores)
     ]
     llc = SharedLLC(
-        CacheConfig(sets=16, ways=4), num_cores, DeterministicRng(9), stats.child("llc")
+        CacheConfig(sets=16, ways=4), num_cores, stats.child("llc")
     )
     directory = IdealDirectory(DirectoryConfig(kind=DirectoryKind.IDEAL), num_cores, stats.child("dir"))
     return l1s, llc, directory

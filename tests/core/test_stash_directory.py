@@ -1,10 +1,17 @@
 """Unit tests for the stash directory's victim policy — the contribution."""
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.common.config import DirectoryConfig, DirectoryKind, StashEligibility
+from repro.common.errors import DirectoryError
 from repro.common.rng import DeterministicRng
 from repro.common.stats import StatGroup
 from repro.core.stash_directory import StashDirectory
 from repro.directory.base import EvictionAction
+from repro.directory.sparse import SparseDirectory
+from tests.conftest import LruModel
 
 
 def make_stash(entries=4, ways=2, num_cores=4, eligibility=StashEligibility.ANY_PRIVATE):
@@ -95,3 +102,82 @@ class TestInheritedBehaviour:
         assert d.lookup(0).addr == 0
         d.deallocate(0)
         assert d.occupancy() == 0
+
+
+@settings(max_examples=100)
+@given(
+    stash=st.booleans(),
+    sets=st.sampled_from([1, 2, 4]),
+    ways=st.integers(1, 4),
+    ops=st.lists(
+        st.tuples(
+            st.sampled_from(["alloc", "alloc", "dealloc", "lookup", "peek", "contains"]),
+            st.integers(0, 11),
+            st.integers(0, 2),
+        ),
+        min_size=40,
+        max_size=200,
+    ),
+)
+def test_property_victims_match_lru_model(stash, sets, ways, ops):
+    """Sparse evicts the LRU entry; stash the LRU stash-eligible one first.
+
+    A stash directory invalidates (and counts a forced invalidation) only
+    when no entry in the full set is eligible.  Lookups without a touch,
+    ``contains`` and iteration leave the LRU order alone.
+    """
+    kind, cls = (
+        (DirectoryKind.STASH, StashDirectory) if stash
+        else (DirectoryKind.SPARSE, SparseDirectory)
+    )
+    d = cls(
+        DirectoryConfig(kind=kind, ways=ways),
+        num_cores=4,
+        entries=sets * ways,
+        rng=DeterministicRng(1),
+        stats=StatGroup("dir"),
+    )
+    model = LruModel(sets, ways)
+    private = {}  # addr -> the entry tracks exactly one holder
+    forced = 0
+    for op, addr, holders in ops:
+        if op == "alloc":
+            if addr in model:
+                with pytest.raises(DirectoryError):
+                    d.allocate(addr)
+                continue
+            expected = model.victim(addr, private.__getitem__ if stash else None)
+            result = d.allocate(addr)
+            model.fill(addr, expected)
+            if holders == 1:
+                result.entry.grant_exclusive(0)
+            for core in range(holders if holders > 1 else 0):
+                result.entry.add_sharer(core)
+            private[addr] = holders == 1
+            if expected is None:
+                assert result.eviction is None
+            else:
+                assert result.eviction.entry.addr == expected
+                stashed = stash and private[expected]
+                assert result.eviction.action is (
+                    EvictionAction.STASH if stashed else EvictionAction.INVALIDATE
+                )
+                forced += stash and not stashed
+        elif op == "dealloc":
+            d.deallocate(addr)
+            if addr in model:
+                model.remove(addr)
+        elif op == "lookup":
+            entry = d.lookup(addr)
+            assert (entry is not None) == (addr in model)
+            if entry is not None:
+                model.touch(addr)
+        elif op == "peek":
+            assert (d.lookup(addr, touch=False) is not None) == (addr in model)
+        else:
+            assert d.contains(addr) == (addr in model)
+        assert [e.addr for e in d.iter_entries()] == model.set_major()
+    assert d.occupancy() == len(model.set_major())
+    for s in range(sets):
+        assert d.set_occupancy(s) == len(model.order[s])
+    assert d.stats.get("forced_invalidations") == forced
