@@ -65,16 +65,11 @@ def _commit():
 
 
 def _cold_sweep(workers: int):
-    """One fully cold run: result memo, trace memo and both disk layers off."""
+    """One fully cold run: result memo, trace memo and the disk cache off."""
     runner.clear_memo()
     trace_store.clear_memo()
     start = time.perf_counter()
-    results = runner.run_points(
-        SCALING_POINTS,
-        workers=workers,
-        cache_enabled=False,
-        trace_cache_enabled=False,
-    )
+    results = runner.run_points(SCALING_POINTS, workers=workers, cache_enabled=False)
     return time.perf_counter() - start, results
 
 
@@ -84,9 +79,7 @@ def _trace_share():
     trace_store.clear_memo()
     trace_store.counters.reset()
     start = time.perf_counter()
-    runner.run_points(
-        SCALING_POINTS, workers=1, cache_enabled=False, trace_cache_enabled=False
-    )
+    runner.run_points(SCALING_POINTS, workers=1, cache_enabled=False)
     total = time.perf_counter() - start
     share = trace_store.counters.gen_seconds / total if total else 0.0
     return {

@@ -65,6 +65,20 @@ def _cache_from_dict(data: Dict) -> CacheConfig:
     return CacheConfig(**fields)
 
 
+def _timing_from_dict(data: Dict) -> TimingConfig:
+    """A TimingConfig; reads the float ``core_fixed_cpi`` of older files.
+
+    The CPI is an int cycle count like every other latency.  Files saved
+    while it was a float carry ``1.0``: an integral value becomes its
+    int, and a fractional one is rejected like any non-int cycle count.
+    """
+    fields = dict(data)
+    cpi = fields.get("core_fixed_cpi")
+    if isinstance(cpi, float) and cpi.is_integer():
+        fields["core_fixed_cpi"] = int(cpi)
+    return TimingConfig(**fields)
+
+
 def config_from_dict(data: Dict) -> SystemConfig:
     """Reconstruct a typed SystemConfig from :func:`config_to_dict` output."""
     directory = dict(data["directory"])
@@ -79,7 +93,7 @@ def config_from_dict(data: Dict) -> SystemConfig:
         llc=_cache_from_dict(data["llc"]),
         directory=DirectoryConfig(**directory),
         noc=NoCConfig(**data["noc"]),
-        timing=TimingConfig(**data["timing"]),
+        timing=_timing_from_dict(data["timing"]),
         energy=EnergyConfig(**data["energy"]),
         memory_model=MemoryModel(data["memory_model"]),
         dram=DramConfig(**data["dram"]),

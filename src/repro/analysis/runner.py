@@ -17,12 +17,12 @@ Python simulations.  This module is the one place that executes them:
   blocked workers) and re-raises — a killed sweep keeps every finished
   point and never leaves a partially-written cache entry.
 * **Shared traces** — workload traces are materialized exactly once per
-  distinct key through :mod:`repro.workloads.store`: an in-process memo of
-  :class:`~repro.sim.trace.PackedTrace` streams plus a corruption-safe
-  binary spool under ``<cache-dir>/traces/``.  The parent pre-materializes
-  every distinct trace before dispatch (:func:`materialize_traces`), so a
-  kinds x ratios sweep generates each workload once, not
-  ``len(kinds) * len(ratios)`` times, and forked workers inherit it.
+  distinct key through :mod:`repro.workloads.store`, an in-process memo of
+  :class:`~repro.sim.trace.PackedTrace` streams.  The parent
+  pre-materializes every distinct trace before dispatch
+  (:func:`materialize_traces`), so a kinds x ratios sweep generates each
+  workload once, not ``len(kinds) * len(ratios)`` times, and forked
+  workers inherit the memo.
 * **Persistent cache** — results are cached on disk as JSON under
   ``.repro_cache/`` (override with ``REPRO_CACHE_DIR`` / ``configure``),
   keyed by a stable SHA-256 of the full :class:`~repro.common.config.
@@ -44,9 +44,8 @@ in pool workers) and :func:`record` (memo, disk and counters).
 
 Environment knobs (read once at import, overridable via :func:`configure`
 or per-call arguments): ``REPRO_WORKERS`` (worker processes, default 1),
-``REPRO_CACHE_DIR`` (cache root, default ``.repro_cache``),
-``REPRO_NO_CACHE`` (any non-empty value disables the result disk layer)
-and ``REPRO_NO_TRACE_CACHE`` (disables the trace spool).
+``REPRO_CACHE_DIR`` (cache root, default ``.repro_cache``) and
+``REPRO_NO_CACHE`` (any non-empty value disables the result disk layer).
 """
 
 from __future__ import annotations
@@ -56,7 +55,6 @@ import json
 import os
 import time
 from dataclasses import dataclass, field
-from functools import partial
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -316,7 +314,6 @@ _DEFAULTS = {
     "workers": max(1, int(os.environ.get("REPRO_WORKERS", "1") or "1")),
     "cache_dir": os.environ.get("REPRO_CACHE_DIR") or ".repro_cache",
     "cache_enabled": not os.environ.get("REPRO_NO_CACHE"),
-    "trace_cache_enabled": not os.environ.get("REPRO_NO_TRACE_CACHE"),
 }
 
 
@@ -328,8 +325,10 @@ def configure(
 ) -> Dict[str, object]:
     """Set process-wide runner defaults; None leaves a field unchanged.
 
-    Returns the resolved defaults (also the way to inspect them).  The
-    trace spool lives under ``<cache_dir>/traces/``.
+    Returns the resolved defaults (also the way to inspect them).
+    ``trace_cache_enabled`` is accepted and ignored: traces live only in
+    the in-process memo, and the keyword stays only until the benchmark
+    harness stops passing it (ROADMAP item 1).
     """
     if workers is not None:
         _DEFAULTS["workers"] = max(1, int(workers))
@@ -337,25 +336,12 @@ def configure(
         _DEFAULTS["cache_dir"] = str(cache_dir)
     if cache_enabled is not None:
         _DEFAULTS["cache_enabled"] = bool(cache_enabled)
-    if trace_cache_enabled is not None:
-        _DEFAULTS["trace_cache_enabled"] = bool(trace_cache_enabled)
     return dict(_DEFAULTS)
 
 
 def default_cache() -> DiskCache:
     """A DiskCache rooted at the currently configured directory."""
     return DiskCache(_DEFAULTS["cache_dir"])
-
-
-def trace_spool_root(cache_dir: Optional[Union[str, Path]] = None) -> Path:
-    """The trace-spool directory under a cache root (default: configured)."""
-    root = Path(cache_dir) if cache_dir is not None else Path(_DEFAULTS["cache_dir"])
-    return root / "traces"
-
-
-def default_trace_store() -> trace_store.TraceStore:
-    """A TraceStore spooling under the configured cache directory."""
-    return trace_store.TraceStore(trace_spool_root())
 
 
 def campaigns_root(cache_dir: Optional[Union[str, Path]] = None) -> Path:
@@ -374,10 +360,9 @@ def clear_disk_cache() -> int:
     return default_cache().clear()
 
 
-def clear_trace_cache() -> int:
-    """Drop the trace memo and the configured spool; returns files removed."""
+def clear_trace_cache() -> None:
+    """Drop the trace memo."""
     trace_store.clear_memo()
-    return default_trace_store().clear()
 
 
 def clear_campaign_store() -> int:
@@ -389,7 +374,7 @@ def clear_campaign_store() -> int:
 
 
 def clear_all() -> None:
-    """Drop every cache layer — result memo+disk, trace memo+spool and the
+    """Drop every cache layer — result memo+disk, trace memo and the
     campaign journal store."""
     clear_memo()
     clear_disk_cache()
@@ -399,15 +384,11 @@ def clear_all() -> None:
 
 # ------------------------------------------------------------------ execution
 
-def compute_point(
-    point: SweepPoint,
-    spool_dir: Optional[str] = None,
-    spool_enabled: bool = True,
-) -> Tuple[SimulationResult, float, float]:
+def compute_point(point: SweepPoint) -> Tuple[SimulationResult, float, float]:
     """Run one sweep point; returns (result, seconds, trace_seconds).
 
-    The input trace comes from the shared trace store (memo -> spool ->
-    generate) in packed form, so repeated points over one workload never
+    The input trace comes from the shared trace memo (generated on a
+    miss) in packed form, so repeated points over one workload never
     regenerate it; ``trace_seconds`` is the acquisition share of the
     point's wall time.  Top-level so :class:`ProcessPoolExecutor` can
     pickle it.
@@ -419,8 +400,6 @@ def compute_point(
         point.ops_per_core,
         seed=point.seed,
         block_bytes=point.config.block_bytes,
-        root=spool_dir,
-        disk_enabled=spool_enabled,
     )
     trace_seconds = time.perf_counter() - start
     if point.observed:
@@ -499,32 +478,24 @@ def record(
     return key
 
 
-def materialize_traces(
-    points: Sequence[SweepPoint],
-    spool_dir: Optional[str] = None,
-    spool_enabled: bool = True,
-) -> None:
+def materialize_traces(points: Sequence[SweepPoint]) -> None:
     """Acquire each distinct input trace of ``points`` once.
 
     Called before dispatch, so every later :func:`compute_point` finds its
-    trace in the spool or, in a worker forked afterwards, in the inherited
-    memo: a kinds x ratios sweep performs one generation per workload.
+    trace in the memo, inherited by a worker forked afterwards: a kinds x
+    ratios sweep performs one generation per workload.
     """
     seen = set()
     for point in points:
         key = point.trace_memo_key
         if key not in seen:
             seen.add(key)
-            trace_store.get_packed_trace(
-                *key, root=spool_dir, disk_enabled=spool_enabled
-            )
+            trace_store.get_packed_trace(*key)
 
 
 def _compute_all(
     points: Sequence[SweepPoint],
     workers: int,
-    spool_dir: str,
-    spool_enabled: bool,
     disk: Optional[DiskCache],
 ) -> List[Tuple[SimulationResult, float, float]]:
     """Compute and :func:`record` every point; outputs in input order.
@@ -547,11 +518,8 @@ def _compute_all(
     with dispatch.graceful_sigterm():
         if workers > 1 and len(points) > 1:
             backend = dispatch.ProcessPoolBackend(min(workers, len(points)))
-            compute = partial(
-                compute_point, spool_dir=spool_dir, spool_enabled=spool_enabled
-            )
             try:
-                dispatch.run_each(backend, compute, points, on_result=_done)
+                dispatch.run_each(backend, compute_point, points, on_result=_done)
                 counters.parallel_batches += 1
                 counters.dispatches += len(points)
             except (KeyboardInterrupt, SystemExit):
@@ -562,7 +530,7 @@ def _compute_all(
                 backend.shutdown()
         for index, point in enumerate(points):
             if outputs[index] is None:
-                _done(index, compute_point(point, spool_dir, spool_enabled))
+                _done(index, compute_point(point))
     return outputs  # type: ignore[return-value]
 
 
@@ -571,13 +539,12 @@ def run_points(
     workers: Optional[int] = None,
     cache_dir: Optional[Union[str, Path]] = None,
     cache_enabled: Optional[bool] = None,
-    trace_cache_enabled: Optional[bool] = None,
 ) -> List[SimulationResult]:
     """Execute sweep points through memo -> disk cache -> (parallel) compute.
 
     Results are returned in input order; duplicate points are simulated
     once.  Every distinct input trace is materialized exactly once in this
-    process (memo + spool) before any dispatch, then each pending point
+    process (into the trace memo) before any dispatch, then each pending point
     is computed on its own.  Completed points land in the memo and disk
     cache *as they finish*, so an interrupted sweep resumes from
     everything already computed.  Per-call arguments override the
@@ -585,15 +552,9 @@ def run_points(
     """
     workers = effective_workers(workers)
     use_disk = _DEFAULTS["cache_enabled"] if cache_enabled is None else bool(cache_enabled)
-    use_spool = (
-        _DEFAULTS["trace_cache_enabled"]
-        if trace_cache_enabled is None
-        else bool(trace_cache_enabled)
-    )
     disk = None
     if use_disk:
         disk = DiskCache(cache_dir) if cache_dir is not None else default_cache()
-    spool_dir = str(trace_spool_root(cache_dir))
 
     batch_start = time.perf_counter()
     results: List[Optional[SimulationResult]] = [None] * len(points)
@@ -614,8 +575,8 @@ def run_points(
 
     if pending:
         todo = [point for point, _ in pending.values()]
-        materialize_traces(todo, spool_dir, use_spool)
-        outputs = _compute_all(todo, workers, spool_dir, use_spool, disk)
+        materialize_traces(todo)
+        outputs = _compute_all(todo, workers, disk)
         counters.point_seconds = [seconds for _, seconds, _ in outputs]
         for (_, indices), (result, _, _) in zip(pending.values(), outputs):
             for index in indices:
@@ -631,7 +592,6 @@ def counters_summary() -> str:
 
     c = counters
     t = trace_store.counters
-    spool = default_trace_store().stats()
     campaigns = CampaignStore(campaigns_root()).stats()
     lines = [
         "sweep runner counters:",
@@ -650,10 +610,8 @@ def counters_summary() -> str:
         f"fallbacks {c.parallel_fallbacks})",
         f"  disk           writes {c.disk_writes}, corrupt dropped {c.corrupt_entries}",
         f"  traces         {t.lookups} lookups (memo {t.memo_hits}, "
-        f"spool {t.disk_hits}, generated {t.generated} in {t.gen_seconds:.2f}s); "
+        f"generated {t.generated} in {t.gen_seconds:.2f}s); "
         f"acquisition {c.trace_seconds:.2f}s of compute",
-        f"  trace spool    {spool['files']} files, {spool['bytes']} bytes "
-        f"(writes {t.disk_writes}, corrupt dropped {t.corrupt_entries})",
         f"  campaigns      {campaigns['campaigns']} journaled "
         f"({campaigns['files']} files, {campaigns['bytes']} bytes)",
     ]

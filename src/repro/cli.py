@@ -35,9 +35,8 @@ emits) and returns a non-zero exit code on error.
 Global sweep-engine flags (give them *before* the subcommand):
 ``--workers N`` fans independent sweep points across N worker processes,
 one point per dispatch, ``--cache-dir PATH`` / ``--no-cache`` control the
-persistent result cache, ``--trace-cache/--no-trace-cache`` the shared
-trace spool, and ``--cache-stats`` prints hit-rate/wall-time counters to
-stderr (see docs/PERFORMANCE.md).
+persistent result cache, and ``--cache-stats`` prints hit-rate/wall-time
+counters to stderr (see docs/PERFORMANCE.md).
 """
 
 from __future__ import annotations
@@ -500,7 +499,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         workers=args.workers or 0,
         cache_dir=args.cache_dir,
         cache_enabled=not args.no_cache,
-        trace_cache_enabled=True if args.trace_cache is None else args.trace_cache,
         max_points=args.max_points,
     )
 
@@ -535,14 +533,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="disable the persistent result cache for this invocation",
     )
     parser.add_argument(
-        "--trace-cache", action=argparse.BooleanOptionalAction, default=None,
-        help="enable/disable the shared trace spool under <cache-dir>/traces "
-             "(default: on, or REPRO_NO_TRACE_CACHE)",
-    )
-    parser.add_argument(
         "--cache-stats", action="store_true",
         help="print sweep-runner hit-rate/wall-time counters (results, "
-             "traces, spool) to stderr on exit",
+             "traces, campaigns) to stderr on exit",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -731,7 +724,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         workers=args.workers,
         cache_dir=args.cache_dir,
         cache_enabled=False if args.no_cache else None,
-        trace_cache_enabled=args.trace_cache,
     )
     try:
         return args.func(args)

@@ -121,8 +121,8 @@ class HomeController:
         # Requester's current clock, set by CoherentSystem.access before each
         # transaction; consumed by the (optional) DRAM timing model and the
         # (optional) home-bank contention model.
-        self.now: float = 0.0
-        self._home_busy_until = [0.0] * config.num_cores
+        self.now: int = 0
+        self._home_busy_until = [0] * config.num_cores
         # Observability probe (repro.obs): None is the null probe — emission
         # sites test it once and skip; tracing swaps in EventRing.append.
         self._obs = None
@@ -186,12 +186,12 @@ class HomeController:
         occupancy = self._home_occupancy
         if occupancy == 0:
             return 0
-        wait = max(0.0, self._home_busy_until[home] - self.now)
+        wait = max(0, self._home_busy_until[home] - self.now)
         self._home_busy_until[home] = self.now + wait + occupancy
         if wait > 0:
             self.stats.add("home_bank_waits")
             self.stats.add("home_bank_wait_cycles", wait)
-        return int(wait)
+        return wait
 
     def filter_add(self, core: int, addr: int) -> None:
         """Record a granted copy in the presence filter (no-op if disabled)."""

@@ -102,7 +102,7 @@ class CoherentSystem:
 
     # -- the one operation ------------------------------------------------------
 
-    def access(self, core: int, block_addr: int, is_write: bool, now: float = 0.0) -> int:
+    def access(self, core: int, block_addr: int, is_write: bool, now: int = 0) -> int:
         """One memory operation by ``core``; returns its latency in cycles.
 
         ``now`` is the issuing core's clock; only the DRAM memory model

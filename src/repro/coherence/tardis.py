@@ -115,8 +115,8 @@ class TardisHome:
         self._bank_mask = llc.num_banks - 1
         self._l1_probe = [l1.probe for l1 in l1s]
         self._l1_invalidate = [l1.invalidate for l1 in l1s]
-        self.now: float = 0.0
-        self._home_busy_until = [0.0] * config.num_cores
+        self.now: int = 0
+        self._home_busy_until = [0] * config.num_cores
         self._obs = None
         # Data-version bookkeeping (same contract as HomeController).
         self.latest_version: Dict[int, int] = {}
@@ -156,12 +156,12 @@ class TardisHome:
         occupancy = self._home_occupancy
         if occupancy == 0:
             return 0
-        wait = max(0.0, self._home_busy_until[home] - self.now)
+        wait = max(0, self._home_busy_until[home] - self.now)
         self._home_busy_until[home] = self.now + wait + occupancy
         if wait > 0:
             self.stats.add("home_bank_waits")
             self.stats.add("home_bank_wait_cycles", wait)
-        return int(wait)
+        return wait
 
     # ---------------------------------------------------------------- misses
 

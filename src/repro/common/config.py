@@ -229,7 +229,7 @@ class TimingConfig:
     llc_access: int = 10
     directory_access: int = 2
     memory_latency: int = 120
-    core_fixed_cpi: float = 1.0   # cycles charged per non-memory "work" unit
+    core_fixed_cpi: int = 1   # cycles charged per non-memory "work" unit
     # Optional home-bank serialization: each request occupies its home
     # bank's controller for ``home_occupancy`` cycles; concurrent requests
     # to the same bank queue.  Off by default (zero = no contention model).
@@ -238,10 +238,8 @@ class TimingConfig:
     def __post_init__(self) -> None:
         _check_cycles(self, (
             "l1_hit", "l2_hit", "llc_access", "directory_access",
-            "memory_latency", "home_occupancy",
+            "memory_latency", "core_fixed_cpi", "home_occupancy",
         ))
-        if self.core_fixed_cpi < 0:
-            raise ConfigError("core_fixed_cpi must be non-negative")
 
 
 @dataclass(frozen=True)

@@ -26,14 +26,7 @@ class DeterministicRng:
 
     def __init__(self, seed: int) -> None:
         self._seed = seed
-        # The underlying Random is created on first draw: every directory
-        # organization is handed a stream, and only cuckoo draws from it.
-        self._rng: random.Random | None = None
-
-    def _materialize(self) -> random.Random:
-        rng = random.Random(self._seed)
-        self._rng = rng
-        return rng
+        self._rng = random.Random(seed)
 
     @property
     def seed(self) -> int:
@@ -51,7 +44,7 @@ class DeterministicRng:
         below ``n``), and a Zipf index is ``bisect_left(zipf_cdf(n, alpha),
         random())``.
         """
-        return self._rng or self._materialize()
+        return self._rng
 
     def spawn(self, stream_id: int) -> "DeterministicRng":
         """Create an independent child stream.
@@ -64,19 +57,19 @@ class DeterministicRng:
 
     def randint(self, lo: int, hi: int) -> int:
         """Uniform integer in the inclusive range [lo, hi]."""
-        return (self._rng or self._materialize()).randint(lo, hi)
+        return self._rng.randint(lo, hi)
 
     def random(self) -> float:
         """Uniform float in [0, 1)."""
-        return (self._rng or self._materialize()).random()
+        return self._rng.random()
 
     def choice(self, items: Sequence[T]) -> T:
         """Uniformly pick one element of a non-empty sequence."""
-        return (self._rng or self._materialize()).choice(items)
+        return self._rng.choice(items)
 
     def shuffle(self, items: List[T]) -> None:
         """In-place Fisher-Yates shuffle."""
-        (self._rng or self._materialize()).shuffle(items)
+        self._rng.shuffle(items)
 
     def zipf_index(self, n: int, alpha: float) -> int:
         """Draw an index in [0, n) with Zipf(alpha) popularity.
@@ -86,10 +79,8 @@ class DeterministicRng:
         degenerates to uniform.
         """
         if alpha <= 0.0:
-            return (self._rng or self._materialize()).randrange(n)
-        return bisect_left(
-            zipf_cdf(n, alpha), (self._rng or self._materialize()).random()
-        )
+            return self._rng.randrange(n)
+        return bisect_left(zipf_cdf(n, alpha), self._rng.random())
 
 
 _ZIPF_CDF_CACHE: Dict[Tuple[int, float], List[float]] = {}

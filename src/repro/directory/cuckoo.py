@@ -109,7 +109,6 @@ class CuckooDirectory(Directory):
         self.slots_per_way = entries // self.d
         self.max_path = max_path
         self.stats = stats
-        self._rng = rng
         # The d sub-tables, laid end to end (see cuckoo_slots).
         self._table: List[Optional[DirectoryEntry]] = [None] * entries
         # Candidate slots are needed at every relocation step; workloads
@@ -123,10 +122,9 @@ class CuckooDirectory(Directory):
         # Displacement-way picks draw one uniform way per chain step; the
         # bound getrandbits plus the rejection loop below reproduce
         # random.Random.randint(0, d-1) bit-for-bit without its three stdlib
-        # call frames.  Bound lazily (the underlying Random materializes on
-        # first draw, matching DeterministicRng's laziness).
+        # call frames.
         self._rand_bits = self.d.bit_length()
-        self._getrandbits = None
+        self._getrandbits = rng.source().getrandbits
         self._c_hits = None
         self._c_misses = None
         # Validated sharer-rep template; allocations clone it via fresh().
@@ -176,11 +174,6 @@ class CuckooDirectory(Directory):
         spw = self.slots_per_way
         rand_bits = self._rand_bits
         getrandbits = self._getrandbits
-        if getrandbits is None:
-            rng = self._rng
-            getrandbits = self._getrandbits = (
-                rng._rng or rng._materialize()
-            ).getrandbits
         relocations = 0
         # A chain step only moves entries between occupied slots, so in a
         # full table no candidate slot is ever free: skip the scans.

@@ -19,11 +19,11 @@ class DramAdapter:
     def __init__(self, dram: DramModel) -> None:
         self.dram = dram
 
-    def read(self, block_addr: int = 0, now: float = 0.0) -> int:
+    def read(self, block_addr: int = 0, now: int = 0) -> int:
         """Fetch one block through the DRAM model."""
         return self.dram.access(block_addr, now, is_write=False)
 
-    def write(self, block_addr: int = 0, now: float = 0.0) -> int:
+    def write(self, block_addr: int = 0, now: int = 0) -> int:
         """Write one block back through the DRAM model."""
         return self.dram.access(block_addr, now, is_write=True)
 

@@ -32,7 +32,7 @@ class DramBank:
 
     def __init__(self) -> None:
         self.open_row: Optional[int] = None
-        self.busy_until: float = 0.0
+        self.busy_until: int = 0
 
 
 class DramModel:
@@ -61,7 +61,7 @@ class DramModel:
 
     # -- accesses -----------------------------------------------------------------
 
-    def access(self, block_addr: int, now: float, is_write: bool) -> int:
+    def access(self, block_addr: int, now: int, is_write: bool) -> int:
         """One block transfer; returns its latency in cycles.
 
         ``now`` is the requester's clock, used to model bank busy time.
@@ -70,7 +70,7 @@ class DramModel:
         row = self.row_of(block_addr)
         cfg = self.config
 
-        wait = max(0.0, bank.busy_until - now)
+        wait = max(0, bank.busy_until - now)
         if wait > 0:
             self._stats.add("bank_conflict_wait_cycles", wait)
             self._stats.add("bank_conflicts")
@@ -86,8 +86,8 @@ class DramModel:
             self._stats.add("row_misses")
         bank.open_row = row
 
-        latency = int(wait + service + cfg.transfer_cycles)
-        bank.busy_until = now + wait + service + cfg.transfer_cycles
+        latency = wait + service + cfg.transfer_cycles
+        bank.busy_until = now + latency
         self._stats.add("writes" if is_write else "reads")
         return latency
 

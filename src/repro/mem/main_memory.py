@@ -20,7 +20,7 @@ class MainMemory:
         self._latency = timing.memory_latency
         self._stats = stats
 
-    def read(self, block_addr: int = 0, now: float = 0.0) -> int:
+    def read(self, block_addr: int = 0, now: int = 0) -> int:
         """Fetch one block; returns the access latency in cycles.
 
         ``block_addr`` and ``now`` exist for interface parity with the DRAM
@@ -30,7 +30,7 @@ class MainMemory:
         self._stats.add("reads")
         return self._latency
 
-    def write(self, block_addr: int = 0, now: float = 0.0) -> int:
+    def write(self, block_addr: int = 0, now: int = 0) -> int:
         """Write one block back; returns the access latency in cycles.
 
         Writebacks are off the critical path of the evicting request in real

@@ -166,7 +166,7 @@ class Observer:
 
     # -- simulator-facing ---------------------------------------------------
 
-    def sample_epoch(self, op: int, clock: float) -> None:
+    def sample_epoch(self, op: int, clock: int) -> None:
         """Record one epoch (no-op when the sampler is off)."""
         if self.sampler is not None:
             self.sampler.sample(op, clock)

@@ -16,7 +16,7 @@ stored absolute.
 Epoch records are plain dicts ready for JSONL/CSV export
 (:mod:`repro.obs.export`)::
 
-    {"op": 4096, "clock": 10234.0,
+    {"op": 4096, "clock": 10234,
      "d": {"system.protocol.l1_misses": 312.0, ...},
      "g": {"dir_occupancy": 504.0, "stash_bits": 122.0, ...}}
 
@@ -89,7 +89,7 @@ class EpochSampler:
         gauges["effective_tracking"] = float(system.effective_tracking())
         return gauges
 
-    def sample(self, op: int, clock: float) -> Dict[str, object]:
+    def sample(self, op: int, clock: int) -> Dict[str, object]:
         """Record one epoch at operation ``op`` / requester clock ``clock``."""
         current = self._selected()
         prev = self._prev

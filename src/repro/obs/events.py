@@ -5,7 +5,7 @@ record is deliberately primitive: one fixed-shape tuple
 
     (ts, kind, core, addr, dur, arg)
 
-* ``ts``   — requester clock at transaction start (cycles, float).  The
+* ``ts``   — requester clock at transaction start (cycles, int).  The
   simulator's timestamp-ordered interleave issues operations in
   non-decreasing clock order, so raw event timestamps are already
   monotonic; exporters still sort defensively.

@@ -47,7 +47,6 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from ..analysis import dispatch as dispatch_mod
@@ -81,7 +80,6 @@ class ServiceConfig:
     workers: int = 0
     cache_dir: Optional[str] = None
     cache_enabled: bool = True
-    trace_cache_enabled: bool = True
     max_points: int = 100_000
 
     def __post_init__(self) -> None:
@@ -164,9 +162,7 @@ class Campaign:
         return out
 
 
-def _run_observed_point(
-    point, spool_dir: str, spool_enabled: bool
-) -> Tuple[Tuple[object, float, float], object]:
+def _run_observed_point(point) -> Tuple[Tuple[object, float, float], object]:
     """Execute one observed point in-process.
 
     Returns ``((result, seconds, trace_seconds), observer)``: the first
@@ -183,8 +179,6 @@ def _run_observed_point(
         point.ops_per_core,
         seed=point.seed,
         block_bytes=point.config.block_bytes,
-        root=spool_dir,
-        disk_enabled=spool_enabled,
     )
     trace_seconds = time.perf_counter() - start
     system = build_system(point.config)
@@ -205,7 +199,6 @@ class CampaignService:
         cache_dir = self.config.cache_dir or str(runner.configure()["cache_dir"])
         self.cache_dir = cache_dir
         self.disk = runner.DiskCache(cache_dir) if self.config.cache_enabled else None
-        self.spool_dir = str(runner.trace_spool_root(cache_dir))
         self.store = CampaignStore(runner.campaigns_root(cache_dir))
         workers = self.config.workers or runner.effective_workers(None)
         self.backend = dispatch_mod.make_backend(self.config.backend, workers)
@@ -269,7 +262,7 @@ class CampaignService:
             "repro_dispatch_in_flight", "Points submitted but not finished",
             lambda: self.backend.in_flight,
         )
-        # Cache layers, read live from the runner/trace-store counters.
+        # Cache layers, read live from the runner/trace-memo counters.
         c, t = runner.counters, trace_store.counters
         r.gauge_func(
             "repro_result_cache_hit_rate",
@@ -289,10 +282,8 @@ class CampaignService:
         )
         r.gauge_func(
             "repro_trace_cache_hit_rate",
-            "Trace lookups served from memo or spool",
-            lambda: (
-                (t.memo_hits + t.disk_hits) / t.lookups if t.lookups else 0.0
-            ),
+            "Trace lookups served from the memo",
+            lambda: t.memo_hits / t.lookups if t.lookups else 0.0,
         )
         r.gauge_func(
             "repro_trace_cache_generated", "Workload traces generated",
@@ -446,27 +437,19 @@ class CampaignService:
                 None,
                 runner.materialize_traces,
                 [campaign.specs[i].point for i in pending],
-                self.spool_dir,
-                self.config.trace_cache_enabled,
             )
 
             # 4. One future per point: plain points on the backend,
             # observed points in-process (their Observer must come back).
-            compute = partial(
-                runner.compute_point,
-                spool_dir=self.spool_dir,
-                spool_enabled=self.config.trace_cache_enabled,
-            )
             futures: Dict[asyncio.Future, int] = {}
             for index in pending:
                 point = campaign.specs[index].point
                 if point.observed:
-                    future = loop.run_in_executor(
-                        None, _run_observed_point, point, self.spool_dir,
-                        self.config.trace_cache_enabled,
-                    )
+                    future = loop.run_in_executor(None, _run_observed_point, point)
                 else:
-                    future = asyncio.wrap_future(self.backend.submit(compute, point))
+                    future = asyncio.wrap_future(
+                        self.backend.submit(runner.compute_point, point)
+                    )
                 campaign.states[index] = "running"
                 futures[future] = index
             await self._notify(campaign)
@@ -543,7 +526,6 @@ class CampaignService:
             "backend": self.backend.describe(),
             "cache_dir": str(self.cache_dir),
             "cache_enabled": self.config.cache_enabled,
-            "trace_cache_enabled": self.config.trace_cache_enabled,
             "max_points": self.config.max_points,
             "campaigns": len(self.campaigns),
         }

@@ -101,7 +101,7 @@ class Simulator:
         fixed = config.timing.core_fixed_cpi
         check = config.check_invariants
 
-        clocks = [0.0] * trace.num_cores
+        clocks = [0] * trace.num_cores
         cursors = [0] * trace.num_cores
 
         samples: List[int] = []
@@ -125,7 +125,7 @@ class Simulator:
         next_invariant = invariant_interval if check else -1
         next_sample = sample_interval
         next_epoch = epoch_interval if epoch_interval else -1
-        warmup_clocks = [0.0] * trace.num_cores
+        warmup_clocks = [0] * trace.num_cores
         system = self.system
         check_invariants = system.check_invariants
         effective_tracking = system.effective_tracking
@@ -138,7 +138,7 @@ class Simulator:
         lat_cell = None
 
         # Min-heap of (clock, core) for the timestamp-ordered interleave.
-        heap = [(0.0, core) for core in range(trace.num_cores) if streams[core]]
+        heap = [(0, core) for core in range(trace.num_cores) if streams[core]]
         heapq.heapify(heap)
         heappush = heapq.heappush
         heappop = heapq.heappop
@@ -192,9 +192,7 @@ class Simulator:
             sample_epoch(processed, max(clocks))
         return SimulationResult(
             config=config,
-            cycles_per_core=[
-                int(c - w) for c, w in zip(clocks, warmup_clocks)
-            ],
+            cycles_per_core=[c - w for c, w in zip(clocks, warmup_clocks)],
             stats=system.flat_stats(),
             effective_tracking_samples=samples,
         )

@@ -75,10 +75,10 @@ def pack_flat_program(ops: "Iterable[FlatOp]") -> "PackedTrace":
     """Encode a globally-ordered ``(core, block, is_write)`` program.
 
     The result is a single-stream :class:`PackedTrace` whose words are
-    ``(((core << FLAT_CORE_SHIFT) | block) << 1) | is_write`` — the exact
-    on-disk spool format of per-core traces, reused so the differential
-    fuzzer's failure corpus (:mod:`repro.verify.corpus`) needs no second
-    serializer.  Raises :class:`~repro.common.errors.TraceError` when a
+    ``(((core << FLAT_CORE_SHIFT) | block) << 1) | is_write`` — the word
+    layout of per-core packed traces, so the differential fuzzer's failure
+    corpus (:mod:`repro.verify.corpus`) stores a program as one packed
+    stream.  Raises :class:`~repro.common.errors.TraceError` when a
     core id or block address does not fit its field.
     """
     packed = PackedTrace(1)

@@ -38,9 +38,8 @@ contract:
   ``noc.msgs.request`` is L1 misses plus upgrades and the directory's
   ``misses`` is that sum less its ``hits``; and each message class's
   ``flit_hops`` is its ``hops`` times its flit weight.  Clocks are ints
-  by construction (configs take only ``int`` cycle counts, and
-  :func:`vector_supports` refuses a fractional ``core_fixed_cpi``), so
-  the arithmetic is exact.
+  by construction (configs take only ``int`` cycle counts), so the
+  arithmetic is exact.
 * **Scalar slow path.**  Rare events — misses, upgrades, evictions, stash
   discovery, sharer-pointer overflow — run in ordinary Python over the
   same flat state, replicating the interpreter's exact decision order.
@@ -70,7 +69,6 @@ transparently rather than approximating.
 from __future__ import annotations
 
 import heapq
-import random
 import sys
 from array import array
 from typing import Dict, List, Optional, Set, Tuple
@@ -179,8 +177,6 @@ def vector_supports(config: SystemConfig) -> Optional[str]:
         return "invariant checking walks the live controller objects"
     if config.noc.track_links:
         return "per-link flit attribution is interpreter-only"
-    if not float(config.timing.core_fixed_cpi).is_integer():
-        return "fractional core_fixed_cpi breaks exact integer clocks"
     return None
 
 
@@ -234,7 +230,7 @@ class _FlatMachine:
         self.t_dir = timing.directory_access
         self.t_llc = timing.llc_access
         self.t_mem = timing.memory_latency
-        self.fixed = int(timing.core_fixed_cpi)
+        self.fixed = timing.core_fixed_cpi
 
         mesh = Mesh2D(config.noc)
         self.hopt = mesh.hop_table()
@@ -1584,7 +1580,7 @@ class _CuckooMachine(_FlatMachine):
     The hash ways' sub-tables lie end to end in ``dentries`` (see
     :func:`~repro.directory.cuckoo.cuckoo_slots`); an entry's ``pos`` field
     holds its candidate slots, memoized per block.  The way draws come
-    from the directory's own random stream, created on the first draw.
+    from the directory's own random stream.
     """
 
     def __init__(self, config: SystemConfig, tables: Optional[L1Tables] = None) -> None:
@@ -1604,7 +1600,12 @@ class _CuckooMachine(_FlatMachine):
         self.way_rotations = [
             tuple((r + i) % ways for i in range(ways)) for r in range(ways)
         ]
-        self.getrandbits = None
+        self.getrandbits = (
+            DeterministicRng(config.seed)
+            .spawn(DIRECTORY_RNG_STREAM)
+            .source()
+            .getrandbits
+        )
 
     def _dir_allocate(self, blk: int, home: int) -> int:
         """CuckooDirectory.allocate: relocate along a chain, then evict.
@@ -1629,9 +1630,6 @@ class _CuckooMachine(_FlatMachine):
         bits = self.way_bits
         d = self.dways
         getrandbits = self.getrandbits
-        if getrandbits is None:
-            stream = DeterministicRng(self.config.seed).spawn(DIRECTORY_RNG_STREAM)
-            getrandbits = self.getrandbits = random.Random(stream.seed).getrandbits
         relocations = 0
         scan = self.dir_occ_total < len(table)
         homeless = e

@@ -1,6 +1,6 @@
 """Synthetic workload generation: primitives, patterns, the named suite,
-and the content-addressed trace store that materializes each workload
-exactly once per sweep (:mod:`repro.workloads.store`)."""
+and the trace memo that materializes each workload exactly once per
+process (:mod:`repro.workloads.store`)."""
 
 from .algorithms import (
     graph_clustering,
@@ -9,7 +9,7 @@ from .algorithms import (
     union_find,
 )
 from .characterize import TraceProfile, histogram_buckets, profile_trace
-from .store import TraceStore, get_packed_trace, trace_key
+from .store import get_packed_trace
 from .patterns import (
     false_sharing,
     lock_contention,
@@ -46,7 +46,6 @@ __all__ = [
     "SUITE",
     "SUITE_ORDER",
     "TraceProfile",
-    "TraceStore",
     "UniformStream",
     "WorkloadSpec",
     "ZipfStream",
@@ -66,7 +65,6 @@ __all__ = [
     "shared_read_only",
     "streaming",
     "tiled_matmul",
-    "trace_key",
     "uniform_mix",
     "union_find",
     "workload_names",

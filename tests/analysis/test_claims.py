@@ -8,11 +8,11 @@ the headline on the full suite at 2000 ops/core: there sparse@1/8 runs
 1.45x slower than sparse@1x (1.12x at 300 ops/core), so "stash@1/8
 matches sparse@1x and sparse@1/8 is worse" has something to hold against.
 
-One worker, result cache and trace spool off.  The memo stays on for the
-module, so later experiments reuse the headline's points (F7 all of them,
-A1, A2, A4 and S4 their baselines).  F5's and F6's provisioning sweeps
-are judged only at benchmark scale; the last two tests check on fixed
-data that their predicates reject what they should.
+One worker, result cache off.  The memo stays on for the module, so
+later experiments reuse the headline's points (F7 all of them, A1, A2, A4
+and S4 their baselines).  F5's and F6's provisioning sweeps are judged
+only at benchmark scale; the last two tests check on fixed data that
+their predicates reject what they should.
 """
 
 from __future__ import annotations
@@ -41,11 +41,11 @@ CLAIM_ARGS = {
 
 @pytest.fixture(scope="module")
 def engine(tmp_path_factory):
-    """One worker, result cache and trace spool off, memo shared by the module."""
+    """One worker, result cache off, memo shared by the module."""
     previous = runner.configure()
     runner.configure(
         workers=1, cache_dir=tmp_path_factory.mktemp("claims"),
-        cache_enabled=False, trace_cache_enabled=False,
+        cache_enabled=False,
     )
     runner.clear_memo()
     yield

@@ -207,12 +207,12 @@ class TestRunnerGracefulShutdown:
         calls = []
         lock = threading.Lock()
 
-        def _wrapped(point, spool_dir=None, spool_enabled=True):
+        def _wrapped(point):
             with lock:
                 calls.append(point)
                 first = len(calls) == 1
             if first:
-                return real_compute_point(point, spool_dir, spool_enabled)
+                return real_compute_point(point)
             # Interrupt only once the first point's result has actually
             # been folded into the disk cache, so "finished work is kept"
             # is deterministic rather than a completion-order race.
@@ -252,13 +252,9 @@ class TestRunnerGracefulShutdown:
 
     def test_sweep_results_identical_across_backends(self, tmp_path, monkeypatch):
         points = [tiny_point(seed=s) for s in (1, 2)]
-        serial = runner.run_points(
-            points, workers=1, cache_enabled=False, trace_cache_enabled=False
-        )
+        serial = runner.run_points(points, workers=1, cache_enabled=False)
         for backend in (dispatch.ProcessPoolBackend, dispatch.InProcessBackend):
             monkeypatch.setattr(dispatch, "ProcessPoolBackend", backend)
             runner.clear_memo()
-            got = runner.run_points(
-                points, workers=2, cache_enabled=False, trace_cache_enabled=False
-            )
+            got = runner.run_points(points, workers=2, cache_enabled=False)
             assert got == serial, f"backend {backend.name} diverged"

@@ -1,7 +1,7 @@
 """Byte-for-byte pins of every experiment's output.
 
 Each registered experiment runs at 100 ops/core on one worker, with the
-result cache and the trace spool off and the memo cleared.  The SHA-256
+result cache off and the memo cleared.  The SHA-256
 of its rendered text and of its data (``json.dumps`` with sorted keys)
 must equal the digests below.  The stdout of one ``repro sweep`` and the
 file one ``repro report`` writes are pinned the same way.  Refactors of
@@ -146,12 +146,9 @@ def experiment_digests(exp_id: str):
 
 @pytest.fixture
 def cold(tmp_path):
-    """One worker, result cache and trace spool off, memo cleared."""
+    """One worker, result cache off, memo cleared."""
     previous = runner.configure()
-    runner.configure(
-        workers=1, cache_dir=tmp_path, cache_enabled=False,
-        trace_cache_enabled=False,
-    )
+    runner.configure(workers=1, cache_dir=tmp_path, cache_enabled=False)
     runner.clear_memo()
     yield
     runner.configure(**previous)
@@ -168,14 +165,14 @@ def test_experiment_output_unchanged(cold, exp_id):
 
 
 def test_sweep_stdout_unchanged(cold, capsys):
-    assert main(["--no-cache", "--no-trace-cache", *SWEEP_ARGS]) == 0
+    assert main(["--no-cache", *SWEEP_ARGS]) == 0
     assert sha256(capsys.readouterr().out) == SWEEP_STDOUT_DIGEST
 
 
 def test_report_file_unchanged(cold, tmp_path, capsys):
     path = tmp_path / "REPORT.md"
     assert main([
-        "--no-cache", "--no-trace-cache", "report", str(path),
+        "--no-cache", "report", str(path),
         "--ops", str(OPS), "--sections", *PINNED_SECTIONS,
     ]) == 0
     assert sha256(path.read_text()) == REPORT_FILE_DIGEST

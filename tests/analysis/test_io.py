@@ -66,6 +66,22 @@ class TestConfigRoundtrip:
         with pytest.raises(ConfigError, match="plru"):
             config_from_dict(data)
 
+    def test_saved_float_cpi_becomes_int(self):
+        # Files written while the CPI was a float carry "core_fixed_cpi": 1.0.
+        config = tiny_config()
+        data = config_to_dict(config)
+        assert data["timing"]["core_fixed_cpi"] == 1
+        data["timing"]["core_fixed_cpi"] = 1.0
+        loaded = config_from_dict(data)
+        assert loaded == config
+        assert type(loaded.timing.core_fixed_cpi) is int
+
+    def test_saved_fractional_cpi_rejected(self):
+        data = config_to_dict(tiny_config())
+        data["timing"]["core_fixed_cpi"] = 1.5
+        with pytest.raises(ConfigError, match="core_fixed_cpi"):
+            config_from_dict(data)
+
 
 class TestResultRoundtrip:
     def test_file_roundtrip(self, tmp_path):

@@ -3,8 +3,9 @@
 Covers the satellite requirements explicitly: cache-key stability within
 and across processes, key sensitivity to every parameter, corruption
 tolerance (truncated/garbage/mismatched files are recomputed, never
-crashed on), parallel/serial result identity, trace-store sharing (one generation per distinct workload key) and
-three-layer clearing (result memo, result disk, trace memo+spool).
+crashed on), parallel/serial result identity, trace-memo sharing (one
+generation per distinct workload key) and three-layer clearing (result
+memo, result disk, trace memo).
 """
 
 from __future__ import annotations
@@ -138,7 +139,7 @@ class TestEngineDefault:
             "from repro.analysis.experiments import KINDS, make_config\n"
             "points = [runner.SweepPoint('mix', make_config(kind, 0.25, 16), 50)\n"
             "          for kind in KINDS]\n"
-            "off = dict(workers=1, cache_enabled=False, trace_cache_enabled=False)\n"
+            "off = dict(workers=1, cache_enabled=False)\n"
             "fast = runner.run_points(points, **off)\n"
             "runner.clear_memo()\n"
             "interp = runner.run_points(\n"
@@ -283,11 +284,11 @@ class TestParallel:
         real_compute_point = runner.compute_point
         calls = []
 
-        def _fail_seed_two_once(point, spool_dir=None, spool_enabled=True):
+        def _fail_seed_two_once(point):
             calls.append(point.seed)
             if point.seed == 2 and calls.count(2) == 1:
                 raise RuntimeError("worker lost")
-            return real_compute_point(point, spool_dir, spool_enabled)
+            return real_compute_point(point)
 
         monkeypatch.setattr(runner, "compute_point", _fail_seed_two_once)
         monkeypatch.setattr(dispatch, "ProcessPoolBackend", dispatch.InProcessBackend)
@@ -333,27 +334,17 @@ class TestBatchedScheduling:
         runner.run_points(points, cache_dir=tmp_path, cache_enabled=False)
         assert trace_store.counters.generated == len(workloads)
         assert trace_store.counters.memo_hits >= len(points) - len(workloads)
-        # The spool holds exactly one file per workload.
-        spool = trace_store.TraceStore(runner.trace_spool_root(tmp_path))
-        assert spool.stats()["files"] == len(workloads)
+        # Nothing but the memo holds a trace.
+        assert not list(tmp_path.iterdir())
 
-    def test_trace_cache_disabled_spools_nothing(self, tmp_path):
-        points = [tiny_point(), tiny_point(workload="mix")]
-        runner.run_points(
-            points, cache_dir=tmp_path, cache_enabled=False,
-            trace_cache_enabled=False,
-        )
-        assert not runner.trace_spool_root(tmp_path).exists()
-
-    def test_spool_serves_fresh_process_memo(self, tmp_path):
-        """After one run, a cold memo re-run loads traces from the spool."""
+    def test_trace_cache_keyword_is_ignored(self, tmp_path):
+        """The benchmark harness still passes ``trace_cache_enabled``."""
+        before = runner.configure()
+        assert "trace_cache_enabled" not in before
+        assert runner.configure(trace_cache_enabled=False) == before
         runner.run_points([tiny_point()], cache_dir=tmp_path, cache_enabled=False)
-        runner.clear_memo()
-        trace_store.clear_memo()
-        trace_store.counters.reset()
-        runner.run_points([tiny_point()], cache_dir=tmp_path, cache_enabled=False)
-        assert trace_store.counters.disk_hits == 1
-        assert trace_store.counters.generated == 0
+        assert trace_store.counters.generated == 1
+        assert not list(tmp_path.iterdir())
 
 
 class TestObservedPoints:
@@ -386,10 +377,9 @@ class TestObservedPoints:
         assert runner.counters.memo_hits == 0
         assert runner.counters.disk_hits == 0
         assert not runner._MEMO
-        # ...but the input trace was generated exactly once and spooled.
+        # ...but the input trace was generated exactly once.
         assert trace_store.counters.generated == 1
-        spool = trace_store.TraceStore(runner.trace_spool_root(tmp_path))
-        assert spool.stats()["files"] == 1
+        assert trace_store.counters.memo_hits >= 1
 
 
 class TestExperimentsIntegration:
@@ -413,25 +403,21 @@ class TestExperimentsIntegration:
     def test_clear_cache_clears_trace_spool_and_memo(self, tmp_path):
         runner.configure(cache_dir=tmp_path)
         exp.simulate("mix", tiny_config(check_invariants=False), OPS, 1)
-        spool_root = runner.trace_spool_root(tmp_path)
-        assert list(spool_root.glob("*.trace"))
         assert trace_store._TRACE_MEMO
         exp.clear_cache()
-        assert not list(spool_root.glob("*.trace"))
         assert not trace_store._TRACE_MEMO
 
     def test_counters_summary_reports_trace_store(self, tmp_path):
         runner.configure(cache_dir=tmp_path)
         exp.simulate("mix", tiny_config(check_invariants=False), OPS, 1)
         text = runner.counters_summary()
-        assert "traces" in text
-        assert "generated 1" in text
-        assert "trace spool    1 files" in text
+        assert "traces         2 lookups (memo 1, generated 1 in" in text
+        assert "spool" not in text
 
     def test_cold_sweep_is_one_batch_without_memo_reads(self):
         # F3 over the quick workloads: 3 x (4 kinds x 4 R + ideal once) = 51
         # distinct points (sparse@1x is the baseline), each requested once.
-        runner.configure(workers=1, cache_enabled=False, trace_cache_enabled=False)
+        runner.configure(workers=1, cache_enabled=False)
         exp.run_performance_sweep(ratios=[1.0, 0.5, 0.25, 0.125], ops_per_core=60)
         assert runner.counters.computed == 51
         assert runner.counters.memo_hits == 0

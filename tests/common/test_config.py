@@ -92,11 +92,13 @@ class TestTimingConfig:
     def test_rejects_negative(self):
         with pytest.raises(ConfigError):
             TimingConfig(memory_latency=-5)
+        with pytest.raises(ConfigError):
+            TimingConfig(core_fixed_cpi=-1)
 
     @pytest.mark.parametrize(
         "name",
         ["l1_hit", "l2_hit", "llc_access", "directory_access",
-         "memory_latency", "home_occupancy"],
+         "memory_latency", "core_fixed_cpi", "home_occupancy"],
     )
     @pytest.mark.parametrize("value", [120.5, 120.0, False])
     def test_rejects_non_int_cycles(self, name, value):
@@ -104,9 +106,6 @@ class TestTimingConfig:
         # the fraction; a bool is an int to Python but no cycle count.
         with pytest.raises(ConfigError, match="int cycle count"):
             TimingConfig(**{name: value})
-
-    def test_fixed_cpi_may_be_fractional(self):
-        assert TimingConfig(core_fixed_cpi=1.5).core_fixed_cpi == 1.5
 
 
 class TestEnergyConfig:

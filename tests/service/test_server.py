@@ -208,7 +208,7 @@ class TestScheduling:
         assert store.load_manifest(campaign_id) == manifest()
 
     def test_failed_points_fail_the_campaign(self, tmp_path, monkeypatch):
-        def _explode(point, spool_dir=None, spool_enabled=True):
+        def _explode(point):
             raise RuntimeError("synthetic point failure")
 
         monkeypatch.setattr(runner, "compute_point", _explode)
@@ -267,11 +267,11 @@ class TestResumeAfterKill:
         lock = threading.Lock()
         calls = []
 
-        def _first_then_block(point, spool_dir=None, spool_enabled=True):
+        def _first_then_block(point):
             with lock:
                 calls.append(point)
                 first = len(calls) == 1
-            output = real_compute_point(point, spool_dir, spool_enabled)
+            output = real_compute_point(point)
             if not first:
                 # Second point: computed but never handed back — exactly
                 # the shape of a process dying mid-campaign.

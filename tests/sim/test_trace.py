@@ -205,11 +205,12 @@ class TestFlatPrograms:
 
     def test_survives_spool_round_trip(self, tmp_path):
         from repro.sim.trace import pack_flat_program, unpack_flat_program
-        from repro.workloads.store import TraceStore
+        from repro.verify.corpus import read_trace_file, write_trace_file
 
         program = [(1, 0x40, True), (0, 0x40, False)]
-        spool = TraceStore(tmp_path)
-        spool.store("f" * 64, {"fuzz": {"kind": "stash"}}, pack_flat_program(program))
-        header, packed = spool.load_entry("f" * 64)
+        path = tmp_path / "program.trace"
+        write_trace_file(path, "f" * 64, {"fuzz": {"kind": "stash"}},
+                         pack_flat_program(program))
+        header, packed = read_trace_file(path)
         assert header["fuzz"] == {"kind": "stash"}
         assert unpack_flat_program(packed) == program

@@ -1,5 +1,7 @@
 """Failure corpus: serialization round trips, seeds, corruption handling."""
 
+import shutil
+
 import pytest
 
 from repro.common.errors import TraceError
@@ -68,16 +70,28 @@ class TestRoundTrip:
         path.write_bytes(b"garbage")
         with pytest.raises(TraceError):
             load_case(path)
-        assert not path.exists()
+        # A case cannot be regenerated: the file the user named stays.
+        assert path.read_bytes() == b"garbage"
 
     def test_plain_trace_entry_rejected(self, tmp_path):
         from repro.sim.trace import pack_flat_program
-        from repro.workloads.store import TraceStore
+        from repro.verify.corpus import write_trace_file
 
-        spool = TraceStore(tmp_path)
-        spool.store("a" * 64, {"workload": "mix"}, pack_flat_program([(0, 1, False)]))
+        path = tmp_path / ("a" * 64 + ".trace")
+        write_trace_file(path, "a" * 64, {"workload": "mix"},
+                         pack_flat_program([(0, 1, False)]))
         with pytest.raises(TraceError, match="not a fuzz case"):
-            load_case(tmp_path / ("a" * 64 + ".trace"))
+            load_case(path)
+        assert path.exists()
+
+    @pytest.mark.parametrize("name", ["my_case.trace", "case.bin"])
+    def test_renamed_copy_loads(self, tmp_path, name):
+        case = sample_case()
+        path = save_case(case, tmp_path)
+        copy = tmp_path / name
+        shutil.copyfile(path, copy)
+        assert load_case(copy) == load_case(path) == case
+        assert copy.exists()
 
     def test_repro_command_names_file(self, tmp_path):
         path = save_case(sample_case(), tmp_path)
@@ -107,3 +121,14 @@ class TestSeedCorpus:
         second = seed_corpus(tmp_path)
         assert first == second
         assert len(set(first)) == len(first)
+
+    @pytest.mark.parametrize("name", ["my_case.trace", "case.bin"])
+    def test_renamed_seed_case_replays(self, tmp_path, name, capsys):
+        from repro.cli import main
+
+        (path,) = seed_corpus(tmp_path / "corpus")
+        copy = tmp_path / name
+        shutil.copyfile(path, copy)
+        assert main(["fuzz", "--replay", str(copy)]) == 0
+        assert "seed case clean" in capsys.readouterr().out
+        assert copy.exists()

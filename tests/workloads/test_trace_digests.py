@@ -115,9 +115,7 @@ def test_every_registered_workload_is_pinned(size):
 )
 def test_store_trace_bytes_are_pinned(size, name):
     num_cores, ops_per_core, seed = size
-    trace = store.get_packed_trace(
-        name, num_cores, ops_per_core, seed=seed, disk_enabled=False
-    )
+    trace = store.get_packed_trace(name, num_cores, ops_per_core, seed=seed)
     assert trace.num_cores == num_cores
     assert [len(s) for s in trace.streams] == [ops_per_core] * num_cores
     assert digest(trace) == DIGESTS[size][name]
@@ -125,13 +123,13 @@ def test_store_trace_bytes_are_pinned(size, name):
 
 @pytest.mark.parametrize("num_cores", sorted(MIX_DIGESTS))
 def test_mix_group_edges_are_pinned(num_cores):
-    trace = store.get_packed_trace("mix", num_cores, 150, seed=2, disk_enabled=False)
+    trace = store.get_packed_trace("mix", num_cores, 150, seed=2)
     assert trace.num_cores == num_cores
     assert digest(trace) == MIX_DIGESTS[num_cores]
 
 
 @pytest.mark.parametrize("name", workload_names())
 def test_build_workload_matches_the_store(name):
-    stored = store.get_packed_trace(name, 16, 300, seed=1, disk_enabled=False)
+    stored = store.get_packed_trace(name, 16, 300, seed=1)
     built = PackedTrace.from_trace(build_workload(name, 16, 300, seed=1))
     assert built == stored

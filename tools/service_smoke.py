@@ -111,7 +111,6 @@ def _direct_summaries(cache_dir: str):
         workers=1,
         cache_dir=os.path.join(cache_dir, "direct"),
         cache_enabled=False,
-        trace_cache_enabled=False,
     )
     return {spec.index: result.summary() for spec, result in zip(specs, results)}
 
