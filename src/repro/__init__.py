@@ -39,7 +39,7 @@ from .common.config import (
 from .sim.results import SimulationResult
 from .sim.simulator import Simulator, run_trace
 from .sim.system import build_system
-from .sim.trace import Trace, TraceRecord
+from .sim.trace import Trace
 from .workloads.suite import build_workload, workload_names
 
 __version__ = "1.0.0"
@@ -58,7 +58,6 @@ __all__ = [
     "SystemConfig",
     "TimingConfig",
     "Trace",
-    "TraceRecord",
     "__version__",
     "build_system",
     "build_workload",

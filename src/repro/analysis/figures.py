@@ -7,7 +7,7 @@ terminal or a CI log.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from .tables import format_cell, render_table
 
@@ -28,27 +28,6 @@ def render_series(
     for i, x in enumerate(x_values):
         rows.append([x] + [values[i] for values in series.values()])
     return render_table(headers, rows, title=title, precision=precision)
-
-
-def render_bars(
-    title: str,
-    labels: Sequence[str],
-    values: Sequence[float],
-    unit: str = "",
-    max_value: Optional[float] = None,
-) -> str:
-    """Horizontal ASCII bar chart for one series."""
-    peak = max_value if max_value is not None else max(values, default=0.0)
-    if peak <= 0:
-        peak = 1.0
-    width = max((len(label) for label in labels), default=0)
-    lines: List[str] = [title, "=" * len(title)]
-    for label, value in zip(labels, values):
-        bar = "#" * max(0, round(BAR_WIDTH * value / peak))
-        lines.append(
-            f"{label.rjust(width)} | {bar} {format_cell(value)}{unit}"
-        )
-    return "\n".join(lines)
 
 
 def render_grouped_bars(

@@ -31,6 +31,7 @@ from ..common.config import (
 )
 from ..common.errors import ConfigError, TraceError
 from ..common.mesi import CoherenceProtocol
+from ..directory.sharers import HIER_POINTERS
 from ..sim.results import SimulationResult
 from .tables import render_table
 
@@ -79,19 +80,41 @@ def _timing_from_dict(data: Dict) -> TimingConfig:
     return TimingConfig(**fields)
 
 
+#: Hierarchical-format knobs of older files, with the values every system
+#: now uses (``DirectoryConfig`` no longer has them).
+_FIXED_HIER_FIELDS = {"hier_cluster": 0, "hier_pointers": HIER_POINTERS}
+
+
+def _directory_from_dict(data: Dict) -> DirectoryConfig:
+    """A DirectoryConfig; drops the fixed hierarchical knobs of older files.
+
+    Files saved while the hierarchical format had knobs carry
+    ``"hier_cluster": 0, "hier_pointers": 2``, the values every system
+    uses.  Any other value names a machine this code cannot rebuild.
+    """
+    fields = dict(data)
+    for name, fixed in _FIXED_HIER_FIELDS.items():
+        value = fields.pop(name, fixed)
+        if value != fixed:
+            raise ConfigError(
+                f"{name}={value!r} is gone; the hierarchical format always "
+                f"uses {name}={fixed}"
+            )
+    fields["kind"] = DirectoryKind(fields["kind"])
+    fields["sharer_format"] = SharerFormat(fields["sharer_format"])
+    fields["stash_eligibility"] = StashEligibility(fields["stash_eligibility"])
+    return DirectoryConfig(**fields)
+
+
 def config_from_dict(data: Dict) -> SystemConfig:
     """Reconstruct a typed SystemConfig from :func:`config_to_dict` output."""
-    directory = dict(data["directory"])
-    directory["kind"] = DirectoryKind(directory["kind"])
-    directory["sharer_format"] = SharerFormat(directory["sharer_format"])
-    directory["stash_eligibility"] = StashEligibility(directory["stash_eligibility"])
     l2 = data.get("l2")
     return SystemConfig(
         num_cores=data["num_cores"],
         l1=_cache_from_dict(data["l1"]),
         l2=_cache_from_dict(l2) if l2 is not None else None,
         llc=_cache_from_dict(data["llc"]),
-        directory=DirectoryConfig(**directory),
+        directory=_directory_from_dict(data["directory"]),
         noc=NoCConfig(**data["noc"]),
         timing=_timing_from_dict(data["timing"]),
         energy=EnergyConfig(**data["energy"]),

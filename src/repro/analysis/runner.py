@@ -40,7 +40,8 @@ Python simulations.  This module is the one place that executes them:
 :func:`run_points` and the campaign service (:mod:`repro.service`) resolve
 points through one public core: :func:`lookup` (memo, then disk),
 :func:`materialize_traces`, :func:`compute_point` (picklable, so it runs
-in pool workers) and :func:`record` (memo, disk and counters).
+in pool workers; :func:`execute_point` also hands back an observed
+point's live observer) and :func:`record` (memo, disk and counters).
 
 Environment knobs (read once at import, overridable via :func:`configure`
 or per-call arguments): ``REPRO_WORKERS`` (worker processes, default 1),
@@ -60,7 +61,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..common.config import SystemConfig
 from ..common.fingerprint import source_fingerprint
-from ..obs import ObsConfig, attach
+from ..obs import ObsConfig, Observer, attach
 from ..sim.results import SimulationResult
 from ..sim.simulator import run_trace
 from ..sim.system import build_system
@@ -384,14 +385,17 @@ def clear_all() -> None:
 
 # ------------------------------------------------------------------ execution
 
-def compute_point(point: SweepPoint) -> Tuple[SimulationResult, float, float]:
-    """Run one sweep point; returns (result, seconds, trace_seconds).
+def execute_point(
+    point: SweepPoint,
+) -> Tuple[Tuple[SimulationResult, float, float], Optional[Observer]]:
+    """Run one sweep point; returns ``((result, seconds, trace_seconds), observer)``.
 
     The input trace comes from the shared trace memo (generated on a
     miss) in packed form, so repeated points over one workload never
     regenerate it; ``trace_seconds`` is the acquisition share of the
-    point's wall time.  Top-level so :class:`ProcessPoolExecutor` can
-    pickle it.
+    point's wall time.  An observed point runs on a system with its
+    :class:`~repro.obs.Observer` attached, which comes back live (the
+    service reads its gauges); ``observer`` is None for a plain point.
     """
     start = time.perf_counter()
     trace = trace_store.get_packed_trace(
@@ -402,17 +406,30 @@ def compute_point(point: SweepPoint) -> Tuple[SimulationResult, float, float]:
         block_bytes=point.config.block_bytes,
     )
     trace_seconds = time.perf_counter() - start
+    observer = None
     if point.observed:
         system = build_system(point.config)
         observer = attach(system, point.obs)
         result = run_trace(point.config, trace, system=system, observer=observer)
+    else:
+        result = run_trace(point.config, trace, engine=point.engine)
+    return (result, time.perf_counter() - start, trace_seconds), observer
+
+
+def compute_point(point: SweepPoint) -> Tuple[SimulationResult, float, float]:
+    """Run one sweep point; returns (result, seconds, trace_seconds).
+
+    :func:`execute_point` without the observer: an observed point writes
+    its exports under its ``out_prefix`` (if any) instead.  Top-level so
+    :class:`ProcessPoolExecutor` can pickle it.
+    """
+    output, observer = execute_point(point)
+    if observer is not None:
         observer.write_all(
             meta={"workload": point.workload, "ops_per_core": point.ops_per_core,
                   "seed": point.seed}
         )
-    else:
-        result = run_trace(point.config, trace, engine=point.engine)
-    return result, time.perf_counter() - start, trace_seconds
+    return output
 
 
 def effective_workers(requested: Optional[int]) -> int:

@@ -1,7 +1,7 @@
 """Cache substrate: flat LRU set-associative arrays, L1s and the shared LLC."""
 
 from .array import CacheArray
-from .block import CacheBlock, copy_block
+from .block import CacheBlock
 from .l1 import L1Cache
 from .llc import SharedLLC
 
@@ -10,5 +10,4 @@ __all__ = [
     "CacheBlock",
     "L1Cache",
     "SharedLLC",
-    "copy_block",
 ]

@@ -15,8 +15,6 @@ fields that only one structure uses are documented as such:
 
 from __future__ import annotations
 
-from typing import Optional
-
 
 class CacheBlock:
     """Mutable per-line metadata. ``__slots__`` keeps millions of them cheap."""
@@ -38,13 +36,3 @@ class CacheBlock:
             flags.append("stash")
         extra = f" [{','.join(flags)}]" if flags else ""
         return f"CacheBlock(addr={self.addr:#x}, state={self.state}{extra})"
-
-
-def copy_block(block: Optional[CacheBlock]) -> Optional[CacheBlock]:
-    """Snapshot a block's metadata (used when reporting evicted victims)."""
-    if block is None:
-        return None
-    clone = CacheBlock(block.addr, block.state, block.dirty)
-    clone.stash = block.stash
-    clone.version = block.version
-    return clone

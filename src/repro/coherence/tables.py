@@ -9,14 +9,14 @@ down by hand: :func:`derive_l1_tables` drives a real
 :class:`~repro.coherence.protocol.CoherentSystem` into each reachable
 ``(state, op)`` cell, issues the access through the real
 :class:`~repro.coherence.l1_controller.L1Controller`, and reads the
-classification back out of the statistics tree and the cache state.  The
-engine therefore executes, by construction, the same decision tree the
-interpreter does; :func:`validate_l1_tables` cross-checks the derived
-actions against the analytic MESI predicates as a second, independent
-derivation.
+classification back out of the statistics tree and the home's version
+clock.  The engine therefore executes, by construction, the same decision
+tree the interpreter does; :func:`validate_l1_tables` cross-checks the
+derived actions against the analytic MESI predicates as a second,
+independent derivation.
 
-Tables are immutable tuples of ints (``action[state][is_write]``), plus
-flat-list views for the scalar dispatch loop.  :func:`corrupt_l1_tables`
+Tables are immutable tuples of ints (``action[state][is_write]``), plus a
+flat-list view for the scalar dispatch loop.  :func:`corrupt_l1_tables`
 deliberately flips one entry — the fuzz differ's ``table-corrupt`` fault
 uses it to prove that engine-vs-engine differential testing catches a
 mis-generated table.
@@ -36,11 +36,6 @@ A_HIT = 1           #: read hit: touch LRU, charge the L1 hit latency
 A_HIT_WUP = 2       #: write hit on M/E: silent upgrade to M + version mint
 A_UPGRADE = 3       #: write hit on S/O: home-serialized upgrade
 
-#: Stat-delta classes (index into the engine's local counter block).
-SC_L1_HIT = 0
-SC_L1_MISS = 1
-SC_UPGRADE = 2
-
 _N_STATES = 5  # I, S, E, M, O
 
 
@@ -52,19 +47,15 @@ def _frozen(rows: List[List[int]]) -> Tuple[Tuple[int, ...], ...]:
 class L1Tables:
     """The L1 request pipeline as data.
 
-    ``action[state][w]`` — action code; ``next_state[state][w]`` — MESI
-    state after the operation (``-1`` = decided by the slow path);
-    ``stat_class[state][w]`` — which per-access counter the operation
-    increments; ``grant_state[w]`` — state granted when the requester
-    becomes sole holder (directory/LLC miss, false discovery).  The
-    tables are tuples, so the memoized ones cannot be edited in place.
+    ``action[state][w]`` — action code; ``grant_state[w]`` — state
+    granted when the requester becomes sole holder (directory/LLC miss,
+    false discovery).  The vector engine reads nothing else.  The tables
+    are tuples, so the memoized ones cannot be edited in place.
     """
 
     protocol: CoherenceProtocol
-    action: Tuple[Tuple[int, ...], ...]      # 5 rows x (read, write)
-    next_state: Tuple[Tuple[int, ...], ...]  # 5 rows x (read, write)
-    stat_class: Tuple[Tuple[int, ...], ...]  # 5 rows x (read, write)
-    grant_state: Tuple[int, ...]             # (read, write)
+    action: Tuple[Tuple[int, ...], ...]  # 5 rows x (read, write)
+    grant_state: Tuple[int, ...]         # (read, write)
 
     def flat_action(self) -> List[int]:
         """``action`` as a flat list indexed ``state * 2 + is_write``."""
@@ -118,13 +109,12 @@ def derive_l1_tables(protocol: CoherenceProtocol) -> L1Tables:
     One fresh micro-system per ``(state, op)`` cell: the probe sets up the
     state, zeroes the statistics, issues the access from core 0 through the
     real controller stack, and classifies the cell from which counter fired
-    and where the line ended up.  OWNED cells are probed under MOESI (the
-    only protocol that reaches them) and reused for the MESI table, where
-    the interpreter's code path for a hypothetical O line is identical.
+    and whether the access minted a data version.  OWNED cells are probed
+    under MOESI (the only protocol that reaches them) and reused for the
+    MESI table, where the interpreter's code path for a hypothetical O line
+    is identical.
     """
     action = [[0, 0] for _ in range(_N_STATES)]
-    next_state = [[0, 0] for _ in range(_N_STATES)]
-    stat_class = [[0, 0] for _ in range(_N_STATES)]
     addr = 0x1234
 
     for state in MesiState:
@@ -145,23 +135,16 @@ def derive_l1_tables(protocol: CoherenceProtocol) -> L1Tables:
                 raise ProtocolError(
                     f"probe ({state.name}, w={is_write}) fired {hits}/{misses}/{upgrades}"
                 )
-            after_state = system.l1s[0].state_of(addr)
             minted = system.home._version_clock != before
             row, col = int(state), int(is_write)
-            next_state[row][col] = int(after_state)
             if misses:
                 action[row][col] = A_MISS
-                stat_class[row][col] = SC_L1_MISS
-                next_state[row][col] = -1  # grant decides
             elif upgrades:
                 action[row][col] = A_UPGRADE
-                stat_class[row][col] = SC_UPGRADE
             elif minted:
                 action[row][col] = A_HIT_WUP
-                stat_class[row][col] = SC_L1_HIT
             else:
                 action[row][col] = A_HIT
-                stat_class[row][col] = SC_L1_HIT
 
     # Sole-holder grants: what the home hands back when nobody else holds
     # the line (directory miss / LLC miss / false discovery).
@@ -174,8 +157,6 @@ def derive_l1_tables(protocol: CoherenceProtocol) -> L1Tables:
     return L1Tables(
         protocol=protocol,
         action=_frozen(action),
-        next_state=_frozen(next_state),
-        stat_class=_frozen(stat_class),
         grant_state=tuple(grant),
     )
 

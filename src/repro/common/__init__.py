@@ -1,16 +1,6 @@
 """Shared substrate: addressing, configuration, statistics, RNG, errors."""
 
-from .addr import (
-    block_address,
-    block_base,
-    home_bank,
-    is_power_of_two,
-    log2_exact,
-    rebuild_block_addr,
-    set_index,
-    stride_hash,
-    tag_bits,
-)
+from .addr import home_bank, is_power_of_two, log2_exact, stride_hash
 from .config import (
     CacheConfig,
     DirectoryConfig,
@@ -51,15 +41,10 @@ __all__ = [
     "SystemConfig",
     "TimingConfig",
     "TraceError",
-    "block_address",
-    "block_base",
     "home_bank",
     "is_power_of_two",
     "log2_exact",
     "per_kilo",
     "ratio",
-    "rebuild_block_addr",
-    "set_index",
     "stride_hash",
-    "tag_bits",
 ]

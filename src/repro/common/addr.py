@@ -7,9 +7,9 @@ log2(block_bytes)``), so two byte addresses in the same cache line map to the
 same block address.  All caches, directories and the LLC key their state by
 block address.
 
-The helpers here are deliberately tiny, pure functions: they are on the
-hottest path of the simulator, and keeping them free of object state lets
-both the caches and the tests use the same arithmetic.
+The helpers here are tiny, pure functions: the power-of-two checks that
+validate every geometry, the static home-bank interleave, and the hash the
+cuckoo directory and its flat model share.
 """
 
 from __future__ import annotations
@@ -31,31 +31,6 @@ def log2_exact(value: int) -> int:
     if not is_power_of_two(value):
         raise ConfigError(f"expected a power of two, got {value}")
     return value.bit_length() - 1
-
-
-def block_address(byte_addr: int, block_bytes: int) -> int:
-    """Convert a byte address to a block address."""
-    return byte_addr >> log2_exact(block_bytes)
-
-
-def block_base(byte_addr: int, block_bytes: int) -> int:
-    """Return the first byte address of the block containing ``byte_addr``."""
-    return byte_addr & ~(block_bytes - 1)
-
-
-def set_index(block_addr: int, num_sets: int) -> int:
-    """Map a block address onto a set index by modulo (power-of-two sets)."""
-    return block_addr & (num_sets - 1)
-
-
-def tag_bits(block_addr: int, num_sets: int) -> int:
-    """Return the tag portion of a block address for ``num_sets`` sets."""
-    return block_addr >> log2_exact(num_sets)
-
-
-def rebuild_block_addr(tag: int, index: int, num_sets: int) -> int:
-    """Inverse of (:func:`set_index`, :func:`tag_bits`)."""
-    return (tag << log2_exact(num_sets)) | index
 
 
 def home_bank(block_addr: int, num_banks: int) -> int:

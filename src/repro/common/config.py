@@ -108,8 +108,17 @@ class DirectoryConfig:
 
     The number of entries is derived from ``coverage_ratio`` at system-build
     time (entries = ratio * cores * l1_blocks) unless ``entries_override``
-    pins it explicitly.  ``ways`` applies to sparse/stash;
-    ``cuckoo_hashes``/``cuckoo_max_path`` to the cuckoo baseline.
+    pins it explicitly.  ``ways`` is the associativity of the
+    set-associative organizations and the hash-way count of the cuckoo
+    baseline.
+
+    ``sharer_format`` picks the entry's sharer encoding.  Only the coarse
+    vector (``coarse_group``) and limited pointers (``limited_pointers``)
+    take a parameter here; the hierarchical format always uses a
+    ``ceil(sqrt(num_cores))`` cluster and
+    :data:`~repro.directory.sharers.HIER_POINTERS` pointers per cluster.
+    The directories and the area model build and size the encoding from
+    this config through :mod:`repro.directory.sharers`.
     """
 
     kind: DirectoryKind = DirectoryKind.STASH
@@ -119,9 +128,6 @@ class DirectoryConfig:
     sharer_format: SharerFormat = SharerFormat.FULL_BIT_VECTOR
     coarse_group: int = 4            # cores per bit for COARSE_VECTOR
     limited_pointers: int = 4        # pointers for LIMITED_POINTER
-    hier_cluster: int = 0            # cores per cluster for HIERARCHICAL
-                                     # (0 = auto: ceil(sqrt(num_cores)))
-    hier_pointers: int = 2           # per-cluster pointers for HIERARCHICAL
     # Stash-specific knobs (ignored by other kinds).
     stash_eligibility: StashEligibility = StashEligibility.ANY_PRIVATE
     clean_eviction_notification: bool = False  # ablation A2
@@ -147,10 +153,6 @@ class DirectoryConfig:
             raise ConfigError("coarse_group must be >= 1")
         if self.limited_pointers < 1:
             raise ConfigError("limited_pointers must be >= 1")
-        if self.hier_cluster < 0:
-            raise ConfigError("hier_cluster must be 0 (auto) or >= 1")
-        if self.hier_pointers < 1:
-            raise ConfigError("hier_pointers must be >= 1")
         if self.discovery_filter_slots < 0 or (
             self.discovery_filter_slots and not is_power_of_two(self.discovery_filter_slots)
         ):

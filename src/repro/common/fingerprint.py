@@ -1,9 +1,9 @@
 """Source fingerprints: cache keys that change whenever the code does.
 
-A cached trace or simulation result is valid only for the code that
-produced it.  :func:`source_fingerprint` hashes the package sources that
-determine it, so an edit to any of them orphans every old cache entry
-without a hand-bumped version number.
+A cached simulation result, or a campaign journal record, is valid only
+for the code that produced it.  :func:`source_fingerprint` hashes the
+package sources that determine it, so an edit to any of them orphans every
+old cache entry and journal record without a hand-bumped version number.
 """
 
 from __future__ import annotations

@@ -9,7 +9,6 @@ in the library ever touches the global :mod:`random` state.
 from __future__ import annotations
 
 import random
-from bisect import bisect_left
 from typing import Dict, List, Sequence, Tuple, TypeVar
 
 T = TypeVar("T")
@@ -37,8 +36,7 @@ class DeterministicRng:
         """The seeded :class:`random.Random` behind this stream.
 
         Trace generators bind its ``random`` and ``getrandbits`` once per
-        core, so no Python frame runs per draw.  Drawing through the
-        source and through this wrapper consumes the same stream: a
+        core, so no Python frame runs per draw.  They inline two rules: a
         uniform index below ``n`` is CPython's ``randrange(n)`` rule
         (``k = n.bit_length()``, then ``getrandbits(k)`` until the draw is
         below ``n``), and a Zipf index is ``bisect_left(zipf_cdf(n, alpha),
@@ -70,17 +68,6 @@ class DeterministicRng:
     def shuffle(self, items: List[T]) -> None:
         """In-place Fisher-Yates shuffle."""
         self._rng.shuffle(items)
-
-    def zipf_index(self, n: int, alpha: float) -> int:
-        """Draw an index in [0, n) with Zipf(alpha) popularity.
-
-        Uses inverse-CDF sampling over a cached table (:func:`zipf_cdf`),
-        which is exact and fast enough for trace generation.  ``alpha`` = 0
-        degenerates to uniform.
-        """
-        if alpha <= 0.0:
-            return self._rng.randrange(n)
-        return bisect_left(zipf_cdf(n, alpha), self._rng.random())
 
 
 _ZIPF_CDF_CACHE: Dict[Tuple[int, float], List[float]] = {}

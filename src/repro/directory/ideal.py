@@ -28,14 +28,7 @@ class IdealDirectory(Directory):
         self._c_hits = None
         self._c_misses = None
         # Validated sharer-rep template; allocations clone it via fresh().
-        self._rep_template = make_sharer_rep(
-            config.sharer_format,
-            num_cores,
-            group=config.coarse_group,
-            pointers=config.limited_pointers,
-            cluster=config.hier_cluster,
-            hier_pointers=config.hier_pointers,
-        )
+        self._rep_template = make_sharer_rep(config, num_cores)
 
     def lookup(self, addr: int, touch: bool = True) -> Optional[DirectoryEntry]:
         entry = self._entries.get(addr)

@@ -17,6 +17,8 @@ classic formats:
   sticky whole-cluster bit on overflow.  Storage grows with the *cluster
   count* (O(sqrt N) bytes per entry at the auto cluster size), which is what
   keeps 1024-core entries small (see :func:`HierarchicalRep.storage_bits`).
+  A configured system always uses the auto cluster size and
+  :data:`HIER_POINTERS` pointers.
 
 All three keep an exact *sharer counter* alongside (a handful of bits in
 hardware, standard practice); the stash directory's private-block test reads
@@ -26,14 +28,21 @@ this counter, which is why stashing composes with any format.
 **over-approximation** of the true holders for the imprecise formats.  The
 protocol sends to every target; targets that do not hold the line simply ack
 without data, and those messages are what the A3 ablation measures.
+
+:func:`make_sharer_rep` and :func:`sharer_storage_bits` take the
+:class:`~repro.common.config.DirectoryConfig` itself, so the directories and
+the area model read the format's parameters only here.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List
+from typing import Dict, List, Tuple, Type
 
-from ..common.config import SharerFormat
+from ..common.config import DirectoryConfig, SharerFormat
 from ..common.errors import ConfigError
+
+#: Within-cluster pointers of a hierarchical entry, on both engines.
+HIER_POINTERS = 2
 
 
 class SharerRep:
@@ -44,8 +53,8 @@ class SharerRep:
 
     **Validation happens here, once.**  Every concrete constructor routes
     its format parameters through ``__init__`` so a bad value fails with a
-    clear error naming the representation, no matter which path built it
-    (direct construction, :func:`make_sharer_rep`, or a sweep config).
+    clear error naming the representation, whether it was constructed
+    directly or by :func:`make_sharer_rep` from a sweep config.
     ``num_cores`` that is *not* a multiple of the group/cluster size stays
     legal by design — the tail group is simply short, and ``targets()``
     clamps it (pinned by the property tests at N up to 1024, including
@@ -95,7 +104,10 @@ class SharerRep:
 
     @staticmethod
     def storage_bits(num_cores: int, **params: int) -> int:
-        """Bits this format occupies per entry (for the area model)."""
+        """Bits this format occupies per entry (for the area model).
+
+        Takes the constructor's format parameters, with the same defaults.
+        """
         raise NotImplementedError
 
 
@@ -135,7 +147,7 @@ class FullBitVector(SharerRep):
         return rep
 
     @staticmethod
-    def storage_bits(num_cores: int, **params: int) -> int:
+    def storage_bits(num_cores: int) -> int:
         return num_cores
 
 
@@ -185,8 +197,7 @@ class CoarseVector(SharerRep):
         return rep
 
     @staticmethod
-    def storage_bits(num_cores: int, **params: int) -> int:
-        group = params.get("group", 4)
+    def storage_bits(num_cores: int, group: int = 4) -> int:
         return (num_cores + group - 1) // group
 
 
@@ -237,8 +248,7 @@ class LimitedPointer(SharerRep):
         return rep
 
     @staticmethod
-    def storage_bits(num_cores: int, **params: int) -> int:
-        pointers = params.get("pointers", 4)
+    def storage_bits(num_cores: int, pointers: int = 4) -> int:
         ptr_bits = max(1, (num_cores - 1).bit_length())
         return pointers * ptr_bits + 1  # +1 overflow bit
 
@@ -280,7 +290,9 @@ class HierarchicalRep(SharerRep):
 
     __slots__ = ("num_cores", "cluster", "pointers", "ids", "ovf")
 
-    def __init__(self, num_cores: int, cluster: int = 0, pointers: int = 2) -> None:
+    def __init__(
+        self, num_cores: int, cluster: int = 0, pointers: int = HIER_POINTERS
+    ) -> None:
         if cluster == 0:
             cluster = hier_auto_cluster(max(num_cores, 1))
         super().__init__(num_cores, cluster=cluster, pointers=pointers)
@@ -351,42 +363,38 @@ class HierarchicalRep(SharerRep):
         return rep
 
     @staticmethod
-    def storage_bits(num_cores: int, **params: int) -> int:
-        cluster = params.get("cluster", 0) or hier_auto_cluster(num_cores)
-        # ``hier_pointers`` wins when both are given (``pointers`` names the
-        # limited-pointer budget in shared parameter dicts).
-        pointers = params.get("hier_pointers", params.get("pointers", 2))
+    def storage_bits(
+        num_cores: int, cluster: int = 0, pointers: int = HIER_POINTERS
+    ) -> int:
+        cluster = cluster or hier_auto_cluster(num_cores)
         num_clusters = (num_cores + cluster - 1) // cluster
         ptr_bits = max(1, (cluster - 1).bit_length())
         # Per cluster: a valid bit, an overflow bit and the pointer file.
         return num_clusters * (2 + pointers * ptr_bits)
 
 
-_FACTORIES: Dict[SharerFormat, Callable[..., SharerRep]] = {
-    SharerFormat.FULL_BIT_VECTOR: lambda n, **kw: FullBitVector(n),
-    SharerFormat.COARSE_VECTOR: lambda n, **kw: CoarseVector(n, kw.get("group", 4)),
-    SharerFormat.LIMITED_POINTER: lambda n, **kw: LimitedPointer(n, kw.get("pointers", 4)),
-    SharerFormat.HIERARCHICAL: lambda n, **kw: HierarchicalRep(
-        n, kw.get("cluster", 0), kw.get("hier_pointers", 2)
-    ),
-}
+def _sharer_format(config: DirectoryConfig) -> Tuple[Type[SharerRep], Dict[str, int]]:
+    """The representation class of ``config``'s sharer format and its
+    constructor parameters."""
+    fmt = config.sharer_format
+    if fmt is SharerFormat.FULL_BIT_VECTOR:
+        return FullBitVector, {}
+    if fmt is SharerFormat.COARSE_VECTOR:
+        return CoarseVector, {"group": config.coarse_group}
+    if fmt is SharerFormat.LIMITED_POINTER:
+        return LimitedPointer, {"pointers": config.limited_pointers}
+    if fmt is SharerFormat.HIERARCHICAL:
+        return HierarchicalRep, {}
+    raise ConfigError(f"unknown sharer format {fmt!r}")  # pragma: no cover
 
 
-def make_sharer_rep(fmt: SharerFormat, num_cores: int, **params: int) -> SharerRep:
-    """Instantiate a sharer representation of format ``fmt``."""
-    try:
-        factory = _FACTORIES[fmt]
-    except KeyError:  # pragma: no cover - enum is closed
-        raise ConfigError(f"unknown sharer format {fmt!r}") from None
-    return factory(num_cores, **params)
+def make_sharer_rep(config: DirectoryConfig, num_cores: int) -> SharerRep:
+    """An empty, validated representation of ``config``'s sharer format."""
+    cls, params = _sharer_format(config)
+    return cls(num_cores, **params)
 
 
-def sharer_storage_bits(fmt: SharerFormat, num_cores: int, **params: int) -> int:
-    """Bits per entry the format occupies (area model entry point)."""
-    cls = {
-        SharerFormat.FULL_BIT_VECTOR: FullBitVector,
-        SharerFormat.COARSE_VECTOR: CoarseVector,
-        SharerFormat.LIMITED_POINTER: LimitedPointer,
-        SharerFormat.HIERARCHICAL: HierarchicalRep,
-    }[fmt]
+def sharer_storage_bits(config: DirectoryConfig, num_cores: int) -> int:
+    """Bits per entry of ``config``'s sharer format (area model entry point)."""
+    cls, params = _sharer_format(config)
     return cls.storage_bits(num_cores, **params)

@@ -72,14 +72,7 @@ class SparseDirectory(Directory):
         self._c_evictions: Optional[StatCounter] = None
         self._c_evictions_by_action: Dict[EvictionAction, StatCounter] = {}
         # Validated sharer-rep template; allocations clone it via fresh().
-        self._rep_template = make_sharer_rep(
-            config.sharer_format,
-            num_cores,
-            group=config.coarse_group,
-            pointers=config.limited_pointers,
-            cluster=config.hier_cluster,
-            hier_pointers=config.hier_pointers,
-        )
+        self._rep_template = make_sharer_rep(config, num_cores)
 
     # -- internals -------------------------------------------------------------
 

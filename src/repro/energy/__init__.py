@@ -4,7 +4,6 @@ from .area import (
     PHYSICAL_ADDR_BITS,
     StorageEstimate,
     entry_bits,
-    relative_storage,
     storage_of,
 )
 from .model import EnergyBreakdown, energy_of
@@ -15,6 +14,5 @@ __all__ = [
     "StorageEstimate",
     "energy_of",
     "entry_bits",
-    "relative_storage",
     "storage_of",
 ]

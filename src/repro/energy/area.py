@@ -73,14 +73,7 @@ def entry_bits(config: DirectoryConfig, num_cores: int, sets: int, block_bytes: 
         ptr_bits = max(1, (num_cores - 1).bit_length())
         sharers = max(DEFAULT_POINTERS * ptr_bits, DEFAULT_LEAF_SIZE) + 1
     else:
-        sharers = sharer_storage_bits(
-            config.sharer_format,
-            num_cores,
-            group=config.coarse_group,
-            pointers=config.limited_pointers,
-            cluster=config.hier_cluster,
-            hier_pointers=config.hier_pointers,
-        )
+        sharers = sharer_storage_bits(config, num_cores)
     return tag + state + valid + owner_ptr + replacement + sharers
 
 
@@ -110,11 +103,3 @@ def storage_of(config: SystemConfig) -> StorageEstimate:
         directory_bits=entries * bits,
         stash_bit_overhead=stash_overhead,
     )
-
-
-def relative_storage(config: SystemConfig, baseline: SystemConfig) -> float:
-    """Total storage relative to a baseline configuration."""
-    base = storage_of(baseline).total_bits
-    if base == 0:
-        return 1.0
-    return storage_of(config).total_bits / base

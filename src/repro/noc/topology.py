@@ -9,7 +9,7 @@ needs.
 from __future__ import annotations
 
 from operator import add
-from typing import Iterator, List, Tuple
+from typing import Tuple
 
 from ..common.config import NoCConfig
 from ..common.errors import ConfigError
@@ -96,26 +96,3 @@ class Mesh2D:
     def latency_table(self):
         """The precomputed ``[src][dst]`` latency table (do not mutate)."""
         return self._latencies
-
-    def average_distance(self) -> float:
-        """Mean hop count over all ordered tile pairs (used in reports)."""
-        total = sum(sum(row) for row in self._hops)
-        return total / (self.nodes * self.nodes)
-
-    def neighbors(self, tile: int) -> List[int]:
-        """Adjacent tiles (mesh links) of ``tile``."""
-        x, y = self.coords(tile)
-        result = []
-        if x > 0:
-            result.append(self.tile(x - 1, y))
-        if x < self.width - 1:
-            result.append(self.tile(x + 1, y))
-        if y > 0:
-            result.append(self.tile(x, y - 1))
-        if y < self.height - 1:
-            result.append(self.tile(x, y + 1))
-        return result
-
-    def iter_tiles(self) -> Iterator[int]:
-        """All tile ids in order."""
-        return iter(range(self.nodes))

@@ -117,11 +117,3 @@ class TrafficMeter:
     def total_flit_hops(self) -> float:
         """All hop-weighted flits — the headline traffic metric."""
         return self._stats.get("flit_hops.total")
-
-    def by_class(self) -> Dict[str, float]:
-        """``{class: flit_hops}`` for reporting."""
-        return {
-            cls.value: self.flit_hops(cls)
-            for cls in MessageClass
-            if self.flit_hops(cls) > 0
-        }

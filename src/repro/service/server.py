@@ -11,7 +11,9 @@ cache writes go through the same public core as
 :func:`~repro.analysis.runner.run_points`.  Every completed point is
 journaled (:mod:`repro.service.store`) and cached atomically *as it
 finishes*, so a killed server restarted on the same manifest re-runs
-only the missing points.
+only the missing points.  A journal record resumes its point only while
+its result cache key still matches, so a server restarted on edited
+sources re-runs the points the current code would compute differently.
 
 HTTP API (JSON unless noted; see docs/SERVICE.md):
 
@@ -51,9 +53,6 @@ from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from ..analysis import dispatch as dispatch_mod
 from ..analysis import runner
-from ..obs import attach
-from ..sim.simulator import run_trace
-from ..sim.system import build_system
 from ..workloads import store as trace_store
 from .manifest import CampaignManifest, ManifestError, PointSpec, parse_manifest
 from .metrics import MetricsRegistry, render_gauge_dict
@@ -160,31 +159,6 @@ class Campaign:
                 for i, spec in enumerate(self.specs)
             ]
         return out
-
-
-def _run_observed_point(point) -> Tuple[Tuple[object, float, float], object]:
-    """Execute one observed point in-process.
-
-    Returns ``((result, seconds, trace_seconds), observer)``: the first
-    half is shaped like :func:`~repro.analysis.runner.compute_point`'s
-    output.  Runs on an executor thread — observed points cannot cross a
-    process boundary and come back with a live
-    :class:`~repro.obs.Observer`, which is exactly what the ``/metrics``
-    obs gauges need.
-    """
-    start = time.perf_counter()
-    trace = trace_store.get_packed_trace(
-        point.workload,
-        point.config.num_cores,
-        point.ops_per_core,
-        seed=point.seed,
-        block_bytes=point.config.block_bytes,
-    )
-    trace_seconds = time.perf_counter() - start
-    system = build_system(point.config)
-    observer = attach(system, point.obs)
-    result = run_trace(point.config, trace, system=system, observer=observer)
-    return (result, time.perf_counter() - start, trace_seconds), observer
 
 
 class CampaignService:
@@ -321,7 +295,8 @@ class CampaignService:
 
         Idempotent per campaign id: re-submitting a manifest already known
         to this process returns its live state; a manifest journaled by a
-        previous process resumes — only unjournaled points execute.
+        previous process resumes — only points with no journal record under
+        their current cache key execute.
         """
         campaign_id = manifest.campaign_id
         existing = self.campaigns.get(campaign_id)
@@ -403,9 +378,18 @@ class CampaignService:
         campaign.started = time.time()
         journal_handle = self.store.open_journal(campaign.id)
         try:
-            # 1. Resume: journaled points are done, no re-execution.
+            # 1. Resume: a journaled point is done when its record's key is
+            # the point's current cache key, which folds in the code
+            # version.  Any other record (stale code, or an observed point,
+            # journaled with key "") re-runs, and its new record supersedes
+            # the old one.
             for index, record in sorted(journal.items()):
-                if index < len(campaign.specs) and campaign.states[index] == "pending":
+                if (
+                    index < len(campaign.specs)
+                    and campaign.states[index] == "pending"
+                    and record.get("key")
+                    == runner.cache_key(campaign.specs[index].point)
+                ):
                     self._complete_point(
                         campaign, index, "journal",
                         float(record.get("seconds", 0.0)),
@@ -445,7 +429,7 @@ class CampaignService:
             for index in pending:
                 point = campaign.specs[index].point
                 if point.observed:
-                    future = loop.run_in_executor(None, _run_observed_point, point)
+                    future = loop.run_in_executor(None, runner.execute_point, point)
                 else:
                     future = asyncio.wrap_future(
                         self.backend.submit(runner.compute_point, point)

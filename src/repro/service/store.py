@@ -13,7 +13,9 @@ reload, malformed or truncated trailing lines are counted and skipped —
 the matching point simply re-runs.  Combined with the content-addressed
 result cache (each point's full result is stored atomically as it
 completes) this makes campaigns resumable: re-submitting the same
-manifest re-executes only points with no journal record.
+manifest re-executes only points with no journal record, or whose record's
+``key`` is no longer the point's cache key (the service's rule: the key
+folds in the code version, so a record from older sources re-runs).
 
 The store is intentionally dumb — no locking, no index.  Writers are the
 single service process; readers tolerate anything.
@@ -25,7 +27,7 @@ import json
 import os
 import shutil
 from pathlib import Path
-from typing import Dict, List, Optional, TextIO, Union
+from typing import Dict, Optional, TextIO, Union
 
 from .manifest import CampaignManifest, ManifestError
 
@@ -171,16 +173,6 @@ class CampaignStore:
         return getattr(self, "_last_skipped", 0)
 
     # -- maintenance --------------------------------------------------------
-
-    def list_ids(self) -> List[str]:
-        """Every campaign id with a stored manifest (sorted)."""
-        if not self.root.is_dir():
-            return []
-        return sorted(
-            entry.name
-            for entry in self.root.iterdir()
-            if entry.is_dir() and (entry / MANIFEST_FILE).is_file()
-        )
 
     def stats(self) -> Dict[str, int]:
         """Store footprint: ``{"campaigns": N, "files": F, "bytes": B}``."""

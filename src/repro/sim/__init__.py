@@ -3,14 +3,13 @@
 from .results import SimulationResult
 from .simulator import Simulator, run_trace
 from .system import build_system
-from .trace import PackedTrace, Trace, TraceRecord
+from .trace import PackedTrace, Trace
 
 __all__ = [
     "PackedTrace",
     "SimulationResult",
     "Simulator",
     "Trace",
-    "TraceRecord",
     "build_system",
     "run_trace",
 ]

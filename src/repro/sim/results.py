@@ -62,19 +62,9 @@ class SimulationResult:
     # -- directory metrics ----------------------------------------------------------------
 
     @property
-    def dir_evictions(self) -> float:
-        """Directory entries displaced by conflicts (all actions)."""
-        return self.stats.get("system.directory.evictions", 0.0)
-
-    @property
     def stash_evictions(self) -> float:
         """Displacements resolved by stashing (no invalidation)."""
         return self.stats.get("system.directory.evictions_stash", 0.0)
-
-    @property
-    def invalidating_evictions(self) -> float:
-        """Displacements that had to invalidate cached copies."""
-        return self.stats.get("system.directory.evictions_invalidate", 0.0)
 
     @property
     def dir_induced_invalidations(self) -> float:

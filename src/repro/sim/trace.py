@@ -26,9 +26,8 @@ from __future__ import annotations
 
 import sys
 from array import array
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, List, Tuple, Union
+from typing import Iterable, List, Tuple, Union
 
 from ..common.addr import log2_exact
 from ..common.errors import TraceError
@@ -108,15 +107,6 @@ def unpack_flat_program(packed: "PackedTrace") -> "List[FlatOp]":
     return ops
 
 
-@dataclass(frozen=True)
-class TraceRecord:
-    """One trace line in record form (API convenience; hot paths use tuples)."""
-
-    core: int
-    addr: int
-    is_write: bool
-
-
 class Trace:
     """Per-core operation streams."""
 
@@ -135,14 +125,6 @@ class Trace:
         if addr < 0:
             raise TraceError(f"negative address {addr}")
         self.ops[core].append((addr, is_write))
-
-    @classmethod
-    def from_records(cls, num_cores: int, records: Iterable[TraceRecord]) -> "Trace":
-        """Build a trace from :class:`TraceRecord` items."""
-        trace = cls(num_cores)
-        for record in records:
-            trace.append(record.core, record.addr, record.is_write)
-        return trace
 
     # -- file I/O ------------------------------------------------------------------
 
@@ -213,12 +195,6 @@ class Trace:
             for addr, _ in ops:
                 add(addr >> shift)
         return len(blocks)
-
-    def iter_records(self) -> Iterator[TraceRecord]:
-        """All operations as records, core-major order."""
-        for core, ops in enumerate(self.ops):
-            for addr, is_write in ops:
-                yield TraceRecord(core, addr, is_write)
 
     def pack(self) -> "PackedTrace":
         """This trace in packed form (see :class:`PackedTrace`)."""

@@ -88,7 +88,7 @@ from ..common.rng import DeterministicRng
 from ..directory import DIRECTORY_RNG_STREAM
 from ..directory.cuckoo import DEFAULT_MAX_PATH, cuckoo_slots
 from ..directory.hierarchical import scd_lines
-from ..directory.sharers import hier_auto_cluster
+from ..directory.sharers import HIER_POINTERS, hier_auto_cluster
 from ..noc.topology import Mesh2D
 from ..noc.traffic import MessageClass, flits_of
 from .results import SimulationResult
@@ -309,8 +309,8 @@ class _FlatMachine:
         self.new_rep = (int, int, list, dict)[self.smode]
         self.group = dcfg.coarse_group
         self.pointers = dcfg.limited_pointers
-        self.cluster = dcfg.hier_cluster or hier_auto_cluster(n)
-        self.hier_pointers = dcfg.hier_pointers
+        self.cluster = hier_auto_cluster(n)
+        self.hier_pointers = HIER_POINTERS
 
         # Data-version bookkeeping (mirrors HomeController.mint_version).
         self.vclock = 0

@@ -19,7 +19,6 @@ from .patterns import (
     producer_consumer,
     shared_read_only,
     streaming,
-    uniform_mix,
 )
 from .suite import (
     ALGORITHM_WORKLOADS,
@@ -30,25 +29,13 @@ from .suite import (
     build_workload,
     workload_names,
 )
-from .synthetic import (
-    BlockStream,
-    PhasedStream,
-    SequentialStream,
-    UniformStream,
-    ZipfStream,
-)
 
 __all__ = [
     "ALGORITHM_WORKLOADS",
-    "BlockStream",
-    "PhasedStream",
-    "SequentialStream",
     "SUITE",
     "SUITE_ORDER",
     "TraceProfile",
-    "UniformStream",
     "WorkloadSpec",
-    "ZipfStream",
     "EXTRA_WORKLOADS",
     "build_workload",
     "false_sharing",
@@ -65,7 +52,6 @@ __all__ = [
     "shared_read_only",
     "streaming",
     "tiled_matmul",
-    "uniform_mix",
     "union_find",
     "workload_names",
 ]

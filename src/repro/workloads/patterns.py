@@ -14,15 +14,15 @@ Every generator is a per-core builder (see :func:`per_core`): core ``c``'s
 stream depends only on ``rng.spawn(c)`` and its children, on ``c`` and on
 ``num_cores``.  Each core writes its packed words ``(addr << 1) |
 is_write`` straight into one list.  Draws go to the core's
-:meth:`~repro.common.rng.DeterministicRng.source`, bound once per core, in
-the order the block streams of :mod:`repro.workloads.synthetic` draw them:
+:meth:`~repro.common.rng.DeterministicRng.source`, bound once per core, by
+three rules (``tests/common/test_rng.py`` pins the first two):
 
 * a Zipf block is ``bisect_left(cdf, random())`` on the cached
   :func:`~repro.common.rng.zipf_cdf` table;
-* a uniform index below ``n`` (a Zipf stream with ``alpha`` = 0, or
+* a uniform index below ``n`` (a Zipf draw with ``alpha`` = 0, or
   ``randint``) is CPython's ``randrange(n)`` rule, inlined: ``k =
   n.bit_length()``, then ``getrandbits(k)`` until the draw is below ``n``;
-* a sequential block is the op count modulo the stream length.
+* a sequential block is the op count modulo the region's length.
 """
 
 from __future__ import annotations
@@ -86,7 +86,7 @@ def _packed_shift(block_bytes: int) -> int:
 
 
 def _blocks(num_blocks: int) -> int:
-    """Validated length of a block stream (as the synthetic streams check)."""
+    """Validated length of a region in blocks (at least one)."""
     if num_blocks < 1:
         raise ConfigError("stream needs at least one block")
     return num_blocks
@@ -354,43 +354,6 @@ def streaming(
 
 
 @per_core
-def uniform_mix(
-    num_cores: int,
-    ops_per_core: int,
-    rng: DeterministicRng,
-    *,
-    private_blocks: int = 256,
-    shared_blocks: int = 256,
-    shared_frac: float = 0.2,
-    shared_write_frac: float = 0.3,
-    private_write_frac: float = 0.25,
-    block_bytes: int = 64,
-) -> CoreBuilder:
-    """General-purpose mix: private Zipf traffic plus read-write sharing."""
-    pshift = _packed_shift(block_bytes)
-    shared_base = _shared_base(num_cores)
-    shared_cdf = zipf_cdf(_blocks(shared_blocks), 0.8)
-    private_cdf = zipf_cdf(_blocks(private_blocks), 0.6)
-
-    def build(core: int) -> array:
-        crng = rng.spawn(core)
-        random, private_random = crng.source().random, crng.spawn(1).source().random
-        base = _private_base(core)
-        words: List[int] = []
-        append = words.append
-        for _ in range(ops_per_core):
-            if random() < shared_frac:
-                block = bisect_left(shared_cdf, random())
-                append((shared_base + block) << pshift | (random() < shared_write_frac))
-            else:
-                block = bisect_left(private_cdf, private_random())
-                append((base + block) << pshift | (random() < private_write_frac))
-        return pack_stream(core, words)
-
-    return build
-
-
-@per_core
 def false_sharing(
     num_cores: int,
     ops_per_core: int,
@@ -517,8 +480,9 @@ def phased(
     """Bulk-synchronous phase behaviour: compute on private data, then
     exchange through a shared region, repeat.
 
-    The draws of a :class:`~repro.workloads.synthetic.PhasedStream` over a
-    Zipf compute stream and a sequential exchange stream.  During compute
+    Each cycle draws ``compute_len`` Zipf blocks from the core's private
+    region, then walks ``exchange_len`` blocks of the shared exchange
+    region in order, resuming where the last cycle stopped.  During compute
     phases the directory sees pure private traffic (stash heaven); each
     exchange phase makes a burst of blocks briefly shared, churning
     entries between private and shared states — the phase boundaries are

@@ -1,6 +1,6 @@
 """Unit tests for text-figure rendering."""
 
-from repro.analysis.figures import render_bars, render_grouped_bars, render_series
+from repro.analysis.figures import render_grouped_bars, render_series
 
 
 class TestRenderSeries:
@@ -14,28 +14,6 @@ class TestRenderSeries:
     def test_values_rendered(self):
         text = render_series("fig", "x", [1], {"s": [3.14159]})
         assert "3.142" in text
-
-
-class TestRenderBars:
-    def test_bar_lengths_proportional(self):
-        text = render_bars("t", ["a", "b"], [1.0, 2.0])
-        line_a, line_b = text.splitlines()[2:4]
-        assert line_b.count("#") == 2 * line_a.count("#")
-
-    def test_zero_values_no_bars(self):
-        text = render_bars("t", ["a"], [0.0])
-        assert "#" not in text
-
-    def test_all_zero_peak_guard(self):
-        render_bars("t", ["a", "b"], [0.0, 0.0])  # must not divide by zero
-
-    def test_unit_suffix(self):
-        assert "ms" in render_bars("t", ["a"], [5.0], unit="ms")
-
-    def test_max_value_scales(self):
-        text = render_bars("t", ["a"], [1.0], max_value=4.0)
-        bar_line = text.splitlines()[2]
-        assert bar_line.count("#") == 10  # 40 chars * 1/4
 
 
 class TestGroupedBars:

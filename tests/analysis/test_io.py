@@ -66,6 +66,23 @@ class TestConfigRoundtrip:
         with pytest.raises(ConfigError, match="plru"):
             config_from_dict(data)
 
+    def test_saved_fixed_hier_knobs_are_dropped(self):
+        # Files written while DirectoryConfig had hierarchical knobs carry
+        # the auto cluster size and two pointers.
+        config = tiny_config(sharer_format=SharerFormat.HIERARCHICAL)
+        data = config_to_dict(config)
+        assert "hier_cluster" not in data["directory"]
+        data["directory"].update(hier_cluster=0, hier_pointers=2)
+        assert config_from_dict(data) == config
+
+    @pytest.mark.parametrize("field,value", [("hier_cluster", 4), ("hier_pointers", 3)])
+    def test_other_saved_hier_knob_rejected(self, field, value):
+        data = config_to_dict(tiny_config())
+        data["directory"].update(hier_cluster=0, hier_pointers=2)
+        data["directory"][field] = value
+        with pytest.raises(ConfigError, match=field):
+            config_from_dict(data)
+
     def test_saved_float_cpi_becomes_int(self):
         # Files written while the CPI was a float carry "core_fixed_cpi": 1.0.
         config = tiny_config()

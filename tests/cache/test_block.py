@@ -1,6 +1,6 @@
 """Unit tests for the cache-line metadata record."""
 
-from repro.cache.block import CacheBlock, copy_block
+from repro.cache.block import CacheBlock
 
 
 class TestCacheBlock:
@@ -25,19 +25,3 @@ class TestCacheBlock:
         block.stash = True
         text = repr(block)
         assert "dirty" in text and "stash" in text
-
-
-class TestCopyBlock:
-    def test_copy_none(self):
-        assert copy_block(None) is None
-
-    def test_copy_is_deep_snapshot(self):
-        block = CacheBlock(0x40, 3, dirty=True)
-        block.stash = True
-        block.version = 7
-        clone = copy_block(block)
-        assert clone is not block
-        assert (clone.addr, clone.state) == (0x40, 3)
-        assert clone.dirty and clone.stash and clone.version == 7
-        block.version = 8
-        assert clone.version == 7

@@ -1,20 +1,10 @@
-"""Unit tests for block-address arithmetic."""
+"""Unit tests for the address helpers: power-of-two checks, banks, hashing."""
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.common.addr import (
-    block_address,
-    block_base,
-    home_bank,
-    is_power_of_two,
-    log2_exact,
-    rebuild_block_addr,
-    set_index,
-    stride_hash,
-    tag_bits,
-)
+from repro.common.addr import home_bank, is_power_of_two, log2_exact, stride_hash
 from repro.common.errors import ConfigError
 
 
@@ -39,43 +29,6 @@ class TestPowerOfTwo:
     def test_log2_rejects_zero(self):
         with pytest.raises(ConfigError):
             log2_exact(0)
-
-
-class TestBlockAddressing:
-    def test_block_address_strips_offset(self):
-        assert block_address(0, 64) == 0
-        assert block_address(63, 64) == 0
-        assert block_address(64, 64) == 1
-        assert block_address(0x1234, 64) == 0x1234 >> 6
-
-    def test_block_base_aligns_down(self):
-        assert block_base(0x1234, 64) == 0x1200
-        assert block_base(0x1200, 64) == 0x1200
-
-    def test_same_line_same_block(self):
-        for offset in range(64):
-            assert block_address(0x4000 + offset, 64) == block_address(0x4000, 64)
-
-
-class TestIndexTag:
-    def test_set_index_wraps(self):
-        assert set_index(0, 64) == 0
-        assert set_index(63, 64) == 63
-        assert set_index(64, 64) == 0
-        assert set_index(65, 64) == 1
-
-    def test_tag_strips_index(self):
-        assert tag_bits(0x12345, 64) == 0x12345 >> 6
-
-    def test_roundtrip(self):
-        for addr in (0, 1, 63, 64, 0xDEADBEEF):
-            idx = set_index(addr, 128)
-            tag = tag_bits(addr, 128)
-            assert rebuild_block_addr(tag, idx, 128) == addr
-
-    @given(st.integers(min_value=0, max_value=2**48), st.sampled_from([1, 2, 64, 1024]))
-    def test_roundtrip_property(self, addr, sets):
-        assert rebuild_block_addr(tag_bits(addr, sets), set_index(addr, sets), sets) == addr
 
 
 class TestHomeBank:

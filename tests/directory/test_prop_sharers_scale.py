@@ -23,7 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.common.config import SharerFormat
+from repro.common.config import DirectoryConfig, SharerFormat
 from repro.common.errors import ConfigError
 from repro.directory.sharers import (
     CoarseVector,
@@ -40,6 +40,14 @@ from repro.directory.sharers import (
 SCALE_NS = [16, 64, 256, 1024]
 RAGGED_NS = [17, 100, 513, 1000]
 
+HIER = DirectoryConfig(sharer_format=SharerFormat.HIERARCHICAL)
+FULL = DirectoryConfig(sharer_format=SharerFormat.FULL_BIT_VECTOR)
+
+
+def grouped(fmt: SharerFormat) -> DirectoryConfig:
+    """``fmt`` with groups of 4 cores and 2 limited pointers."""
+    return DirectoryConfig(sharer_format=fmt, coarse_group=4, limited_pointers=2)
+
 
 @pytest.mark.parametrize("num_cores", SCALE_NS + RAGGED_NS)
 @pytest.mark.parametrize("fmt", list(SharerFormat))
@@ -47,7 +55,7 @@ RAGGED_NS = [17, 100, 513, 1000]
 @given(data=st.data())
 def test_targets_superset_and_clamped_at_scale(fmt, num_cores, data):
     """After any history: live cores ⊆ targets() ⊆ [0, num_cores)."""
-    rep = make_sharer_rep(fmt, num_cores, group=4, pointers=2)
+    rep = make_sharer_rep(grouped(fmt), num_cores)
     live = set()
     for add, core in data.draw(
         st.lists(
@@ -109,8 +117,8 @@ def test_hierarchical_overflow_is_local_and_sticky(num_cores, data):
 @pytest.mark.parametrize("num_cores", SCALE_NS)
 def test_hierarchical_storage_is_sublinear(num_cores):
     """The O(sqrt(N)) pin: hier bits/entry ≪ full-bit-vector bits/entry."""
-    hier = sharer_storage_bits(SharerFormat.HIERARCHICAL, num_cores)
-    full = sharer_storage_bits(SharerFormat.FULL_BIT_VECTOR, num_cores)
+    hier = sharer_storage_bits(HIER, num_cores)
+    full = sharer_storage_bits(FULL, num_cores)
     assert full == num_cores
     # ceil(sqrt(N)) clusters x (2 + 2 * ptr_bits) bits each.
     root = hier_auto_cluster(num_cores)
@@ -127,8 +135,7 @@ def test_hierarchical_storage_is_sublinear(num_cores):
 def test_hierarchical_storage_shrinks_relative_to_full():
     """The ratio hier/full must fall monotonically with N (scaling claim)."""
     ratios = [
-        sharer_storage_bits(SharerFormat.HIERARCHICAL, n)
-        / sharer_storage_bits(SharerFormat.FULL_BIT_VECTOR, n)
+        sharer_storage_bits(HIER, n) / sharer_storage_bits(FULL, n)
         for n in SCALE_NS
     ]
     assert all(a > b for a, b in zip(ratios, ratios[1:]))
@@ -162,7 +169,7 @@ def test_centralized_validation_rejects_bad_params(ctor):
 @pytest.mark.parametrize("num_cores", [16, 100, 1024])
 def test_fresh_clones_behave_like_new(fmt, num_cores):
     """fresh() skips validation but must yield an empty, working rep."""
-    template = make_sharer_rep(fmt, num_cores, group=4, pointers=2)
+    template = make_sharer_rep(grouped(fmt), num_cores)
     template.add(3)
     clone = template.fresh()
     assert clone.targets() == []

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.common.config import SharerFormat
+from repro.common.config import DirectoryConfig, SharerFormat
 from repro.common.errors import ConfigError
 from repro.directory.sharers import (
     CoarseVector,
@@ -119,18 +119,25 @@ class TestLimitedPointer:
 class TestFactory:
     @pytest.mark.parametrize("fmt", list(SharerFormat))
     def test_make_each(self, fmt):
-        rep = make_sharer_rep(fmt, N)
+        rep = make_sharer_rep(DirectoryConfig(sharer_format=fmt), N)
         rep.add(0)
         assert 0 in rep.targets()
 
     @pytest.mark.parametrize("fmt", list(SharerFormat))
     def test_storage_bits_positive(self, fmt):
-        assert sharer_storage_bits(fmt, N) > 0
+        assert sharer_storage_bits(DirectoryConfig(sharer_format=fmt), N) > 0
 
     def test_coarse_storage_smaller_than_full_at_scale(self):
-        full = sharer_storage_bits(SharerFormat.FULL_BIT_VECTOR, 64)
-        coarse = sharer_storage_bits(SharerFormat.COARSE_VECTOR, 64, group=8)
-        limited = sharer_storage_bits(SharerFormat.LIMITED_POINTER, 64, pointers=4)
+        full = sharer_storage_bits(
+            DirectoryConfig(sharer_format=SharerFormat.FULL_BIT_VECTOR), 64
+        )
+        coarse = sharer_storage_bits(
+            DirectoryConfig(sharer_format=SharerFormat.COARSE_VECTOR, coarse_group=8), 64
+        )
+        limited = sharer_storage_bits(
+            DirectoryConfig(sharer_format=SharerFormat.LIMITED_POINTER, limited_pointers=4),
+            64,
+        )
         assert coarse < full
         assert limited < full
 
@@ -141,7 +148,9 @@ class TestFactory:
 def test_property_targets_superset_of_live_holders(fmt, data):
     """Invariant the protocol relies on: after any add/remove history, the
     cores added-and-not-removed are always a subset of targets()."""
-    rep = make_sharer_rep(fmt, N, group=4, pointers=2)
+    rep = make_sharer_rep(
+        DirectoryConfig(sharer_format=fmt, coarse_group=4, limited_pointers=2), N
+    )
     live = set()
     for add, core in data.draw(
         st.lists(st.tuples(st.booleans(), st.integers(0, N - 1)), max_size=40)

@@ -31,7 +31,7 @@ class TestRoutes:
     def test_links_are_adjacent(self):
         tracker = make_tracker()
         for a, b in tracker.xy_route(0, 15):
-            assert b in tracker.mesh.neighbors(a)
+            assert tracker.mesh.hops(a, b) == 1
 
 
 class TestRecording:

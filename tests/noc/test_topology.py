@@ -79,18 +79,3 @@ class TestTables:
             ]
             assert hops[s] == expected
             assert latencies[s] == [hop * 3 + 2 for hop in expected]
-
-
-class TestStructure:
-    def test_neighbors_corner(self):
-        assert sorted(mesh(4, 4).neighbors(0)) == [1, 4]
-
-    def test_neighbors_center(self):
-        assert sorted(mesh(4, 4).neighbors(5)) == [1, 4, 6, 9]
-
-    def test_average_distance_4x4(self):
-        # Mean Manhattan distance on a 4x4 mesh is 2.5.
-        assert abs(mesh(4, 4).average_distance() - 2.5) < 1e-9
-
-    def test_iter_tiles(self):
-        assert list(mesh(2, 2).iter_tiles()) == [0, 1, 2, 3]

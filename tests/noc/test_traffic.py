@@ -44,13 +44,6 @@ class TestMeter:
         assert meter.total_messages() == 2
         assert meter.total_flit_hops() == 2 + DATA_FLITS
 
-    def test_by_class_omits_empty(self):
-        meter = TrafficMeter(StatGroup("noc"))
-        meter.record(MessageClass.REQUEST, hops=1)
-        breakdown = meter.by_class()
-        assert "request" in breakdown
-        assert "invalidation" not in breakdown
-
     def test_zero_hop_message_counts(self):
         meter = TrafficMeter(StatGroup("noc"))
         meter.record(MessageClass.REQUEST, hops=0)

@@ -112,12 +112,10 @@ class TestJournal:
 
 
 class TestMaintenance:
-    def test_list_ids_and_stats(self, store):
-        assert store.list_ids() == []
+    def test_stats(self, store):
         assert store.stats() == {"campaigns": 0, "files": 0, "bytes": 0}
         store.create(MANIFEST)
         store.append(MANIFEST.campaign_id, 0, "computed")
-        assert store.list_ids() == [MANIFEST.campaign_id]
         stats = store.stats()
         assert stats["campaigns"] == 1
         assert stats["files"] == 2  # manifest + journal
@@ -127,7 +125,6 @@ class TestMaintenance:
         store.create(MANIFEST)
         store.append(MANIFEST.campaign_id, 0, "computed")
         assert store.clear() == 1
-        assert store.list_ids() == []
         assert store.stats()["campaigns"] == 0
 
 

@@ -335,6 +335,48 @@ class TestResumeAfterKill:
             assert campaign.summaries[index] == result.summary()
 
 
+class TestStaleJournal:
+    """A journal record resumes its point only under the current cache key."""
+
+    def test_stale_key_reexecutes(self, tmp_path):
+        config = service_config(tmp_path, workers=1, cache_enabled=False)
+        store = CampaignStore(runner.campaigns_root(config.cache_dir))
+        m = manifest()
+        specs = m.expand()
+        store.create(m)
+        # A record from older sources: another key, a summary the current
+        # code does not produce.
+        stale_key = "0" * 64
+        assert stale_key != runner.cache_key(specs[0].point)
+        store.append(
+            m.campaign_id, 0, "computed", key=stale_key, seconds=1.0,
+            summary={"execution_time": -1.0},
+        )
+
+        async def scenario():
+            service = CampaignService(config)
+            try:
+                campaign, _ = await run_campaign(service, m)
+                return campaign
+            finally:
+                await service.stop()
+
+        campaign = asyncio.run(scenario())
+        assert campaign.status == "done"
+        assert campaign.resumed == 0
+        assert campaign.executed == 4
+        assert campaign.sources[0] == "computed"
+        runner.clear_memo()
+        direct = runner.run_points(
+            [spec.point for spec in specs], workers=1, cache_enabled=False
+        )
+        assert campaign.summaries[0] == direct[0].summary()
+        # The new record supersedes the stale one on the next load.
+        record = store.load_journal(m.campaign_id)[0]
+        assert record["key"] == runner.cache_key(specs[0].point)
+        assert record["summary"] == direct[0].summary()
+
+
 class TestHttpApi:
     """End-to-end over a real socket (ServiceHandle + urllib)."""
 

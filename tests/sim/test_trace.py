@@ -3,7 +3,7 @@
 import pytest
 
 from repro.common.errors import ConfigError, TraceError
-from repro.sim.trace import Trace, TraceRecord
+from repro.sim.trace import Trace
 
 
 class TestConstruction:
@@ -28,12 +28,6 @@ class TestConstruction:
         with pytest.raises(TraceError):
             Trace(0)
 
-    def test_from_records(self):
-        records = [TraceRecord(0, 0x100, True), TraceRecord(1, 0x200, False)]
-        trace = Trace.from_records(2, records)
-        assert trace.ops[0] == [(0x100, True)]
-        assert trace.ops[1] == [(0x200, False)]
-
 
 class TestMetrics:
     def test_write_fraction(self):
@@ -51,12 +45,6 @@ class TestMetrics:
         trace.append(0, 63, False)   # same 64B block
         trace.append(0, 64, False)   # next block
         assert trace.unique_blocks(64) == 2
-
-    def test_iter_records(self):
-        trace = Trace(2)
-        trace.append(1, 0x40, True)
-        records = list(trace.iter_records())
-        assert records == [TraceRecord(1, 0x40, True)]
 
     def test_write_fraction_multi_core(self):
         trace = Trace(3)

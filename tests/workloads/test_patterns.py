@@ -11,7 +11,6 @@ from repro.workloads.patterns import (
     producer_consumer,
     shared_read_only,
     streaming,
-    uniform_mix,
 )
 
 CORES = 4
@@ -142,7 +141,6 @@ class TestBlockShiftValidation:
             producer_consumer,
             migratory,
             streaming,
-            uniform_mix,
         ]
         for generator in generators:
             with pytest.raises(ConfigError):
@@ -162,13 +160,6 @@ class TestStreaming:
     def test_private(self):
         trace = streaming(CORES, OPS, rng())
         assert profile_trace(trace, 64).private_block_fraction == 1.0
-
-
-class TestUniformMix:
-    def test_has_both_private_and_shared(self):
-        trace = uniform_mix(CORES, OPS, rng(), shared_frac=0.4)
-        profile = profile_trace(trace, 64)
-        assert 0.0 < profile.private_block_fraction < 1.0
 
 
 class TestDisjointRegions:

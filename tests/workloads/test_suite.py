@@ -92,7 +92,6 @@ GENERATORS = [
     patterns.producer_consumer,
     patterns.migratory,
     patterns.streaming,
-    patterns.uniform_mix,
     patterns.false_sharing,
     patterns.lock_contention,
     patterns.phased,

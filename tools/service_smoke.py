@@ -10,7 +10,11 @@ stream to EOF, polls it to completion, and asserts:
   families and a per-kind completed-points count matching the campaign;
 * every point's reported summary is **bit-identical** to running the
   same parameterization directly through the in-process sweep engine;
-* the server shuts down cleanly on SIGTERM.
+* the server shuts down cleanly on SIGTERM;
+* a second server booted on the same cache directory, given the same
+  manifest, resumes all four points from the campaign journal
+  (``"source": "journal"``) with the same summaries, and shuts down
+  cleanly too.
 
 Exit code 0 on success; any assertion or timeout fails loudly.  Usage::
 
@@ -99,6 +103,13 @@ def _read_stream(base: str, campaign_id: str, timeout: float):
         return [json.loads(line) for line in resp.read().decode().splitlines()]
 
 
+def _stop(proc: subprocess.Popen) -> None:
+    """SIGTERM the server and require a clean exit."""
+    proc.send_signal(signal.SIGTERM)
+    code = proc.wait(timeout=30)
+    assert code == 0, f"server exited {code} on SIGTERM"
+
+
 def _direct_summaries(cache_dir: str):
     """The same four points, simulated directly (no cache, no service)."""
     from repro.analysis.runner import run_points
@@ -113,6 +124,16 @@ def _direct_summaries(cache_dir: str):
         cache_enabled=False,
     )
     return {spec.index: result.summary() for spec, result in zip(specs, results)}
+
+
+def _check_summaries(status, direct) -> None:
+    """Every point's summary equals the direct simulation's."""
+    for point in status["points"]:
+        expected = direct[point["index"]]
+        assert point["summary"] == expected, (
+            f"point {point['index']} diverged from direct run_trace:\n"
+            f"  service: {point['summary']}\n  direct:  {expected}"
+        )
 
 
 def main(argv=None) -> int:
@@ -161,18 +182,27 @@ def main(argv=None) -> int:
         print(f"metrics OK: {len(metrics)} families, {completed} points counted")
 
         direct = _direct_summaries(cache_dir)
-        for point in status["points"]:
-            expected = direct[point["index"]]
-            assert point["summary"] == expected, (
-                f"point {point['index']} diverged from direct run_trace:\n"
-                f"  service: {point['summary']}\n  direct:  {expected}"
-            )
+        _check_summaries(status, direct)
         print("all 4 point summaries bit-identical to direct simulation")
 
-        proc.send_signal(signal.SIGTERM)
-        code = proc.wait(timeout=30)
-        assert code == 0, f"server exited {code} on SIGTERM"
+        _stop(proc)
         print("clean SIGTERM shutdown")
+
+        # Restart on the same cache dir: the journal serves every point.
+        proc = _boot(args.backend, cache_dir)
+        base = f"http://127.0.0.1:{_wait_ready(proc)}"
+        resubmitted = post_json(base, "/campaigns", SMOKE_MANIFEST)
+        assert resubmitted["id"] == campaign_id, resubmitted
+        status = wait_campaign(base, campaign_id, timeout=args.timeout)
+        assert status["status"] == "done", status["counts"]
+        assert status["resumed"] == 4, f"resumed {status['resumed']} of 4"
+        sources = [point["source"] for point in status["points"]]
+        assert sources == ["journal"] * 4, sources
+        _check_summaries(status, direct)
+        print("restarted server resumed all 4 points from the journal")
+
+        _stop(proc)
+        print("clean SIGTERM shutdown after restart")
         return 0
     finally:
         if proc.poll() is None:
