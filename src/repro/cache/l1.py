@@ -18,6 +18,14 @@ from ..common.stats import StatGroup
 from .array import CacheArray
 from .block import CacheBlock
 
+# Raw int MESI states, read once: fills and downgrades run per miss and per
+# forward, and a ``MesiState.X`` load there is a class-attribute lookup
+# through EnumType on every call.
+_S_INVALID = int(MesiState.INVALID)
+_S_SHARED = int(MesiState.SHARED)
+_S_MODIFIED = int(MesiState.MODIFIED)
+_S_OWNED = int(MesiState.OWNED)
+
 
 class L1Cache:
     """One core's private cache with MESI per-line state."""
@@ -78,10 +86,10 @@ class L1Cache:
         resulting eviction matches that expectation by returning only the new
         block (the array's eviction is the same block peeked).
         """
-        if state == MesiState.INVALID:
+        if state == _S_INVALID:
             raise ProtocolError("cannot fill a line in INVALID state")
         block, _evicted = self._array.allocate(block_addr, int(state))
-        block.dirty = state == MesiState.MODIFIED
+        block.dirty = state == _S_MODIFIED
         block.version = version
         return block
 
@@ -93,7 +101,7 @@ class L1Cache:
         block = self._array.lookup(block_addr, touch=False)
         if block is None:
             raise ProtocolError(f"upgrade of uncached block {block_addr:#x}")
-        block.state = int(MesiState.MODIFIED)
+        block.state = _S_MODIFIED
         block.dirty = True
         return block
 
@@ -103,7 +111,7 @@ class L1Cache:
         block = self._array.lookup(block_addr, touch=False)
         if block is None:
             raise ProtocolError(f"owned-downgrade of uncached block {block_addr:#x}")
-        block.state = int(MesiState.OWNED)
+        block.state = _S_OWNED
         return block
 
     def downgrade_to_shared(self, block_addr: int) -> CacheBlock:
@@ -112,7 +120,7 @@ class L1Cache:
         block = self._array.lookup(block_addr, touch=False)
         if block is None:
             raise ProtocolError(f"downgrade of uncached block {block_addr:#x}")
-        block.state = int(MesiState.SHARED)
+        block.state = _S_SHARED
         block.dirty = False
         return block
 

@@ -27,6 +27,10 @@ from ..common.stats import StatGroup
 from .array import CacheArray
 from .block import CacheBlock
 
+# Raw int of the one LLC state a fill installs, computed once (a fill runs
+# per LLC miss; ``int(LlcState.VALID)`` there is an enum lookup and a call).
+_S_VALID = int(LlcState.VALID)
+
 
 class SharedLLC:
     """The shared inclusive LLC with stash-bit support."""
@@ -80,7 +84,7 @@ class SharedLLC:
         The protocol engine must already have handled the inclusion
         consequences of the victim reported by :meth:`peek_fill_victim`.
         """
-        block, _ = self._array.allocate(block_addr, int(LlcState.VALID))
+        block, _ = self._array.allocate(block_addr, _S_VALID)
         block.dirty = dirty
         block.version = version
         return block

@@ -34,6 +34,9 @@ _S_SHARED = int(MesiState.SHARED)
 _S_EXCLUSIVE = int(MesiState.EXCLUSIVE)
 _S_MODIFIED = int(MesiState.MODIFIED)
 _S_OWNED = int(MesiState.OWNED)
+# Enum members are read once here: ``MessageClass.REQUEST`` inside a
+# function is a class-attribute lookup through EnumType on every call.
+_REQUEST = MessageClass.REQUEST
 
 
 class L1Controller:
@@ -64,7 +67,10 @@ class L1Controller:
         self._serve_miss = home.serve_miss
         self._handle_put = home.handle_put
         self._handle_upgrade = home.handle_upgrade
-        self._filter_add = home.filter_add
+        # The presence filter is attached before the controllers are built
+        # (None unless discovery_filter_slots > 0); without one the miss
+        # path makes no filter call.
+        self._filter_add = home.filter.add if home.filter is not None else None
         self._mint_version = home.mint_version
         # The per-core coverage-attribution set is mutated in place, never
         # reassigned, so the controller can hold it directly.
@@ -152,7 +158,7 @@ class L1Controller:
         cell.value += 1
         home_tile = addr & self._bank_mask
         latency = local_latency
-        latency += self.network.send(self.core_id, home_tile, MessageClass.REQUEST)
+        latency += self.network.send(self.core_id, home_tile, _REQUEST)
         latency += self._handle_upgrade(self.core_id, addr)
         block.state = _S_MODIFIED
         block.dirty = True
@@ -192,12 +198,14 @@ class L1Controller:
 
         home_tile = addr & self._bank_mask
         latency = self._lat_miss_detect
-        latency += self.network.send(core_id, home_tile, MessageClass.REQUEST)
+        latency += self.network.send(core_id, home_tile, _REQUEST)
         grant_latency, state, version = self._serve_miss(core_id, addr, is_write)
         latency += grant_latency
 
         filled = l1.fill(addr, state, version)
-        self._filter_add(core_id, addr)
+        filter_add = self._filter_add
+        if filter_add is not None:
+            filter_add(core_id, addr)
         if is_write:
             if state != _S_MODIFIED:  # pragma: no cover
                 raise ProtocolError(f"write miss granted {MesiState(state)}")

@@ -27,7 +27,12 @@ minting a :class:`GrantResult` per transaction; :meth:`handle_miss` remains
 as the object-returning wrapper for external callers and tests.  Timing
 fields and the network send are hoisted into instance slots, and the
 per-miss statistics use bound counter cells (see
-:meth:`~repro.common.stats.StatGroup.counter`).
+:meth:`~repro.common.stats.StatGroup.counter`).  Enum members
+(``MessageClass.X``, ``EvictionAction.X``, ``DiscoveryDemand.X``) are
+module constants.  Loaded inside a function, each is a class-attribute
+lookup through ``EnumType`` (over 100 ns on CPython 3.11) that cProfile
+adds to the caller's own time without a frame of its own: a red flag no
+profile shows, which ``tests/test_enum_member_loads.py`` guards.
 """
 
 from __future__ import annotations
@@ -62,6 +67,24 @@ from .states import CoherenceProtocol, MesiState
 _S_SHARED = int(MesiState.SHARED)
 _S_EXCLUSIVE = int(MesiState.EXCLUSIVE)
 _S_MODIFIED = int(MesiState.MODIFIED)
+
+# Enum members read once, at import: inside a function every
+# ``MessageClass.X`` is a class-attribute lookup through EnumType (see the
+# hot-path note above).  They are the same objects, so ``is`` tests and
+# dict keys are unchanged.
+_DATA_RESPONSE = MessageClass.DATA_RESPONSE
+_CONTROL_RESPONSE = MessageClass.CONTROL_RESPONSE
+_FORWARD = MessageClass.FORWARD
+_INVALIDATION = MessageClass.INVALIDATION
+_INV_ACK = MessageClass.INV_ACK
+_WRITEBACK = MessageClass.WRITEBACK
+_WB_ACK = MessageClass.WB_ACK
+_EVICTION_NOTICE = MessageClass.EVICTION_NOTICE
+_MEMORY = MessageClass.MEMORY
+_STASH = EvictionAction.STASH
+_DEMAND_READ = DiscoveryDemand.READ
+_DEMAND_WRITE = DiscoveryDemand.WRITE
+_DEMAND_EVICT = DiscoveryDemand.EVICT
 
 #: ``(latency, state, version)`` — the internal allocation-free grant.
 Grant = Tuple[int, int, int]
@@ -109,6 +132,7 @@ class HomeController:
         self._t_llc = config.timing.llc_access
         self._t_l1 = config.timing.l1_hit
         self._home_occupancy = config.timing.home_occupancy
+        self._clean_notice = config.directory.clean_eviction_notification
         self._send = network.send
         self._dir_lookup = directory.lookup
         self._bank_of = llc.bank_of
@@ -133,7 +157,8 @@ class HomeController:
         # Adaptive stash directories want discovery outcomes fed back.
         self._notify_discovery = getattr(directory, "note_discovery", None)
         # Optional discovery presence filter (set by CoherentSystem when
-        # DirectoryConfig.discovery_filter_slots > 0).
+        # DirectoryConfig.discovery_filter_slots > 0).  Every update site
+        # tests it first, so a run without one makes no filter call.
         self.filter = None
         # Data-version bookkeeping (stand-in for actual payloads).
         self.latest_version: Dict[int, int] = {}
@@ -192,22 +217,6 @@ class HomeController:
             self.stats.add("home_bank_waits")
             self.stats.add("home_bank_wait_cycles", wait)
         return wait
-
-    def filter_add(self, core: int, addr: int) -> None:
-        """Record a granted copy in the presence filter (no-op if disabled)."""
-        if self.filter is not None:
-            self.filter.add(core, addr)
-
-    def _filter_remove(self, core: int, addr: int) -> None:
-        """Record a provably destroyed copy (no-op if disabled)."""
-        if self.filter is not None:
-            self.filter.remove(core, addr)
-
-    def _discovery_candidates(self, addr: int, exclude_core):
-        """Probe set for a discovery: filtered when a filter is present."""
-        if self.filter is None:
-            return None
-        return self.filter.candidates(addr, exclude_core)
 
     # ---------------------------------------------------------------- misses
 
@@ -272,15 +281,16 @@ class HomeController:
         if cell is None:
             cell = self._c_forwards = self.stats.counter("forwards")
         cell.value += 1
-        latency += self._send(home, owner, MessageClass.FORWARD)
+        latency += self._send(home, owner, _FORWARD)
         owner_block = self._l1_probe[owner](addr, touch=False)
         if owner_block is None:
             # Stale owner: it silently evicted its clean E copy.  It nacks;
             # the home serves from the LLC instead.
             self.stats.add("forward_nacks")
-            latency += self._send(owner, home, MessageClass.CONTROL_RESPONSE)
+            latency += self._send(owner, home, _CONTROL_RESPONSE)
             entry.remove_core(owner)
-            self._filter_remove(owner, addr)
+            if self.filter is not None:
+                self.filter.remove(owner, addr)
             latency += self._serve_from_llc(core, addr, home)
             entry.add_sharer(core)
             return latency, _S_SHARED, self._llc_version(addr)
@@ -293,7 +303,7 @@ class HomeController:
             if owner_block.state == _S_MODIFIED:
                 self.l1s[owner].downgrade_to_owned(addr)
             self.stats.add("owned_transitions")
-            latency += self._send(owner, core, MessageClass.DATA_RESPONSE)
+            latency += self._send(owner, core, _DATA_RESPONSE)
             latency += self._t_l1
             entry.add_sharer(core)
             return latency, _S_SHARED, version
@@ -301,9 +311,9 @@ class HomeController:
         if was_dirty:
             # Dirty data goes to the requester and, off the critical path,
             # back to the LLC so the home copy is current.
-            self._send(owner, home, MessageClass.WRITEBACK)
+            self._send(owner, home, _WRITEBACK)
             self.llc.write_back(addr, version)
-        latency += self._send(owner, core, MessageClass.DATA_RESPONSE)
+        latency += self._send(owner, core, _DATA_RESPONSE)
         latency += self._t_l1  # owner's tag access to source the data
         entry.demote_owner()
         entry.add_sharer(core)
@@ -348,12 +358,13 @@ class HomeController:
         if cell is None:
             cell = self._c_forwards = self.stats.counter("forwards")
         cell.value += 1
-        latency += self._send(home, owner, MessageClass.FORWARD)
+        latency += self._send(home, owner, _FORWARD)
         removed = self._l1_invalidate[owner](addr)
-        self._filter_remove(owner, addr)
+        if self.filter is not None:
+            self.filter.remove(owner, addr)
         if removed is None:
             self.stats.add("forward_nacks")
-            latency += self._send(owner, home, MessageClass.CONTROL_RESPONSE)
+            latency += self._send(owner, home, _CONTROL_RESPONSE)
             entry.remove_core(owner)
             latency += self._serve_from_llc(core, addr, home)
             entry.grant_exclusive(core)
@@ -362,7 +373,7 @@ class HomeController:
         # (cache-to-cache); a stale LLC copy is safe because the requester
         # immediately becomes the new owner.
         version = removed.version if removed.dirty else self._llc_version(addr)
-        latency += self._send(owner, core, MessageClass.DATA_RESPONSE)
+        latency += self._send(owner, core, _DATA_RESPONSE)
         latency += self._t_l1
         entry.grant_exclusive(core)
         return latency, _S_MODIFIED, version
@@ -391,15 +402,17 @@ class HomeController:
         self, core: int, addr: int, is_write: bool, home: int, latency: int
     ) -> Grant:
         """Directory miss on a stash-bit LLC line: run discovery, then serve."""
-        demand = DiscoveryDemand.WRITE if is_write else DiscoveryDemand.READ
+        demand = _DEMAND_WRITE if is_write else _DEMAND_READ
+        # With a presence filter only its candidates are probed.
+        filter_ = self.filter
         result = self.discovery.discover(
             home, addr, demand, exclude_core=core,
-            candidates=self._discovery_candidates(addr, core),
+            candidates=None if filter_ is None else filter_.candidates(addr, core),
         )
         if self._notify_discovery is not None:
             self._notify_discovery(result.found)
-        if result.found and is_write:
-            self._filter_remove(result.hider, addr)
+        if result.found and is_write and filter_ is not None:
+            filter_.remove(result.hider, addr)
         obs = self._obs
         if obs is not None:
             demand_code = 1 if is_write else 0
@@ -438,14 +451,14 @@ class HomeController:
         if victim is not None:
             self._handle_llc_eviction(victim.addr, home)
         # Fetch from memory.
-        self._send(home, home, MessageClass.MEMORY)
+        self._send(home, home, _MEMORY)
         latency += self.memory.read(addr, self.now)
-        self._send(home, home, MessageClass.MEMORY)
+        self._send(home, home, _MEMORY)
         self.llc.fill(addr, version=self.memory_version.get(addr, 0))
         latency += self._allocate_entry(addr, home)
         entry = self._tracked(addr)
         entry.grant_exclusive(core)
-        latency += self._send(home, core, MessageClass.DATA_RESPONSE)
+        latency += self._send(home, core, _DATA_RESPONSE)
         state = _S_MODIFIED if is_write else _S_EXCLUSIVE
         return latency, state, self._llc_version(addr)
 
@@ -469,7 +482,7 @@ class HomeController:
         if entry is not None:
             latency += self._invalidate_targets(entry, addr, home, skip=core)
             entry.grant_exclusive(core)
-            latency += self._send(home, core, MessageClass.CONTROL_RESPONSE)
+            latency += self._send(home, core, _CONTROL_RESPONSE)
             return latency
         # Untracked upgrade: only possible when the requester itself is the
         # hidden holder of a stashed lone-S block.  The upgrade message
@@ -486,7 +499,7 @@ class HomeController:
         latency += self._allocate_entry(addr, home)
         entry = self._tracked(addr)
         entry.grant_exclusive(core)
-        latency += self._send(home, core, MessageClass.CONTROL_RESPONSE)
+        latency += self._send(home, core, _CONTROL_RESPONSE)
         return latency
 
     # ----------------------------------------------------------------- putbacks
@@ -499,21 +512,23 @@ class HomeController:
         """
         if dirty:
             home = addr & self._bank_mask
-            self._send(core, home, MessageClass.WRITEBACK)
-            self._send(home, core, MessageClass.WB_ACK)
+            self._send(core, home, _WRITEBACK)
+            self._send(home, core, _WB_ACK)
             self.llc.write_back(addr, version)
             cell = self._c_l1_writebacks
             if cell is None:
                 cell = self._c_l1_writebacks = self.stats.counter("l1_writebacks")
             cell.value += 1
-            self._filter_remove(core, addr)
+            if self.filter is not None:
+                self.filter.remove(core, addr)
             self._retire_holder(core, addr)
             return
-        if self.config.directory.clean_eviction_notification:
+        if self._clean_notice:
             home = addr & self._bank_mask
-            self._send(core, home, MessageClass.EVICTION_NOTICE)
+            self._send(core, home, _EVICTION_NOTICE)
             self.stats.add("clean_eviction_notices")
-            self._filter_remove(core, addr)
+            if self.filter is not None:
+                self.filter.remove(core, addr)
             self._retire_holder(core, addr)
             return
         # Silent clean eviction: directory/stash-bit state goes stale.
@@ -559,7 +574,7 @@ class HomeController:
 
     def _execute_eviction(self, eviction: Eviction, home: int) -> int:
         victim = eviction.entry
-        if eviction.action is EvictionAction.STASH:
+        if eviction.action is _STASH:
             # The paper's mechanism: drop silently, mark the LLC line.
             self.llc.set_stash_bit(victim.addr)
             cell = self._c_stash_evictions
@@ -597,6 +612,7 @@ class HomeController:
         worst = 0
         targets = victim.targets()
         obs = self._obs
+        filter_ = self.filter
         msg_cell = self._c_dir_eviction_inval_msgs
         if msg_cell is None and targets:
             msg_cell = self._c_dir_eviction_inval_msgs = self.stats.counter(
@@ -605,13 +621,13 @@ class HomeController:
         for target in targets:
             msg_cell.value += 1
             rt = self._roundtrip(
-                home, target, MessageClass.INVALIDATION, MessageClass.INV_ACK
+                home, target, _INVALIDATION, _INV_ACK
             )
             worst = max(worst, rt)
-            if target in victim.believed:
+            if filter_ is not None and target in victim.believed:
                 # The ack settles this target's outstanding grant whether or
                 # not a live copy was found (silent evictions included).
-                self._filter_remove(target, victim.addr)
+                filter_.remove(target, victim.addr)
             removed = self._l1_invalidate[target](victim.addr)
             if obs is not None:
                 obs((self.now, EV_INVAL, target, victim.addr, 0,
@@ -626,7 +642,7 @@ class HomeController:
             cell.value += 1
             self.dir_invalidated[target].add(victim.addr)
             if removed.dirty:
-                self._send(target, home, MessageClass.WRITEBACK)
+                self._send(target, home, _WRITEBACK)
                 self.llc.write_back(victim.addr, removed.version)
         return worst
 
@@ -649,6 +665,7 @@ class HomeController:
         """
         worst = 0
         obs = self._obs
+        filter_ = self.filter
         for target in entry.targets():
             if target == skip or target == also_skip:
                 continue
@@ -659,11 +676,11 @@ class HomeController:
                 )
             cell.value += 1
             rt = self._roundtrip(
-                home, target, MessageClass.INVALIDATION, MessageClass.INV_ACK
+                home, target, _INVALIDATION, _INV_ACK
             )
             worst = max(worst, rt)
-            if target in entry.believed:
-                self._filter_remove(target, addr)
+            if filter_ is not None and target in entry.believed:
+                filter_.remove(target, addr)
             removed = self._l1_invalidate[target](addr)
             if obs is not None:
                 obs((self.now, EV_INVAL, target, addr, 0,
@@ -692,13 +709,14 @@ class HomeController:
         dirty = bool(block.dirty)
         had_stash = bool(block.stash)
         obs = self._obs
+        filter_ = self.filter
         entry = self.directory.lookup(victim_addr, touch=False)
         if entry is not None:
             for target in entry.targets():
-                self._send(home, target, MessageClass.INVALIDATION)
-                self._send(target, home, MessageClass.INV_ACK)
-                if target in entry.believed:
-                    self._filter_remove(target, victim_addr)
+                self._send(home, target, _INVALIDATION)
+                self._send(target, home, _INV_ACK)
+                if filter_ is not None and target in entry.believed:
+                    filter_.remove(target, victim_addr)
                 removed = self._l1_invalidate[target](victim_addr)
                 if obs is not None:
                     obs((self.now, EV_INVAL, target, victim_addr, 0,
@@ -706,20 +724,22 @@ class HomeController:
                 if removed is not None:
                     self.stats.add("llc_back_invalidations")
                     if removed.dirty:
-                        self._send(target, home, MessageClass.WRITEBACK)
+                        self._send(target, home, _WRITEBACK)
                         dirty = True
                         version = max(version, removed.version)
             self.directory.deallocate(victim_addr)
         elif self.stash_capable and block.stash:
             result = self.discovery.discover(
-                home, victim_addr, DiscoveryDemand.EVICT, exclude_core=None,
-                candidates=self._discovery_candidates(victim_addr, None),
+                home, victim_addr, _DEMAND_EVICT, exclude_core=None,
+                candidates=(
+                    None if filter_ is None else filter_.candidates(victim_addr, None)
+                ),
             )
             if self._notify_discovery is not None:
                 self._notify_discovery(result.found)
             if result.found:
-                self._filter_remove(result.hider, victim_addr)
-            if result.found:
+                if filter_ is not None:
+                    filter_.remove(result.hider, victim_addr)
                 self.stats.add("llc_back_invalidations")
             if result.dirty_version is not None:
                 dirty = True
@@ -735,7 +755,7 @@ class HomeController:
             obs((self.now, EV_LLC_EVICT, -1, victim_addr, 0,
                  (1 if dirty else 0) | (2 if had_stash else 0)))
         if dirty:
-            self._send(home, home, MessageClass.MEMORY)
+            self._send(home, home, _MEMORY)
             self.memory.write(victim_addr, self.now)
             self.memory_version[victim_addr] = version
 
@@ -747,7 +767,7 @@ class HomeController:
         if cell is None:
             cell = self._c_llc_hits = self.stats.counter("llc_hits")
         cell.value += 1
-        return self._t_llc + self._send(home, core, MessageClass.DATA_RESPONSE)
+        return self._t_llc + self._send(home, core, _DATA_RESPONSE)
 
     def _llc_version(self, addr: int) -> int:
         block = self.llc.probe(addr, touch=False)

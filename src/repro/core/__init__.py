@@ -20,7 +20,7 @@ from .relaxed_inclusion import (
     check_strict_inclusion,
 )
 from .stash_directory import StashDirectory
-from .stash_policy import eligible_ways, is_stash_eligible
+from .stash_policy import is_stash_eligible
 
 __all__ = [
     "AdaptiveStashDirectory",
@@ -32,6 +32,5 @@ __all__ = [
     "StashDirectory",
     "check_relaxed_inclusion",
     "check_strict_inclusion",
-    "eligible_ways",
     "is_stash_eligible",
 ]

@@ -25,6 +25,10 @@ from ..common.stats import StatGroup
 from ..directory.base import EvictionAction
 from .stash_directory import StashDirectory
 
+# Read once (an enum member load inside a function is a class-attribute
+# lookup through EnumType on every call).
+_INVALIDATE = EvictionAction.INVALIDATE
+
 #: Discovery outcomes per evaluation window.
 DEFAULT_WINDOW = 64
 
@@ -92,5 +96,5 @@ class AdaptiveStashDirectory(StashDirectory):
                 self.stats.add("throttle_probations")
             else:
                 self.stats.add("throttled_evictions")
-                return self.lru_slot(slots), EvictionAction.INVALIDATE
+                return self.lru_slot(slots), _INVALIDATE
         return super().choose_victim(slots)

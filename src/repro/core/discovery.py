@@ -37,6 +37,15 @@ class DiscoveryDemand(Enum):
     EVICT = "evict"  # LLC eviction / back-invalidation: hider invalidates
 
 
+# Enum members read once: inside :meth:`DiscoveryEngine.discover` each
+# ``X.MEMBER`` load is a class-attribute lookup through EnumType.
+_DEMAND_READ = DiscoveryDemand.READ
+_INVALID = MesiState.INVALID
+_PROBE = MessageClass.DISCOVERY_PROBE
+_REPLY = MessageClass.DISCOVERY_REPLY
+_WRITEBACK = MessageClass.WRITEBACK
+
+
 @dataclass
 class DiscoveryResult:
     """Outcome of one discovery broadcast."""
@@ -92,14 +101,14 @@ class DiscoveryEngine:
         latency, fanout = self._network.broadcast(
             home_tile,
             probe_targets,
-            MessageClass.DISCOVERY_PROBE,
-            MessageClass.DISCOVERY_REPLY,
+            _PROBE,
+            _REPLY,
         )
         self._stats.add("broadcasts")
         self._stats.add("probes_sent", fanout)
 
         hider: Optional[int] = None
-        hider_state = MesiState.INVALID
+        hider_state = _INVALID
         dirty_version: Optional[int] = None
         for core in probe_targets:
             l1 = self._l1s[core]
@@ -115,14 +124,14 @@ class DiscoveryEngine:
             hider_state = MesiState(block.state)
             was_dirty = bool(block.dirty)
             version = block.version
-            if demand is DiscoveryDemand.READ:
+            if demand is _DEMAND_READ:
                 l1.downgrade_to_shared(block_addr)
             else:
                 l1.invalidate(block_addr)
             if was_dirty:
                 dirty_version = version
                 # Dirty data rides home with the reply: account the payload.
-                self._network.send(core, home_tile, MessageClass.WRITEBACK)
+                self._network.send(core, home_tile, _WRITEBACK)
 
         if hider is None:
             self._stats.add("false_discoveries")

@@ -22,12 +22,18 @@ from __future__ import annotations
 
 from typing import Tuple
 
-from ..common.config import DirectoryConfig
+from ..common.config import DirectoryConfig, StashEligibility
 from ..common.rng import DeterministicRng
 from ..common.stats import StatGroup
 from ..directory.base import EvictionAction
 from ..directory.sparse import SparseDirectory
-from .stash_policy import eligible_ways, is_stash_eligible
+from .stash_policy import is_stash_eligible
+
+# Read once: an enum member load inside a function is a class-attribute
+# lookup through EnumType on every call.
+_INVALIDATE = EvictionAction.INVALIDATE
+_STASH = EvictionAction.STASH
+_EXCLUSIVE_ONLY = StashEligibility.EXCLUSIVE_ONLY
 
 
 class StashDirectory(SparseDirectory):
@@ -45,14 +51,29 @@ class StashDirectory(SparseDirectory):
         self.eligibility = config.stash_eligibility
 
     def choose_victim(self, slots: range) -> Tuple[int, EvictionAction]:
-        """Prefer the LRU stash-eligible entry; invalidate only when forced."""
-        eligible = eligible_ways(
-            self.entries[slots.start:slots.stop], slots, self.eligibility
-        )
-        if eligible:
-            return self.lru_slot(eligible), EvictionAction.STASH
+        """Prefer the LRU stash-eligible entry; invalidate only when forced.
+
+        One scan of the set: the eligibility test is
+        :func:`~repro.core.stash_policy.is_stash_eligible`, inlined, and
+        ``<`` keeps the first of equally old ways, as ``lru_slot`` does.
+        """
+        entries = self.entries
+        last_use = self._last_use
+        exclusive_only = self.eligibility is _EXCLUSIVE_ONLY
+        victim = -1
+        oldest = 0
+        for slot in slots:
+            entry = entries[slot]
+            if len(entry.believed) != 1 or (exclusive_only and entry.owner is None):
+                continue
+            use = last_use[slot]
+            if victim < 0 or use < oldest:
+                victim = slot
+                oldest = use
+        if victim >= 0:
+            return victim, _STASH
         self.stats.add("forced_invalidations")
-        return self.lru_slot(slots), EvictionAction.INVALIDATE
+        return self.lru_slot(slots), _INVALIDATE
 
     def obs_gauges(self) -> dict:
         gauges = super().obs_gauges()

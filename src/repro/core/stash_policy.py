@@ -19,34 +19,19 @@ Eligibility variants (ablation A1):
 
 from __future__ import annotations
 
-from typing import Iterable, List
-
 from ..common.config import StashEligibility
 from ..directory.base import DirectoryEntry
+
+# Read once: an enum member load inside a function is a class-attribute
+# lookup through EnumType on every call.
+_EXCLUSIVE_ONLY = StashEligibility.EXCLUSIVE_ONLY
 
 
 def is_stash_eligible(entry: DirectoryEntry, eligibility: StashEligibility) -> bool:
     """May this entry be stashed instead of invalidated?"""
     if not entry.is_private():
         return False
-    if eligibility is StashEligibility.EXCLUSIVE_ONLY:
+    if eligibility is _EXCLUSIVE_ONLY:
         return entry.owner is not None
     return True
 
-
-def eligible_ways(
-    entries: Iterable[DirectoryEntry],
-    ways: Iterable[int],
-    eligibility: StashEligibility,
-) -> List[int]:
-    """Filter ``(entries, ways)`` pairs down to the stash-eligible way indices.
-
-    ``entries`` and ``ways`` iterate in lockstep (a full directory set's
-    entries and their slots); the stash directory takes the LRU of the
-    result as its victim.
-    """
-    return [
-        way
-        for entry, way in zip(entries, ways)
-        if is_stash_eligible(entry, eligibility)
-    ]

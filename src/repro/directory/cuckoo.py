@@ -34,6 +34,10 @@ from .sharers import make_sharer_rep
 #: Displacement-chain length bound before giving up and evicting.
 DEFAULT_MAX_PATH = 8
 
+# Read once: an enum member load inside a function is a class-attribute
+# lookup through EnumType on every call.
+_INVALIDATE = EvictionAction.INVALIDATE
+
 
 _MASK64 = (1 << 64) - 1
 
@@ -231,7 +235,7 @@ class CuckooDirectory(Directory):
         where.pop(homeless.addr, None)
         self.stats.add("evictions")
         self.stats.add("evictions_invalidate")
-        return AllocationResult(entry, Eviction(homeless, EvictionAction.INVALIDATE))
+        return AllocationResult(entry, Eviction(homeless, _INVALIDATE))
 
     def deallocate(self, addr: int) -> None:
         pos = self._where.pop(addr, None)

@@ -51,6 +51,10 @@ DEFAULT_POINTERS = 2
 #: Cores per leaf line in hierarchical mode.
 DEFAULT_LEAF_SIZE = 4
 
+# Read once: an enum member load inside a function is a class-attribute
+# lookup through EnumType on every call.
+_INVALIDATE = EvictionAction.INVALIDATE
+
 
 def scd_lines(
     mask: int, pointers: int = DEFAULT_POINTERS, leaf_size: int = DEFAULT_LEAF_SIZE
@@ -193,7 +197,7 @@ class ScdDirectory(Directory):
             victim_addr = next(iter(self._entries))
             victim = self._entries.pop(victim_addr)
             victim._released()
-            eviction = Eviction(victim, EvictionAction.INVALIDATE)
+            eviction = Eviction(victim, _INVALIDATE)
             self.stats.add("evictions")
             self.stats.add("evictions_invalidate")
         entry = _ScdEntry(addr, self.num_cores, self)

@@ -35,6 +35,11 @@ from .base import (
 )
 from .sharers import make_sharer_rep
 
+# Read once: an ``EvictionAction.X`` load inside a per-allocation function
+# is a class-attribute lookup through EnumType on every call.
+_INVALIDATE = EvictionAction.INVALIDATE
+_STASH = EvictionAction.STASH
+
 
 class SparseDirectory(Directory):
     """Set-associative sparse directory with invalidate-on-eviction."""
@@ -64,20 +69,19 @@ class SparseDirectory(Directory):
         self._fill: List[int] = [0] * self.sets
         self._clock = 0
         # Lookup/allocation counters, bound on first event (see
-        # StatGroup.counter); eviction counters are keyed per action kind.
+        # StatGroup.counter), one eviction counter per action kind among
+        # them: ``evictions_stash`` appears only once a stash has fired.
         self._c_hits: Optional[StatCounter] = None
         self._c_misses: Optional[StatCounter] = None
         self._c_allocations: Optional[StatCounter] = None
         self._c_deallocations: Optional[StatCounter] = None
         self._c_evictions: Optional[StatCounter] = None
-        self._c_evictions_by_action: Dict[EvictionAction, StatCounter] = {}
+        self._c_evictions_invalidate: Optional[StatCounter] = None
+        self._c_evictions_stash: Optional[StatCounter] = None
         # Validated sharer-rep template; allocations clone it via fresh().
         self._rep_template = make_sharer_rep(config, num_cores)
 
     # -- internals -------------------------------------------------------------
-
-    def _new_entry(self, addr: int) -> DirectoryEntry:
-        return DirectoryEntry(addr, self._rep_template.fresh())
 
     def lru_slot(self, slots: Iterable[int]) -> int:
         """The least recently used of ``slots`` (the first one on a tie)."""
@@ -89,7 +93,7 @@ class SparseDirectory(Directory):
         The conventional design always invalidates the LRU entry; the stash
         directory overrides this to prefer stash-eligible entries.
         """
-        return self.lru_slot(slots), EvictionAction.INVALIDATE
+        return self.lru_slot(slots), _INVALIDATE
 
     # -- Directory interface ------------------------------------------------------
 
@@ -130,18 +134,27 @@ class SparseDirectory(Directory):
             if cell is None:
                 cell = self._c_evictions = self.stats.counter("evictions")
             cell.value += 1
-            action_cell = self._c_evictions_by_action.get(action)
-            if action_cell is None:
-                action_cell = self._c_evictions_by_action[action] = self.stats.counter(
-                    f"evictions_{action.value}"
-                )
-            action_cell.value += 1
+            # An identity test, not a dict keyed by the action: hashing a
+            # plain Enum member runs Enum.__hash__ in Python.
+            if action is _STASH:
+                cell = self._c_evictions_stash
+                if cell is None:
+                    cell = self._c_evictions_stash = self.stats.counter(
+                        "evictions_stash"
+                    )
+            else:
+                cell = self._c_evictions_invalidate
+                if cell is None:
+                    cell = self._c_evictions_invalidate = self.stats.counter(
+                        "evictions_invalidate"
+                    )
+            cell.value += 1
         else:
             slot = s * ways
             while entries[slot] is not None:
                 slot += 1
             self._fill[s] += 1
-        entry = self._new_entry(addr)
+        entry = DirectoryEntry(addr, self._rep_template.fresh())
         entries[slot] = entry
         slot_of[addr] = slot
         self._clock = clock = self._clock + 1

@@ -376,27 +376,30 @@ class CampaignService:
         loop = asyncio.get_running_loop()
         campaign.status = "running"
         campaign.started = time.time()
+        # 1. Resume: a journaled point is done when its record's key is the
+        # point's current cache key, which folds in the code version.  Any
+        # other record (stale code, or an observed point, journaled with
+        # key "") re-runs.  The journal is rewritten to the resumed records
+        # before anything is appended, so each restart leaves at most one
+        # line per point; a crash after the rewrite loses only records
+        # whose points would re-run anyway.
+        resumed = [
+            (index, record)
+            for index, record in sorted(journal.items())
+            if index < len(campaign.specs)
+            and record.get("key") == runner.cache_key(campaign.specs[index].point)
+        ]
+        self.store.rewrite_journal(campaign.id, [record for _, record in resumed])
         journal_handle = self.store.open_journal(campaign.id)
         try:
-            # 1. Resume: a journaled point is done when its record's key is
-            # the point's current cache key, which folds in the code
-            # version.  Any other record (stale code, or an observed point,
-            # journaled with key "") re-runs, and its new record supersedes
-            # the old one.
-            for index, record in sorted(journal.items()):
-                if (
-                    index < len(campaign.specs)
-                    and campaign.states[index] == "pending"
-                    and record.get("key")
-                    == runner.cache_key(campaign.specs[index].point)
-                ):
-                    self._complete_point(
-                        campaign, index, "journal",
-                        float(record.get("seconds", 0.0)),
-                        dict(record.get("summary") or {}),
-                        journal_handle,
-                    )
-                    campaign.resumed += 1
+            for index, record in resumed:
+                self._complete_point(
+                    campaign, index, "journal",
+                    float(record.get("seconds", 0.0)),
+                    dict(record.get("summary") or {}),
+                    journal_handle,
+                )
+                campaign.resumed += 1
             await self._notify(campaign)
 
             # 2. Result-cache probe: a point someone already computed (any

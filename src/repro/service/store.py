@@ -10,7 +10,10 @@ record ``{"v": 1, "i": <point index>, "src": "computed"|"cache"|"journal",
 "key": <result cache key>, "seconds": s, "summary": {...}}`` and flushes.
 A server killed mid-campaign loses at most the line it was writing; on
 reload, malformed or truncated trailing lines are counted and skipped —
-the matching point simply re-runs.  Combined with the content-addressed
+the matching point simply re-runs.  Before a resumed campaign appends, the
+service rewrites its journal to the records it resumes
+(:meth:`CampaignStore.rewrite_journal`), so superseded and corrupt lines
+do not pile up across restarts.  Combined with the content-addressed
 result cache (each point's full result is stored atomically as it
 completes) this makes campaigns resumable: re-submitting the same
 manifest re-executes only points with no journal record, or whose record's
@@ -27,7 +30,7 @@ import json
 import os
 import shutil
 from pathlib import Path
-from typing import Dict, Optional, TextIO, Union
+from typing import Dict, Iterable, Optional, TextIO, Union
 
 from .manifest import CampaignManifest, ManifestError
 
@@ -36,6 +39,11 @@ JOURNAL_VERSION = 1
 
 MANIFEST_FILE = "manifest.json"
 JOURNAL_FILE = "journal.ndjson"
+
+
+def _journal_line(record: Dict[str, object]) -> str:
+    """One journal record as its NDJSON line."""
+    return json.dumps(record, separators=(",", ":")) + "\n"
 
 
 class CampaignStore:
@@ -122,7 +130,7 @@ class CampaignStore:
             "seconds": round(float(seconds), 6),
             "summary": summary or {},
         }
-        line = json.dumps(record, separators=(",", ":")) + "\n"
+        line = _journal_line(record)
         if handle is not None:
             handle.write(line)
             handle.flush()
@@ -131,6 +139,24 @@ class CampaignStore:
                 out.write(line)
                 out.flush()
         return record
+
+    def rewrite_journal(
+        self, campaign_id: str, records: Iterable[Dict[str, object]]
+    ) -> None:
+        """Replace the journal with exactly ``records``, atomically.
+
+        Written as :meth:`create` writes the manifest: a temp file, then
+        ``os.replace``, so a crash leaves either the old journal or the new
+        one.  A campaign with no journal and no records gets no file.
+        """
+        path = self.journal_path(campaign_id)
+        lines = [_journal_line(record) for record in records]
+        if not lines and not path.exists():
+            return
+        tmp = path.with_suffix(f".tmp.{os.getpid()}")
+        with open(tmp, "w") as handle:
+            handle.writelines(lines)
+        os.replace(tmp, path)
 
     def load_journal(self, campaign_id: str) -> Dict[int, Dict[str, object]]:
         """Completed-point records by index; corrupt lines are skipped.

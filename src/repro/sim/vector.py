@@ -78,7 +78,6 @@ from ..common.addr import log2_exact
 from ..common.config import (
     DirectoryKind,
     MemoryModel,
-    SharerFormat,
     StashEligibility,
     SystemConfig,
 )
@@ -88,7 +87,13 @@ from ..common.rng import DeterministicRng
 from ..directory import DIRECTORY_RNG_STREAM
 from ..directory.cuckoo import DEFAULT_MAX_PATH, cuckoo_slots
 from ..directory.hierarchical import scd_lines
-from ..directory.sharers import HIER_POINTERS, hier_auto_cluster
+from ..directory.sharers import (
+    CoarseVector,
+    FullBitVector,
+    HierarchicalRep,
+    LimitedPointer,
+    make_sharer_rep,
+)
 from ..noc.topology import Mesh2D
 from ..noc.traffic import MessageClass, flits_of
 from .results import SimulationResult
@@ -293,24 +298,23 @@ class _FlatMachine:
         self.dir_occ_total = 0
 
         # Sharer representation: 0 = full bitvector, 1 = coarse, 2 = limited,
-        # 3 = hierarchical (SCD-style two-level, see directory.sharers).  SCD
-        # tracks a full bit vector whatever the configured format.
-        fmt = SharerFormat.FULL_BIT_VECTOR if self.pool else dcfg.sharer_format
-        self.smode = (
-            0
-            if fmt is SharerFormat.FULL_BIT_VECTOR
-            else 1
-            if fmt is SharerFormat.COARSE_VECTOR
-            else 2 if fmt is SharerFormat.LIMITED_POINTER else 3
-        )
+        # 3 = hierarchical (SCD-style two-level, see directory.sharers).  The
+        # mode and its parameters come from the validated template the
+        # interpreter's directories clone, so directory.sharers stays the
+        # one reader of the format's configuration.  SCD tracks a full bit
+        # vector whatever the configured format.
+        rep = FullBitVector(n) if self.pool else make_sharer_rep(dcfg, n)
+        modes = (FullBitVector, CoarseVector, LimitedPointer, HierarchicalRep)
+        self.smode = modes.index(type(rep))
         # An empty representation per mode: 0 for the bit vectors, the
         # pointer list, the cluster dict.  Built by calling a type, so a
         # new entry costs no Python frame.
         self.new_rep = (int, int, list, dict)[self.smode]
-        self.group = dcfg.coarse_group
-        self.pointers = dcfg.limited_pointers
-        self.cluster = hier_auto_cluster(n)
-        self.hier_pointers = HIER_POINTERS
+        # Each mode reads only its own parameters; the others stay 0.
+        self.group = getattr(rep, "group", 0)
+        self.pointers = getattr(rep, "pointers", 0)
+        self.cluster = getattr(rep, "cluster", 0)
+        self.hier_pointers = self.pointers
 
         # Data-version bookkeeping (mirrors HomeController.mint_version).
         self.vclock = 0

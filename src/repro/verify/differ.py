@@ -66,7 +66,7 @@ from ..common.errors import ReproError, InvariantViolation
 from ..common.mesi import CoherenceProtocol
 from ..coherence.protocol import CoherentSystem
 from ..coherence.tables import L1Tables, corrupt_l1_tables, l1_tables
-from ..directory.sharers import CoarseVector, LimitedPointer
+from ..directory.sharers import CoarseVector, LimitedPointer, make_sharer_rep
 from ..sim.simulator import run_trace
 from ..sim.system import build_system
 from ..sim.trace import FlatOp, PackedTrace
@@ -256,25 +256,36 @@ def _inject_stash_bit_lost(system: CoherentSystem) -> None:
     system.llc.set_stash_bit = lambda addr: None
 
 
-def _swap_rep_template(system: CoherentSystem, cls, **params) -> None:
+def _swap_rep_template(
+    system: CoherentSystem, cls, fmt: SharerFormat, param: str
+) -> None:
+    """Swap the directory's sharer template for the buggy ``cls``.
+
+    ``cls`` breaks the representation of ``fmt``, and it replaces the
+    template whatever format the system runs.  Its ``param`` is read from
+    the validated template of ``fmt`` under the system's directory
+    configuration, so :mod:`repro.directory.sharers` stays the one reader
+    of the format's parameters.
+    """
     directory = system.directory
-    template = getattr(directory, "_rep_template", None)
-    if template is None:
+    if getattr(directory, "_rep_template", None) is None:
         return
-    directory._rep_template = cls(system.config.num_cores, **params)
+    config = system.config
+    valid = make_sharer_rep(
+        dataclasses.replace(config.directory, sharer_format=fmt), config.num_cores
+    )
+    directory._rep_template = cls(config.num_cores, **{param: getattr(valid, param)})
 
 
 def _inject_pointer_resurrect(system: CoherentSystem) -> None:
     _swap_rep_template(
-        system,
-        _ResurrectingLimitedPointer,
-        pointers=system.config.directory.limited_pointers,
+        system, _ResurrectingLimitedPointer, SharerFormat.LIMITED_POINTER, "pointers"
     )
 
 
 def _inject_coarse_unclamped(system: CoherentSystem) -> None:
     _swap_rep_template(
-        system, _UnclampedCoarseVector, group=system.config.directory.coarse_group
+        system, _UnclampedCoarseVector, SharerFormat.COARSE_VECTOR, "group"
     )
 
 

@@ -9,6 +9,7 @@ from repro.common.errors import DirectoryError
 from repro.common.rng import DeterministicRng
 from repro.common.stats import StatGroup
 from repro.core.stash_directory import StashDirectory
+from repro.core.stash_policy import is_stash_eligible
 from repro.directory.base import EvictionAction
 from repro.directory.sparse import SparseDirectory
 from tests.conftest import LruModel
@@ -107,21 +108,24 @@ class TestInheritedBehaviour:
 @settings(max_examples=100)
 @given(
     stash=st.booleans(),
+    eligibility=st.sampled_from(list(StashEligibility)),
     sets=st.sampled_from([1, 2, 4]),
     ways=st.integers(1, 4),
     ops=st.lists(
         st.tuples(
             st.sampled_from(["alloc", "alloc", "dealloc", "lookup", "peek", "contains"]),
             st.integers(0, 11),
-            st.integers(0, 2),
+            st.integers(0, 3),
         ),
         min_size=40,
         max_size=200,
     ),
 )
-def test_property_victims_match_lru_model(stash, sets, ways, ops):
+def test_property_victims_match_lru_model(stash, eligibility, sets, ways, ops):
     """Sparse evicts the LRU entry; stash the LRU stash-eligible one first.
 
+    Eligibility is what :func:`is_stash_eligible` says of the entry, under
+    either variant, for empty, exclusive, shared and lone-sharer entries.
     A stash directory invalidates (and counts a forced invalidation) only
     when no entry in the full set is eligible.  Lookups without a touch,
     ``contains`` and iteration leave the LRU order alone.
@@ -131,14 +135,14 @@ def test_property_victims_match_lru_model(stash, sets, ways, ops):
         else (DirectoryKind.SPARSE, SparseDirectory)
     )
     d = cls(
-        DirectoryConfig(kind=kind, ways=ways),
+        DirectoryConfig(kind=kind, ways=ways, stash_eligibility=eligibility),
         num_cores=4,
         entries=sets * ways,
         rng=DeterministicRng(1),
         stats=StatGroup("dir"),
     )
     model = LruModel(sets, ways)
-    private = {}  # addr -> the entry tracks exactly one holder
+    eligible = {}  # addr -> the entry may be stashed
     forced = 0
     for op, addr, holders in ops:
         if op == "alloc":
@@ -146,19 +150,21 @@ def test_property_victims_match_lru_model(stash, sets, ways, ops):
                 with pytest.raises(DirectoryError):
                     d.allocate(addr)
                 continue
-            expected = model.victim(addr, private.__getitem__ if stash else None)
+            expected = model.victim(addr, eligible.__getitem__ if stash else None)
             result = d.allocate(addr)
             model.fill(addr, expected)
+            # holders: 0 none, 1 an exclusive owner, 2 two sharers, 3 a
+            # lone sharer (private, but not exclusive).
             if holders == 1:
                 result.entry.grant_exclusive(0)
-            for core in range(holders if holders > 1 else 0):
+            for core in range({2: 2, 3: 1}.get(holders, 0)):
                 result.entry.add_sharer(core)
-            private[addr] = holders == 1
+            eligible[addr] = is_stash_eligible(result.entry, eligibility)
             if expected is None:
                 assert result.eviction is None
             else:
                 assert result.eviction.entry.addr == expected
-                stashed = stash and private[expected]
+                stashed = stash and eligible[expected]
                 assert result.eviction.action is (
                     EvictionAction.STASH if stashed else EvictionAction.INVALIDATE
                 )

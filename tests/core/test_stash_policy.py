@@ -1,7 +1,7 @@
 """Unit tests for stash-eligibility rules."""
 
 from repro.common.config import StashEligibility
-from repro.core.stash_policy import eligible_ways, is_stash_eligible
+from repro.core.stash_policy import is_stash_eligible
 from repro.directory.base import DirectoryEntry
 from repro.directory.sharers import FullBitVector
 
@@ -46,12 +46,3 @@ class TestExclusiveOnly:
         assert not is_stash_eligible(entry, StashEligibility.EXCLUSIVE_ONLY)
         assert is_stash_eligible(entry, StashEligibility.ANY_PRIVATE)
 
-
-class TestEligibleWays:
-    def test_filters_pairs(self):
-        entries = [entry_with(owner=1), entry_with(sharers=[1, 2]), entry_with(owner=2)]
-        ways = [0, 1, 2]
-        assert eligible_ways(entries, ways, StashEligibility.ANY_PRIVATE) == [0, 2]
-
-    def test_empty_input(self):
-        assert eligible_ways([], [], StashEligibility.ANY_PRIVATE) == []

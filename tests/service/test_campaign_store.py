@@ -110,6 +110,25 @@ class TestJournal:
         assert store.load_journal("deadbeef") == {}
         assert store.last_skipped() == 0
 
+    def test_rewrite_keeps_only_given_records(self, store):
+        cid = MANIFEST.campaign_id
+        store.append(cid, 0, "computed", key="old")
+        store.append(cid, 0, "computed", key="new", summary={"a": 1.0})
+        store.append(cid, 1, "cache", key="k1")
+        with open(store.journal_path(cid), "a") as handle:
+            handle.write('{"v": 1, "i": 2, "src": "comp')
+        records = store.load_journal(cid)
+        store.rewrite_journal(cid, [records[0]])
+        lines = store.journal_path(cid).read_text().splitlines()
+        assert [json.loads(line) for line in lines] == [records[0]]
+        assert store.load_journal(cid) == {0: records[0]}
+        assert store.last_skipped() == 0
+        assert [p.name for p in store.dir_for(cid).iterdir()] == ["journal.ndjson"]
+
+    def test_rewrite_without_journal_or_records_writes_nothing(self, store):
+        store.rewrite_journal("deadbeef", [])
+        assert not store.journal_path("deadbeef").exists()
+
 
 class TestMaintenance:
     def test_stats(self, store):

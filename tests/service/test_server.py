@@ -371,10 +371,46 @@ class TestStaleJournal:
             [spec.point for spec in specs], workers=1, cache_enabled=False
         )
         assert campaign.summaries[0] == direct[0].summary()
-        # The new record supersedes the stale one on the next load.
+        # The new record replaces the stale one: resume rewrote the journal
+        # before appending, so it holds one line per point.
+        lines = store.journal_path(m.campaign_id).read_text().splitlines()
+        assert len(lines) == 4
         record = store.load_journal(m.campaign_id)[0]
         assert record["key"] == runner.cache_key(specs[0].point)
         assert record["summary"] == direct[0].summary()
+
+    def test_resume_drops_corrupt_trailing_line(self, tmp_path):
+        config = service_config(tmp_path, workers=1, cache_enabled=False)
+        store = CampaignStore(runner.campaigns_root(config.cache_dir))
+        m = manifest()
+        specs = m.expand()
+        store.create(m)
+        # One current record, then a line torn by a crash mid-write.
+        store.append(
+            m.campaign_id, 1, "computed", key=runner.cache_key(specs[1].point),
+            seconds=1.0, summary={"execution_time": 1.0},
+        )
+        with open(store.journal_path(m.campaign_id), "a") as handle:
+            handle.write('{"v": 1, "i": 2, "src": "comp')
+
+        async def scenario():
+            service = CampaignService(config)
+            try:
+                campaign, _ = await run_campaign(service, m)
+                return campaign
+            finally:
+                await service.stop()
+
+        campaign = asyncio.run(scenario())
+        assert campaign.status == "done"
+        assert campaign.resumed == 1
+        assert campaign.sources[1] == "journal"
+        assert campaign.executed == 3
+        lines = store.journal_path(m.campaign_id).read_text().splitlines()
+        assert len(lines) == 4
+        assert all(json.loads(line)["v"] == 1 for line in lines)
+        assert sorted(store.load_journal(m.campaign_id)) == [0, 1, 2, 3]
+        assert store.last_skipped() == 0
 
 
 class TestHttpApi:

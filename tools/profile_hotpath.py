@@ -26,6 +26,10 @@ should be the simulator run loop, ``CacheArray.lookup``,
 ``Network.send`` and the L1/home controllers; red flags there are
 ``GrantResult``/dataclass constructors, ``MesiState.__new__``,
 ``StatGroup.add`` or route/hash helpers showing per-access call counts.
+An enum member load (``MessageClass.X`` or ``MesiState.X`` inside a
+function, over 100 ns each on CPython 3.11) is a red flag that never
+shows as a frame: cProfile adds it to the caller's own time.
+``tests/test_enum_member_loads.py`` finds them in the bytecode instead.
 """
 
 from __future__ import annotations
