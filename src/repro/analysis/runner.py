@@ -41,7 +41,9 @@ Python simulations.  This module is the one place that executes them:
 points through one public core: :func:`lookup` (memo, then disk),
 :func:`materialize_traces`, :func:`compute_point` (picklable, so it runs
 in pool workers; :func:`execute_point` also hands back an observed
-point's live observer) and :func:`record` (memo, disk and counters).
+point's live observer) and :func:`record` (memo, disk and counters; it
+also counts the trace lookups a pool worker made, so ``--cache-stats``
+and the service's trace gauges see them).
 
 Environment knobs (read once at import, overridable via :func:`configure`
 or per-call arguments): ``REPRO_WORKERS`` (worker processes, default 1),
@@ -57,7 +59,7 @@ import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from ..common.config import SystemConfig
 from ..common.fingerprint import source_fingerprint
@@ -385,19 +387,33 @@ def clear_all() -> None:
 
 # ------------------------------------------------------------------ execution
 
+class PointOutput(NamedTuple):
+    """What computing one point hands back to the process that records it."""
+
+    result: SimulationResult
+    #: Wall time of the whole point.
+    seconds: float
+    #: The share of ``seconds`` spent acquiring the input trace.
+    trace_seconds: float
+    #: The trace-memo lookups the point made, in the process that ran it.
+    trace_lookups: trace_store.TraceLookups
+
+
 def execute_point(
     point: SweepPoint,
-) -> Tuple[Tuple[SimulationResult, float, float], Optional[Observer]]:
-    """Run one sweep point; returns ``((result, seconds, trace_seconds), observer)``.
+) -> Tuple[PointOutput, Optional[Observer]]:
+    """Run one sweep point; returns ``(output, observer)``.
 
     The input trace comes from the shared trace memo (generated on a
     miss) in packed form, so repeated points over one workload never
     regenerate it; ``trace_seconds`` is the acquisition share of the
-    point's wall time.  An observed point runs on a system with its
+    point's wall time and ``trace_lookups`` the memo hit or generation it
+    made.  An observed point runs on a system with its
     :class:`~repro.obs.Observer` attached, which comes back live (the
     service reads its gauges); ``observer`` is None for a plain point.
     """
     start = time.perf_counter()
+    before = trace_store.mark()
     trace = trace_store.get_packed_trace(
         point.workload,
         point.config.num_cores,
@@ -405,6 +421,7 @@ def execute_point(
         seed=point.seed,
         block_bytes=point.config.block_bytes,
     )
+    lookups = trace_store.lookups_since(before)
     trace_seconds = time.perf_counter() - start
     observer = None
     if point.observed:
@@ -413,11 +430,12 @@ def execute_point(
         result = run_trace(point.config, trace, system=system, observer=observer)
     else:
         result = run_trace(point.config, trace, engine=point.engine)
-    return (result, time.perf_counter() - start, trace_seconds), observer
+    output = PointOutput(result, time.perf_counter() - start, trace_seconds, lookups)
+    return output, observer
 
 
-def compute_point(point: SweepPoint) -> Tuple[SimulationResult, float, float]:
-    """Run one sweep point; returns (result, seconds, trace_seconds).
+def compute_point(point: SweepPoint) -> PointOutput:
+    """Run one sweep point; returns its :class:`PointOutput`.
 
     :func:`execute_point` without the observer: an observed point writes
     its exports under its ``out_prefix`` (if any) instead.  Top-level so
@@ -472,20 +490,24 @@ def lookup(
 
 def record(
     point: SweepPoint,
-    output: Tuple[SimulationResult, float, float],
+    output: PointOutput,
     disk: Optional[DiskCache],
 ) -> str:
     """Fold one :func:`compute_point` output into the counters and caches.
 
     Writes the memo and ``disk`` (``None`` skips it) and adds to
-    ``computed``, ``compute_seconds`` and ``trace_seconds``.  Returns the
-    point's :func:`cache_key`, or ``""`` for an observed point, which is
-    counted but never cached.
+    ``computed``, ``compute_seconds`` and ``trace_seconds``.  The point's
+    trace lookups are added to the trace store's counters if another
+    process (a pool worker) made them; this process counted its own as it
+    made them, so each lookup is counted once.  Returns the point's
+    :func:`cache_key`, or ``""`` for an observed point, which is counted
+    but never cached.
     """
-    result, seconds, trace_seconds = output
+    result, seconds, trace_seconds, trace_lookups = output
     counters.computed += 1
     counters.compute_seconds += seconds
     counters.trace_seconds += trace_seconds
+    trace_store.fold(trace_lookups)
     if point.observed:
         return ""
     key = cache_key(point)
@@ -514,7 +536,7 @@ def _compute_all(
     points: Sequence[SweepPoint],
     workers: int,
     disk: Optional[DiskCache],
-) -> List[Tuple[SimulationResult, float, float]]:
+) -> List[PointOutput]:
     """Compute and :func:`record` every point; outputs in input order.
 
     Each point is recorded as it completes, so an interrupted sweep keeps
@@ -525,10 +547,9 @@ def _compute_all(
     parallel plumbing; ``KeyboardInterrupt`` and SIGTERM cancel pending
     points, drain the pool and re-raise.
     """
-    outputs: List[Optional[Tuple[SimulationResult, float, float]]]
-    outputs = [None] * len(points)
+    outputs: List[Optional[PointOutput]] = [None] * len(points)
 
-    def _done(index: int, output: Tuple[SimulationResult, float, float]) -> None:
+    def _done(index: int, output: PointOutput) -> None:
         outputs[index] = output
         record(points[index], output, disk)
 
@@ -594,10 +615,10 @@ def run_points(
         todo = [point for point, _ in pending.values()]
         materialize_traces(todo)
         outputs = _compute_all(todo, workers, disk)
-        counters.point_seconds = [seconds for _, seconds, _ in outputs]
-        for (_, indices), (result, _, _) in zip(pending.values(), outputs):
+        counters.point_seconds = [output.seconds for output in outputs]
+        for (_, indices), output in zip(pending.values(), outputs):
             for index in indices:
-                results[index] = result
+                results[index] = output.result
     counters.batch_seconds += time.perf_counter() - batch_start
     return results  # type: ignore[return-value]
 

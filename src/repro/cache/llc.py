@@ -55,6 +55,10 @@ class SharedLLC:
         # Writebacks are absorbed once per dirty L1 eviction/downgrade:
         # bound counter cell, created on first event.
         self._c_writebacks = None
+        # Stash-bit transitions: event cells, so after a warm-up reset each
+        # key is absent until the bit next changes, as with StatGroup.add.
+        self._c_stash_set = stats.event_counter("stash_bits_set")
+        self._c_stash_cleared = stats.event_counter("stash_bits_cleared")
 
     # -- geometry ------------------------------------------------------------
 
@@ -109,14 +113,14 @@ class SharedLLC:
             )
         if not block.stash:
             block.stash = True
-            self.stats.add("stash_bits_set")
+            self._c_stash_set.value += 1
 
     def clear_stash_bit(self, block_addr: int) -> None:
         """Clear the stash bit (hidden copy discovered or known gone)."""
         block = self._array.lookup(block_addr, touch=False)
         if block is not None and block.stash:
             block.stash = False
-            self.stats.add("stash_bits_cleared")
+            self._c_stash_cleared.value += 1
 
     def stash_bit(self, block_addr: int) -> bool:
         """Read the stash bit (False for non-resident lines)."""

@@ -33,6 +33,17 @@ module constants.  Loaded inside a function, each is a class-attribute
 lookup through ``EnumType`` (over 100 ns on CPython 3.11) that cProfile
 adds to the caller's own time without a frame of its own: a red flag no
 profile shows, which ``tests/test_enum_member_loads.py`` guards.
+
+Each record is found once per transaction.  :meth:`HomeController._allocate_entry`
+hands back the entry the directory just allocated, and a directory miss
+reads the data version from the LLC line already in hand: the line
+:meth:`~repro.cache.llc.SharedLLC.fill` returns on an LLC miss, or the line
+:meth:`HomeController._dir_miss` probed on an LLC hit.  Nothing between
+that probe or fill and the grant can evict an LLC line (a directory
+eviction only writes back or stash-marks *other* lines), so only the
+directory-hit paths, which have no line in hand, re-probe the LLC through
+:meth:`HomeController._llc_version`.  ``tests/test_miss_path_frames.py``
+pins the Python frames one cold LLC miss opens.
 """
 
 from __future__ import annotations
@@ -40,6 +51,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
+from ..cache.block import CacheBlock
 from ..cache.l1 import L1Cache
 from ..cache.llc import SharedLLC
 from ..common.config import SystemConfig
@@ -135,6 +147,7 @@ class HomeController:
         self._clean_notice = config.directory.clean_eviction_notification
         self._send = network.send
         self._dir_lookup = directory.lookup
+        self._dir_allocate = directory.allocate
         self._bank_of = llc.bank_of
         # Inline of home_bank(): low-order block-address bits pick the bank.
         self._bank_mask = llc.num_banks - 1
@@ -387,21 +400,33 @@ class HomeController:
         if llc_block is None:
             return self._llc_miss(core, addr, is_write, home, latency)
         if self.stash_capable and llc_block.stash:
-            return self._discover_and_serve(core, addr, is_write, home, latency)
+            return self._discover_and_serve(
+                core, addr, is_write, home, latency, llc_block
+            )
         if not self.stash_capable and llc_block.stash:  # pragma: no cover
             raise ProtocolError("stash bit set under a non-stash directory")
         # Untracked, un-hidden LLC hit: the requester becomes sole holder.
-        latency += self._allocate_entry(addr, home)
-        entry = self._tracked(addr)
+        entry, displacement = self._allocate_entry(addr, home)
+        latency += displacement
         entry.grant_exclusive(core)
         latency += self._serve_from_llc(core, addr, home)
         state = _S_MODIFIED if is_write else _S_EXCLUSIVE
-        return latency, state, self._llc_version(addr)
+        return latency, state, llc_block.version
 
     def _discover_and_serve(
-        self, core: int, addr: int, is_write: bool, home: int, latency: int
+        self,
+        core: int,
+        addr: int,
+        is_write: bool,
+        home: int,
+        latency: int,
+        llc_block: CacheBlock,
     ) -> Grant:
-        """Directory miss on a stash-bit LLC line: run discovery, then serve."""
+        """Directory miss on a stash-bit LLC line: run discovery, then serve.
+
+        ``llc_block`` is the line :meth:`_dir_miss` probed; a dirty
+        discovery reply is written back into it in place.
+        """
         demand = _DEMAND_WRITE if is_write else _DEMAND_READ
         # With a presence filter only its candidates are probed.
         filter_ = self.filter
@@ -424,20 +449,20 @@ class HomeController:
         self.llc.clear_stash_bit(addr)
         if result.dirty_version is not None:
             self.llc.write_back(addr, result.dirty_version)
-        latency += self._allocate_entry(addr, home)
-        entry = self._tracked(addr)
+        entry, displacement = self._allocate_entry(addr, home)
+        latency += displacement
         if result.found and not is_write:
             # Hider was downgraded to S by the discovery reply.
             entry.add_sharer(result.hider)
             entry.add_sharer(core)
             latency += self._serve_from_llc(core, addr, home)
-            return latency, _S_SHARED, self._llc_version(addr)
+            return latency, _S_SHARED, llc_block.version
         # Write (hider invalidated by the reply) or false discovery:
         # requester becomes sole holder.
         entry.grant_exclusive(core)
         latency += self._serve_from_llc(core, addr, home)
         state = _S_MODIFIED if is_write else _S_EXCLUSIVE
-        return latency, state, self._llc_version(addr)
+        return latency, state, llc_block.version
 
     def _llc_miss(
         self, core: int, addr: int, is_write: bool, home: int, latency: int
@@ -454,13 +479,13 @@ class HomeController:
         self._send(home, home, _MEMORY)
         latency += self.memory.read(addr, self.now)
         self._send(home, home, _MEMORY)
-        self.llc.fill(addr, version=self.memory_version.get(addr, 0))
-        latency += self._allocate_entry(addr, home)
-        entry = self._tracked(addr)
+        line = self.llc.fill(addr, version=self.memory_version.get(addr, 0))
+        entry, displacement = self._allocate_entry(addr, home)
+        latency += displacement
         entry.grant_exclusive(core)
         latency += self._send(home, core, _DATA_RESPONSE)
         state = _S_MODIFIED if is_write else _S_EXCLUSIVE
-        return latency, state, self._llc_version(addr)
+        return latency, state, line.version
 
     # ----------------------------------------------------------------- upgrades
 
@@ -496,8 +521,8 @@ class HomeController:
             )
         self.stats.add("hider_upgrades")
         self.llc.clear_stash_bit(addr)
-        latency += self._allocate_entry(addr, home)
-        entry = self._tracked(addr)
+        entry, displacement = self._allocate_entry(addr, home)
+        latency += displacement
         entry.grant_exclusive(core)
         latency += self._send(home, core, _CONTROL_RESPONSE)
         return latency
@@ -558,19 +583,20 @@ class HomeController:
 
     # ------------------------------------------------------------ entry eviction
 
-    def _allocate_entry(self, addr: int, home: int) -> int:
+    def _allocate_entry(self, addr: int, home: int) -> Tuple[DirectoryEntry, int]:
         """Allocate a directory entry, executing any displacement it causes.
 
-        Returns the latency the displacement adds to the requester's
-        critical path: a conventional invalidating eviction must complete
-        (acks collected) before the new entry is usable, whereas a **stash**
-        eviction is instantaneous — the entry is simply dropped and the LLC
-        stash bit set.  This latency asymmetry is part of the design's win.
+        Returns ``(entry, latency)``: the new entry and the latency the
+        displacement adds to the requester's critical path.  A conventional
+        invalidating eviction must complete (acks collected) before the new
+        entry is usable, whereas a **stash** eviction is instantaneous — the
+        entry is simply dropped and the LLC stash bit set.  This latency
+        asymmetry is part of the design's win.
         """
-        result = self.directory.allocate(addr)
-        if result.eviction is None:
-            return 0
-        return self._execute_eviction(result.eviction, home)
+        entry, eviction = self._dir_allocate(addr)
+        if eviction is None:
+            return entry, 0
+        return entry, self._execute_eviction(eviction, home)
 
     def _execute_eviction(self, eviction: Eviction, home: int) -> int:
         victim = eviction.entry
@@ -770,13 +796,8 @@ class HomeController:
         return self._t_llc + self._send(home, core, _DATA_RESPONSE)
 
     def _llc_version(self, addr: int) -> int:
+        """Data version of a tracked block's LLC line (directory-hit paths)."""
         block = self.llc.probe(addr, touch=False)
         if block is None:  # pragma: no cover - inclusion guarantees presence
             raise ProtocolError(f"LLC lost block {addr:#x} mid-transaction")
         return block.version
-
-    def _tracked(self, addr: int) -> DirectoryEntry:
-        entry = self.directory.lookup(addr, touch=False)
-        if entry is None:  # pragma: no cover - just allocated
-            raise ProtocolError(f"entry for {addr:#x} vanished after allocation")
-        return entry

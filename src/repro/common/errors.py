@@ -48,3 +48,11 @@ class DirectoryError(ReproError):
     For example: allocating an entry for a block that is already tracked, or
     freeing an entry that does not exist.
     """
+
+
+class StatsError(ReproError):
+    """A statistics counter was written in a way that would lose a count.
+
+    Raised on a write to a derived (computed, read-only) counter, and on a
+    merge into a group that derives counters from its own cells.
+    """

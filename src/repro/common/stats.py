@@ -22,11 +22,27 @@ storage: ``add``/``get``/``to_dict`` observe bound increments immediately,
 and a handle stays valid across :meth:`StatGroup.reset` (the cell is zeroed
 in place, so a bound counter remains materialized at 0.0 after a reset while
 never-bound counters disappear exactly as before).
+
+Two more kinds of cell keep per-event work to one attribute add without
+changing the tree's shape:
+
+* **event cells** (:meth:`StatGroup.event_counter`) are bound handles with
+  the shape of an added counter: a key appears once its cell has counted
+  an event and disappears at :meth:`StatGroup.reset` until the next one
+  (the cell is in the tree while its value is non-zero, and every event
+  adds one);
+* **derived cells** (:meth:`StatGroup.derive`, a :class:`DerivedCounter`)
+  hold no count of their own: every reader computes them from other cells,
+  and a write raises :class:`~repro.common.errors.StatsError` instead of
+  being absorbed.  The NoC derives its flit-hop counts and totals this
+  way from the two facts a message has, its class and its hops.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Set, Tuple
+from typing import Callable, Dict, Iterator, Set, Tuple
+
+from .errors import StatsError
 
 
 class StatCounter:
@@ -45,6 +61,37 @@ class StatCounter:
         return f"StatCounter({self.value!r})"
 
 
+class DerivedCounter:
+    """A read-only counter computed from other cells on every read.
+
+    ``value`` calls ``compute``.  Writing it (``cell.value += 1``,
+    :meth:`StatGroup.add`, :meth:`StatGroup.set`) raises
+    :class:`~repro.common.errors.StatsError`: the next read would recompute
+    the value and silently drop the write.
+    """
+
+    __slots__ = ("name", "_compute")
+
+    def __init__(self, name: str, compute: Callable[[], float]) -> None:
+        self.name = name
+        self._compute = compute
+
+    @property
+    def value(self) -> float:
+        """The value computed from the cells this counter derives from."""
+        return self._compute()
+
+    @value.setter
+    def value(self, _value: float) -> None:
+        raise StatsError(
+            f"counter {self.name!r} is derived from other counters; "
+            "write those instead"
+        )
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"DerivedCounter({self.name!r})"
+
+
 class StatGroup:
     """A named bag of counters with nested child groups.
 
@@ -52,12 +99,14 @@ class StatGroup:
     latencies and derived averages, but integer increments stay exact.
     """
 
-    __slots__ = ("name", "_cells", "_bound", "_children")
+    __slots__ = ("name", "_cells", "_bound", "_events", "_derived", "_children")
 
     def __init__(self, name: str) -> None:
         self.name = name
-        self._cells: Dict[str, StatCounter] = {}
+        self._cells: Dict[str, object] = {}
         self._bound: Set[str] = set()
+        self._events: Set[str] = set()
+        self._derived: Set[str] = set()
         self._children: Dict[str, "StatGroup"] = {}
 
     # -- counter operations -------------------------------------------------
@@ -69,12 +118,45 @@ class StatGroup:
         :meth:`reset` (zeroed in place), so components may bind once and
         increment forever.
         """
-        cell = self._cells.get(name)
-        if cell is None:
-            cell = StatCounter()
-            self._cells[name] = cell
+        cell = self._plain_cell(name)
         self._bound.add(name)
         return cell
+
+    def event_counter(self, name: str) -> StatCounter:
+        """A bound cell for ``name`` with the tree shape of :meth:`add`.
+
+        Increment it by one per event.  The key is in the tree only while
+        the cell is non-zero: it appears at the first event, and
+        :meth:`reset` zeroes the cell in place, so the key is absent again
+        until the next event, exactly like a counter :meth:`add` creates.
+        """
+        cell = self._plain_cell(name)
+        self._events.add(name)
+        return cell
+
+    def derive(self, name: str, compute: Callable[[], float]) -> DerivedCounter:
+        """Register ``name`` as a :class:`DerivedCounter` computed by ``compute``.
+
+        It stays in the tree from now on, across :meth:`reset` too (its
+        inputs are zeroed, so it reads what they imply).
+
+        Raises:
+            StatsError: ``name`` already exists, so its count would be lost.
+        """
+        if name in self._cells:
+            raise StatsError(f"counter {name!r} already exists in {self.name!r}")
+        cell = DerivedCounter(name, compute)
+        self._cells[name] = cell
+        self._derived.add(name)
+        return cell
+
+    def _plain_cell(self, name: str) -> StatCounter:
+        cell = self._cells.get(name)
+        if cell is None:
+            cell = self._cells[name] = StatCounter()
+        elif name in self._derived:
+            raise StatsError(f"counter {name!r} is derived and cannot be bound")
+        return cell  # type: ignore[return-value]
 
     def add(self, counter: str, amount: float = 1.0) -> None:
         """Add ``amount`` to ``counter``, creating it at zero if absent."""
@@ -99,7 +181,19 @@ class StatGroup:
 
     def counters(self) -> Dict[str, float]:
         """A copy of this group's own (non-nested) counters."""
-        return {name: cell.value for name, cell in self._cells.items()}
+        return dict(self._present())
+
+    def _present(self) -> Iterator[Tuple[str, float]]:
+        """``(name, value)`` of every counter in the tree, in insertion order.
+
+        An event cell at zero has counted nothing since the last reset and
+        is left out, as an added counter would be absent.
+        """
+        events = self._events
+        for name, cell in self._cells.items():
+            value = cell.value
+            if value or name not in events:
+                yield name, value
 
     # -- hierarchy -----------------------------------------------------------
 
@@ -121,19 +215,40 @@ class StatGroup:
         """Accumulate ``other``'s counters (recursively) into this group.
 
         Used to aggregate per-core groups (e.g. all L1s) into one summary.
+        ``other``'s derived counters arrive as plain counts of their value.
+
+        Raises:
+            StatsError: a group that would receive counts derives counters
+                of its own (their inputs might not cover what arrives); it
+                is checked before anything is merged.
         """
-        for counter, cell in other._cells.items():
-            self.add(counter, cell.value)
+        self._check_merge(other)
+        self._merge(other)
+
+    def _check_merge(self, other: "StatGroup") -> None:
+        if self._derived and other._cells:
+            raise StatsError(
+                f"cannot merge into {self.name!r}: it derives "
+                f"{sorted(self._derived)} from its own counters"
+            )
         for name, group in other._children.items():
-            self.child(name).merge(group)
+            mine = self._children.get(name)
+            if mine is not None:
+                mine._check_merge(group)
+
+    def _merge(self, other: "StatGroup") -> None:
+        for counter, value in list(other._present()):
+            self.add(counter, value)
+        for name, group in other._children.items():
+            self.child(name)._merge(group)
 
     def to_dict(self, prefix: str = "") -> Dict[str, float]:
         """Flatten the tree to ``{"group.sub.counter": value}``."""
         flat: Dict[str, float] = {}
         base = f"{prefix}{self.name}" if prefix or self.name else self.name
-        for counter in sorted(self._cells):
+        for counter, value in sorted(self._present()):
             key = f"{base}.{counter}" if base else counter
-            flat[key] = self._cells[counter].value
+            flat[key] = value
         for name in sorted(self._children):
             flat.update(self._children[name].to_dict(prefix=f"{base}." if base else ""))
         return flat
@@ -155,16 +270,20 @@ class StatGroup:
         """Zero every counter in this group and all descendants.
 
         Counters that were never handed out as bound cells are removed (they
-        reappear on their next increment, as before); bound cells are zeroed
-        in place so outstanding handles stay live.
+        reappear on their next increment, as before); bound and event cells
+        are zeroed in place so outstanding handles stay live (an event cell
+        at zero is out of the tree), and derived counters stay, computed
+        from their zeroed inputs.
         """
         cells = self._cells
         bound = self._bound
-        if bound:
+        events = self._events
+        derived = self._derived
+        if bound or events or derived:
             for name in list(cells):
-                if name in bound:
+                if name in bound or name in events:
                     cells[name].value = 0.0
-                else:
+                elif name not in derived:
                     del cells[name]
         else:
             cells.clear()

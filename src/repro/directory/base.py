@@ -14,22 +14,27 @@ Terminology (used consistently across the library):
 So: ``true holders ⊆ believed holders ⊆ targets``.
 
 A directory organization implements :class:`Directory`.  Allocation returns
-an :class:`AllocationResult`; when the organization had to displace an
-existing entry, the result carries an :class:`Eviction` whose ``action``
-tells the protocol engine what the displacement means:
+an :class:`AllocationResult` ``(entry, eviction)``; when the organization
+had to displace an existing entry, the result carries an :class:`Eviction`
+``(entry, action)`` whose ``action`` tells the protocol engine what the
+displacement means:
 
 * ``EvictionAction.INVALIDATE`` — conventional behaviour: every cached copy
   of the victim block must be invalidated to preserve strict inclusion.
 * ``EvictionAction.STASH`` — the stash directory's relaxed behaviour: the
   entry is dropped silently and the protocol must set the victim block's LLC
   stash bit; the cached copy survives, hidden.
+
+Both records are :class:`~typing.NamedTuple` s, built once per allocation:
+an organization's allocation path builds them with ``tuple.__new__(cls,
+(a, b))``, one C call, where a dataclass constructor or a NamedTuple's
+generated ``__new__`` would open a Python frame.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, List, Optional, Set
+from typing import Iterator, List, NamedTuple, Optional, Set
 
 from ..common.config import DirectoryConfig
 from ..common.errors import DirectoryError
@@ -122,17 +127,15 @@ class EvictionAction(Enum):
     STASH = "stash"
 
 
-@dataclass
-class Eviction:
+class Eviction(NamedTuple):
     """A displaced entry plus the action it requires."""
 
     entry: DirectoryEntry
     action: EvictionAction
 
 
-@dataclass
-class AllocationResult:
-    """Outcome of :meth:`Directory.allocate`."""
+class AllocationResult(NamedTuple):
+    """Outcome of :meth:`Directory.allocate`: the new entry and any eviction."""
 
     entry: DirectoryEntry
     eviction: Optional[Eviction] = None

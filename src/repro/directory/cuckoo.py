@@ -37,6 +37,8 @@ DEFAULT_MAX_PATH = 8
 # Read once: an enum member load inside a function is a class-attribute
 # lookup through EnumType on every call.
 _INVALIDATE = EvictionAction.INVALIDATE
+# Builds the allocation records in one C call (see directory.base).
+_tuple_new = tuple.__new__
 
 
 _MASK64 = (1 << 64) - 1
@@ -193,7 +195,7 @@ class CuckooDirectory(Directory):
                             relocations += 1
                         if relocations:
                             self.stats.add("relocations", relocations)
-                        return AllocationResult(entry, eviction=None)
+                        return _tuple_new(AllocationResult, (entry, None))
             # All candidates full: displace one resident and recurse.  Never
             # displace the entry being inserted (its candidate slots can
             # collide with the homeless entry's), and avoid bouncing the
@@ -235,7 +237,9 @@ class CuckooDirectory(Directory):
         where.pop(homeless.addr, None)
         self.stats.add("evictions")
         self.stats.add("evictions_invalidate")
-        return AllocationResult(entry, Eviction(homeless, _INVALIDATE))
+        return _tuple_new(
+            AllocationResult, (entry, _tuple_new(Eviction, (homeless, _INVALIDATE)))
+        )
 
     def deallocate(self, addr: int) -> None:
         pos = self._where.pop(addr, None)

@@ -54,6 +54,8 @@ DEFAULT_LEAF_SIZE = 4
 # Read once: an enum member load inside a function is a class-attribute
 # lookup through EnumType on every call.
 _INVALIDATE = EvictionAction.INVALIDATE
+# Builds the allocation records in one C call (see directory.base).
+_tuple_new = tuple.__new__
 
 
 def scd_lines(
@@ -197,12 +199,12 @@ class ScdDirectory(Directory):
             victim_addr = next(iter(self._entries))
             victim = self._entries.pop(victim_addr)
             victim._released()
-            eviction = Eviction(victim, _INVALIDATE)
+            eviction = _tuple_new(Eviction, (victim, _INVALIDATE))
             self.stats.add("evictions")
             self.stats.add("evictions_invalidate")
         entry = _ScdEntry(addr, self.num_cores, self)
         self._entries[addr] = entry
-        return AllocationResult(entry, eviction)
+        return _tuple_new(AllocationResult, (entry, eviction))
 
     def deallocate(self, addr: int) -> None:
         entry = self._entries.pop(addr, None)

@@ -16,6 +16,9 @@ from ..common.stats import StatGroup
 from .base import AllocationResult, Directory, DirectoryEntry
 from .sharers import make_sharer_rep
 
+# Builds the allocation record in one C call (see directory.base).
+_tuple_new = tuple.__new__
+
 
 class IdealDirectory(Directory):
     """Hash-map-backed directory with unbounded capacity."""
@@ -50,7 +53,7 @@ class IdealDirectory(Directory):
         entry = DirectoryEntry(addr, self._rep_template.fresh())
         self._entries[addr] = entry
         self.stats.add("allocations")
-        return AllocationResult(entry, eviction=None)
+        return _tuple_new(AllocationResult, (entry, None))
 
     def deallocate(self, addr: int) -> None:
         if self._entries.pop(addr, None) is not None:

@@ -39,6 +39,8 @@ from .sharers import make_sharer_rep
 # is a class-attribute lookup through EnumType on every call.
 _INVALIDATE = EvictionAction.INVALIDATE
 _STASH = EvictionAction.STASH
+# Builds the allocation records in one C call (see directory.base).
+_tuple_new = tuple.__new__
 
 
 class SparseDirectory(Directory):
@@ -129,7 +131,7 @@ class SparseDirectory(Directory):
             victim = entries[slot]
             assert victim is not None
             del slot_of[victim.addr]
-            eviction = Eviction(victim, action)
+            eviction = _tuple_new(Eviction, (victim, action))
             cell = self._c_evictions
             if cell is None:
                 cell = self._c_evictions = self.stats.counter("evictions")
@@ -163,7 +165,7 @@ class SparseDirectory(Directory):
         if cell is None:
             cell = self._c_allocations = self.stats.counter("allocations")
         cell.value += 1
-        return AllocationResult(entry, eviction)
+        return _tuple_new(AllocationResult, (entry, eviction))
 
     def deallocate(self, addr: int) -> None:
         slot = self._slot_of.pop(addr, None)

@@ -4,7 +4,10 @@ The paper's results do not hinge on DRAM microarchitecture, so memory is a
 flat-latency device; what matters is *how often* each directory organization
 forces a trip to it (coverage misses refetch from the LLC, but LLC misses
 caused by lost locality do reach memory).  Reads and writebacks are counted
-separately so the energy model and traffic reports can weight them.
+separately so the energy model and traffic reports can weight them, each in
+an event cell (:meth:`~repro.common.stats.StatGroup.event_counter`): one
+attribute add per access, and after a warm-up reset the key is absent until
+the next access, as a counter created by ``StatGroup.add`` would be.
 """
 
 from __future__ import annotations
@@ -19,6 +22,8 @@ class MainMemory:
     def __init__(self, timing: TimingConfig, stats: StatGroup) -> None:
         self._latency = timing.memory_latency
         self._stats = stats
+        self._reads = stats.event_counter("reads")
+        self._writes = stats.event_counter("writes")
 
     def read(self, block_addr: int = 0, now: int = 0) -> int:
         """Fetch one block; returns the access latency in cycles.
@@ -27,7 +32,7 @@ class MainMemory:
         model (:class:`repro.mem.dram.DramModel`); the flat model ignores
         them.
         """
-        self._stats.add("reads")
+        self._reads.value += 1
         return self._latency
 
     def write(self, block_addr: int = 0, now: int = 0) -> int:
@@ -37,7 +42,7 @@ class MainMemory:
         systems; the protocol engine therefore records but does not charge
         this latency to the requester.
         """
-        self._stats.add("writes")
+        self._writes.value += 1
         return self._latency
 
     @property

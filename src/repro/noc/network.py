@@ -7,10 +7,12 @@ round trip being the slowest leg (probes travel in parallel).
 
 Both are pure table lookups: :class:`~repro.noc.topology.Mesh2D` precomputes
 the per-tile-pair hop and latency tables once (≤ 64×64 ints), and the
-traffic accounting increments bound
-:class:`~repro.common.stats.StatCounter` cells shared with the
-:class:`~repro.noc.traffic.TrafficMeter` — no route arithmetic and no
-string-keyed stats writes on the per-message path.
+traffic accounting increments two bound
+:class:`~repro.common.stats.StatCounter` cells per message (its class's
+``msgs`` and ``hops``), shared with the
+:class:`~repro.noc.traffic.TrafficMeter`, which derives every flit-hop
+count and total from them — no route arithmetic and no string-keyed
+stats writes on the per-message path.
 """
 
 from __future__ import annotations
@@ -59,13 +61,9 @@ class Network:
         cells = self._class_cells.get(msg_class)
         if cells is None:
             cells = self._bind_class(msg_class)
-        msgs, hop_count, flit_hops, flits, total_msgs, total_flit_hops = cells
-        fh = hops * flits
+        msgs, hop_count, flits = cells
         msgs.value += 1
         hop_count.value += hops
-        flit_hops.value += fh
-        total_msgs.value += 1
-        total_flit_hops.value += fh
         if self.links is not None:
             self.links.record(src, dst, flits)
         return latency
@@ -86,34 +84,26 @@ class Network:
         """
         worst = 0
         fanout = 0
-        probe_cells = reply_cells = None
+        p_msgs = None
         hop_rows = self._hops
         lat_rows = self._latencies
         hop_row = hop_rows[src]
         lat_row = lat_rows[src]
         links = self.links
         for dst in dsts:
-            if probe_cells is None:
+            if p_msgs is None:
                 # Bind lazily so an empty destination set creates no counters.
-                probe_cells = self._class_cells.get(probe_class) or self._bind_class(
+                p_msgs, p_hops, p_flits = self._class_cells.get(
                     probe_class
-                )
-                reply_cells = self._class_cells.get(reply_class) or self._bind_class(
+                ) or self._bind_class(probe_class)
+                r_msgs, r_hops, r_flits = self._class_cells.get(
                     reply_class
-                )
+                ) or self._bind_class(reply_class)
             fanout += 1
-            out_hops = hop_row[dst]
-            back_hops = hop_rows[dst][src]
-            p_msgs, p_hops, p_fh, p_flits, total_msgs, total_flit_hops = probe_cells
             p_msgs.value += 1
-            p_hops.value += out_hops
-            p_fh.value += out_hops * p_flits
-            r_msgs, r_hops, r_fh, r_flits, _, _ = reply_cells
+            p_hops.value += hop_row[dst]
             r_msgs.value += 1
-            r_hops.value += back_hops
-            r_fh.value += back_hops * r_flits
-            total_msgs.value += 2
-            total_flit_hops.value += out_hops * p_flits + back_hops * r_flits
+            r_hops.value += hop_rows[dst][src]
             if links is not None:
                 links.record(src, dst, p_flits)
                 links.record(dst, src, r_flits)

@@ -52,20 +52,24 @@ def flits_of(msg_class: MessageClass) -> int:
     return DATA_FLITS if msg_class in DATA_CLASSES else 1
 
 
-#: One class's bound accounting slots: (msgs, hops, flit_hops, flit weight,
-#: msgs.total, flit_hops.total) — everything one ``record`` touches.
-ClassCells = Tuple[StatCounter, StatCounter, StatCounter, int, StatCounter, StatCounter]
+#: One class's accounting slots: (msgs cell, hops cell, flit weight) —
+#: everything one ``record`` touches.
+ClassCells = Tuple[StatCounter, StatCounter, int]
 
 
 class TrafficMeter:
-    """Accumulates per-class message, hop and flit-hop counts.
+    """Accumulates per-class message and hop counts; derives the flit-hops.
 
-    Counts live in bound :class:`~repro.common.stats.StatCounter` cells of
-    the meter's :class:`~repro.common.stats.StatGroup` (same names
-    :meth:`StatGroup.add` would create), so the stats tree stays the single
-    source of truth while the per-message cost is one dict lookup plus five
-    attribute adds.  Cells are bound on a class's *first* message, keeping
-    the stats tree free of never-used classes exactly as lazily-created
+    A message has two facts, its class and its hops, so a message updates
+    exactly two bound :class:`~repro.common.stats.StatCounter` cells of the
+    meter's :class:`~repro.common.stats.StatGroup`: ``msgs.<class>`` and
+    ``hops.<class>``.  ``flit_hops.<class>`` (hops times the class's flit
+    weight), ``msgs.total`` and ``flit_hops.total`` are read-only derived
+    counters of the same group, computed from those cells by every reader
+    (``to_dict``, ``get``, the accessors below, the epoch sampler), as the
+    vector engine's ``flat_stats`` derives them.  Cells are bound on a
+    class's *first* message, the totals with the first class, keeping the
+    stats tree free of never-used classes exactly as lazily-created
     counters always were.
     """
 
@@ -77,30 +81,34 @@ class TrafficMeter:
 
     def bind_class(self, msg_class: MessageClass) -> ClassCells:
         """Materialize and cache the accounting cells of one message class."""
-        counter = self._stats.counter
-        cells = (
-            counter(f"msgs.{msg_class.value}"),
-            counter(f"hops.{msg_class.value}"),
-            counter(f"flit_hops.{msg_class.value}"),
-            flits_of(msg_class),
-            counter("msgs.total"),
-            counter("flit_hops.total"),
-        )
+        stats = self._stats
+        name = msg_class.value
+        if not self.class_cells:
+            stats.derive("msgs.total", self._total_msgs)
+            stats.derive("flit_hops.total", self._total_flit_hops)
+        msgs = stats.counter(f"msgs.{name}")
+        hops = stats.counter(f"hops.{name}")
+        flits = flits_of(msg_class)
+        stats.derive(f"flit_hops.{name}", lambda: hops.value * flits)
+        cells = (msgs, hops, flits)
         self.class_cells[msg_class] = cells
         return cells
+
+    def _total_msgs(self) -> float:
+        return sum(msgs.value for msgs, _, _ in self.class_cells.values())
+
+    def _total_flit_hops(self) -> float:
+        return sum(
+            hops.value * flits for _, hops, flits in self.class_cells.values()
+        )
 
     def record(self, msg_class: MessageClass, hops: int) -> None:
         """Account one message of ``msg_class`` traversing ``hops`` links."""
         cells = self.class_cells.get(msg_class)
         if cells is None:
             cells = self.bind_class(msg_class)
-        msgs, hop_count, flit_hops, flits, total_msgs, total_flit_hops = cells
-        fh = hops * flits
-        msgs.value += 1
-        hop_count.value += hops
-        flit_hops.value += fh
-        total_msgs.value += 1
-        total_flit_hops.value += fh
+        cells[0].value += 1
+        cells[1].value += hops
 
     def messages(self, msg_class: MessageClass) -> float:
         """Raw count of one class."""

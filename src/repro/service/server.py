@@ -488,9 +488,8 @@ class CampaignService:
                     self._obs_gauges = gauges
         key = runner.record(point, output, self.disk)
         campaign.executed += 1
-        result, seconds, _ = output
         self._complete_point(
-            campaign, index, "computed", seconds, result.summary(),
+            campaign, index, "computed", output.seconds, output.result.summary(),
             journal_handle, key=key,
         )
 

@@ -9,14 +9,18 @@ per key per process, and with a forking process pool, workers inherit
 the parent's memo for free.
 
 :data:`counters` tracks memo hits and generations; the sweep runner
-folds them into ``--cache-stats``.
+folds them into ``--cache-stats``.  A pool worker's lookups land in the
+worker's own copy of the counters, so each point reports the lookups it
+made (:class:`TraceLookups`, the difference of two :func:`mark` s) and the
+parent adds a report from another process with :func:`fold`.
 """
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, NamedTuple, Optional
 
 from ..sim.trace import PackedTrace
 from .suite import build_workload
@@ -53,6 +57,45 @@ class TraceStoreCounters:
 
 #: Process-global counters (reset with ``counters.reset()``).
 counters = TraceStoreCounters()
+
+
+class TraceLookups(NamedTuple):
+    """Trace-memo counts of the process ``pid`` (a mark, or a difference)."""
+
+    pid: int
+    memo_hits: int
+    generated: int
+    gen_seconds: float
+
+
+def mark() -> TraceLookups:
+    """This process's counters as they stand."""
+    return TraceLookups(
+        os.getpid(), counters.memo_hits, counters.generated, counters.gen_seconds
+    )
+
+
+def lookups_since(start: TraceLookups) -> TraceLookups:
+    """The lookups this process made since the :func:`mark` ``start``."""
+    now = mark()
+    return TraceLookups(
+        now.pid,
+        now.memo_hits - start.memo_hits,
+        now.generated - start.generated,
+        now.gen_seconds - start.gen_seconds,
+    )
+
+
+def fold(lookups: TraceLookups) -> None:
+    """Count lookups another process (a pool worker) made.
+
+    A report from this process is ignored: its lookups are counted already.
+    """
+    if lookups.pid == os.getpid():
+        return
+    counters.memo_hits += lookups.memo_hits
+    counters.generated += lookups.generated
+    counters.gen_seconds += lookups.gen_seconds
 
 #: In-process generation memo: memo_key -> PackedTrace.
 _TRACE_MEMO: Dict[tuple, PackedTrace] = {}

@@ -347,6 +347,47 @@ class TestBatchedScheduling:
         assert not list(tmp_path.iterdir())
 
 
+class TestWorkerTraceLookups:
+    """A pool worker's trace lookups are counted in the parent, once."""
+
+    def points(self):
+        return [
+            tiny_point(kind=kind, ratio=ratio)
+            for kind in (DirectoryKind.SPARSE, DirectoryKind.STASH)
+            for ratio in (1.0, 0.5)
+        ]
+
+    def test_pool_worker_lookups_reach_the_summary(self, tmp_path):
+        runner.run_points(self.points(), workers=2, cache_dir=tmp_path,
+                          cache_enabled=False)
+        assert runner.counters.parallel_batches == 1
+        # One generation in the parent before dispatch, then each of the 4
+        # points finds the trace in its worker's inherited memo.
+        assert trace_store.counters.generated == 1
+        assert trace_store.counters.memo_hits == 4
+        assert "traces         5 lookups (memo 4, generated 1 in" in (
+            runner.counters_summary()
+        )
+
+    def test_in_process_points_are_counted_once(self, tmp_path):
+        runner.run_points(self.points(), workers=1, cache_dir=tmp_path,
+                          cache_enabled=False)
+        assert runner.counters.parallel_batches == 0
+        assert trace_store.counters.generated == 1
+        assert trace_store.counters.memo_hits == 4
+
+    def test_fold_ignores_this_process_and_adds_another(self):
+        start = trace_store.mark()
+        trace_store.get_packed_trace("mix", 4, 20)
+        trace_store.get_packed_trace("mix", 4, 20)
+        mine = trace_store.lookups_since(start)
+        assert (mine.memo_hits, mine.generated) == (1, 1)
+        trace_store.fold(mine)
+        assert trace_store.counters.lookups == 2
+        trace_store.fold(mine._replace(pid=mine.pid + 1))
+        assert (trace_store.counters.memo_hits, trace_store.counters.generated) == (2, 2)
+
+
 class TestObservedPoints:
     def observed_point(self, **kwargs):
         from repro.obs import ObsConfig

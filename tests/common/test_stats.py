@@ -1,6 +1,9 @@
 """Unit tests for the hierarchical statistics tree."""
 
-from repro.common.stats import StatGroup, per_kilo, ratio
+import pytest
+
+from repro.common.errors import StatsError
+from repro.common.stats import DerivedCounter, StatGroup, per_kilo, ratio
 
 
 class TestCounters:
@@ -160,6 +163,146 @@ class TestBoundCells:
         assert cell.value == 0.0
         cell.add(2)
         assert root.to_dict() == {"root.l1.misses": 2.0}
+
+
+class TestEventCells:
+    """An event cell is a bound handle with the tree shape of ``add``."""
+
+    def test_absent_until_first_event(self):
+        group = StatGroup("g")
+        cell = group.event_counter("reads")
+        assert group.to_dict() == {}
+        assert group.counters() == {}
+        cell.value += 1
+        assert group.to_dict() == {"g.reads": 1.0}
+
+    def test_reset_drops_the_key_until_the_next_event(self):
+        group = StatGroup("g")
+        cell = group.event_counter("reads")
+        group.add("added")
+        cell.value += 3
+        group.reset()
+        assert group.to_dict() == {}
+        cell.value += 1  # the handle outlives the reset
+        assert group.to_dict() == {"g.reads": 1.0}
+
+    def test_same_shape_as_add(self):
+        """Interleave events and resets: both trees keep the same keys."""
+        added = StatGroup("g")
+        bound = StatGroup("g")
+        cell = bound.event_counter("reads")
+        for step in range(12):
+            if step % 5 == 4:
+                added.reset()
+                bound.reset()
+            elif step % 3:
+                added.add("reads")
+                cell.value += 1
+            assert bound.to_dict() == added.to_dict()
+
+    def test_add_and_merge_reach_the_cell(self):
+        group = StatGroup("g")
+        cell = group.event_counter("reads")
+        group.add("reads", 2)
+        src = StatGroup("src")
+        src.add("reads", 3)
+        group.merge(src)
+        assert cell.value == 5.0
+
+    def test_merge_skips_a_zero_event_cell(self):
+        src = StatGroup("src")
+        src.event_counter("reads")
+        dest = StatGroup("dest")
+        dest.merge(src)
+        assert dest.to_dict() == {}
+
+
+class TestDerivedCells:
+    """A derived counter is computed on every read and refuses writes."""
+
+    def make(self):
+        group = StatGroup("noc")
+        hops = group.counter("hops.x")
+        group.derive("flit_hops.x", lambda: hops.value * 5)
+        return group, hops
+
+    def test_every_reader_computes_it(self):
+        group, hops = self.make()
+        hops.value += 2
+        assert group.get("flit_hops.x") == 10.0
+        assert group.to_dict()["noc.flit_hops.x"] == 10.0
+        assert group.counters()["flit_hops.x"] == 10.0
+        assert group.total("flit_hops.x") == 10.0
+
+    def test_write_through_the_cell_raises(self):
+        group, _ = self.make()
+        cell = group.derive("msgs.total", lambda: 0.0)
+        assert isinstance(cell, DerivedCounter)
+        with pytest.raises(StatsError, match="msgs.total"):
+            cell.value += 1
+
+    def test_add_and_set_raise_and_keep_the_value(self):
+        group, hops = self.make()
+        hops.value += 1
+        with pytest.raises(StatsError):
+            group.add("flit_hops.x")
+        with pytest.raises(StatsError):
+            group.set("flit_hops.x", 99)
+        assert group.get("flit_hops.x") == 5.0
+
+    def test_binding_a_derived_name_raises(self):
+        group, _ = self.make()
+        with pytest.raises(StatsError):
+            group.counter("flit_hops.x")
+        with pytest.raises(StatsError):
+            group.event_counter("flit_hops.x")
+
+    def test_deriving_an_existing_name_raises(self):
+        group, _ = self.make()
+        group.add("msgs.x", 4)
+        with pytest.raises(StatsError):
+            group.derive("msgs.x", lambda: 0.0)
+        with pytest.raises(StatsError):
+            group.derive("flit_hops.x", lambda: 0.0)
+        assert group.get("msgs.x") == 4.0
+
+    def test_survives_reset_computed_from_zeroed_inputs(self):
+        group, hops = self.make()
+        hops.value += 3
+        group.reset()
+        assert group.to_dict() == {"noc.flit_hops.x": 0.0, "noc.hops.x": 0.0}
+        hops.value += 1
+        assert group.get("flit_hops.x") == 5.0
+
+    def test_merge_from_a_deriving_group_copies_the_values(self):
+        src, hops = self.make()
+        hops.value += 2
+        dest = StatGroup("sum")
+        dest.merge(src)
+        assert dest.to_dict() == {"sum.flit_hops.x": 10.0, "sum.hops.x": 2.0}
+        dest.add("flit_hops.x")  # a plain count in the destination
+        assert dest.get("flit_hops.x") == 11.0
+
+    def test_merge_into_a_deriving_group_raises_before_merging(self):
+        dest, hops = self.make()
+        src = StatGroup("src")
+        src.add("hops.x", 2)
+        src.add("hops.y", 7)  # no derived flit_hops.y would count it
+        with pytest.raises(StatsError):
+            dest.merge(src)
+        assert hops.value == 0.0  # nothing was merged
+
+    def test_merge_into_a_deriving_child_raises_before_merging(self):
+        root = StatGroup("root")
+        noc = root.child("noc")
+        hops = noc.counter("hops.x")
+        noc.derive("flit_hops.x", lambda: hops.value)
+        src = StatGroup("src")
+        src.add("top", 1)
+        src.child("noc").add("hops.x", 1)
+        with pytest.raises(StatsError):
+            root.merge(src)
+        assert root.to_dict() == {"root.noc.flit_hops.x": 0.0, "root.noc.hops.x": 0.0}
 
 
 class TestHelpers:

@@ -1,5 +1,8 @@
 """Unit tests for message classes and traffic metering."""
 
+import pytest
+
+from repro.common.errors import StatsError
 from repro.common.stats import StatGroup
 from repro.noc.traffic import (
     DATA_CLASSES,
@@ -49,3 +52,40 @@ class TestMeter:
         meter.record(MessageClass.REQUEST, hops=0)
         assert meter.total_messages() == 1
         assert meter.total_flit_hops() == 0
+
+
+class TestDerivedCounts:
+    """A message updates two cells; flit-hops and totals are derived."""
+
+    def test_record_touches_only_msgs_and_hops(self):
+        group = StatGroup("noc")
+        meter = TrafficMeter(group)
+        meter.record(MessageClass.DATA_RESPONSE, hops=2)
+        msgs, hops, flits = meter.class_cells[MessageClass.DATA_RESPONSE]
+        assert (msgs.value, hops.value, flits) == (1.0, 2.0, DATA_FLITS)
+        assert group.to_dict() == {
+            "noc.flit_hops.data_response": 2.0 * DATA_FLITS,
+            "noc.flit_hops.total": 2.0 * DATA_FLITS,
+            "noc.hops.data_response": 2.0,
+            "noc.msgs.data_response": 1.0,
+            "noc.msgs.total": 1.0,
+        }
+
+    def test_derived_counts_refuse_writes(self):
+        group = StatGroup("noc")
+        meter = TrafficMeter(group)
+        meter.record(MessageClass.REQUEST, hops=1)
+        for name in ("flit_hops.request", "msgs.total", "flit_hops.total"):
+            with pytest.raises(StatsError):
+                group.add(name)
+        assert meter.total_flit_hops() == 1.0
+
+    def test_reset_keeps_bound_classes_at_zero(self):
+        group = StatGroup("noc")
+        meter = TrafficMeter(group)
+        meter.record(MessageClass.REQUEST, hops=3)
+        group.reset()
+        assert set(group.to_dict().values()) == {0.0}
+        assert len(group.to_dict()) == 5
+        meter.record(MessageClass.REQUEST, hops=2)
+        assert meter.total_flit_hops() == 2.0

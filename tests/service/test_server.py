@@ -254,6 +254,36 @@ class TestScheduling:
         assert all(dict(items)["campaign"] == campaign.id for items in obs)
 
 
+class TestWorkerTraceLookups:
+    def test_trace_gauge_counts_a_worker_generation(self, tmp_path):
+        """The pool worker is forked during the first campaign, so it
+        generates the second campaign's trace itself; the parent's
+        ``repro_trace_cache_generated`` must count that generation too."""
+        second = dict(TINY["factors"], seed=[2])
+
+        async def scenario():
+            service = CampaignService(
+                service_config(tmp_path, backend="pool", workers=1)
+            )
+            try:
+                first, _ = await run_campaign(service, manifest())
+                again, _ = await run_campaign(
+                    service, manifest(name="again", factors=second)
+                )
+                return first, again, service.metrics_text()
+            finally:
+                await service.stop()
+
+        first, again, text = asyncio.run(scenario())
+        assert first.status == again.status == "done"
+        gauges = parse_prometheus(text)
+        # Two generations in the server (one per campaign's materialization)
+        # and one in the worker, which predates the second trace.
+        assert gauges["repro_trace_cache_generated"][()] == 3.0
+        assert trace_store.counters.generated == 3
+        assert trace_store.counters.memo_hits == 7  # 8 points, 1 generated
+
+
 class TestResumeAfterKill:
     """Kill mid-campaign, restart on the same store, run only N-K points."""
 
