@@ -347,12 +347,6 @@ def default_cache() -> DiskCache:
     return DiskCache(_DEFAULTS["cache_dir"])
 
 
-def campaigns_root(cache_dir: Optional[Union[str, Path]] = None) -> Path:
-    """The campaign-journal directory under a cache root (default: configured)."""
-    root = Path(cache_dir) if cache_dir is not None else Path(_DEFAULTS["cache_dir"])
-    return root / "campaigns"
-
-
 def clear_memo() -> None:
     """Drop the in-memory result memo only."""
     _MEMO.clear()
@@ -368,21 +362,12 @@ def clear_trace_cache() -> None:
     trace_store.clear_memo()
 
 
-def clear_campaign_store() -> int:
-    """Delete every journaled campaign under the configured cache dir."""
-    # Imported lazily: repro.service sits above the analysis layer.
-    from ..service.store import CampaignStore
-
-    return CampaignStore(campaigns_root()).clear()
-
-
 def clear_all() -> None:
-    """Drop every cache layer — result memo+disk, trace memo and the
-    campaign journal store."""
+    """Drop every cache layer: the result memo, the result disk cache and
+    the trace memo."""
     clear_memo()
     clear_disk_cache()
     clear_trace_cache()
-    clear_campaign_store()
 
 
 # ------------------------------------------------------------------ execution
@@ -492,16 +477,15 @@ def record(
     point: SweepPoint,
     output: PointOutput,
     disk: Optional[DiskCache],
-) -> str:
+) -> None:
     """Fold one :func:`compute_point` output into the counters and caches.
 
     Writes the memo and ``disk`` (``None`` skips it) and adds to
     ``computed``, ``compute_seconds`` and ``trace_seconds``.  The point's
     trace lookups are added to the trace store's counters if another
     process (a pool worker) made them; this process counted its own as it
-    made them, so each lookup is counted once.  Returns the point's
-    :func:`cache_key`, or ``""`` for an observed point, which is counted
-    but never cached.
+    made them, so each lookup is counted once.  An observed point is
+    counted but never cached.
     """
     result, seconds, trace_seconds, trace_lookups = output
     counters.computed += 1
@@ -509,12 +493,10 @@ def record(
     counters.trace_seconds += trace_seconds
     trace_store.fold(trace_lookups)
     if point.observed:
-        return ""
-    key = cache_key(point)
+        return
     _MEMO[point.memo_key] = result
     if disk is not None:
-        disk.store(key, point, result)
-    return key
+        disk.store(cache_key(point), point, result)
 
 
 def materialize_traces(points: Sequence[SweepPoint]) -> None:
@@ -624,13 +606,9 @@ def run_points(
 
 
 def counters_summary() -> str:
-    """One-paragraph human-readable counter report (results, traces,
-    campaign journals)."""
-    from ..service.store import CampaignStore
-
+    """One-paragraph human-readable counter report (results and traces)."""
     c = counters
     t = trace_store.counters
-    campaigns = CampaignStore(campaigns_root()).stats()
     lines = [
         "sweep runner counters:",
         f"  lookups        {c.lookups}  (memo {c.memo_hits}, disk {c.disk_hits}, "
@@ -650,7 +628,5 @@ def counters_summary() -> str:
         f"  traces         {t.lookups} lookups (memo {t.memo_hits}, "
         f"generated {t.generated} in {t.gen_seconds:.2f}s); "
         f"acquisition {c.trace_seconds:.2f}s of compute",
-        f"  campaigns      {campaigns['campaigns']} journaled "
-        f"({campaigns['files']} files, {campaigns['bytes']} bytes)",
     ]
     return "\n".join(lines)

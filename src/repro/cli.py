@@ -20,8 +20,8 @@ Subcommands:
 * ``report`` — regenerate the whole evaluation into one markdown file.
 * ``serve`` — run the campaign service: an async HTTP/JSON API that
   accepts sweep-campaign manifests, executes them through the dispatch
-  backends with crash-safe journaled resume, and exposes live Prometheus
-  metrics at ``/metrics`` (see docs/SERVICE.md).
+  backends, resumes a resubmitted campaign from the result cache, and
+  exposes live Prometheus metrics at ``/metrics`` (see docs/SERVICE.md).
 
 Observability flags on ``run`` and ``replay`` (see docs/OBSERVABILITY.md):
 ``--obs-epoch N`` samples the epoch time-series, ``--trace-events [CAP]``
@@ -486,7 +486,9 @@ def cmd_serve(args: argparse.Namespace) -> int:
     address, scheduling submitted campaigns through the selected dispatch
     backend.  The global sweep-engine flags apply: ``--workers`` sizes
     the backend (0 = auto) and ``--cache-dir``/``--no-cache`` control the
-    shared result cache and the campaign journal location.
+    shared result cache.  That cache is the only record of a finished
+    point, so a restarted server resumes a resubmitted campaign from it,
+    and under ``--no-cache`` recomputes every point.
     """
     import asyncio
 

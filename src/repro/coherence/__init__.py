@@ -8,13 +8,12 @@ from .invariants import (
     check_swmr,
 )
 from .l1_controller import L1Controller
-from .llc_controller import GrantResult, HomeController
+from .llc_controller import HomeController
 from .protocol import CoherentSystem
 from .states import LlcState, MesiState, can_read, can_write, is_exclusive_class
 
 __all__ = [
     "CoherentSystem",
-    "GrantResult",
     "HomeController",
     "L1Controller",
     "LlcState",

@@ -23,10 +23,9 @@ end-to-end by the invariant suite.
 Hot-path note: the miss pipeline runs once per L1 miss, so it is written
 allocation-free.  :meth:`HomeController.serve_miss` and its helpers pass
 ``(latency, state, version)`` tuples with *raw int* MESI states instead of
-minting a :class:`GrantResult` per transaction; :meth:`handle_miss` remains
-as the object-returning wrapper for external callers and tests.  Timing
-fields and the network send are hoisted into instance slots, and the
-per-miss statistics use bound counter cells (see
+minting an object per transaction.  Timing fields and the network send
+are hoisted into instance slots, and the per-miss statistics use bound
+counter cells (see
 :meth:`~repro.common.stats.StatGroup.counter`).  Enum members
 (``MessageClass.X``, ``EvictionAction.X``, ``DiscoveryDemand.X``) are
 module constants.  Loaded inside a function, each is a class-attribute
@@ -48,7 +47,6 @@ pins the Python frames one cold LLC miss opens.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
 from ..cache.block import CacheBlock
@@ -98,22 +96,10 @@ _DEMAND_READ = DiscoveryDemand.READ
 _DEMAND_WRITE = DiscoveryDemand.WRITE
 _DEMAND_EVICT = DiscoveryDemand.EVICT
 
-#: ``(latency, state, version)`` — the internal allocation-free grant.
+#: ``(latency, state, version)`` — what the home hands back to the
+#: requesting L1 controller: critical-path cycles at and beyond the home,
+#: the raw-int MESI state granted and the data version delivered.
 Grant = Tuple[int, int, int]
-
-
-@dataclass
-class GrantResult:
-    """What the home hands back to the requesting L1 controller.
-
-    External interface only: the in-simulator miss path uses raw
-    ``(latency, state, version)`` tuples (see :meth:`HomeController.serve_miss`)
-    and never instantiates this class.
-    """
-
-    latency: int          # critical-path cycles at and beyond the home
-    state: MesiState      # MESI state granted to the requester
-    version: int          # data version delivered
 
 
 class HomeController:
@@ -232,15 +218,6 @@ class HomeController:
         return wait
 
     # ---------------------------------------------------------------- misses
-
-    def handle_miss(self, core: int, addr: int, is_write: bool) -> GrantResult:
-        """Serve an L1 miss (GetS/GetM) for ``core``; object-returning wrapper.
-
-        External interface (tests, tools): the simulator's own L1 controller
-        calls :meth:`serve_miss` and consumes the raw tuple directly.
-        """
-        latency, state, version = self.serve_miss(core, addr, is_write)
-        return GrantResult(latency, MesiState(state), version)
 
     def serve_miss(self, core: int, addr: int, is_write: bool) -> Grant:
         """Serve an L1 miss; returns ``(latency, state, version)``.

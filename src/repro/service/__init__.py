@@ -4,10 +4,11 @@
 asyncio, stdlib-only HTTP server that accepts **campaign manifests**
 (full-factorial factor grids, :mod:`repro.service.manifest`), schedules
 their sweep points through the pluggable dispatch backends of
-:mod:`repro.analysis.dispatch`, journals every completion for crash-safe
-resume (:mod:`repro.service.store`) and exposes live Prometheus metrics
-(:mod:`repro.service.metrics`).  :mod:`repro.service.loadgen` is a
-stdlib HTTP client for it.  See docs/SERVICE.md for the HTTP API.
+:mod:`repro.analysis.dispatch`, resumes a resubmitted campaign from the
+shared result cache (each point's result is stored as it finishes) and
+exposes live Prometheus metrics (:mod:`repro.service.metrics`).
+:mod:`repro.service.loadgen` is a stdlib HTTP client for it.  See
+docs/SERVICE.md for the HTTP API.
 """
 
 from .manifest import (
@@ -24,13 +25,11 @@ from .server import (
     ServiceHandle,
     serve_forever,
 )
-from .store import CampaignStore
 
 __all__ = [
     "ABSOLUTE_MAX_POINTS",
     "CampaignManifest",
     "CampaignService",
-    "CampaignStore",
     "ManifestError",
     "MetricsRegistry",
     "PointSpec",

@@ -5,9 +5,9 @@ a JSON object describing a full-factorial grid (factors x levels x
 replicates) that expands deterministically into
 :class:`~repro.analysis.runner.SweepPoint` objects.  The same manifest
 always expands to the same points in the same order, and its
-content-addressed :attr:`~CampaignManifest.campaign_id` is the resume
-handle: re-submitting a manifest after a crash re-runs only the points
-its journal has not recorded.
+content-addressed :attr:`~CampaignManifest.campaign_id` makes a submit
+idempotent.  Re-submitting a manifest after a crash re-runs only the
+points with no result in the result cache.
 
 Manifest schema (all fields optional except at least one factor level)::
 
@@ -85,9 +85,8 @@ class ManifestError(ReproError):
 class PointSpec:
     """One expanded grid point: its factor levels plus the runnable point.
 
-    ``index`` is the point's stable position in the campaign (the journal
-    key); ``labels`` is the JSON-able factor assignment the status API
-    reports.
+    ``index`` is the point's stable position in the campaign; ``labels``
+    is the JSON-able factor assignment the status API reports.
     """
 
     index: int

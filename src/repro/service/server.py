@@ -3,17 +3,17 @@
 ``repro serve`` promotes the one-shot sweep CLI into a persistent,
 stdlib-only service.  Clients POST **campaign manifests**
 (:mod:`repro.service.manifest`); the service expands them to sweep
-points, satisfies what it can from the campaign journal and the
-content-addressed result cache, and schedules the rest through a
-pluggable :class:`~repro.analysis.dispatch.DispatchBackend`, one future
-per point.  Cache lookups, trace materialization, point computation and
-cache writes go through the same public core as
-:func:`~repro.analysis.runner.run_points`.  Every completed point is
-journaled (:mod:`repro.service.store`) and cached atomically *as it
-finishes*, so a killed server restarted on the same manifest re-runs
-only the missing points.  A journal record resumes its point only while
-its result cache key still matches, so a server restarted on edited
-sources re-runs the points the current code would compute differently.
+points, satisfies what it can from the content-addressed result cache,
+and schedules the rest through a pluggable
+:class:`~repro.analysis.dispatch.DispatchBackend`, one future per point.
+Cache lookups, trace materialization, point computation and cache writes
+go through the same public core as :func:`~repro.analysis.runner.run_points`.
+The result cache is the only record of a finished point: each result is
+stored atomically *as it finishes*, so a killed server restarted on the
+same manifest serves the finished points from the cache and re-runs only
+the missing ones.  Cache keys fold in the code version, so a server
+restarted on edited sources re-runs every point, and one started with
+the cache off (``--no-cache``) re-runs them all.
 
 HTTP API (JSON unless noted; see docs/SERVICE.md):
 
@@ -56,7 +56,6 @@ from ..analysis import runner
 from ..workloads import store as trace_store
 from .manifest import CampaignManifest, ManifestError, PointSpec, parse_manifest
 from .metrics import MetricsRegistry, render_gauge_dict
-from .store import CampaignStore
 
 #: Service API version reported at ``GET /``.
 SERVICE_VERSION = 1
@@ -108,7 +107,6 @@ class Campaign:
         self.started: Optional[float] = None
         self.finished: Optional[float] = None
         self.submit_monotonic = time.monotonic()
-        self.resumed = 0      # points satisfied from the journal at submit
         self.cache_hits = 0   # points satisfied from the result cache
         self.executed = 0     # points actually simulated by this process
         self.events: List[Dict] = []   # completion records, stream order
@@ -132,7 +130,6 @@ class Campaign:
             "status": self.status,
             "total_points": len(self.specs),
             "counts": self.counts(),
-            "resumed": self.resumed,
             "cache_hits": self.cache_hits,
             "executed": self.executed,
             "created": self.created,
@@ -162,7 +159,7 @@ class Campaign:
 
 
 class CampaignService:
-    """Schedules campaigns over a dispatch backend; owns journal + metrics."""
+    """Schedules campaigns over a dispatch backend; owns the metrics."""
 
     def __init__(
         self,
@@ -173,7 +170,6 @@ class CampaignService:
         cache_dir = self.config.cache_dir or str(runner.configure()["cache_dir"])
         self.cache_dir = cache_dir
         self.disk = runner.DiskCache(cache_dir) if self.config.cache_enabled else None
-        self.store = CampaignStore(runner.campaigns_root(cache_dir))
         workers = self.config.workers or runner.effective_workers(None)
         self.backend = dispatch_mod.make_backend(self.config.backend, workers)
         self.campaigns: Dict[str, Campaign] = {}
@@ -189,8 +185,7 @@ class CampaignService:
     def _build_metrics(self) -> None:
         r = self.registry
         self.m_campaigns = r.counter(
-            "repro_campaigns_submitted_total",
-            "Campaign manifests accepted", ("resumed",),
+            "repro_campaigns_submitted_total", "Campaign manifests accepted",
         )
         self.m_points = r.counter(
             "repro_points_completed_total",
@@ -294,21 +289,19 @@ class CampaignService:
         """Accept (or re-attach to) a campaign; returns (campaign, created).
 
         Idempotent per campaign id: re-submitting a manifest already known
-        to this process returns its live state; a manifest journaled by a
-        previous process resumes — only points with no journal record under
-        their current cache key execute.
+        to this process returns its live state.  A manifest a previous
+        process ran resumes from the result cache: only points with no
+        result under their current cache key execute.
         """
         campaign_id = manifest.campaign_id
         existing = self.campaigns.get(campaign_id)
         if existing is not None:
             return existing, False
         specs = manifest.expand(self.config.max_points)
-        self.store.create(manifest)
         campaign = Campaign(manifest, specs)
         self.campaigns[campaign_id] = campaign
-        journal = self.store.load_journal(campaign_id)
-        self.m_campaigns.inc(resumed="true" if journal else "false")
-        task = asyncio.create_task(self._run(campaign, journal))
+        self.m_campaigns.inc()
+        task = asyncio.create_task(self._run(campaign))
         self._tasks[campaign_id] = task
         return campaign, True
 
@@ -325,24 +318,16 @@ class CampaignService:
         source: str,
         seconds: float,
         summary: Dict,
-        journal_handle,
-        key: str = "",
     ) -> None:
-        """All bookkeeping for one finished point (journal, metrics, event)."""
+        """All bookkeeping for one finished point (metrics, event)."""
         campaign.states[index] = "done"
         campaign.sources[index] = source
         campaign.seconds[index] = seconds
         campaign.summaries[index] = summary
-        if source != "journal":
-            self.store.append(
-                campaign.id, index, source, key=key, seconds=seconds,
-                summary=summary, handle=journal_handle,
-            )
         labels = campaign.specs[index].labels
         self.m_points.inc(kind=str(labels["kind"]), source=source)
-        if source != "journal":
-            self.m_latency.observe(time.monotonic() - campaign.submit_monotonic)
-            self._completions.append(time.monotonic())
+        self.m_latency.observe(time.monotonic() - campaign.submit_monotonic)
+        self._completions.append(time.monotonic())
         campaign.events.append(
             {
                 "campaign": campaign.id,
@@ -371,62 +356,33 @@ class CampaignService:
             }
         )
 
-    async def _run(self, campaign: Campaign, journal: Dict[int, Dict]) -> None:
+    async def _run(self, campaign: Campaign) -> None:
         """The per-campaign scheduler task."""
         loop = asyncio.get_running_loop()
         campaign.status = "running"
         campaign.started = time.time()
-        # 1. Resume: a journaled point is done when its record's key is the
-        # point's current cache key, which folds in the code version.  Any
-        # other record (stale code, or an observed point, journaled with
-        # key "") re-runs.  The journal is rewritten to the resumed records
-        # before anything is appended, so each restart leaves at most one
-        # line per point; a crash after the rewrite loses only records
-        # whose points would re-run anyway.
-        resumed = [
-            (index, record)
-            for index, record in sorted(journal.items())
-            if index < len(campaign.specs)
-            and record.get("key") == runner.cache_key(campaign.specs[index].point)
-        ]
-        self.store.rewrite_journal(campaign.id, [record for _, record in resumed])
-        journal_handle = self.store.open_journal(campaign.id)
         try:
-            for index, record in resumed:
-                self._complete_point(
-                    campaign, index, "journal",
-                    float(record.get("seconds", 0.0)),
-                    dict(record.get("summary") or {}),
-                    journal_handle,
-                )
-                campaign.resumed += 1
-            await self._notify(campaign)
-
-            # 2. Result-cache probe: a point someone already computed (any
-            # process, any campaign) completes without dispatch.
+            # 1. Result-cache probe: a point someone already computed (any
+            # process, any campaign, a killed run of this one) completes
+            # without dispatch.
             pending = []
             for index, spec in enumerate(campaign.specs):
-                if campaign.states[index] != "pending":
-                    continue
                 hit = runner.lookup(spec.point, self.disk)
                 if hit is None:
                     pending.append(index)
                     continue
                 campaign.cache_hits += 1
-                self._complete_point(
-                    campaign, index, "cache", 0.0, hit.summary(),
-                    journal_handle, key=runner.cache_key(spec.point),
-                )
+                self._complete_point(campaign, index, "cache", 0.0, hit.summary())
             await self._notify(campaign)
 
-            # 3. Materialize every distinct input trace once, off-loop.
+            # 2. Materialize every distinct input trace once, off-loop.
             await loop.run_in_executor(
                 None,
                 runner.materialize_traces,
                 [campaign.specs[i].point for i in pending],
             )
 
-            # 4. One future per point: plain points on the backend,
+            # 3. One future per point: plain points on the backend,
             # observed points in-process (their Observer must come back).
             futures: Dict[asyncio.Future, int] = {}
             for index in pending:
@@ -441,14 +397,14 @@ class CampaignService:
                 futures[future] = index
             await self._notify(campaign)
 
-            # 5. Fold completions as they land.
+            # 4. Fold completions as they land.
             outstanding = set(futures)
             while outstanding:
                 finished, outstanding = await asyncio.wait(
                     outstanding, return_when=asyncio.FIRST_COMPLETED
                 )
                 for future in finished:
-                    self._fold(campaign, futures[future], future, journal_handle)
+                    self._fold(campaign, futures[future], future)
                 await self._notify(campaign)
 
             failed = campaign.counts()["failed"]
@@ -465,13 +421,10 @@ class CampaignService:
             campaign.error = f"{type(exc).__name__}: {exc}"
         finally:
             campaign.finished = time.time()
-            journal_handle.close()
             await self._notify(campaign)
 
-    def _fold(
-        self, campaign: Campaign, index: int, future, journal_handle
-    ) -> None:
-        """Record one finished point through the runner core and journal it."""
+    def _fold(self, campaign: Campaign, index: int, future) -> None:
+        """Record one finished point through the runner core."""
         point = campaign.specs[index].point
         try:
             output = future.result()
@@ -486,11 +439,10 @@ class CampaignService:
                 if gauges:
                     self._obs_campaign = campaign.id
                     self._obs_gauges = gauges
-        key = runner.record(point, output, self.disk)
+        runner.record(point, output, self.disk)
         campaign.executed += 1
         self._complete_point(
-            campaign, index, "computed", output.seconds, output.result.summary(),
-            journal_handle, key=key,
+            campaign, index, "computed", output.seconds, output.result.summary()
         )
 
     # -- lifecycle ----------------------------------------------------------

@@ -74,18 +74,24 @@ class TestMemoryVersionPersistence:
 
 
 class TestGrantShapes:
+    """``serve_miss`` hands back a ``(latency, state, version)`` tuple."""
+
     def test_read_miss_grant_exclusive(self):
         system = make_system()
-        grant = None
-        # Drive handle_miss directly (the L1 controller normally does).
-        grant = system.home.handle_miss(0, 7, is_write=False)
-        assert grant.state is MesiState.EXCLUSIVE
-        assert grant.latency > 0
+        # Drive serve_miss directly (the L1 controller normally does).
+        latency, state, version = system.home.serve_miss(0, 7, is_write=False)
+        assert state == MesiState.EXCLUSIVE
+        assert type(state) is int
+        assert latency > 0
+        assert version == 0  # never written: memory's initial data
 
     def test_write_miss_grant_modified(self):
         system = make_system()
-        grant = system.home.handle_miss(0, 7, is_write=True)
-        assert grant.state is MesiState.MODIFIED
+        latency, state, version = system.home.serve_miss(0, 7, is_write=True)
+        assert state == MesiState.MODIFIED
+        assert type(state) is int
+        assert latency > 0
+        assert version == 0  # the writer's L1 mints the new version
 
 
 class TestDirectoryRecency:

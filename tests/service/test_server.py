@@ -1,8 +1,10 @@
 """Campaign-service tests: scheduling, HTTP API, metrics and crash resume.
 
-The resume satellite lives in :class:`TestResumeAfterKill`: a campaign is
-killed after exactly K points are journaled, a fresh service instance is
-pointed at the same store, and only the remaining N-K points execute.
+Resume lives in :class:`TestResumeAfterKill`: a campaign is killed after
+K points reach the result cache, a fresh service instance is pointed at
+the same cache directory, and only the remaining N-K points execute.
+:class:`TestRestart` pins what the cache must not serve: results of
+other sources, or anything at all with the cache off.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import threading
 import time
 import urllib.error
 import urllib.request
+from pathlib import Path
 
 import pytest
 
@@ -21,7 +24,6 @@ from repro.analysis import runner
 from repro.service import (
     CampaignManifest,
     CampaignService,
-    CampaignStore,
     ServiceConfig,
     ServiceHandle,
 )
@@ -168,12 +170,12 @@ class TestScheduling:
 
         executed_cold = asyncio.run(first())
         assert executed_cold == 4
+        # The four results are all the service leaves on disk.
+        suffixes = [path.suffix for path in Path(config.cache_dir).iterdir()]
+        assert suffixes == [".json"] * 4
 
-        # Same cache dir, fresh memo, fresh store location for the journal
-        # (a different campaign id would dodge the journal; wipe it so the
-        # *result cache* is what satisfies the points).
+        # Same cache dir, fresh memo: a restarted server.
         runner.clear_memo()
-        CampaignStore(runner.campaigns_root(config.cache_dir)).clear()
 
         async def second():
             service = CampaignService(config)
@@ -188,24 +190,6 @@ class TestScheduling:
         assert campaign.executed == 0
         assert campaign.cache_hits == 4
         assert all(src == "cache" for src in campaign.sources)
-
-    def test_journal_written_per_completion(self, tmp_path):
-        config = service_config(tmp_path)
-
-        async def scenario():
-            service = CampaignService(config)
-            try:
-                campaign, _ = await run_campaign(service, manifest())
-                return campaign.id
-            finally:
-                await service.stop()
-
-        campaign_id = asyncio.run(scenario())
-        store = CampaignStore(runner.campaigns_root(config.cache_dir))
-        records = store.load_journal(campaign_id)
-        assert set(records) == {0, 1, 2, 3}
-        assert all(r["src"] == "computed" for r in records.values())
-        assert store.load_manifest(campaign_id) == manifest()
 
     def test_failed_points_fail_the_campaign(self, tmp_path, monkeypatch):
         def _explode(point):
@@ -284,14 +268,39 @@ class TestWorkerTraceLookups:
         assert trace_store.counters.memo_hits == 7  # 8 points, 1 generated
 
 
+def run_fresh(config: ServiceConfig, m: CampaignManifest):
+    """One campaign on a new service, as a restarted server runs it."""
+    runner.clear_memo()
+
+    async def scenario():
+        service = CampaignService(config)
+        try:
+            campaign, _ = await run_campaign(service, m)
+            return campaign
+        finally:
+            await service.stop()
+
+    return asyncio.run(scenario())
+
+
+def direct_summaries(m: CampaignManifest):
+    """The campaign's summaries from a direct sweep, simulated afresh."""
+    runner.clear_memo()
+    runner.counters.reset()
+    direct = runner.run_points(
+        [s.point for s in m.expand()], workers=1, cache_enabled=False
+    )
+    assert runner.counters.computed == 4
+    return [result.summary() for result in direct]
+
+
 class TestResumeAfterKill:
-    """Kill mid-campaign, restart on the same store, run only N-K points."""
+    """Kill mid-campaign, restart on the same cache, run only N-K points."""
 
     def test_resume_executes_only_missing_points(self, tmp_path, monkeypatch):
-        config = service_config(tmp_path, workers=1, cache_enabled=False)
-        store = CampaignStore(runner.campaigns_root(config.cache_dir))
+        config = service_config(tmp_path, workers=1)
+        disk = runner.DiskCache(config.cache_dir)
         m = manifest()
-        campaign_id = m.campaign_id
         release = threading.Event()
         real_compute_point = runner.compute_point
         lock = threading.Lock()
@@ -311,136 +320,73 @@ class TestResumeAfterKill:
 
         monkeypatch.setattr(runner, "compute_point", _first_then_block)
 
+        def cached():
+            return [
+                index for index, spec in enumerate(m.expand())
+                if disk.path_for(runner.cache_key(spec.point)).exists()
+            ]
+
         async def phase_one():
             service = CampaignService(config)
             try:
                 await service.submit(m)
                 deadline = time.monotonic() + 60
-                while time.monotonic() < deadline:
-                    if len(store.load_journal(campaign_id)) >= 1:
-                        break
+                while time.monotonic() < deadline and not cached():
                     await asyncio.sleep(0.01)
             finally:
                 await service.stop()  # the "kill": cancels the campaign task
                 release.set()
 
         asyncio.run(phase_one())
-        journaled = store.load_journal(campaign_id)
-        completed_before = len(journaled)
-        assert 1 <= completed_before < 4, (
-            f"expected a partial journal, got {completed_before} records"
-        )
+        stored = cached()
+        assert 1 <= len(stored) < 4, f"expected a partial cache, got {stored}"
 
         # Phase two: a fresh process (fresh memo, unpatched worker) over
-        # the same store.  The result cache is disabled, so the journal is
-        # the only thing that can satisfy the K completed points.
+        # the same cache directory serves the K stored points from it.
         monkeypatch.setattr(runner, "compute_point", real_compute_point)
-        runner.clear_memo()
-
-        async def phase_two():
-            service = CampaignService(config)
-            try:
-                campaign, _ = await run_campaign(service, m)
-                return campaign
-            finally:
-                await service.stop()
-
-        campaign = asyncio.run(phase_two())
+        campaign = run_fresh(config, m)
         assert campaign.status == "done"
-        assert campaign.resumed == completed_before
-        assert campaign.executed == 4 - completed_before
+        assert campaign.cache_hits == len(stored)
+        assert campaign.executed == 4 - len(stored)
         assert campaign.counts()["done"] == 4
-        for index in journaled:
-            assert campaign.sources[index] == "journal"
-        # The resumed campaign's results still match a direct sweep,
-        # simulated afresh (the service filled the memo).
-        runner.clear_memo()
-        runner.counters.reset()
-        specs = m.expand()
-        direct = runner.run_points(
-            [s.point for s in specs], workers=1, cache_enabled=False
-        )
-        assert runner.counters.computed == 4
-        for index, result in enumerate(direct):
-            assert campaign.summaries[index] == result.summary()
+        for index in range(4):
+            expected = "cache" if index in stored else "computed"
+            assert campaign.sources[index] == expected
+            if index in stored:
+                assert campaign.seconds[index] == 0.0
+        assert campaign.summaries == direct_summaries(m)
 
 
-class TestStaleJournal:
-    """A journal record resumes its point only under the current cache key."""
+class TestRestart:
+    """What a restarted server must recompute rather than serve."""
 
-    def test_stale_key_reexecutes(self, tmp_path):
-        config = service_config(tmp_path, workers=1, cache_enabled=False)
-        store = CampaignStore(runner.campaigns_root(config.cache_dir))
+    def test_edited_sources_reexecute(self, tmp_path, monkeypatch):
+        config = service_config(tmp_path, workers=1)
         m = manifest()
-        specs = m.expand()
-        store.create(m)
-        # A record from older sources: another key, a summary the current
-        # code does not produce.
-        stale_key = "0" * 64
-        assert stale_key != runner.cache_key(specs[0].point)
-        store.append(
-            m.campaign_id, 0, "computed", key=stale_key, seconds=1.0,
-            summary={"execution_time": -1.0},
-        )
-
-        async def scenario():
-            service = CampaignService(config)
-            try:
-                campaign, _ = await run_campaign(service, m)
-                return campaign
-            finally:
-                await service.stop()
-
-        campaign = asyncio.run(scenario())
+        assert run_fresh(config, m).executed == 4
+        # A server restarted on edited sources: every key changes.
+        monkeypatch.setattr(runner, "code_version", lambda: "0" * 64)
+        campaign = run_fresh(config, m)
         assert campaign.status == "done"
-        assert campaign.resumed == 0
+        assert campaign.cache_hits == 0
         assert campaign.executed == 4
-        assert campaign.sources[0] == "computed"
-        runner.clear_memo()
-        direct = runner.run_points(
-            [spec.point for spec in specs], workers=1, cache_enabled=False
-        )
-        assert campaign.summaries[0] == direct[0].summary()
-        # The new record replaces the stale one: resume rewrote the journal
-        # before appending, so it holds one line per point.
-        lines = store.journal_path(m.campaign_id).read_text().splitlines()
-        assert len(lines) == 4
-        record = store.load_journal(m.campaign_id)[0]
-        assert record["key"] == runner.cache_key(specs[0].point)
-        assert record["summary"] == direct[0].summary()
+        assert campaign.sources == ["computed"] * 4
+        assert campaign.summaries == direct_summaries(m)
 
-    def test_resume_drops_corrupt_trailing_line(self, tmp_path):
-        config = service_config(tmp_path, workers=1, cache_enabled=False)
-        store = CampaignStore(runner.campaigns_root(config.cache_dir))
+    @pytest.mark.parametrize("first_cache", [False, True])
+    def test_no_cache_restart_recomputes_every_point(self, tmp_path, first_cache):
         m = manifest()
-        specs = m.expand()
-        store.create(m)
-        # One current record, then a line torn by a crash mid-write.
-        store.append(
-            m.campaign_id, 1, "computed", key=runner.cache_key(specs[1].point),
-            seconds=1.0, summary={"execution_time": 1.0},
-        )
-        with open(store.journal_path(m.campaign_id), "a") as handle:
-            handle.write('{"v": 1, "i": 2, "src": "comp')
-
-        async def scenario():
-            service = CampaignService(config)
-            try:
-                campaign, _ = await run_campaign(service, m)
-                return campaign
-            finally:
-                await service.stop()
-
-        campaign = asyncio.run(scenario())
+        first = run_fresh(service_config(tmp_path, cache_enabled=first_cache), m)
+        assert first.executed == 4
+        campaign = run_fresh(service_config(tmp_path, cache_enabled=False), m)
         assert campaign.status == "done"
-        assert campaign.resumed == 1
-        assert campaign.sources[1] == "journal"
-        assert campaign.executed == 3
-        lines = store.journal_path(m.campaign_id).read_text().splitlines()
-        assert len(lines) == 4
-        assert all(json.loads(line)["v"] == 1 for line in lines)
-        assert sorted(store.load_journal(m.campaign_id)) == [0, 1, 2, 3]
-        assert store.last_skipped() == 0
+        assert campaign.cache_hits == 0
+        assert campaign.executed == 4
+        assert campaign.sources == ["computed"] * 4
+        assert campaign.summaries == direct_summaries(m)
+        # A server with the cache off writes nothing under the cache dir.
+        if not first_cache:
+            assert not Path(tmp_path / "cache").exists()
 
 
 class TestHttpApi:

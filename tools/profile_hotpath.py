@@ -43,7 +43,7 @@ flags are an ``_llc_miss``, ``_new_entry``, ``_rep_new`` or
 ``stride_hash`` frame per miss.  On the interpreter the top entries
 should be the simulator run loop, ``CacheArray.lookup``,
 ``Network.send`` and the L1/home controllers.  Red flags there are
-per-access call counts of: a dataclass constructor (``GrantResult``,
+per-access call counts of: a dataclass constructor (an
 ``AllocationResult`` or ``Eviction`` built through a generated
 ``__init__``), ``MesiState.__new__``, ``StatGroup.add`` (one per LLC miss
 was ``MainMemory.read``'s), route or hash helpers, or a ``_tracked`` or

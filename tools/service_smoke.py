@@ -12,8 +12,9 @@ stream to EOF, polls it to completion, and asserts:
   same parameterization directly through the in-process sweep engine;
 * the server shuts down cleanly on SIGTERM;
 * a second server booted on the same cache directory, given the same
-  manifest, resumes all four points from the campaign journal
-  (``"source": "journal"``) with the same summaries, and shuts down
+  manifest, serves all four points from the result cache
+  (``"source": "cache"``, ``cache_hits == 4``, ``executed == 0``) with
+  summaries bit-identical to the direct simulation, and shuts down
   cleanly too.
 
 Exit code 0 on success; any assertion or timeout fails loudly.  Usage::
@@ -188,18 +189,19 @@ def main(argv=None) -> int:
         _stop(proc)
         print("clean SIGTERM shutdown")
 
-        # Restart on the same cache dir: the journal serves every point.
+        # Restart on the same cache dir: the result cache serves every point.
         proc = _boot(args.backend, cache_dir)
         base = f"http://127.0.0.1:{_wait_ready(proc)}"
         resubmitted = post_json(base, "/campaigns", SMOKE_MANIFEST)
         assert resubmitted["id"] == campaign_id, resubmitted
         status = wait_campaign(base, campaign_id, timeout=args.timeout)
         assert status["status"] == "done", status["counts"]
-        assert status["resumed"] == 4, f"resumed {status['resumed']} of 4"
         sources = [point["source"] for point in status["points"]]
-        assert sources == ["journal"] * 4, sources
+        assert sources == ["cache"] * 4, sources
+        assert status["cache_hits"] == 4, f"cache hits {status['cache_hits']} of 4"
+        assert status["executed"] == 0, f"executed {status['executed']} points"
         _check_summaries(status, direct)
-        print("restarted server resumed all 4 points from the journal")
+        print("restarted server served all 4 points from the result cache")
 
         _stop(proc)
         print("clean SIGTERM shutdown after restart")
