@@ -141,11 +141,9 @@ def _timed_runs(config, trace, runs: int, sampler: SpeedSampler) -> dict:
 
 
 def _trace(workload: str, config, ops_per_core: int) -> PackedTrace:
-    return PackedTrace.from_trace(
-        build_workload(
-            workload, config.num_cores, ops_per_core,
-            seed=SEED, block_bytes=config.block_bytes,
-        )
+    return build_workload(
+        workload, config.num_cores, ops_per_core,
+        seed=SEED, block_bytes=config.block_bytes,
     )
 
 

@@ -39,7 +39,7 @@ from .common.config import (
 from .sim.results import SimulationResult
 from .sim.simulator import Simulator, run_trace
 from .sim.system import build_system
-from .sim.trace import Trace
+from .sim.trace import PackedTrace
 from .workloads.suite import build_workload, workload_names
 
 __version__ = "1.0.0"
@@ -51,13 +51,13 @@ __all__ = [
     "DirectoryKind",
     "EnergyConfig",
     "NoCConfig",
+    "PackedTrace",
     "SharerFormat",
     "SimulationResult",
     "Simulator",
     "StashEligibility",
     "SystemConfig",
     "TimingConfig",
-    "Trace",
     "__version__",
     "build_system",
     "build_workload",

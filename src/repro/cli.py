@@ -54,7 +54,7 @@ from .common.config import DirectoryKind, MemoryModel
 from .common.errors import ReproError
 from .sim.simulator import Simulator, run_trace
 from .sim.system import build_system
-from .sim.trace import Trace
+from .sim.trace import PackedTrace
 from .workloads.suite import build_workload, workload_names
 
 def _config_from_args(args: argparse.Namespace):
@@ -227,7 +227,7 @@ def cmd_gen_trace(args: argparse.Namespace) -> int:
 
 def cmd_replay(args: argparse.Namespace) -> int:
     """Simulate a CSV trace file."""
-    trace = Trace.from_file(args.trace, num_cores=args.cores)
+    trace = PackedTrace.from_file(args.trace, num_cores=args.cores)
     config = _config_from_args(args)
     result, observer = _simulate(config, trace, args)
     rows = [[key, value] for key, value in result.summary().items()]

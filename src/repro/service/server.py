@@ -63,6 +63,10 @@ SERVICE_VERSION = 1
 #: Sliding window (seconds) for the points/s gauge.
 RATE_WINDOW_SECONDS = 30.0
 
+#: Result-cache lookups between two yields of the event loop, so a large
+#: warm campaign's probe does not stall other requests until it ends.
+PROBE_YIELD_EVERY = 64
+
 
 @dataclass
 class ServiceConfig:
@@ -367,6 +371,8 @@ class CampaignService:
             # without dispatch.
             pending = []
             for index, spec in enumerate(campaign.specs):
+                if index and index % PROBE_YIELD_EVERY == 0:
+                    await asyncio.sleep(0)
                 hit = runner.lookup(spec.point, self.disk)
                 if hit is None:
                     pending.append(index)

@@ -3,13 +3,12 @@
 from .results import SimulationResult
 from .simulator import Simulator, run_trace
 from .system import build_system
-from .trace import PackedTrace, Trace
+from .trace import PackedTrace
 
 __all__ = [
     "PackedTrace",
     "SimulationResult",
     "Simulator",
-    "Trace",
     "build_system",
     "run_trace",
 ]

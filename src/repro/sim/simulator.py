@@ -26,14 +26,14 @@ even when the config flag is off.  With no observer every probe stays a
 from __future__ import annotations
 
 import heapq
-from typing import List, Optional, Union
+from typing import List, Optional
 
 from ..coherence.protocol import CoherentSystem
 from ..common.addr import log2_exact
 from ..common.errors import TraceError
 from .results import SimulationResult
 from .system import build_system
-from .trace import PackedTrace, Trace
+from .trace import PackedTrace
 
 
 class Simulator:
@@ -59,16 +59,12 @@ class Simulator:
         self.warmup_ops = warmup_ops
         self.observer = observer
 
-    def run(self, trace: Union[Trace, PackedTrace]) -> SimulationResult:
+    def run(self, trace: PackedTrace) -> SimulationResult:
         """Execute the whole trace; returns the result snapshot.
 
         The loop reads one ``(addr << 1) | is_write`` word per operation
         and decodes it inline: ``block = word >> (block_shift + 1)``,
-        ``is_write = word & 1``.  A :class:`PackedTrace` is read as is; a
-        :class:`Trace` is converted once into per-core lists of the same
-        words.  Those are plain Python ints, so addresses beyond
-        :data:`~repro.sim.trace.MAX_PACKED_ADDR` still run, and results
-        are bit-identical across the two forms.
+        ``is_write = word & 1``.
 
         The interleave is identical to a pure pop/push min-heap loop (ties
         broken by core index), but the hot path avoids heap churn: after a
@@ -90,13 +86,7 @@ class Simulator:
                 f"warmup of {self.warmup_ops} ops exceeds the trace's "
                 f"{total_ops} ops"
             )
-        if isinstance(trace, PackedTrace):
-            streams = trace.streams
-        else:
-            streams = [
-                [(addr << 1) | 1 if is_write else addr << 1 for addr, is_write in ops]
-                for ops in trace.ops
-            ]
+        streams = trace.streams
         packshift = log2_exact(config.block_bytes) + 1  # block bits + write bit
         fixed = config.timing.core_fixed_cpi
         check = config.check_invariants
@@ -200,15 +190,14 @@ class Simulator:
 
 def run_trace(
     config,
-    trace: Union[Trace, PackedTrace],
+    trace: PackedTrace,
     system: Optional[CoherentSystem] = None,
     observer=None,
     engine: str = "interp",
 ) -> SimulationResult:
     """Convenience one-shot: build the system (unless given) and run.
 
-    This is the function the examples, experiments and most tests call;
-    ``trace`` may be packed or unpacked (results are identical).
+    This is the function the examples, experiments and most tests call.
     ``observer`` is a pre-attached :class:`repro.obs.Observer` (it must wrap
     the same ``system`` when one is passed).
 
@@ -217,9 +206,9 @@ def run_trace(
     :mod:`repro.sim.vector`).  Both produce bit-identical results;
     ``"vector"`` falls back to the interpreter transparently when the
     configuration is outside the flat model (see
-    :func:`repro.sim.vector.vector_supports`), when a pre-built ``system``
-    or ``observer`` needs the live objects, or when the trace cannot be
-    packed.  ``result.engine`` records which engine actually ran.
+    :func:`repro.sim.vector.vector_supports`), or when a pre-built
+    ``system`` or ``observer`` needs the live objects.  ``result.engine``
+    records which engine actually ran.
     """
     if engine not in ("interp", "vector"):
         raise TraceError(
@@ -229,13 +218,7 @@ def run_trace(
         from .vector import VectorEngine, vector_supports
 
         if vector_supports(config) is None:
-            packed: Optional[PackedTrace]
-            try:
-                packed = PackedTrace.from_trace(trace)
-            except TraceError:
-                packed = None  # e.g. addresses beyond the packed range
-            if packed is not None:
-                return VectorEngine(config).run(packed)
+            return VectorEngine(config).run(trace)
     if system is None:
         system = build_system(config)
     return Simulator(system, observer=observer).run(trace)

@@ -1,25 +1,23 @@
 """Memory-access traces: the simulator's input format.
 
-A trace is a per-core sequence of ``(byte_address, is_write)`` operations.
-Traces come from the synthetic workload generators
-(:mod:`repro.workloads`) or from files; the on-disk format is a plain CSV
-of ``core,addr,rw`` lines (``rw`` is ``R`` or ``W``, ``addr`` hex or
-decimal) so traces from external tools can be replayed too.
+A trace is a per-core sequence of ``(byte_address, is_write)`` operations,
+held as a :class:`PackedTrace`: one flat ``array('Q')`` stream per core of
+``(addr << 1) | is_write`` words.  Every workload generator
+(:mod:`repro.workloads`) writes this form directly, both engines read it,
+and the trace memo (:mod:`repro.workloads.store`) keeps it once per
+(workload, size, seed).
 
-Two in-memory representations exist:
+The write bit takes the low bit of an unsigned 64-bit word, so a byte
+address must lie in ``[0, MAX_PACKED_ADDR]``, i.e. fit 63 bits; anything
+else raises :class:`~repro.common.errors.TraceError`.
 
-* :class:`PackedTrace` — per-core flat ``array('Q')`` streams encoding
-  ``(addr << 1) | is_write``; ~5x smaller than tuples, picklable as one
-  buffer per core, and what the simulator loop iterates with inline
-  decode.  Every workload generator writes this form directly, and the
-  sweep engine's trace store (:mod:`repro.workloads.store`) keeps it
-  exactly once per (workload, size, seed).
-* :class:`Trace` — per-core lists of ``(addr, is_write)`` tuples, for CSV
-  files and hand-built traces.
-
-Conversion between the two is lossless (``PackedTrace.from_trace`` /
-``to_trace``); packing rejects addresses that do not fit the 63 usable
-bits of the encoding (:data:`MAX_PACKED_ADDR`).
+On disk a trace is a plain CSV of ``core,addr,rw`` lines, so traces from
+external tools can be replayed too (``repro replay``): ``core`` is a
+decimal core id, ``addr`` a byte address in hex (``0x`` prefix) or
+decimal, ``rw`` is ``R`` or ``W``.  Blank lines and lines starting with
+``#`` are skipped.  The reader rejects a line it cannot parse, a core
+outside the trace and an address outside the 63-bit range, naming
+``path:line``.
 """
 
 from __future__ import annotations
@@ -29,11 +27,7 @@ from array import array
 from pathlib import Path
 from typing import Iterable, List, Tuple, Union
 
-from ..common.addr import log2_exact
 from ..common.errors import TraceError
-
-#: One operation: (byte_address, is_write).
-Op = Tuple[int, bool]
 
 #: One globally-ordered operation: (core, block_address, is_write).
 FlatOp = Tuple[int, int, bool]
@@ -107,112 +101,16 @@ def unpack_flat_program(packed: "PackedTrace") -> "List[FlatOp]":
     return ops
 
 
-class Trace:
-    """Per-core operation streams."""
-
-    def __init__(self, num_cores: int) -> None:
-        if num_cores < 1:
-            raise TraceError("trace needs at least one core")
-        self.num_cores = num_cores
-        self.ops: List[List[Op]] = [[] for _ in range(num_cores)]
-
-    # -- construction ------------------------------------------------------------
-
-    def append(self, core: int, addr: int, is_write: bool) -> None:
-        """Append one operation to a core's stream."""
-        if not 0 <= core < self.num_cores:
-            raise TraceError(f"core {core} outside [0, {self.num_cores})")
-        if addr < 0:
-            raise TraceError(f"negative address {addr}")
-        self.ops[core].append((addr, is_write))
-
-    # -- file I/O ------------------------------------------------------------------
-
-    @classmethod
-    def from_file(cls, path: Union[str, Path], num_cores: int) -> "Trace":
-        """Load a ``core,addr,rw`` CSV trace."""
-        trace = cls(num_cores)
-        with open(path) as handle:
-            for lineno, line in enumerate(handle, start=1):
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                parts = line.split(",")
-                if len(parts) != 3:
-                    raise TraceError(f"{path}:{lineno}: expected core,addr,rw")
-                try:
-                    core = int(parts[0])
-                    addr = int(parts[1], 0)
-                except ValueError as exc:
-                    raise TraceError(f"{path}:{lineno}: {exc}") from None
-                rw = parts[2].strip().upper()
-                if rw not in ("R", "W"):
-                    raise TraceError(f"{path}:{lineno}: rw must be R or W, got {rw!r}")
-                trace.append(core, addr, rw == "W")
-        return trace
-
-    def to_file(self, path: Union[str, Path]) -> None:
-        """Write the trace as a ``core,addr,rw`` CSV."""
-        with open(path, "w") as handle:
-            handle.write("# core,addr,rw\n")
-            for core, ops in enumerate(self.ops):
-                for addr, is_write in ops:
-                    handle.write(f"{core},{addr:#x},{'W' if is_write else 'R'}\n")
-
-    # -- inspection -------------------------------------------------------------------
-
-    def total_ops(self) -> int:
-        """Operations across all cores."""
-        return sum(len(ops) for ops in self.ops)
-
-    def core_ops(self, core: int) -> int:
-        """Operations of one core."""
-        return len(self.ops[core])
-
-    def write_fraction(self) -> float:
-        """Fraction of operations that are writes (single pass)."""
-        total = 0
-        writes = 0
-        for ops in self.ops:
-            total += len(ops)
-            for _, is_write in ops:
-                if is_write:
-                    writes += 1
-        if total == 0:
-            return 0.0
-        return writes / total
-
-    def unique_blocks(self, block_bytes: int) -> int:
-        """Distinct cache blocks the trace touches (single pass).
-
-        ``block_bytes`` must be a power of two
-        (:class:`~repro.common.errors.ConfigError` otherwise).
-        """
-        shift = log2_exact(block_bytes)
-        blocks: set = set()
-        add = blocks.add
-        for ops in self.ops:
-            for addr, _ in ops:
-                add(addr >> shift)
-        return len(blocks)
-
-    def pack(self) -> "PackedTrace":
-        """This trace in packed form (see :class:`PackedTrace`)."""
-        return PackedTrace.from_trace(self)
-
-
 class PackedTrace:
     """Per-core flat ``array('Q')`` streams of ``(addr << 1) | is_write``.
 
-    The packed form is the simulator's native input: one unsigned 64-bit
-    word per operation, decoded inline in the run loop (``block =
-    word >> (block_shift + 1)``, ``is_write = word & 1``).  Compared to
-    the tuple lists of :class:`Trace` it is ~5x smaller, hashable content
-    (``streams[core].tobytes()``), and crosses process boundaries as flat
-    buffers — which is what makes the sweep engine's shared trace store
-    cheap.  Conversion to/from :class:`Trace` is lossless for any address
-    up to :data:`MAX_PACKED_ADDR`; larger addresses raise
-    :class:`~repro.common.errors.TraceError` (keep those in tuple form).
+    The simulator's one input form: an unsigned 64-bit word per operation,
+    decoded inline in the run loops (``block = word >> (block_shift +
+    1)``, ``is_write = word & 1``).  Its content hashes as
+    ``streams[core].tobytes()`` and crosses process boundaries as flat
+    buffers, which is what keeps the sweep engine's trace memo cheap.
+    Addresses outside ``[0, MAX_PACKED_ADDR]`` raise
+    :class:`~repro.common.errors.TraceError`.
     """
 
     __slots__ = ("num_cores", "streams")
@@ -242,29 +140,34 @@ class PackedTrace:
         self.streams[core].append((addr << 1) | (1 if is_write else 0))
 
     @classmethod
-    def from_trace(cls, trace: "Union[Trace, PackedTrace]") -> "PackedTrace":
-        """Pack an unpacked trace (lossless; validates the address range).
-
-        A :class:`PackedTrace` argument is returned unchanged.
-        """
-        if isinstance(trace, PackedTrace):
-            return trace
-        return cls(trace.num_cores, [
-            pack_stream(core, [
-                (addr << 1) | 1 if is_write else addr << 1
-                for addr, is_write in ops
-            ])
-            for core, ops in enumerate(trace.ops)
-        ])
-
-    @classmethod
     def from_file(cls, path: Union[str, Path], num_cores: int) -> "PackedTrace":
-        """Load a ``core,addr,rw`` CSV trace directly into packed form."""
-        return cls.from_trace(Trace.from_file(path, num_cores))
+        """Load a ``core,addr,rw`` CSV trace (format in the module docstring).
+
+        A rejected line raises :class:`~repro.common.errors.TraceError`
+        prefixed with ``path:lineno``.
+        """
+        trace = cls(num_cores)
+        with open(path) as handle:
+            for lineno, line in enumerate(handle, start=1):
+                line = line.strip()
+                if not line or line.startswith("#"):
+                    continue
+                parts = line.split(",")
+                try:
+                    if len(parts) != 3:
+                        raise TraceError("expected core,addr,rw")
+                    core = int(parts[0])
+                    addr = int(parts[1], 0)
+                    rw = parts[2].strip().upper()
+                    if rw not in ("R", "W"):
+                        raise TraceError(f"rw must be R or W, got {rw!r}")
+                    trace.append(core, addr, rw == "W")
+                except (TraceError, ValueError) as exc:
+                    raise TraceError(f"{path}:{lineno}: {exc}") from None
+        return trace
 
     def to_file(self, path: Union[str, Path]) -> None:
-        """Write the trace as a ``core,addr,rw`` CSV (same bytes as
-        :meth:`Trace.to_file`)."""
+        """Write the trace as a ``core,addr,rw`` CSV (hex addresses)."""
         with open(path, "w") as handle:
             handle.write("# core,addr,rw\n")
             for core, stream in enumerate(self.streams):
@@ -273,53 +176,18 @@ class PackedTrace:
                     for word in stream
                 )
 
-    def to_trace(self) -> Trace:
-        """Unpack back to per-core tuple lists (exact inverse of packing)."""
-        trace = Trace(self.num_cores)
-        for core, stream in enumerate(self.streams):
-            trace.ops[core] = [(word >> 1, bool(word & 1)) for word in stream]
-        return trace
-
     # -- inspection ---------------------------------------------------------------
 
     def total_ops(self) -> int:
         """Operations across all cores."""
         return sum(len(stream) for stream in self.streams)
 
-    def core_ops(self, core: int) -> int:
-        """Operations of one core."""
-        return len(self.streams[core])
-
-    def nbytes(self) -> int:
-        """Payload size across all cores (8 bytes per operation)."""
-        return 8 * self.total_ops()
-
-    def write_fraction(self) -> float:
-        """Fraction of operations that are writes."""
-        total = self.total_ops()
-        if total == 0:
-            return 0.0
-        low_bit = (1).__and__
-        return sum(sum(map(low_bit, stream)) for stream in self.streams) / total
-
-    def unique_blocks(self, block_bytes: int) -> int:
-        """Distinct cache blocks the trace touches.
-
-        ``block_bytes`` must be a power of two
-        (:class:`~repro.common.errors.ConfigError` otherwise).
-        """
-        block_of = (log2_exact(block_bytes) + 1).__rrshift__
-        blocks: set = set()
-        for stream in self.streams:
-            blocks.update(map(block_of, stream))
-        return len(blocks)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PackedTrace):
             return NotImplemented
         return self.num_cores == other.num_cores and self.streams == other.streams
 
-    # -- serialization (the trace store's payload format) -------------------------
+    # -- serialization (the fuzz corpus's payload format) ------------------------
 
     def stream_bytes(self) -> List[bytes]:
         """Each core's stream as little-endian 8-byte words."""

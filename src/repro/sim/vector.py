@@ -1809,7 +1809,7 @@ class VectorEngine:
         self.epoch_ops = epoch_ops
         self.sample_interval = sample_interval
 
-    def run(self, trace) -> SimulationResult:
+    def run(self, trace: PackedTrace) -> SimulationResult:
         """Execute the whole trace; bit-identical to the interpreter.
 
         Cores run in the interpreter's order: least ``(clock, core)``
@@ -1824,7 +1824,6 @@ class VectorEngine:
         core yielded; ``ends[core]`` is where its next slice starts.
         """
         config = self.config
-        trace = PackedTrace.from_trace(trace)
         if trace.num_cores > config.num_cores:
             raise TraceError(
                 f"trace has {trace.num_cores} cores, system only {config.num_cores}"

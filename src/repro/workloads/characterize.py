@@ -10,10 +10,10 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, List, Union
+from typing import Dict, List
 
 from ..common.addr import log2_exact
-from ..sim.trace import PackedTrace, Trace
+from ..sim.trace import PackedTrace
 
 
 @dataclass
@@ -43,15 +43,19 @@ class TraceProfile:
 
 
 def profile_trace(
-    trace: Union[PackedTrace, Trace], block_bytes: int, name: str = ""
+    trace: PackedTrace, block_bytes: int, name: str = ""
 ) -> TraceProfile:
-    """Compute the sharing profile of a trace (read as packed words)."""
+    """Compute the sharing profile of a trace (read as packed words).
+
+    ``block_bytes`` must be a power of two
+    (:class:`~repro.common.errors.ConfigError` otherwise).
+    """
     block_of = (log2_exact(block_bytes) + 1).__rrshift__
     low_bit = (1).__and__
     access_count: Counter = Counter()  # block -> accesses, first-touch order
     sharers: Counter = Counter()       # block -> cores that touch it
     writes = 0
-    for stream in PackedTrace.from_trace(trace).streams:
+    for stream in trace.streams:
         blocks = list(map(block_of, stream))
         access_count.update(blocks)
         sharers.update(set(blocks))

@@ -26,11 +26,11 @@ mix                 four groups of cores running different patterns
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Union
+from typing import Callable, Dict, List
 
 from ..common.errors import ConfigError
 from ..common.rng import DeterministicRng
-from ..sim.trace import PackedTrace, Trace
+from ..sim.trace import PackedTrace
 from . import algorithms, patterns
 
 
@@ -40,7 +40,7 @@ class WorkloadSpec:
 
     name: str
     description: str
-    builder: Callable[..., Union[PackedTrace, Trace]]
+    builder: Callable[..., PackedTrace]
     params: Dict[str, object] = field(default_factory=dict)
 
     def build(
@@ -50,19 +50,14 @@ class WorkloadSpec:
         seed: int,
         block_bytes: int = 64,
     ) -> PackedTrace:
-        """Generate the packed trace for a concrete system size.
-
-        A builder that returns a :class:`~repro.sim.trace.Trace` (a
-        hand-written, registered one, say) is packed here, once.
-        """
-        rng = DeterministicRng(seed)
-        return PackedTrace.from_trace(self.builder(
+        """Generate the packed trace for a concrete system size."""
+        return self.builder(
             num_cores,
             ops_per_core,
-            rng,
+            DeterministicRng(seed),
             block_bytes=block_bytes,
             **self.params,
-        ))
+        )
 
 
 #: mix's four groups, in core order: pattern ``g`` draws from

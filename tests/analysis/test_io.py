@@ -14,12 +14,12 @@ from repro.analysis.io import (
 from repro.common.config import CacheConfig, DirectoryKind, MemoryModel, SharerFormat
 from repro.common.errors import ConfigError, TraceError
 from repro.sim.simulator import run_trace
-from repro.sim.trace import Trace
+from repro.sim.trace import PackedTrace
 from tests.conftest import tiny_config
 
 
 def small_result(kind=DirectoryKind.STASH):
-    trace = Trace(4)
+    trace = PackedTrace(4)
     for i in range(40):
         trace.append(i % 4, i * 64, i % 3 == 0)
     return run_trace(tiny_config(kind, check_invariants=False), trace)

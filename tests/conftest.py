@@ -97,6 +97,11 @@ class LruModel:
         return [addr for ways in self.ways for addr in ways if addr is not None]
 
 
+def core_ops(trace, core: int):
+    """One core's operations of a ``PackedTrace`` as ``(addr, is_write)``."""
+    return [(word >> 1, bool(word & 1)) for word in trace.streams[core]]
+
+
 @pytest.fixture(scope="session", autouse=True)
 def _isolated_disk_cache(tmp_path_factory):
     """Route the sweep runner's persistent cache into a session temp dir.

@@ -20,7 +20,6 @@ from repro.analysis.experiments import KINDS, make_config
 from repro.common.config import CacheConfig, DirectoryKind
 from repro.sim.parallel import ParallelEngine
 from repro.sim.simulator import run_trace
-from repro.sim.trace import PackedTrace
 from repro.sim.vector import DEFAULT_EPOCH_OPS, VectorEngine, vector_supports
 from repro.workloads.suite import build_workload
 
@@ -67,9 +66,7 @@ def test_vector_run_bit_identical(kind, ratio, llc):
     config = make_config(kind, ratio)
     if llc is not None:
         config = dataclasses.replace(config, llc=llc)
-    trace = PackedTrace.from_trace(
-        build_workload("mix", config.num_cores, OPS, seed=3)
-    )
+    trace = build_workload("mix", config.num_cores, OPS, seed=3)
     interp = run_trace(config, trace)
     vector = run_trace(config, trace, engine="vector")
     assert vector.cycles_per_core == interp.cycles_per_core
@@ -89,9 +86,7 @@ def test_vector_run_bit_identical(kind, ratio, llc):
 )
 def test_unmodelled_kinds_fall_back_transparently(kind):
     config = make_config(kind, 0.25)
-    trace = PackedTrace.from_trace(
-        build_workload("mix", config.num_cores, OPS // 4, seed=3)
-    )
+    trace = build_workload("mix", config.num_cores, OPS // 4, seed=3)
     assert vector_supports(config) is not None
     vector = run_trace(config, trace, engine="vector")
     assert vector.engine == "interp"
@@ -102,11 +97,9 @@ def test_unmodelled_kinds_fall_back_transparently(kind):
 def test_vector_run_identical_across_workloads(kind):
     config = make_config(kind, 0.5)
     for workload, seed in (("canneal-like", 1), ("locks-like", 2)):
-        trace = build_workload(
-            workload, config.num_cores, OPS, seed=seed
-        ).to_trace()
+        trace = build_workload(workload, config.num_cores, OPS, seed=seed)
         interp = run_trace(config, trace)
-        vector = run_trace(config, trace.pack(), engine="vector")
+        vector = run_trace(config, trace, engine="vector")
         assert vector == interp
         assert vector.engine == "vector"
 
@@ -114,9 +107,7 @@ def test_vector_run_identical_across_workloads(kind):
 def test_vector_run_identical_across_epoch_sizes():
     """Epoch batching is invisible: any slicing yields the same bits."""
     config = make_config(DirectoryKind.STASH, 0.25)
-    trace = PackedTrace.from_trace(
-        build_workload("mix", config.num_cores, OPS, seed=5)
-    )
+    trace = build_workload("mix", config.num_cores, OPS, seed=5)
     reference = VectorEngine(config).run(trace)
     for epoch_ops in (1, 7, OPS - 1, OPS, DEFAULT_EPOCH_OPS):
         result = VectorEngine(config, epoch_ops=epoch_ops).run(trace)
@@ -126,7 +117,7 @@ def test_vector_run_identical_across_epoch_sizes():
 @pytest.mark.parametrize("kind", KINDS, ids=[k.value for k in KINDS])
 def test_vector_64core_bit_identical(kind):
     config = make_config(kind, 0.25, num_cores=64, seed=2)
-    trace = PackedTrace.from_trace(build_workload("mix", 64, OPS, seed=7))
+    trace = build_workload("mix", 64, OPS, seed=7)
     vector = run_trace(config, trace, engine="vector")
     assert vector == run_trace(config, trace)
     assert vector.engine == "vector"
@@ -135,9 +126,7 @@ def test_vector_64core_bit_identical(kind):
 def test_vector_1024core_bit_identical():
     """The paper's largest machine: both engines agree at 1024 cores."""
     config = make_config(DirectoryKind.STASH, 0.125, num_cores=1024, seed=1)
-    trace = PackedTrace.from_trace(
-        build_workload("weakscale-like", 1024, 120, seed=1)
-    )
+    trace = build_workload("weakscale-like", 1024, 120, seed=1)
     vector = run_trace(config, trace, engine="vector")
     assert vector == run_trace(config, trace)
     assert vector.engine == "vector"
@@ -151,9 +140,7 @@ def test_vector_lockstep_phase_bit_identical():
     the vector engine's interleave.
     """
     config = make_config(DirectoryKind.STASH, 0.125, num_cores=256, seed=1)
-    trace = PackedTrace.from_trace(
-        build_workload("weakscale-like", 256, 600, seed=1)
-    )
+    trace = build_workload("weakscale-like", 256, 600, seed=1)
     vector = run_trace(config, trace, engine="vector")
     assert vector == run_trace(config, trace)
     assert vector.engine == "vector"
@@ -163,7 +150,7 @@ def test_vector_lockstep_phase_bit_identical():
 def test_contended_locks_bit_identical():
     """Heavy contention: over half the ops on this trace miss or upgrade."""
     config = make_config(DirectoryKind.STASH, 0.125, num_cores=16, seed=1)
-    trace = PackedTrace.from_trace(build_workload("locks-like", 16, 1200, seed=1))
+    trace = build_workload("locks-like", 16, 1200, seed=1)
     vector = run_trace(config, trace, engine="vector")
     assert vector == run_trace(config, trace)
     assert vector.engine == "vector"
@@ -177,9 +164,7 @@ def test_benchmark_constructor_call_bit_identical():
     ``heap_stats["neheap_max"]``.  The name runs the vector engine.
     """
     config = make_config(DirectoryKind.STASH, 0.125, num_cores=64, seed=1)
-    trace = PackedTrace.from_trace(
-        build_workload("weakscale-like", 64, 300, seed=1)
-    )
+    trace = build_workload("weakscale-like", 64, 300, seed=1)
     engine = ParallelEngine(config, workers="auto", speculate=True)
     result = engine.run(trace)
     assert result == run_trace(config, trace)

@@ -191,6 +191,46 @@ class TestScheduling:
         assert campaign.cache_hits == 4
         assert all(src == "cache" for src in campaign.sources)
 
+    def test_cache_probe_yields_the_event_loop(self, tmp_path, monkeypatch):
+        """A warm campaign's result-cache probe lets other tasks run."""
+        factors = dict(TINY["factors"], kind=["stash"], ratio=[0.5],
+                       seed=list(range(200)))
+        m = manifest(factors=factors)
+        hit = runner.run_points(
+            [m.expand()[0].point], workers=1, cache_enabled=False
+        )[0]
+        lookups = []
+
+        def _lookup(point, disk):
+            lookups.append(point)
+            return hit
+
+        monkeypatch.setattr(runner, "lookup", _lookup)
+
+        async def scenario():
+            service = CampaignService(service_config(tmp_path))
+            try:
+                campaign, _ = await service.submit(m)
+                seen = []
+
+                async def sentinel():
+                    seen.append(len(lookups))
+
+                probe_pending = asyncio.create_task(sentinel())
+                await asyncio.wait_for(
+                    asyncio.shield(service._tasks[campaign.id]), timeout=120
+                )
+                await probe_pending
+                return campaign, seen
+            finally:
+                await service.stop()
+
+        campaign, seen = asyncio.run(scenario())
+        assert campaign.status == "done"
+        assert campaign.cache_hits == len(lookups) == 200
+        assert campaign.executed == 0
+        assert 1 <= seen[0] <= 65
+
     def test_failed_points_fail_the_campaign(self, tmp_path, monkeypatch):
         def _explode(point):
             raise RuntimeError("synthetic point failure")

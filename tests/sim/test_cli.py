@@ -9,7 +9,10 @@ from pathlib import Path
 import pytest
 
 import repro
+from repro.analysis.io import load_result
 from repro.cli import EXPERIMENTS, build_parser, main
+from repro.sim.trace import PackedTrace
+from repro.workloads.suite import build_workload
 
 
 class TestParser:
@@ -157,6 +160,20 @@ class TestCommands:
                      "--check-invariants"])
         assert code == 0
         assert "replay" in capsys.readouterr().out
+        assert PackedTrace.from_file(path, 4) == build_workload("mix", 4, 100, seed=1)
+        # Replaying the CSV gives the result of running the workload itself.
+        for engine in ("interp", "vector"):
+            saved = {}
+            for command in (["run", "--workload", "mix", "--ops", "100"],
+                            ["replay", str(path)]):
+                out = tmp_path / f"{command[0]}-{engine}.json"
+                code = main([*command, "--cores", "4", "--engine", engine,
+                             "--save", str(out)])
+                assert code == 0
+                saved[command[0]] = load_result(out)
+            assert saved["replay"] == saved["run"]
+            assert saved["replay"].engine == engine
+            assert saved["run"].engine == engine
 
     def test_replay_missing_file_fails_cleanly(self, tmp_path, capsys):
         missing = tmp_path / "missing.csv"
@@ -169,6 +186,19 @@ class TestCommands:
         code = main(["replay", str(path), "--cores", "4"])
         assert code == 1
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line, message", [
+        ("3,0x40,R", "core 3 outside [0, 2)"),
+        ("1,0x8000000000000040,W", "address 0x8000000000000040 outside packable range"),
+    ])
+    def test_replay_rejected_line_names_path_and_line(
+        self, tmp_path, capsys, line, message
+    ):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"0,0x40,R\n{line}\n")
+        code = main(["replay", str(path), "--cores", "2", "--engine", "vector"])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: {path}:2: {message}")
 
 
 class TestFuzz:

@@ -1,20 +1,28 @@
-"""PackedTrace: lossless conversion, address-range edges, serialization."""
+"""PackedTrace: word encoding, address-range edges, serialization."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.common.errors import ConfigError, TraceError
-from repro.sim.trace import MAX_PACKED_ADDR, PackedTrace, Trace
+from repro.common.errors import TraceError
+from repro.sim.trace import MAX_PACKED_ADDR, PackedTrace
+from repro.workloads.characterize import profile_trace
 from repro.workloads.suite import build_workload
+from tests.conftest import core_ops
+
+#: (core, addr, is_write) of :func:`sample_trace`, in append order.
+SAMPLE_OPS = [
+    (0, 0x1000, False),
+    (0, 0x1040, True),
+    (1, 0x0, True),
+    (1, 0x2FC0, False),
+]
 
 
-def sample_trace() -> Trace:
-    trace = Trace(3)
-    trace.append(0, 0x1000, False)
-    trace.append(0, 0x1040, True)
-    trace.append(1, 0x0, True)
-    trace.append(1, 0x2FC0, False)
+def sample_trace() -> PackedTrace:
+    trace = PackedTrace(3)
+    for core, addr, is_write in SAMPLE_OPS:
+        trace.append(core, addr, is_write)
     # core 2 deliberately left empty: round-trips must keep empty streams.
     return trace
 
@@ -22,73 +30,63 @@ def sample_trace() -> Trace:
 class TestRoundTrip:
     def test_pack_unpack_is_lossless(self):
         trace = sample_trace()
-        packed = PackedTrace.from_trace(trace)
-        assert packed.to_trace().ops == trace.ops
+        for core in range(3):
+            assert core_ops(trace, core) == [
+                (addr, is_write) for c, addr, is_write in SAMPLE_OPS if c == core
+            ]
 
     def test_encoding_is_addr_shl_1_or_write(self):
-        packed = PackedTrace.from_trace(sample_trace())
+        packed = sample_trace()
         assert list(packed.streams[0]) == [(0x1000 << 1), (0x1040 << 1) | 1]
         assert list(packed.streams[1]) == [1, (0x2FC0 << 1)]
 
-    def test_workload_trace_round_trips(self):
+    def test_workload_trace_round_trips(self, tmp_path):
         packed = build_workload("mix", 8, 200, seed=5)
-        trace = packed.to_trace()
-        assert trace.pack() == packed
-        assert packed.total_ops() == trace.total_ops()
+        packed.to_file(tmp_path / "mix.csv")
+        assert PackedTrace.from_file(tmp_path / "mix.csv", 8) == packed
 
     def test_counts_and_bytes(self):
-        packed = PackedTrace.from_trace(sample_trace())
+        packed = sample_trace()
         assert packed.num_cores == 3
-        assert [packed.core_ops(c) for c in range(3)] == [2, 2, 0]
+        assert [len(stream) for stream in packed.streams] == [2, 2, 0]
         assert packed.total_ops() == 4
-        assert packed.nbytes() == 32
+        assert [len(blob) for blob in packed.stream_bytes()] == [16, 16, 0]
 
     def test_equality(self):
-        a = PackedTrace.from_trace(sample_trace())
-        b = PackedTrace.from_trace(sample_trace())
+        a = sample_trace()
+        b = sample_trace()
         assert a == b
         b.append(2, 0x40, True)
         assert a != b
         assert a.__eq__(object()) is NotImplemented
 
-    def test_from_trace_returns_a_packed_trace_unchanged(self):
-        packed = PackedTrace.from_trace(sample_trace())
-        assert PackedTrace.from_trace(packed) is packed
-
     def test_to_file_writes_the_unpacked_csv(self, tmp_path):
-        trace = build_workload("mix", 4, 50, seed=2).to_trace()
-        trace.to_file(tmp_path / "tuples.csv")
-        trace.pack().to_file(tmp_path / "packed.csv")
-        assert (tmp_path / "packed.csv").read_bytes() == (
-            tmp_path / "tuples.csv"
-        ).read_bytes()
+        sample_trace().to_file(tmp_path / "packed.csv")
+        assert (tmp_path / "packed.csv").read_text() == (
+            "# core,addr,rw\n"
+            "0,0x1000,R\n"
+            "0,0x1040,W\n"
+            "1,0x0,W\n"
+            "1,0x2fc0,R\n"
+        )
 
     def test_inspection_matches_unpacked(self):
-        for trace in (sample_trace(), build_workload("mix", 8, 200, seed=5).to_trace()):
-            packed = trace.pack()
-            assert packed.write_fraction() == trace.write_fraction()
+        for trace in (sample_trace(), build_workload("mix", 8, 200, seed=5)):
+            ops = [op for core in range(trace.num_cores) for op in core_ops(trace, core)]
             for block_bytes in (1, 64, 4096):
-                assert packed.unique_blocks(block_bytes) == trace.unique_blocks(
-                    block_bytes
+                profile = profile_trace(trace, block_bytes)
+                assert profile.write_fraction == (
+                    sum(w for _, w in ops) / len(ops)
                 )
-        assert PackedTrace(2).write_fraction() == 0.0
-        assert PackedTrace(2).unique_blocks(64) == 0
-
-    def test_unique_blocks_rejects_non_power_of_two_block(self):
-        packed = PackedTrace(1)
-        for addr in (0, 40, 80):
-            packed.append(0, addr, False)
-        assert packed.unique_blocks(64) == 2
-        with pytest.raises(ConfigError):
-            packed.unique_blocks(48)
+                shift = block_bytes.bit_length() - 1
+                assert profile.unique_blocks == len({a >> shift for a, _ in ops})
+        assert profile_trace(PackedTrace(2), 64).write_fraction == 0.0
+        assert profile_trace(PackedTrace(2), 64).unique_blocks == 0
 
     def test_from_file_matches_trace_from_file(self, tmp_path):
         path = tmp_path / "t.csv"
-        sample_trace().to_file(path)
-        via_trace = Trace.from_file(path, num_cores=3).pack()
-        direct = PackedTrace.from_file(path, num_cores=3)
-        assert direct == via_trace
-        assert direct.to_trace().ops == Trace.from_file(path, num_cores=3).ops
+        path.write_text("0,0x1000,R\n1,0x0,W\n0,4160,w\n1,0x2FC0,r\n")
+        assert PackedTrace.from_file(path, num_cores=3) == sample_trace()
 
 
 class TestAddressRange:
@@ -96,7 +94,7 @@ class TestAddressRange:
         packed = PackedTrace(1)
         packed.append(0, MAX_PACKED_ADDR, True)
         packed.append(0, MAX_PACKED_ADDR, False)
-        assert packed.to_trace().ops[0] == [
+        assert core_ops(packed, 0) == [
             (MAX_PACKED_ADDR, True),
             (MAX_PACKED_ADDR, False),
         ]
@@ -105,12 +103,6 @@ class TestAddressRange:
         packed = PackedTrace(1)
         with pytest.raises(TraceError, match="packable range"):
             packed.append(0, MAX_PACKED_ADDR + 1, False)
-
-    def test_from_trace_beyond_max_raises(self):
-        trace = Trace(2)
-        trace.append(1, MAX_PACKED_ADDR + 1, True)
-        with pytest.raises(TraceError, match="packable range"):
-            PackedTrace.from_trace(trace)
 
     def test_negative_address_rejected(self):
         packed = PackedTrace(1)
@@ -137,7 +129,7 @@ class TestValidation:
 
 class TestStreamBytes:
     def test_bytes_round_trip(self):
-        packed = PackedTrace.from_trace(sample_trace())
+        packed = sample_trace()
         rebuilt = PackedTrace.from_stream_bytes(packed.stream_bytes())
         assert rebuilt == packed
 

@@ -4,7 +4,7 @@ Two contracts the vector engine leans on:
 
 1. Packing is lossless across the whole encodable range — bit 63 is the
    address MSB, bit 0 the read/write flag, and ``MAX_PACKED_ADDR`` is a
-   hard wall (beyond it packing must *raise*, never truncate).
+   hard wall (beyond it ``append`` must *raise*, never truncate).
 2. Epoch batching is invisible — the engine may slice a stream at any
    boundary and the simulation result does not change by a single bit,
    effective-tracking samples included.
@@ -24,8 +24,9 @@ from repro.common.config import (
 from repro.common.errors import TraceError
 from repro.sim.simulator import Simulator, run_trace
 from repro.sim.system import build_system
-from repro.sim.trace import MAX_PACKED_ADDR, PackedTrace, Trace
+from repro.sim.trace import MAX_PACKED_ADDR, PackedTrace
 from repro.sim.vector import VectorEngine
+from tests.conftest import core_ops
 
 #: Addresses that exercise every boundary of the 63-bit encoding.
 BOUNDARY_ADDRS = (
@@ -43,33 +44,45 @@ addrs = st.one_of(
 
 
 @st.composite
-def traces(draw, max_ops=60, addr_strategy=addrs, max_cores=4):
+def programs(draw, max_ops=60, addr_strategy=addrs, max_cores=4):
+    """``(cores, [(core, addr, is_write), ...])`` in append order."""
     cores = draw(st.integers(1, max_cores))
-    trace = Trace(cores)
-    for core, addr, is_write in draw(
+    ops = draw(
         st.lists(
             st.tuples(st.integers(0, cores - 1), addr_strategy, st.booleans()),
             max_size=max_ops,
         )
-    ):
+    )
+    return cores, ops
+
+
+def pack(program) -> PackedTrace:
+    cores, ops = program
+    trace = PackedTrace(cores)
+    for core, addr, is_write in ops:
         trace.append(core, addr, is_write)
     return trace
 
 
+def traces(**kwargs):
+    return programs(**kwargs).map(pack)
+
+
 class TestPackingBoundaries:
     @settings(max_examples=100, deadline=None)
-    @given(trace=traces())
-    def test_pack_unpack_roundtrip(self, trace):
-        packed = trace.pack()
-        assert packed.total_ops() == trace.total_ops()
-        restored = packed.to_trace()
-        assert restored.ops == trace.ops
-        assert restored.pack() == packed
+    @given(program=programs())
+    def test_pack_unpack_roundtrip(self, program):
+        cores, ops = program
+        packed = pack(program)
+        assert packed.total_ops() == len(ops)
+        for core in range(cores):
+            assert core_ops(packed, core) == [
+                (addr, is_write) for c, addr, is_write in ops if c == core
+            ]
 
     @settings(max_examples=100, deadline=None)
-    @given(trace=traces())
-    def test_stream_bytes_roundtrip(self, trace):
-        packed = trace.pack()
+    @given(packed=traces())
+    def test_stream_bytes_roundtrip(self, packed):
         rebuilt = PackedTrace.from_stream_bytes(packed.stream_bytes())
         assert rebuilt == packed
 
@@ -83,15 +96,6 @@ class TestPackingBoundaries:
         with pytest.raises(TraceError):
             packed.append(0, addr, is_write)
         assert packed.total_ops() == 0
-
-    @settings(max_examples=50, deadline=None)
-    @given(addr=st.integers(MAX_PACKED_ADDR + 1, 1 << 70))
-    def test_from_trace_rejects_oversized_address(self, addr):
-        trace = Trace(2)
-        trace.append(0, 0x40, False)
-        trace.append(1, addr, True)
-        with pytest.raises(TraceError):
-            PackedTrace.from_trace(trace)
 
     @settings(max_examples=100, deadline=None)
     @given(addr=addrs, is_write=st.booleans())
@@ -138,9 +142,8 @@ class TestEpochSlicing:
     def test_any_epoch_size_is_bit_identical(self, data, epoch_ops):
         trace = data.draw(self.trace_strategy(120))
         config = _vector_config(self.CORES)
-        packed = trace.pack()
-        reference = VectorEngine(config).run(packed)
-        sliced = VectorEngine(config, epoch_ops=epoch_ops).run(packed)
+        reference = VectorEngine(config).run(trace)
+        sliced = VectorEngine(config, epoch_ops=epoch_ops).run(trace)
         assert sliced == reference
 
     @settings(max_examples=20, deadline=None, suppress_health_check=SUBCLASSED)
@@ -149,7 +152,7 @@ class TestEpochSlicing:
         trace = data.draw(self.trace_strategy(80))
         config = _vector_config(self.CORES)
         interp = run_trace(config, trace)
-        vector = VectorEngine(config, epoch_ops=1).run(trace.pack())
+        vector = VectorEngine(config, epoch_ops=1).run(trace)
         assert vector == interp
 
     @settings(max_examples=30, deadline=None, suppress_health_check=SUBCLASSED)
@@ -168,7 +171,7 @@ class TestEpochSlicing:
         ).run(trace)
         vector = VectorEngine(
             config, epoch_ops=epoch_ops, sample_interval=sample_interval
-        ).run(trace.pack())
+        ).run(trace)
         assert vector == interp
         assert len(vector.effective_tracking_samples) == (
             trace.total_ops() // sample_interval

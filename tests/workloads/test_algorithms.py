@@ -21,6 +21,7 @@ from repro.workloads.algorithms import (
 from repro.workloads.characterize import profile_trace
 from repro.workloads.patterns import REGION_SPAN
 from repro.workloads.suite import ALGORITHM_WORKLOADS, build_workload
+from tests.conftest import core_ops
 
 GENERATORS = [graph_clustering, tiled_matmul, prime_sieve, union_find]
 
@@ -58,7 +59,7 @@ class TestOpBudget:
     def test_exact_op_count(self, generator, cores):
         trace = generator(cores, 157, rng())
         for core in range(cores):
-            assert trace.core_ops(core) == 157
+            assert len(trace.streams[core]) == 157
 
 
 class TestRegionDisjointness:
@@ -69,20 +70,20 @@ class TestRegionDisjointness:
         # touch another core's private slot, at any scale the weak-
         # scaling benchmark sweeps.
         ops = 64 if cores >= 128 else 200
-        trace = generator(cores, ops, rng()).to_trace()
+        trace = generator(cores, ops, rng())
         for core in range(cores):
-            for addr, _ in trace.ops[core]:
+            for addr, _ in core_ops(trace, core):
                 slot = region_slot(addr)
                 assert slot >= cores or slot == core
 
 
 class TestGraphClustering:
     def test_frontier_reads_and_private_majority(self):
-        trace = graph_clustering(16, 800, rng()).to_trace()
+        trace = graph_clustering(16, 800, rng())
         frontier_writes = [
             w
             for core in range(16)
-            for a, w in trace.ops[core]
+            for a, w in core_ops(trace, core)
             if region_slot(a) == 16 and w  # shared region 0
         ]
         assert not frontier_writes  # the frontier is read-only
@@ -99,11 +100,11 @@ class TestGraphClustering:
 
 class TestTiledMatmul:
     def test_barrier_line_touched_by_every_core(self):
-        trace = tiled_matmul(8, 400, rng()).to_trace()
+        trace = tiled_matmul(8, 400, rng())
         cores_on_barrier = {
             core
             for core in range(8)
-            for a, _ in trace.ops[core]
+            for a, _ in core_ops(trace, core)
             if region_slot(a) == 8 + 1  # shared region 1
         }
         assert cores_on_barrier == set(range(8))
@@ -120,12 +121,12 @@ class TestTiledMatmul:
 class TestPrimeSieve:
     def test_write_dominated(self):
         trace = prime_sieve(16, 800, rng())
-        assert trace.write_fraction() > 0.7
+        assert profile_trace(trace, 64).write_fraction > 0.7
 
     def test_bitmap_accesses_are_all_writes(self):
-        trace = prime_sieve(8, 400, rng()).to_trace()
+        trace = prime_sieve(8, 400, rng())
         for core in range(8):
-            for a, w in trace.ops[core]:
+            for a, w in core_ops(trace, core):
                 if region_slot(a) == 8:  # shared region 0
                     assert w
 

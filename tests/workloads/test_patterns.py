@@ -12,6 +12,7 @@ from repro.workloads.patterns import (
     shared_read_only,
     streaming,
 )
+from tests.conftest import core_ops
 
 CORES = 4
 OPS = 400
@@ -33,11 +34,11 @@ class TestPrivateWorkingSet:
 
     def test_working_set_bounded(self):
         trace = private_working_set(1, OPS, rng(), ws_blocks=16)
-        assert trace.unique_blocks(64) <= 16
+        assert profile_trace(trace, 64).unique_blocks <= 16
 
     def test_write_fraction_respected(self):
         trace = private_working_set(CORES, 2000, rng(), write_frac=0.5)
-        assert 0.4 < trace.write_fraction() < 0.6
+        assert 0.4 < profile_trace(trace, 64).write_fraction < 0.6
 
     def test_rejects_bad_write_frac(self):
         with pytest.raises(ConfigError):
@@ -54,7 +55,7 @@ class TestSharedReadOnly:
 
     def test_shared_accesses_are_reads(self):
         trace = shared_read_only(CORES, OPS, rng(), shared_frac=1.0)
-        assert trace.write_fraction() == 0.0
+        assert profile_trace(trace, 64).write_fraction == 0.0
 
 
 class TestProducerConsumer:
@@ -67,28 +68,28 @@ class TestProducerConsumer:
     def test_producer_writes_consumer_reads(self):
         trace = producer_consumer(
             2, OPS, rng(), comm_frac=1.0, return_frac=0.0
-        ).to_trace()
-        assert all(w for _, w in trace.ops[0])
-        assert not any(w for _, w in trace.ops[1])
+        )
+        assert all(w for _, w in core_ops(trace, 0))
+        assert not any(w for _, w in core_ops(trace, 1))
 
     def test_return_buffer_reverses_roles(self):
         # On the return buffer the "consumer" core writes and the
         # "producer" core reads — both directions of the hand-off exist.
         trace = producer_consumer(
             2, OPS, rng(), comm_frac=1.0, return_frac=1.0
-        ).to_trace()
-        assert not any(w for _, w in trace.ops[0])
-        assert all(w for _, w in trace.ops[1])
+        )
+        assert not any(w for _, w in core_ops(trace, 0))
+        assert all(w for _, w in core_ops(trace, 1))
 
     def test_forward_and_return_buffers_disjoint(self):
         fwd = producer_consumer(
             2, OPS, rng(), comm_frac=1.0, return_frac=0.0
-        ).to_trace()
+        )
         ret = producer_consumer(
             2, OPS, rng(), comm_frac=1.0, return_frac=1.0
-        ).to_trace()
-        fwd_blocks = {a >> 6 for core in range(2) for a, _ in fwd.ops[core]}
-        ret_blocks = {a >> 6 for core in range(2) for a, _ in ret.ops[core]}
+        )
+        fwd_blocks = {a >> 6 for core in range(2) for a, _ in core_ops(fwd, core)}
+        ret_blocks = {a >> 6 for core in range(2) for a, _ in core_ops(ret, core)}
         assert not (fwd_blocks & ret_blocks)
 
     def test_rejects_bad_return_frac(self):
@@ -104,13 +105,13 @@ class TestMigratory:
 
     def test_burst_contains_reads_and_writes(self):
         trace = migratory(1, 200, rng(), migratory_frac=1.0, burst=8)
-        writes = trace.write_fraction()
+        writes = profile_trace(trace, 64).write_fraction
         assert 0.3 < writes < 0.7
 
     def test_ops_count_exact(self):
         trace = migratory(CORES, 123, rng())
         for core in range(CORES):
-            assert trace.core_ops(core) == 123
+            assert len(trace.streams[core]) == 123
 
     def test_burst_opens_with_read_then_alternates(self):
         # Regression: the burst loop used the global op index for its
@@ -118,8 +119,8 @@ class TestMigratory:
         # with a write and the intended read-modify-write shape (and any
         # fixed write fraction) drifted with burst alignment.  Parity is
         # now burst-local: positions 0, 2, 4... read; 1, 3, 5... write.
-        trace = migratory(1, 200, rng(), migratory_frac=1.0, burst=4).to_trace()
-        ops = trace.ops[0]
+        trace = migratory(1, 200, rng(), migratory_frac=1.0, burst=4)
+        ops = core_ops(trace, 0)
         for start in range(0, 200, 4):
             chunk = ops[start:start + 4]
             assert [w for _, w in chunk] == [False, True, False, True]
@@ -127,7 +128,7 @@ class TestMigratory:
 
     def test_exact_write_fraction_with_even_burst(self):
         trace = migratory(CORES, 400, rng(), migratory_frac=1.0, burst=8)
-        assert trace.write_fraction() == 0.5
+        assert profile_trace(trace, 64).write_fraction == 0.5
 
 
 class TestBlockShiftValidation:
@@ -155,7 +156,8 @@ class TestBlockShiftValidation:
 class TestStreaming:
     def test_low_reuse(self):
         trace = streaming(1, 300, rng(), stream_blocks=1000)
-        assert trace.unique_blocks(64) == 300  # every access a new block
+        # every access a new block
+        assert profile_trace(trace, 64).unique_blocks == 300
 
     def test_private(self):
         trace = streaming(CORES, OPS, rng())
@@ -164,9 +166,10 @@ class TestStreaming:
 
 class TestDisjointRegions:
     def test_private_regions_never_overlap(self):
-        trace = private_working_set(CORES, OPS, rng(), ws_blocks=64).to_trace()
+        trace = private_working_set(CORES, OPS, rng(), ws_blocks=64)
         per_core_blocks = [
-            {addr >> 6 for addr, _ in trace.ops[core]} for core in range(CORES)
+            {addr >> 6 for addr, _ in core_ops(trace, core)}
+            for core in range(CORES)
         ]
         for a in range(CORES):
             for b in range(a + 1, CORES):
@@ -180,14 +183,15 @@ class TestFalseSharing:
         trace = false_sharing(CORES, OPS, rng(), fs_frac=1.0, hot_blocks=4)
         profile = profile_trace(trace, 64)
         assert profile.sharing_histogram.get(CORES, 0) > 0
-        assert trace.write_fraction() == 1.0
+        assert profile.write_fraction == 1.0
 
     def test_word_offsets_distinct_per_core(self):
         from repro.workloads.patterns import false_sharing
 
-        trace = false_sharing(CORES, 50, rng(), fs_frac=1.0, hot_blocks=1).to_trace()
+        trace = false_sharing(CORES, 50, rng(), fs_frac=1.0, hot_blocks=1)
         offsets = {
-            core: {addr % 64 for addr, _ in trace.ops[core]} for core in range(CORES)
+            core: {addr % 64 for addr, _ in core_ops(trace, core)}
+            for core in range(CORES)
         }
         # Each core writes one distinct word slot of the same line.
         all_offsets = [next(iter(s)) for s in offsets.values()]
@@ -213,13 +217,13 @@ class TestLockContention:
 
         trace = lock_contention(CORES, 137, rng())
         for core in range(CORES):
-            assert trace.core_ops(core) == 137
+            assert len(trace.streams[core]) == 137
 
     def test_spin_reads_precede_acquire(self):
         from repro.workloads.patterns import lock_contention
 
-        trace = lock_contention(1, 200, rng(), lock_frac=1.0, spin_reads=3).to_trace()
-        ops = trace.ops[0]
+        trace = lock_contention(1, 200, rng(), lock_frac=1.0, spin_reads=3)
+        ops = core_ops(trace, 0)
         # First lock section: 3 reads then a write on the same address.
         first_addr = ops[0][0]
         assert [w for _, w in ops[:4]] == [False, False, False, True]
@@ -250,11 +254,11 @@ class TestPhased:
         from repro.workloads.patterns import phased
 
         trace = phased(2, 200, rng(), compute_len=1, exchange_len=8,
-                       compute_blocks=8, exchange_blocks=8).to_trace()
+                       compute_blocks=8, exchange_blocks=8)
         # Even cores write during exchange; odd cores only read shared data.
-        shared_min = min(a for a, _ in trace.ops[1])
+        shared_min = min(a for a, _ in core_ops(trace, 1))
         odd_shared_writes = [
-            w for a, w in trace.ops[1] if a >= shared_min and w
+            w for a, w in core_ops(trace, 1) if a >= shared_min and w
         ]
         assert odd_shared_writes.count(True) <= len(odd_shared_writes)
 

@@ -4,13 +4,11 @@ import pytest
 
 from repro.common.errors import ConfigError
 from repro.common.rng import DeterministicRng
-from repro.sim.trace import PackedTrace, Trace
 from repro.workloads import algorithms, patterns
 from repro.workloads.characterize import profile_trace
 from repro.workloads.suite import (
     SUITE,
     SUITE_ORDER,
-    WorkloadSpec,
     build_workload,
     workload_names,
 )
@@ -72,14 +70,14 @@ class TestCharacteristics:
         assert profile.sharing_histogram.get(8, 0) > 0
 
     def test_canneal_like_has_big_working_set(self):
-        small = build_workload("swaptions-like", 8, 500).unique_blocks(64)
-        big = build_workload("canneal-like", 8, 500).unique_blocks(64)
-        assert big > 3 * small
+        small = profile_trace(build_workload("swaptions-like", 8, 500), 64)
+        big = profile_trace(build_workload("canneal-like", 8, 500), 64)
+        assert big.unique_blocks > 3 * small.unique_blocks
 
     def test_radix_like_write_heavy(self):
-        radix = build_workload("radix-like", 8, 500).write_fraction()
-        blacks = build_workload("blackscholes-like", 8, 500).write_fraction()
-        assert radix > blacks
+        radix = profile_trace(build_workload("radix-like", 8, 500), 64)
+        blacks = profile_trace(build_workload("blackscholes-like", 8, 500), 64)
+        assert radix.write_fraction > blacks.write_fraction
 
     def test_mix_combines_patterns(self):
         profile = profile_trace(build_workload("mix", 8, 500), 64)
@@ -129,17 +127,3 @@ class TestPerCoreBuilders:
         ]
         assert build_workload("mix", num_cores, 120, seed=8).streams == expected
 
-
-class TestRegistration:
-    def test_a_tuple_trace_builder_is_packed_once(self):
-        def hand_built(num_cores, ops_per_core, rng, *, block_bytes=64, stride=1):
-            trace = Trace(num_cores)
-            for core in range(num_cores):
-                for op in range(ops_per_core):
-                    trace.append(core, (core * 1000 + op * stride) * block_bytes, op % 2 == 1)
-            return trace
-
-        spec = WorkloadSpec("hand-built", "alternating read/write", hand_built, {"stride": 3})
-        packed = spec.build(2, 4, seed=1)
-        assert isinstance(packed, PackedTrace)
-        assert packed.to_trace().ops == hand_built(2, 4, None, stride=3).ops

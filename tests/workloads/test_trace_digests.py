@@ -131,5 +131,5 @@ def test_mix_group_edges_are_pinned(num_cores):
 @pytest.mark.parametrize("name", workload_names())
 def test_build_workload_matches_the_store(name):
     stored = store.get_packed_trace(name, 16, 300, seed=1)
-    built = PackedTrace.from_trace(build_workload(name, 16, 300, seed=1))
+    built = build_workload(name, 16, 300, seed=1)
     assert built == stored
