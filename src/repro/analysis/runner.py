@@ -5,17 +5,18 @@ provisioning ratio x workload) sweep points — dozens of independent pure-
 Python simulations.  This module is the one place that executes them:
 
 * **Fan-out** — :func:`run_points` distributes independent sweep points
-  across a :class:`~repro.analysis.dispatch.ProcessPoolBackend`
-  (``workers > 1``), one point per future, with deterministic result
-  ordering: results come back in input order and are byte-identical to a
-  serial run, because each simulation is fully determined by its
-  :class:`SweepPoint`.  ``workers=1`` (the default), a single pending
-  point, or any pool failure (e.g. an unpicklable config) falls back to
-  the plain serial loop.  Completed points write their cache entries
-  *incrementally* (atomic per-entry files), and ``KeyboardInterrupt`` /
-  SIGTERM mid-sweep cancels pending points, drains the pool (terminating
-  blocked workers) and re-raises — a killed sweep keeps every finished
-  point and never leaves a partially-written cache entry.
+  across a process pool (``workers > 1``, from
+  :func:`~repro.analysis.dispatch.make_executor`), one point per future,
+  with deterministic result ordering: results come back in input order
+  and are byte-identical to a serial run, because each simulation is
+  fully determined by its :class:`SweepPoint`.  ``workers=1`` (the
+  default), a single pending point, or any pool failure (e.g. an
+  unpicklable config) falls back to the plain serial loop.  Completed
+  points write their cache entries *incrementally* (atomic per-entry
+  files), and ``KeyboardInterrupt`` / SIGTERM mid-sweep cancels pending
+  points, drains the pool (terminating blocked workers) and re-raises —
+  a killed sweep keeps every finished point and never leaves a
+  partially-written cache entry.
 * **Shared traces** — workload traces are materialized exactly once per
   distinct key through :mod:`repro.workloads.store`, an in-process memo of
   :class:`~repro.sim.trace.PackedTrace` streams.  The parent
@@ -39,11 +40,13 @@ Python simulations.  This module is the one place that executes them:
 
 :func:`run_points` and the campaign service (:mod:`repro.service`) resolve
 points through one public core: :func:`lookup` (memo, then disk),
-:func:`materialize_traces`, :func:`compute_point` (picklable, so it runs
-in pool workers; :func:`execute_point` also hands back an observed
-point's live observer) and :func:`record` (memo, disk and counters; it
-also counts the trace lookups a pool worker made, so ``--cache-stats``
-and the service's trace gauges see them).
+:func:`compute_point` (picklable, so it runs in pool workers;
+:func:`execute_point` also hands back an observed point's live observer)
+and :func:`record` (memo, disk and counters; it also counts the trace
+lookups a pool worker made, so ``--cache-stats`` and the service's trace
+gauges see them).  :func:`run_points` also calls
+:func:`materialize_traces` before its per-batch pool forks; the service
+forks its pool when it starts, so its workers build their own traces.
 
 Environment knobs (read once at import, overridable via :func:`configure`
 or per-call arguments): ``REPRO_WORKERS`` (worker processes, default 1),
@@ -537,17 +540,16 @@ def _compute_all(
 
     with dispatch.graceful_sigterm():
         if workers > 1 and len(points) > 1:
-            backend = dispatch.ProcessPoolBackend(min(workers, len(points)))
+            size = min(workers, len(points))
             try:
-                dispatch.run_each(backend, compute_point, points, on_result=_done)
+                with dispatch.make_executor("pool", size) as pool:
+                    dispatch.run_each(pool, compute_point, points, on_result=_done)
                 counters.parallel_batches += 1
                 counters.dispatches += len(points)
             except (KeyboardInterrupt, SystemExit):
                 raise
             except Exception:
                 counters.parallel_fallbacks += 1
-            finally:
-                backend.shutdown()
         for index, point in enumerate(points):
             if outputs[index] is None:
                 _done(index, compute_point(point))

@@ -19,8 +19,8 @@ Subcommands:
 * ``compare`` — side-by-side diff of result files saved with ``--save``.
 * ``report`` — regenerate the whole evaluation into one markdown file.
 * ``serve`` — run the campaign service: an async HTTP/JSON API that
-  accepts sweep-campaign manifests, executes them through the dispatch
-  backends, resumes a resubmitted campaign from the result cache, and
+  accepts sweep-campaign manifests, executes them on a thread or process
+  pool, resumes a resubmitted campaign from the result cache, and
   exposes live Prometheus metrics at ``/metrics`` (see docs/SERVICE.md).
 
 Observability flags on ``run`` and ``replay`` (see docs/OBSERVABILITY.md):
@@ -30,7 +30,9 @@ runs the invariant suite every N ops, and ``--obs-out PREFIX`` names the
 export files.
 
 Every command prints plain text (the same tables the benchmark harness
-emits) and returns a non-zero exit code on error.
+emits) and returns a non-zero exit code on error; a rejected input or a
+file it cannot open or write prints ``error: ...`` instead of a
+traceback.
 
 Global sweep-engine flags (give them *before* the subcommand):
 ``--workers N`` fans independent sweep points across N worker processes,
@@ -483,12 +485,13 @@ def cmd_serve(args: argparse.Namespace) -> int:
     """Run the campaign service until SIGINT/SIGTERM.
 
     Boots the asyncio HTTP server of :mod:`repro.service` on the given
-    address, scheduling submitted campaigns through the selected dispatch
-    backend.  The global sweep-engine flags apply: ``--workers`` sizes
-    the backend (0 = auto) and ``--cache-dir``/``--no-cache`` control the
-    shared result cache.  That cache is the only record of a finished
-    point, so a restarted server resumes a resubmitted campaign from it,
-    and under ``--no-cache`` recomputes every point.
+    address, running submitted campaigns on the selected dispatch
+    backend, whose workers start with the server.  The global
+    sweep-engine flags apply: ``--workers`` sizes the backend (0 = auto)
+    and ``--cache-dir``/``--no-cache`` control the shared result cache.
+    That cache is the only record of a finished point, so a restarted
+    server resumes a resubmitted campaign from it, and under
+    ``--no-cache`` recomputes every point.
     """
     import asyncio
 
@@ -505,10 +508,9 @@ def cmd_serve(args: argparse.Namespace) -> int:
     )
 
     def _ready(port: int, service) -> None:
-        backend = service.backend
         print(
             f"campaign service listening on http://{config.host}:{port} "
-            f"(backend={backend.name}, workers={backend.workers})",
+            f"(backend={config.backend}, workers={service.workers})",
             flush=True,
         )
 
@@ -729,7 +731,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     try:
         return args.func(args)
-    except ReproError as exc:
+    except (ReproError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     finally:

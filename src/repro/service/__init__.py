@@ -2,8 +2,8 @@
 
 ``repro serve`` boots :class:`~repro.service.server.CampaignService` — an
 asyncio, stdlib-only HTTP server that accepts **campaign manifests**
-(full-factorial factor grids, :mod:`repro.service.manifest`), schedules
-their sweep points through the pluggable dispatch backends of
+(full-factorial factor grids, :mod:`repro.service.manifest`), runs
+their sweep points on a thread or process pool from
 :mod:`repro.analysis.dispatch`, resumes a resubmitted campaign from the
 shared result cache (each point's result is stored as it finishes) and
 exposes live Prometheus metrics (:mod:`repro.service.metrics`).

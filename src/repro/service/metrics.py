@@ -5,10 +5,9 @@ endpoint.  Three metric kinds cover everything the service exposes:
 
 * :class:`Counter` — monotonically increasing, optionally labeled
   (``repro_points_completed_total{kind="stash",source="computed"}``).
-* :class:`Gauge` — set-to-current-value, optionally labeled; a gauge can
-  also be *callback-backed* (:meth:`MetricsRegistry.gauge_func`), read at
-  render time — queue depth, worker utilization and cache hit rates are
-  all live views, not pushed samples.
+* :class:`Gauge` — a callback read at render time
+  (:meth:`MetricsRegistry.gauge_func`): queue depth, worker utilization
+  and cache hit rates are all live views, not pushed samples.
 * :class:`Summary` — sliding-window quantiles (p50/p90/p99) plus
   ``_count``/``_sum``, for submit→result latency.
 
@@ -77,27 +76,32 @@ def _items_for(labelnames: Sequence[str], labels: Dict[str, object]) -> LabelIte
 
 
 class _Metric:
-    """Shared storage for one named metric family."""
+    """One named metric family."""
 
     kind = "untyped"
 
-    def __init__(self, name: str, help_text: str, labelnames: Sequence[str] = ()):
+    def __init__(self, name: str, help_text: str):
         self.name = name
         self.help = help_text
-        self.labelnames = tuple(labelnames)
-        self.values: Dict[LabelItems, float] = {}
         self._lock = threading.Lock()
 
     def samples(self) -> List[Tuple[str, LabelItems, float]]:
         """(suffix, label items, value) rows to render."""
-        with self._lock:
-            return [("", items, value) for items, value in self.values.items()]
+        raise NotImplementedError
 
 
 class Counter(_Metric):
-    """Monotonic counter; ``inc`` with label kwargs when labeled."""
+    """Monotonic counter; ``inc`` with label kwargs when labeled.
+
+    An unlabeled counter renders 0 before its first ``inc``.
+    """
 
     kind = "counter"
+
+    def __init__(self, name: str, help_text: str, labelnames: Sequence[str] = ()):
+        super().__init__(name, help_text)
+        self.labelnames = tuple(labelnames)
+        self.values: Dict[LabelItems, float] = {}
 
     def inc(self, amount: float = 1.0, **labels) -> None:
         if amount < 0:
@@ -106,39 +110,23 @@ class Counter(_Metric):
         with self._lock:
             self.values[items] = self.values.get(items, 0.0) + amount
 
-    def value(self, **labels) -> float:
-        """Current value for one label set (0 when never incremented)."""
-        items = _items_for(self.labelnames, labels)
+    def samples(self) -> List[Tuple[str, LabelItems, float]]:
         with self._lock:
-            return self.values.get(items, 0.0)
+            rows = [("", items, value) for items, value in self.values.items()]
+        return rows or ([] if self.labelnames else [("", (), 0.0)])
 
 
 class Gauge(_Metric):
-    """Set-to-current-value gauge; optionally callback-backed."""
+    """A gauge whose value is a callback, read at render time."""
 
     kind = "gauge"
 
-    def __init__(
-        self,
-        name: str,
-        help_text: str,
-        labelnames: Sequence[str] = (),
-        func: Optional[Callable[[], float]] = None,
-    ):
-        super().__init__(name, help_text, labelnames)
+    def __init__(self, name: str, help_text: str, func: Callable[[], float]):
+        super().__init__(name, help_text)
         self._func = func
 
-    def set(self, value: float, **labels) -> None:
-        if self._func is not None:
-            raise ValueError(f"gauge {self.name} is callback-backed")
-        items = _items_for(self.labelnames, labels)
-        with self._lock:
-            self.values[items] = float(value)
-
     def samples(self) -> List[Tuple[str, LabelItems, float]]:
-        if self._func is not None:
-            return [("", (), float(self._func()))]
-        return super().samples()
+        return [("", (), float(self._func()))]
 
 
 class Summary(_Metric):
@@ -153,7 +141,7 @@ class Summary(_Metric):
     kind = "summary"
 
     def __init__(self, name: str, help_text: str, window: int = 1024):
-        super().__init__(name, help_text, ())
+        super().__init__(name, help_text)
         self._window: deque = deque(maxlen=max(1, int(window)))
         self._count = 0
         self._sum = 0.0
@@ -204,26 +192,15 @@ class MetricsRegistry:
         """Register a counter family."""
         return self._register(Counter(name, help_text, labelnames))  # type: ignore[return-value]
 
-    def gauge(
-        self, name: str, help_text: str, labelnames: Sequence[str] = ()
-    ) -> Gauge:
-        """Register a settable gauge family."""
-        return self._register(Gauge(name, help_text, labelnames))  # type: ignore[return-value]
-
     def gauge_func(
         self, name: str, help_text: str, func: Callable[[], float]
     ) -> Gauge:
         """Register a callback-backed gauge (read at render time)."""
-        return self._register(Gauge(name, help_text, func=func))  # type: ignore[return-value]
+        return self._register(Gauge(name, help_text, func))  # type: ignore[return-value]
 
     def summary(self, name: str, help_text: str, window: int = 1024) -> Summary:
         """Register a sliding-window summary."""
         return self._register(Summary(name, help_text, window))  # type: ignore[return-value]
-
-    def get(self, name: str) -> Optional[_Metric]:
-        """Look up a registered metric by name."""
-        with self._lock:
-            return self._metrics.get(name)
 
     def render(self) -> str:
         """The full Prometheus text exposition (trailing newline included)."""
@@ -233,10 +210,7 @@ class MetricsRegistry:
         for metric in metrics:
             lines.append(f"# HELP {metric.name} {metric.help}")
             lines.append(f"# TYPE {metric.name} {metric.kind}")
-            samples = metric.samples()
-            if not samples and metric.kind in ("counter", "gauge") and not metric.labelnames:
-                samples = [("", (), 0.0)]
-            for suffix, items, value in samples:
+            for suffix, items, value in metric.samples():
                 lines.append(
                     f"{metric.name}{suffix}{_label_str(items)} "
                     f"{_format_value(value)}"

@@ -4,10 +4,13 @@
 stdlib-only service.  Clients POST **campaign manifests**
 (:mod:`repro.service.manifest`); the service expands them to sweep
 points, satisfies what it can from the content-addressed result cache,
-and schedules the rest through a pluggable
-:class:`~repro.analysis.dispatch.DispatchBackend`, one future per point.
-Cache lookups, trace materialization, point computation and cache writes
-go through the same public core as :func:`~repro.analysis.runner.run_points`.
+and runs the rest on a stdlib executor
+(:func:`~repro.analysis.dispatch.make_executor`), one future per point.
+The executor starts its workers when the service is built, before any
+socket or thread exists, so a process pool forks from a single-threaded
+server that holds no connection.  Cache lookups, point computation and
+cache writes go through the same public core as
+:func:`~repro.analysis.runner.run_points`.
 The result cache is the only record of a finished point: each result is
 stored atomically *as it finishes*, so a killed server restarted on the
 same manifest serves the finished points from the cache and re-runs only
@@ -27,7 +30,7 @@ HTTP API (JSON unless noted; see docs/SERVICE.md):
                            cache hit rates, per-kind throughput, worker
                            utilization, latency quantiles, obs gauges)
 ``GET /healthz``           liveness probe
-``GET /``                  service + backend description
+``GET /``                  service + executor description
 ========================== ==============================================
 
 Observed campaigns (manifest ``observe.epoch > 0``) run their points
@@ -44,11 +47,12 @@ from __future__ import annotations
 
 import asyncio
 import json
+import signal
 import socket
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from ..analysis import dispatch as dispatch_mod
@@ -85,9 +89,9 @@ class ServiceConfig:
     max_points: int = 100_000
 
     def __post_init__(self) -> None:
-        if self.backend not in dispatch_mod.BACKENDS:
+        if self.backend not in dispatch_mod.EXECUTORS:
             raise ValueError(
-                f"service backend must be one of {sorted(dispatch_mod.BACKENDS)}, "
+                f"service backend must be one of {sorted(dispatch_mod.EXECUTORS)}, "
                 f"got {self.backend!r}"
             )
 
@@ -163,7 +167,12 @@ class Campaign:
 
 
 class CampaignService:
-    """Schedules campaigns over a dispatch backend; owns the metrics."""
+    """Schedules campaigns on an executor; owns the metrics.
+
+    The executor's workers start here: one no-op submit makes a
+    fork-context process pool fork every worker at once (CPython
+    gh-90622), while the server has one thread and no open connection.
+    """
 
     def __init__(
         self,
@@ -174,8 +183,9 @@ class CampaignService:
         cache_dir = self.config.cache_dir or str(runner.configure()["cache_dir"])
         self.cache_dir = cache_dir
         self.disk = runner.DiskCache(cache_dir) if self.config.cache_enabled else None
-        workers = self.config.workers or runner.effective_workers(None)
-        self.backend = dispatch_mod.make_backend(self.config.backend, workers)
+        self.workers = self.config.workers or runner.effective_workers(None)
+        self.executor = dispatch_mod.make_executor(self.config.backend, self.workers)
+        self.executor.submit(int)
         self.campaigns: Dict[str, Campaign] = {}
         self._tasks: Dict[str, asyncio.Task] = {}
         self.registry = registry or MetricsRegistry()
@@ -224,16 +234,16 @@ class CampaignService:
         )
         r.gauge_func(
             "repro_workers", "Dispatch backend worker slots",
-            lambda: self.backend.workers,
+            lambda: self.workers,
         )
         r.gauge_func(
             "repro_worker_utilization",
             "Fraction of backend workers with a point in flight",
-            lambda: self.backend.utilization,
+            lambda: min(1.0, self._in_flight() / self.workers),
         )
         r.gauge_func(
             "repro_dispatch_in_flight", "Points submitted but not finished",
-            lambda: self.backend.in_flight,
+            self._in_flight,
         )
         # Cache layers, read live from the runner/trace-memo counters.
         c, t = runner.counters, trace_store.counters
@@ -269,6 +279,14 @@ class CampaignService:
             counts = campaign.counts()
             depth += counts["pending"] + counts["running"]
         return depth
+
+    def _in_flight(self) -> int:
+        """Plain points submitted to the executor and not yet finished."""
+        return sum(
+            state == "running" and not spec.point.observed
+            for campaign in self.campaigns.values()
+            for spec, state in zip(campaign.specs, campaign.states)
+        )
 
     def _points_per_second(self) -> float:
         now = time.monotonic()
@@ -381,29 +399,23 @@ class CampaignService:
                 self._complete_point(campaign, index, "cache", 0.0, hit.summary())
             await self._notify(campaign)
 
-            # 2. Materialize every distinct input trace once, off-loop.
-            await loop.run_in_executor(
-                None,
-                runner.materialize_traces,
-                [campaign.specs[i].point for i in pending],
-            )
-
-            # 3. One future per point: plain points on the backend,
-            # observed points in-process (their Observer must come back).
+            # 2. One future per point: plain points on the service's
+            # executor, observed points on the loop's default executor, in
+            # this process (their Observer must come back).
             futures: Dict[asyncio.Future, int] = {}
             for index in pending:
                 point = campaign.specs[index].point
                 if point.observed:
                     future = loop.run_in_executor(None, runner.execute_point, point)
                 else:
-                    future = asyncio.wrap_future(
-                        self.backend.submit(runner.compute_point, point)
+                    future = loop.run_in_executor(
+                        self.executor, runner.compute_point, point
                     )
                 campaign.states[index] = "running"
                 futures[future] = index
             await self._notify(campaign)
 
-            # 4. Fold completions as they land.
+            # 3. Fold completions as they land.
             outstanding = set(futures)
             while outstanding:
                 finished, outstanding = await asyncio.wait(
@@ -454,20 +466,20 @@ class CampaignService:
     # -- lifecycle ----------------------------------------------------------
 
     async def stop(self) -> None:
-        """Cancel running campaigns and drain the backend."""
+        """Cancel running campaigns and drain the executor."""
         tasks = list(self._tasks.values())
         for task in tasks:
             task.cancel()
         if tasks:
             await asyncio.gather(*tasks, return_exceptions=True)
-        self.backend.shutdown(cancel_pending=True)
+        dispatch_mod.drain(self.executor)
 
     def describe(self) -> Dict:
         """``GET /`` payload."""
         return {
             "service": "repro-campaigns",
             "version": SERVICE_VERSION,
-            "backend": self.backend.describe(),
+            "backend": {"backend": self.config.backend, "workers": self.workers},
             "cache_dir": str(self.cache_dir),
             "cache_enabled": self.config.cache_enabled,
             "max_points": self.config.max_points,
@@ -506,6 +518,14 @@ def _json_response(status: int, payload: Dict) -> bytes:
     )
 
 
+class _Refused(Exception):
+    """A request refused before routing, answered with ``status``."""
+
+    def __init__(self, status: int, message: str) -> None:
+        super().__init__(message)
+        self.status = status
+
+
 class HttpFrontend:
     """Minimal HTTP/1.1 request handling over asyncio streams."""
 
@@ -524,33 +544,19 @@ class HttpFrontend:
             code = await self._route(method, path, body, writer)
         except (ConnectionError, asyncio.IncompleteReadError):
             return
-        except ManifestError as exc:
-            code = 413
-            try:
-                writer.write(_json_response(413, {"error": str(exc)}))
-                await writer.drain()
-            except (ConnectionError, RuntimeError):
-                pass
         except Exception as exc:
-            code = 500
+            if isinstance(exc, _Refused):
+                code, error = exc.status, str(exc)
+            else:
+                code, error = 500, f"{type(exc).__name__}: {exc}"
             try:
-                writer.write(
-                    _json_response(500, {"error": f"{type(exc).__name__}: {exc}"})
-                )
+                writer.write(_json_response(code, {"error": error}))
                 await writer.drain()
             except (ConnectionError, RuntimeError):
                 pass
         finally:
             if code is not None:
                 self.service.m_http.inc(method=method, code=str(code))
-            try:
-                # Shut the write side for every holder of the socket: a
-                # pool worker forked while this connection was open keeps
-                # a copy of it, so close() alone would send no FIN.
-                if writer.can_write_eof():
-                    writer.write_eof()
-            except OSError:
-                pass
             try:
                 writer.close()
                 await writer.wait_closed()
@@ -574,12 +580,12 @@ class HttpFrontend:
                 break
             name, _, value = line.decode("latin-1").partition(":")
             if name.strip().lower() == "content-length":
-                try:
-                    content_length = int(value.strip())
-                except ValueError:
-                    content_length = 0
+                text = value.strip()
+                if not (text.isascii() and text.isdigit()):
+                    raise _Refused(400, f"bad Content-Length {text!r}")
+                content_length = int(text)
         if content_length > MAX_BODY_BYTES:
-            raise ManifestError("request body too large")
+            raise _Refused(413, "request body too large")
         body = (
             await reader.readexactly(content_length) if content_length else b""
         )
@@ -699,24 +705,25 @@ async def serve_forever(
     config: ServiceConfig,
     ready: Optional[Callable] = None,
 ) -> int:
-    """Run the service until SIGINT/SIGTERM; returns an exit code.
+    """Run the service until SIGINT/SIGTERM (or cancellation); returns 0.
 
-    ``ready(port, service)`` fires once the socket is bound (tests and the
-    CLI use it to report the final port).
+    The service, and with it the executor's workers, starts first and the
+    socket second, so no worker is ever forked while a connection is
+    open.  ``ready(port, service)`` fires once the socket is bound (tests
+    and the CLI use it to report the final port).  Off the main thread no
+    signal handler can be installed: cancel the task instead, as
+    :class:`ServiceHandle` does.
     """
     service = CampaignService(config)
     server = await start_server(service, config.host, config.port)
-    port = bound_port(server)
     if ready is not None:
-        ready(port, service)
+        ready(bound_port(server), service)
     stop = asyncio.Event()
     loop = asyncio.get_running_loop()
-    import signal as _signal
-
-    for signum in (_signal.SIGINT, _signal.SIGTERM):
+    for signum in (signal.SIGINT, signal.SIGTERM):
         try:
             loop.add_signal_handler(signum, stop.set)
-        except (NotImplementedError, RuntimeError):  # pragma: no cover
+        except (NotImplementedError, RuntimeError):  # off the main thread
             pass
     try:
         await stop.wait()
@@ -730,9 +737,11 @@ async def serve_forever(
 class ServiceHandle:
     """A service running on a daemon thread (benchmarks, smoke tests).
 
-    Owns its event loop; :meth:`start` blocks until the socket is bound
-    and exposes :attr:`port` / :attr:`service`; :meth:`stop` cancels the
-    campaigns, drains the backend and joins the thread.
+    Runs :func:`serve_forever` as a task on its own event loop;
+    :meth:`start` blocks until the socket is bound and exposes
+    :attr:`port` / :attr:`service`; :meth:`stop` cancels the task (which
+    closes the socket, cancels the campaigns and drains the executor) and
+    joins the thread.
     """
 
     def __init__(self, config: ServiceConfig) -> None:
@@ -740,7 +749,7 @@ class ServiceHandle:
         self.port: Optional[int] = None
         self.service: Optional[CampaignService] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._stop: Optional[asyncio.Event] = None
+        self._task: Optional[asyncio.Task] = None
         self._ready = threading.Event()
         self._thread = threading.Thread(
             target=self._main, name="repro-service", daemon=True
@@ -752,32 +761,24 @@ class ServiceHandle:
             raise RuntimeError("campaign service failed to start in time")
         return self
 
+    def _on_ready(self, port: int, service: CampaignService) -> None:
+        self.port, self.service = port, service
+        self._ready.set()
+
     def _main(self) -> None:
         loop = asyncio.new_event_loop()
         asyncio.set_event_loop(loop)
         self._loop = loop
+        self._task = loop.create_task(serve_forever(self.config, self._on_ready))
         try:
-            loop.run_until_complete(self._serve())
+            loop.run_until_complete(self._task)
+        except asyncio.CancelledError:
+            pass
         finally:
             loop.close()
 
-    async def _serve(self) -> None:
-        self.service = CampaignService(self.config)
-        server = await start_server(
-            self.service, self.config.host, self.config.port
-        )
-        self.port = bound_port(server)
-        self._stop = asyncio.Event()
-        self._ready.set()
-        try:
-            await self._stop.wait()
-        finally:
-            server.close()
-            await server.wait_closed()
-            await self.service.stop()
-
     def stop(self, timeout: float = 30.0) -> None:
-        loop, stop = self._loop, self._stop
-        if loop is not None and stop is not None and loop.is_running():
-            loop.call_soon_threadsafe(stop.set)
+        loop, task = self._loop, self._task
+        if loop is not None and task is not None and loop.is_running():
+            loop.call_soon_threadsafe(task.cancel)
         self._thread.join(timeout)

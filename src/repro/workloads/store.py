@@ -5,8 +5,8 @@ seed, block_bytes)`` replays the *identical* trace — a kinds x ratios
 sweep varies only the directory configuration.  This module memoizes
 generated traces in packed form (:class:`repro.sim.trace.PackedTrace`)
 in a dict keyed by the full generation parameterization: one generation
-per key per process, and with a forking process pool, workers inherit
-the parent's memo for free.
+per key per process, even when threads share the memo, and a process
+pool forked after a trace was built inherits it for free.
 
 :data:`counters` tracks memo hits and generations; the sweep runner
 folds them into ``--cache-stats``.  A pool worker's lookups land in the
@@ -18,6 +18,7 @@ parent adds a report from another process with :func:`fold`.
 from __future__ import annotations
 
 import os
+import threading
 import time
 from dataclasses import dataclass
 from typing import Dict, NamedTuple, Optional
@@ -100,6 +101,12 @@ def fold(lookups: TraceLookups) -> None:
 #: In-process generation memo: memo_key -> PackedTrace.
 _TRACE_MEMO: Dict[tuple, PackedTrace] = {}
 
+#: Held only on a memo miss, so threads that share the memo build each key
+#: once while hits stay lock-free.  Nothing forks while it is held: the
+#: campaign service forks its pool before any point runs, and
+#: ``run_points`` materializes its traces before its pool forks.
+_MISS_LOCK = threading.Lock()
+
 
 def clear_memo() -> None:
     """Drop every memoized trace."""
@@ -117,20 +124,26 @@ def get_packed_trace(
     """One workload trace from the memo, generated on a miss.
 
     The returned :class:`PackedTrace` is shared (also kept in the memo):
-    treat it as immutable.  ``disk_enabled`` is accepted and ignored:
-    there is no on-disk trace layer, and the keyword stays only until the
-    benchmark harness stops passing it (ROADMAP item 1).
+    treat it as immutable.  Threads that miss on one key together build
+    it once; the others wait and count a memo hit.  ``disk_enabled`` is
+    accepted and ignored: there is no on-disk trace layer, and the keyword
+    stays only until the benchmark harness stops passing it (ROADMAP
+    item 1).
     """
     key = memo_key(workload, num_cores, ops_per_core, seed, block_bytes)
     hit = _TRACE_MEMO.get(key)
-    if hit is not None:
-        counters.memo_hits += 1
-        return hit
-    start = time.perf_counter()
-    packed = build_workload(
-        workload, num_cores, ops_per_core, seed=seed, block_bytes=block_bytes
-    )
-    counters.gen_seconds += time.perf_counter() - start
-    counters.generated += 1
-    _TRACE_MEMO[key] = packed
-    return packed
+    if hit is None:
+        with _MISS_LOCK:
+            hit = _TRACE_MEMO.get(key)
+            if hit is None:
+                start = time.perf_counter()
+                packed = build_workload(
+                    workload, num_cores, ops_per_core, seed=seed,
+                    block_bytes=block_bytes,
+                )
+                counters.gen_seconds += time.perf_counter() - start
+                counters.generated += 1
+                _TRACE_MEMO[key] = packed
+                return packed
+    counters.memo_hits += 1
+    return hit

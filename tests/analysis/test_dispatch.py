@@ -1,4 +1,4 @@
-"""Tests for the pluggable dispatch backends and graceful interruption.
+"""Tests for the sweep-point executors and graceful interruption.
 
 A ``KeyboardInterrupt`` / SIGTERM during a parallel sweep cancels pending
 futures, drains the pool — even with a *blocked* worker — and leaves the
@@ -11,6 +11,7 @@ import os
 import signal
 import threading
 import time
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 
 import pytest
 
@@ -51,115 +52,99 @@ def _sleep_batch(batch):
     return batch
 
 
-class TestInProcessBackend:
-    def test_batches_complete(self):
-        backend = dispatch.InProcessBackend(workers=2)
-        try:
-            futures = [backend.submit(_double_batch, [i]) for i in range(6)]
-            assert [f.result(timeout=30) for f in futures] == [
-                [0], [2], [4], [6], [8], [10]
-            ]
-        finally:
-            backend.shutdown()
+class TestMakeExecutor:
+    def test_known_names(self):
+        for name, cls in (("inproc", ThreadPoolExecutor),
+                          ("pool", ProcessPoolExecutor)):
+            with dispatch.make_executor(name, 2) as executor:
+                assert type(executor) is cls
 
-    def test_in_flight_returns_to_zero(self):
-        backend = dispatch.InProcessBackend(workers=2)
-        try:
-            futures = [backend.submit(_double_batch, [i]) for i in range(4)]
-            for future in futures:
-                future.result(timeout=30)
-            deadline = time.monotonic() + 5
-            while backend.in_flight and time.monotonic() < deadline:
-                time.sleep(0.01)
-            assert backend.in_flight == 0
-            assert backend.utilization == 0.0
-        finally:
-            backend.shutdown()
+    def test_unknown_name_raises(self):
+        with pytest.raises(ValueError, match="unknown dispatch backend"):
+            dispatch.make_executor("carrier-pigeon", 1)
 
-    def test_shutdown_idempotent(self):
-        backend = dispatch.InProcessBackend(workers=1)
-        backend.submit(_double_batch, [1]).result(timeout=30)
-        backend.shutdown()
-        backend.shutdown()
+    def test_at_least_one_worker(self):
+        with dispatch.make_executor("inproc", 0) as executor:
+            assert executor._max_workers == 1
 
 
-class TestProcessPoolBackend:
-    def test_batches_complete(self):
-        backend = dispatch.ProcessPoolBackend(workers=1)
-        try:
-            future = backend.submit(_double_batch, [1, 2])
-            assert future.result(timeout=60) == [2, 4]
-        finally:
-            backend.shutdown()
-
-    def test_blocked_worker_cannot_wedge_shutdown(self):
-        """The satellite regression: a worker stuck in a 300s sleep must
-        not stall ``shutdown(cancel_pending=True)``."""
-        backend = dispatch.ProcessPoolBackend(workers=1)
-        blocked = backend.submit(_sleep_batch, [1])
-        queued = backend.submit(_double_batch, [2])
+class TestDrain:
+    def test_blocked_worker_cannot_wedge_drain(self):
+        """A worker stuck in a 300s sleep must not stall ``drain``."""
+        pool = dispatch.make_executor("pool", 1)
+        blocked = pool.submit(_sleep_batch, [1])
+        queued = pool.submit(_double_batch, [2])
         # Give the pool a moment to hand the blocked batch to the worker.
         deadline = time.monotonic() + 30
         while not blocked.running() and time.monotonic() < deadline:
             time.sleep(0.01)
         start = time.monotonic()
-        backend.shutdown(cancel_pending=True)
+        dispatch.drain(pool)
         elapsed = time.monotonic() - start
-        assert elapsed < 30, f"shutdown took {elapsed:.1f}s with a blocked worker"
+        assert elapsed < 30, f"drain took {elapsed:.1f}s with a blocked worker"
         # Neither batch may ever produce a result: each future is still
         # pending (stuck in the call queue when the worker died), cancelled,
         # or failed (BrokenProcessPool) — but never successful.
         for future in (queued, blocked):
             if future.done() and not future.cancelled():
                 assert future.exception(timeout=5) is not None
-        # A fresh backend still works after the hard drain.
-        replacement = dispatch.ProcessPoolBackend(workers=1)
-        try:
+        # A fresh pool still works after the hard drain.
+        with dispatch.make_executor("pool", 1) as replacement:
             assert replacement.submit(_double_batch, [3]).result(timeout=60) == [6]
-        finally:
-            replacement.shutdown()
 
+    def test_thread_pool_drain_cancels_queued_without_waiting(self):
+        started, release = threading.Event(), threading.Event()
 
-class TestMakeBackend:
-    def test_known_names(self):
+        def _hold():
+            started.set()
+            return release.wait(timeout=30)
+
+        executor = dispatch.make_executor("inproc", 1)
+        running = executor.submit(_hold)
+        queued = executor.submit(_double_batch, [1])
+        assert started.wait(timeout=30)
+        start = time.monotonic()
+        dispatch.drain(executor)
+        assert time.monotonic() - start < 5
+        assert queued.cancelled()
+        release.set()
+        assert running.result(timeout=30) is True
+
+    def test_drain_idempotent(self):
         for name in ("inproc", "pool"):
-            backend = dispatch.make_backend(name, 2)
-            assert backend.name == name
-            backend.shutdown()
-
-    def test_unknown_name_raises(self):
-        with pytest.raises(ValueError, match="unknown dispatch backend"):
-            dispatch.make_backend("carrier-pigeon")
-
-    def test_describe(self):
-        backend = dispatch.make_backend("inproc", 3)
-        assert backend.describe() == {"backend": "inproc", "workers": 3}
-        backend.shutdown()
+            executor = dispatch.make_executor(name, 1)
+            assert executor.submit(_double_batch, [1]).result(timeout=60) == [2]
+            dispatch.drain(executor)
+            dispatch.drain(executor)
+            with pytest.raises(RuntimeError):
+                executor.submit(_double_batch, [1])
 
 
 class TestRunBatches:
-    def test_outputs_in_input_order(self):
-        backend = dispatch.InProcessBackend(workers=2)
-        try:
+    @pytest.mark.parametrize("name", ["inproc", "pool"])
+    def test_batches_complete(self, name):
+        with dispatch.make_executor(name, 2) as executor:
             outputs = dispatch.run_each(
-                backend, _double_batch, [[3], [1], [2]]
+                executor, _double_batch, [[i] for i in range(6)]
             )
-            assert outputs == [[6], [2], [4]]
-        finally:
-            backend.shutdown()
+        assert outputs == [[0], [2], [4], [6], [8], [10]]
+
+    def test_outputs_in_input_order(self):
+        with ThreadPoolExecutor(2) as executor:
+            outputs = dispatch.run_each(
+                executor, _double_batch, [[3], [1], [2]]
+            )
+        assert outputs == [[6], [2], [4]]
 
     def test_on_batch_sees_every_completion(self):
         seen = {}
-        backend = dispatch.InProcessBackend(workers=2)
-        try:
+        with ThreadPoolExecutor(2) as executor:
             dispatch.run_each(
-                backend,
+                executor,
                 _double_batch,
                 [[i] for i in range(5)],
                 on_result=lambda index, out: seen.__setitem__(index, out),
             )
-        finally:
-            backend.shutdown()
         assert seen == {0: [0], 1: [2], 2: [4], 3: [6], 4: [8]}
 
     def test_interrupt_cancels_and_reraises(self):
@@ -172,13 +157,14 @@ class TestRunBatches:
             gate.set()
             return batch
 
-        backend = dispatch.InProcessBackend(workers=2)
+        executor = ThreadPoolExecutor(2)
         with pytest.raises(KeyboardInterrupt):
             dispatch.run_each(
-                backend, _interrupt_second, [["good"], ["bad"]]
+                executor, _interrupt_second, [["good"], ["bad"]]
             )
-        # The backend was drained by the interrupt path.
-        assert backend._pool is None
+        # The executor was drained by the interrupt path.
+        with pytest.raises(RuntimeError):
+            executor.submit(_double_batch, [1])
 
 
 class TestGracefulSigterm:
@@ -225,7 +211,7 @@ class TestRunnerGracefulShutdown:
 
         # A closure cannot be pickled into a process pool: run on threads.
         monkeypatch.setattr(runner, "compute_point", _wrapped)
-        monkeypatch.setattr(dispatch, "ProcessPoolBackend", dispatch.InProcessBackend)
+        monkeypatch.setitem(dispatch.EXECUTORS, "pool", ThreadPoolExecutor)
         with pytest.raises(KeyboardInterrupt):
             runner.run_points(
                 points, workers=2, cache_dir=cache_dir, cache_enabled=True
@@ -253,8 +239,8 @@ class TestRunnerGracefulShutdown:
     def test_sweep_results_identical_across_backends(self, tmp_path, monkeypatch):
         points = [tiny_point(seed=s) for s in (1, 2)]
         serial = runner.run_points(points, workers=1, cache_enabled=False)
-        for backend in (dispatch.ProcessPoolBackend, dispatch.InProcessBackend):
-            monkeypatch.setattr(dispatch, "ProcessPoolBackend", backend)
+        for executor in (ProcessPoolExecutor, ThreadPoolExecutor):
+            monkeypatch.setitem(dispatch.EXECUTORS, "pool", executor)
             runner.clear_memo()
             got = runner.run_points(points, workers=2, cache_enabled=False)
-            assert got == serial, f"backend {backend.name} diverged"
+            assert got == serial, f"{executor.__name__} diverged"

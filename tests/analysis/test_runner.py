@@ -15,6 +15,7 @@ import json
 import os
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -269,7 +270,7 @@ class TestParallel:
 
         from repro.analysis import dispatch
 
-        monkeypatch.setattr(dispatch, "ProcessPoolExecutor", BrokenPool)
+        monkeypatch.setitem(dispatch.EXECUTORS, "pool", BrokenPool)
         points = [tiny_point(seed=seed) for seed in (1, 2)]
         results = runner.run_points(points, workers=2, cache_enabled=False)
         assert len(results) == 2 and all(results)
@@ -291,7 +292,7 @@ class TestParallel:
             return real_compute_point(point)
 
         monkeypatch.setattr(runner, "compute_point", _fail_seed_two_once)
-        monkeypatch.setattr(dispatch, "ProcessPoolBackend", dispatch.InProcessBackend)
+        monkeypatch.setitem(dispatch.EXECUTORS, "pool", ThreadPoolExecutor)
         points = [tiny_point(seed=seed) for seed in (1, 2, 3)]
         results = runner.run_points(points, workers=2, cache_enabled=False)
         assert all(results)

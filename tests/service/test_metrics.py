@@ -25,9 +25,8 @@ class TestCounter:
         c.inc(kind="stash")
         c.inc(2.0, kind="stash")
         c.inc(kind="sparse")
-        assert c.value(kind="stash") == 3.0
-        assert c.value(kind="sparse") == 1.0
-        assert c.value(kind="cuckoo") == 0.0
+        parsed = parse_prometheus(registry.render())["jobs_total"]
+        assert parsed == {(("kind", "stash"),): 3.0, (("kind", "sparse"),): 1.0}
 
     def test_negative_increment_rejected(self, registry):
         c = registry.counter("n", "N")
@@ -43,22 +42,12 @@ class TestCounter:
 
 
 class TestGauge:
-    def test_set(self, registry):
-        g = registry.gauge("depth", "Depth")
-        g.set(7)
-        assert ((), 7.0) in [(items, v) for _, items, v in g.samples()]
-
     def test_callback_backed(self, registry):
         state = {"value": 1.5}
         g = registry.gauge_func("live", "Live", lambda: state["value"])
         assert g.samples()[0][2] == 1.5
         state["value"] = 2.5
         assert g.samples()[0][2] == 2.5
-
-    def test_set_on_callback_gauge_rejected(self, registry):
-        g = registry.gauge_func("live", "Live", lambda: 0.0)
-        with pytest.raises(ValueError, match="callback-backed"):
-            g.set(1.0)
 
 
 class TestSummary:
@@ -87,12 +76,7 @@ class TestRegistry:
     def test_duplicate_name_rejected(self, registry):
         registry.counter("x", "X")
         with pytest.raises(ValueError, match="already registered"):
-            registry.gauge("x", "X")
-
-    def test_get(self, registry):
-        c = registry.counter("x", "X")
-        assert registry.get("x") is c
-        assert registry.get("y") is None
+            registry.gauge_func("x", "X", lambda: 0.0)
 
 
 class TestRenderAndParse:
@@ -123,10 +107,13 @@ class TestRenderAndParse:
 
     def test_untouched_unlabeled_metrics_render_zero(self, registry):
         registry.counter("never_total", "Never")
-        registry.gauge("idle", "Idle")
+        registry.counter("labeled_total", "Labeled", ("kind",))
+        registry.gauge_func("idle", "Idle", lambda: 0)
         parsed = parse_prometheus(registry.render())
         assert parsed["never_total"][()] == 0.0
         assert parsed["idle"][()] == 0.0
+        # A labeled family has no sample until a label set is incremented.
+        assert "labeled_total" not in parsed
 
     def test_label_escaping_round_trips(self, registry):
         c = registry.counter("esc_total", "Esc", ("name",))

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import multiprocessing
 import socket
 import threading
 import time
@@ -28,6 +29,7 @@ from repro.service import (
     ServiceHandle,
 )
 from repro.service.metrics import parse_prometheus
+from repro.service.server import MAX_BODY_BYTES
 from repro.workloads import store as trace_store
 
 OPS = 200
@@ -90,6 +92,15 @@ class TestServiceConfig:
     def test_accepts_pool_and_inproc(self):
         assert ServiceConfig(backend="pool").backend == "pool"
         assert ServiceConfig(backend="inproc").backend == "inproc"
+
+    def test_describe_reports_backend_and_workers(self, tmp_path):
+        service = CampaignService(service_config(tmp_path, workers=3))
+        try:
+            assert service.describe()["backend"] == {
+                "backend": "inproc", "workers": 3
+            }
+        finally:
+            asyncio.run(service.stop())
 
 
 class TestScheduling:
@@ -250,6 +261,47 @@ class TestScheduling:
         assert campaign.counts()["failed"] == 4
         assert all("synthetic point failure" in (e or "") for e in campaign.errors)
 
+    def test_in_flight_gauges_follow_a_held_point(self, tmp_path, monkeypatch):
+        started, release = threading.Event(), threading.Event()
+        real_compute_point = runner.compute_point
+
+        def _held(point):
+            started.set()
+            release.wait(timeout=60)
+            return real_compute_point(point)
+
+        monkeypatch.setattr(runner, "compute_point", _held)
+        one = manifest(factors=dict(TINY["factors"], kind=["stash"], ratio=[0.5]))
+
+        def gauges(service):
+            parsed = parse_prometheus(service.metrics_text())
+            return (
+                parsed["repro_dispatch_in_flight"][()],
+                parsed["repro_worker_utilization"][()],
+            )
+
+        async def scenario():
+            service = CampaignService(service_config(tmp_path, workers=2))
+            try:
+                campaign, _ = await service.submit(one)
+                deadline = time.monotonic() + 60
+                while not started.is_set() and time.monotonic() < deadline:
+                    await asyncio.sleep(0.01)
+                held = gauges(service)
+                release.set()
+                await asyncio.wait_for(
+                    asyncio.shield(service._tasks[campaign.id]), timeout=120
+                )
+                return campaign, held, gauges(service)
+            finally:
+                release.set()
+                await service.stop()
+
+        campaign, held, after = asyncio.run(scenario())
+        assert campaign.status == "done"
+        assert held == (1.0, 0.5)  # one point on one of two workers
+        assert after == (0.0, 0.0)
+
     def test_observed_campaign_surfaces_gauges(self, tmp_path):
         async def scenario():
             service = CampaignService(service_config(tmp_path))
@@ -280,9 +332,9 @@ class TestScheduling:
 
 class TestWorkerTraceLookups:
     def test_trace_gauge_counts_a_worker_generation(self, tmp_path):
-        """The pool worker is forked during the first campaign, so it
-        generates the second campaign's trace itself; the parent's
-        ``repro_trace_cache_generated`` must count that generation too."""
+        """The pool worker is forked when the service starts, so it
+        generates each campaign's trace itself, once; the parent's
+        ``repro_trace_cache_generated`` must count those generations."""
         second = dict(TINY["factors"], seed=[2])
 
         async def scenario():
@@ -301,11 +353,14 @@ class TestWorkerTraceLookups:
         first, again, text = asyncio.run(scenario())
         assert first.status == again.status == "done"
         gauges = parse_prometheus(text)
-        # Two generations in the server (one per campaign's materialization)
-        # and one in the worker, which predates the second trace.
-        assert gauges["repro_trace_cache_generated"][()] == 3.0
-        assert trace_store.counters.generated == 3
-        assert trace_store.counters.memo_hits == 7  # 8 points, 1 generated
+        # One generation per trace, both in the worker.
+        assert gauges["repro_trace_cache_generated"][()] == 2.0
+        assert trace_store.counters.generated == 2
+        assert trace_store.counters.memo_hits == 6  # 8 points, 2 generated
+        # The server built neither trace: both miss in its own memo.
+        for m in (first.manifest, again.manifest):
+            trace_store.get_packed_trace(*m.expand()[0].point.trace_memo_key)
+        assert trace_store.counters.generated == 4
 
 
 def run_fresh(config: ServiceConfig, m: CampaignManifest):
@@ -510,24 +565,16 @@ class TestHttpApi:
         assert {line["index"] for line in lines} == {0, 1, 2, 3}
         assert all(line["state"] == "done" for line in lines)
 
-    def test_stream_reaches_eof_under_pool_backend(self, tmp_path, monkeypatch):
-        """A pool worker forked while a stream is open must not keep the
-        stream from ending."""
-        stream_open = threading.Event()
-        real_get_packed_trace = trace_store.get_packed_trace
-
-        def _after_stream_opens(*args, **kwargs):
-            # Trace materialization runs before the pool forks its worker:
-            # holding it until the stream is open makes the worker inherit
-            # the stream's socket.
-            stream_open.wait(timeout=60)
-            return real_get_packed_trace(*args, **kwargs)
-
-        monkeypatch.setattr(trace_store, "get_packed_trace", _after_stream_opens)
+    def test_stream_reaches_eof_under_pool_backend(self, tmp_path):
+        """The pool forks its worker when the service starts, before any
+        connection is open, so no worker holds a stream's socket and the
+        stream ends when the server closes it."""
+        before = set(multiprocessing.active_children())
         handle = ServiceHandle(
             service_config(tmp_path, backend="pool", workers=1)
         ).start()
         try:
+            assert len(set(multiprocessing.active_children()) - before) == 1
             status, submitted = self._post_json(handle, "/campaigns", TINY)
             assert status == 201
             with socket.create_connection(
@@ -539,10 +586,8 @@ class TestHttpApi:
                 )
                 reader = sock.makefile("rb")
                 assert reader.readline().startswith(b"HTTP/1.1 200")
-                stream_open.set()
                 rest = reader.read()  # to EOF; a socket timeout fails the test
         finally:
-            stream_open.set()
             handle.stop()
         body = rest.split(b"\r\n\r\n", 1)[1]
         lines = [json.loads(line) for line in body.decode().splitlines()]
@@ -569,6 +614,26 @@ class TestHttpApi:
             assert family in parsed, f"missing family {family}"
         assert sum(parsed["repro_points_completed_total"].values()) == 4
         assert parsed["repro_queue_depth"][()] == 0.0
+
+    @pytest.mark.parametrize("value, status, error", [
+        ("-5", 400, "bad Content-Length '-5'"),
+        ("abc", 400, "bad Content-Length 'abc'"),
+        (str(MAX_BODY_BYTES + 1), 413, "request body too large"),
+    ])
+    def test_content_length_checked_before_the_body(
+        self, handle, value, status, error
+    ):
+        with socket.create_connection(
+            ("127.0.0.1", handle.port), timeout=30
+        ) as sock:
+            sock.sendall(
+                "POST /campaigns HTTP/1.1\r\nHost: 127.0.0.1\r\n"
+                f"Content-Length: {value}\r\n\r\n".encode("ascii")
+            )
+            response = sock.makefile("rb").read()
+        head, _, body = response.partition(b"\r\n\r\n")
+        assert head.startswith(f"HTTP/1.1 {status} ".encode("ascii"))
+        assert json.loads(body) == {"error": error}
 
     def test_error_paths(self, handle):
         status, body = self._post_json(

@@ -175,10 +175,21 @@ class TestCommands:
             assert saved["replay"].engine == engine
             assert saved["run"].engine == engine
 
-    def test_replay_missing_file_fails_cleanly(self, tmp_path, capsys):
-        missing = tmp_path / "missing.csv"
-        with pytest.raises(FileNotFoundError):
-            main(["replay", str(missing), "--cores", "4"])
+    @pytest.mark.parametrize("argv", [
+        ["replay", "{missing}/trace.csv", "--cores", "4"],
+        ["compare", "{missing}/a.json", "{missing}/b.json"],
+        ["gen-trace", "--workload", "mix", "--ops", "10", "{missing}/out.csv"],
+        ["report", "{missing}/r.md", "--sections", "T1"],
+    ], ids=lambda argv: argv[0])
+    def test_missing_file_fails_cleanly(self, tmp_path, capsys, argv):
+        """A file that cannot be opened or written is an error, not a
+        traceback."""
+        missing = tmp_path / "missing"
+        code = main(["--no-cache", *(arg.format(missing=missing) for arg in argv)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert f"{missing}/" in err
 
     def test_replay_bad_trace_returns_error(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"

@@ -12,6 +12,10 @@ from __future__ import annotations
 
 import json
 import struct
+import sys
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -63,6 +67,26 @@ def refused(path):
     return path.exists()
 
 
+def lookups_together(monkeypatch, threads):
+    """``threads`` lookups of one key, started together while the build is
+    slowed by 50 ms; returns what each got."""
+    real_build = store.build_workload
+
+    def _slow_build(*args, **kwargs):
+        time.sleep(0.05)
+        return real_build(*args, **kwargs)
+
+    monkeypatch.setattr(store, "build_workload", _slow_build)
+    all_ready = threading.Barrier(threads)
+
+    def _lookup(_):
+        all_ready.wait(timeout=30)
+        return get()
+
+    with ThreadPoolExecutor(threads) as pool:
+        return list(pool.map(_lookup, range(threads), timeout=60))
+
+
 @pytest.fixture(autouse=True)
 def fresh_store_state():
     """Cold trace memo and zeroed counters around every test."""
@@ -95,6 +119,23 @@ class TestLayering:
         get()
         get(seed=9)
         assert store.counters.generated == 2
+
+    def test_threads_sharing_the_memo_build_once(self, monkeypatch):
+        first, second = lookups_together(monkeypatch, threads=2)
+        assert first is second
+        assert store.counters.generated == 1
+        assert store.counters.memo_hits == 1
+
+    def test_many_threads_switching_often_build_once(self, monkeypatch):
+        """More threads than cores, switching every microsecond."""
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            traces = lookups_together(monkeypatch, threads=8)
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(trace is traces[0] for trace in traces)
+        assert store.counters.generated == 1
 
     def test_disk_disabled_never_spools(self, tmp_path, monkeypatch):
         # The benchmark harness still passes the keyword; it is ignored.

@@ -84,7 +84,7 @@ def generate(output: Path) -> int:
         "counters), `docs/PERFORMANCE.md` (parallel sweep engine and the",
         "persistent result cache), `docs/OBSERVABILITY.md` (epoch sampler,",
         "event tracer, sampled invariant checking), `docs/SERVICE.md`",
-        "(campaign service: async sweep-job HTTP API, dispatch backends,",
+        "(campaign service: async sweep-job HTTP API, thread and process pools,",
         "Prometheus metrics).",
         "",
     ]

@@ -4,13 +4,15 @@ Boots the real CLI (``python -m repro serve``) as a subprocess on an
 ephemeral port, submits a tiny 2x2 campaign over HTTP, reads its NDJSON
 stream to EOF, polls it to completion, and asserts:
 
-* the stream ends (within ``--timeout``) after one line per point — with
-  the pool backend the stream is open while the worker forks;
+* the stream ends (within ``--timeout``) after one line per point;
 * ``GET /metrics`` emits parseable Prometheus text with the expected
   families and a per-kind completed-points count matching the campaign;
 * every point's reported summary is **bit-identical** to running the
   same parameterization directly through the in-process sweep engine;
-* the server shuts down cleanly on SIGTERM;
+* the server shuts down cleanly on SIGTERM, and never forked while it ran
+  more than one thread: it runs with that warning of Python 3.12+ turned
+  on (``use of fork() may lead to deadlocks``), and any output line
+  carrying it fails the smoke;
 * a second server booted on the same cache directory, given the same
   manifest, serves all four points from the result cache
   (``"source": "cache"``, ``cache_hits == 4``, ``executed == 0``) with
@@ -57,6 +59,11 @@ SMOKE_MANIFEST = {
 
 READY_PATTERN = re.compile(r"listening on http://[^:]+:(\d+)")
 
+#: Python 3.12+ warns with this when a multi-threaded process forks; the
+#: server runs with the warning shown (it is a DeprecationWarning).
+FORK_WARNING = "use of fork() may lead to deadlocks"
+FORK_WARNING_FILTER = "always:This process:DeprecationWarning"
+
 
 def _boot(backend: str, cache_dir: str) -> subprocess.Popen:
     env = dict(os.environ)
@@ -65,6 +72,7 @@ def _boot(backend: str, cache_dir: str) -> subprocess.Popen:
                     env.get("PYTHONPATH")) if p
     )
     env["PYTHONUNBUFFERED"] = "1"
+    env["PYTHONWARNINGS"] = FORK_WARNING_FILTER
     return subprocess.Popen(
         [
             sys.executable, "-m", "repro",
@@ -90,7 +98,7 @@ def _wait_ready(proc: subprocess.Popen, timeout: float = 60.0) -> int:
         line = proc.stdout.readline()
         if not line:
             continue
-        print(f"[server] {line.rstrip()}")
+        _echo(line)
         match = READY_PATTERN.search(line)
         if match:
             return int(match.group(1))
@@ -104,10 +112,19 @@ def _read_stream(base: str, campaign_id: str, timeout: float):
         return [json.loads(line) for line in resp.read().decode().splitlines()]
 
 
+def _echo(output: str) -> None:
+    """Print server output; fail if the server forked while multi-threaded."""
+    for line in output.splitlines():
+        print(f"[server] {line}")
+    assert FORK_WARNING not in output, "the server forked while multi-threaded"
+
+
 def _stop(proc: subprocess.Popen) -> None:
-    """SIGTERM the server and require a clean exit."""
+    """SIGTERM the server, require a clean exit, check its remaining output."""
     proc.send_signal(signal.SIGTERM)
     code = proc.wait(timeout=30)
+    assert proc.stdout is not None
+    _echo(proc.stdout.read())
     assert code == 0, f"server exited {code} on SIGTERM"
 
 
