@@ -41,7 +41,7 @@ from ..common.config import (
 from ..common.errors import ConfigError
 from ..common.mesi import CoherenceProtocol
 from ..common.stats import ratio as stat_ratio
-from ..energy.area import storage_of
+from ..energy.area import embedded_storage, storage_of
 from ..energy.model import energy_of
 from ..sim.results import SimulationResult
 from ..workloads.characterize import histogram_buckets, profile_trace
@@ -300,13 +300,14 @@ def run_storage_table(num_cores: int = 16) -> ExperimentOutput:
     """T2 — directory storage per organization and provisioning ratio."""
     rows = []
     data: Dict[str, object] = {}
-    baseline = storage_of(make_config(DirectoryKind.SPARSE, 1.0, num_cores))
+    baseline_config = make_config(DirectoryKind.SPARSE, 1.0, num_cores)
+    baseline = storage_of(baseline_config)
     # The conflict-free in-LLC embedded directory: one row (no provisioning
     # knob), showing the storage sparse directories exist to avoid.
-    in_llc = storage_of(make_config(DirectoryKind.IN_LLC, 1.0, num_cores))
+    in_llc = embedded_storage(baseline_config)
     rows.append(
         [
-            DirectoryKind.IN_LLC.value,
+            "in_llc",
             "-",
             in_llc.entries,
             in_llc.bits_per_entry,

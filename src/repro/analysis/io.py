@@ -14,7 +14,7 @@ import dataclasses
 import json
 from enum import Enum
 from pathlib import Path
-from typing import Dict, Union
+from typing import Dict, Type, TypeVar, Union
 
 from ..common.config import (
     CacheConfig,
@@ -37,6 +37,8 @@ from .tables import render_table
 
 #: Format marker written into every result file.
 FORMAT_VERSION = 1
+
+E = TypeVar("E", bound=Enum)
 
 
 def _encode(value):
@@ -85,12 +87,22 @@ def _timing_from_dict(data: Dict) -> TimingConfig:
 _FIXED_HIER_FIELDS = {"hier_cluster": 0, "hier_pointers": HIER_POINTERS}
 
 
+def _enum_from(cls: Type[E], value: object, what: str) -> E:
+    """``cls(value)``; a value ``cls`` does not define is a ConfigError."""
+    try:
+        return cls(value)
+    except ValueError:
+        known = ", ".join(member.value for member in cls)
+        raise ConfigError(f"unknown {what} {value!r} (known: {known})") from None
+
+
 def _directory_from_dict(data: Dict) -> DirectoryConfig:
     """A DirectoryConfig; drops the fixed hierarchical knobs of older files.
 
     Files saved while the hierarchical format had knobs carry
     ``"hier_cluster": 0, "hier_pointers": 2``, the values every system
-    uses.  Any other value names a machine this code cannot rebuild.
+    uses.  Any other value names a machine this code cannot rebuild, and
+    so does the ``in_llc`` kind of older files.
     """
     fields = dict(data)
     for name, fixed in _FIXED_HIER_FIELDS.items():
@@ -100,9 +112,17 @@ def _directory_from_dict(data: Dict) -> DirectoryConfig:
                 f"{name}={value!r} is gone; the hierarchical format always "
                 f"uses {name}={fixed}"
             )
-    fields["kind"] = DirectoryKind(fields["kind"])
-    fields["sharer_format"] = SharerFormat(fields["sharer_format"])
-    fields["stash_eligibility"] = StashEligibility(fields["stash_eligibility"])
+    if fields["kind"] == "in_llc":
+        raise ConfigError(
+            "directory kind 'in_llc' is gone; it simulated exactly as 'ideal'"
+        )
+    fields["kind"] = _enum_from(DirectoryKind, fields["kind"], "directory kind")
+    fields["sharer_format"] = _enum_from(
+        SharerFormat, fields["sharer_format"], "sharer format"
+    )
+    fields["stash_eligibility"] = _enum_from(
+        StashEligibility, fields["stash_eligibility"], "stash eligibility"
+    )
     return DirectoryConfig(**fields)
 
 
@@ -118,9 +138,11 @@ def config_from_dict(data: Dict) -> SystemConfig:
         noc=NoCConfig(**data["noc"]),
         timing=_timing_from_dict(data["timing"]),
         energy=EnergyConfig(**data["energy"]),
-        memory_model=MemoryModel(data["memory_model"]),
+        memory_model=_enum_from(MemoryModel, data["memory_model"], "memory model"),
         dram=DramConfig(**data["dram"]),
-        protocol=CoherenceProtocol(data.get("protocol", "mesi")),
+        protocol=_enum_from(
+            CoherenceProtocol, data.get("protocol", "mesi"), "protocol"
+        ),
         check_invariants=data["check_invariants"],
         seed=data["seed"],
     )

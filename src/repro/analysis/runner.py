@@ -74,9 +74,6 @@ from ..workloads import store as trace_store
 from . import dispatch
 from .io import FORMAT_VERSION, config_to_dict, result_from_dict, result_to_dict
 
-# Re-exported for callers that think in runner terms (CLI, benchmarks).
-trace_counters = trace_store.counters
-
 #: Layout version of the on-disk cache wrapper; bump on wrapper changes.
 CACHE_SCHEMA_VERSION = 1
 

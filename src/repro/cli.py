@@ -616,13 +616,9 @@ def build_parser() -> argparse.ArgumentParser:
     fuzz.add_argument("--ops", type=int, default=400, help="ops per program")
     fuzz.add_argument("--seeds", type=int, default=10, help="programs to run")
     fuzz.add_argument("--seed-base", type=int, default=1, help="first seed")
+    fuzz_kinds = [k.value for k in DirectoryKind if k is not DirectoryKind.IDEAL]
     fuzz.add_argument(
-        "--kinds", nargs="+",
-        default=[
-            "sparse", "cuckoo", "scd", "stash", "adaptive_stash", "in_llc",
-            "tardis",
-        ],
-        choices=[k.value for k in DirectoryKind if k.value != "ideal"],
+        "--kinds", nargs="+", default=fuzz_kinds, choices=fuzz_kinds,
         help="organizations to run as matrix rows (IDEAL always runs)",
     )
     fuzz.add_argument(

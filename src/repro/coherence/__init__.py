@@ -1,5 +1,6 @@
 """MESI directory coherence protocol engine."""
 
+from ..common.mesi import LlcState, MesiState, can_read, can_write
 from .invariants import (
     check_data_values,
     check_directory_inclusion,
@@ -10,7 +11,6 @@ from .invariants import (
 from .l1_controller import L1Controller
 from .llc_controller import HomeController
 from .protocol import CoherentSystem
-from .states import LlcState, MesiState, can_read, can_write, is_exclusive_class
 
 __all__ = [
     "CoherentSystem",
@@ -25,5 +25,4 @@ __all__ = [
     "check_entries_llc_resident",
     "check_llc_inclusion",
     "check_swmr",
-    "is_exclusive_class",
 ]

@@ -16,9 +16,9 @@ from typing import Dict, List
 from ..cache.l1 import L1Cache
 from ..cache.llc import SharedLLC
 from ..common.errors import InvariantViolation
+from ..common.mesi import MesiState
 from ..core.relaxed_inclusion import check_relaxed_inclusion, check_strict_inclusion
 from ..directory.base import Directory
-from .states import MesiState
 
 
 def check_swmr(l1s: List[L1Cache]) -> None:

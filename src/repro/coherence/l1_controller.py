@@ -22,12 +22,12 @@ from typing import Optional
 from ..cache.l1 import L1Cache
 from ..common.config import TimingConfig
 from ..common.errors import ProtocolError
+from ..common.mesi import MesiState
 from ..common.stats import StatCounter, StatGroup
 from ..noc.network import Network
 from ..noc.traffic import MessageClass
 from ..obs.events import EV_GRANT, EV_MISS, EV_UPGRADE
 from .llc_controller import HomeController
-from .states import MesiState
 
 # Raw int MESI states: the hit path never constructs a MesiState.
 _S_SHARED = int(MesiState.SHARED)

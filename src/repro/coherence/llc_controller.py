@@ -54,6 +54,7 @@ from ..cache.l1 import L1Cache
 from ..cache.llc import SharedLLC
 from ..common.config import SystemConfig
 from ..common.errors import ProtocolError
+from ..common.mesi import CoherenceProtocol, MesiState
 from ..common.stats import StatCounter, StatGroup
 from ..core.discovery import DiscoveryDemand, DiscoveryEngine
 from ..directory.base import Directory, DirectoryEntry, Eviction, EvictionAction
@@ -70,7 +71,6 @@ from ..obs.events import (
     EV_LLC_EVICT,
     EV_STASH_SPILL,
 )
-from .states import CoherenceProtocol, MesiState
 
 # Raw int MESI states for the tuple-based grant path (no enum construction
 # per transaction; MesiState is an IntEnum so == comparisons interoperate).

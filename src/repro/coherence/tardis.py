@@ -57,12 +57,12 @@ from ..cache.l1 import L1Cache
 from ..cache.llc import SharedLLC
 from ..common.config import SystemConfig
 from ..common.errors import ConfigError, InvariantViolation, ProtocolError
+from ..common.mesi import MesiState
 from ..common.stats import StatCounter, StatGroup
 from ..directory.timestamp import TardisEntry, TimestampDirectory
 from ..mem import Memory
 from ..noc.network import Network
 from ..noc.traffic import MessageClass
-from .states import MesiState
 
 _S_SHARED = int(MesiState.SHARED)
 _S_EXCLUSIVE = int(MesiState.EXCLUSIVE)

@@ -35,9 +35,6 @@ class DirectoryKind(str, Enum):
     ADAPTIVE_STASH = "adaptive_stash"  # extension: stash with feedback throttling
     SCD = "scd"            # SCD-lite baseline (Sanchez & Kozyrakis, HPCA'12):
                            # fully associative line pool, multi-line sharer sets
-    IN_LLC = "in_llc"      # sharer vector embedded in every LLC line (no
-                           # conflicts; the storage-hungry design sparse
-                           # directories exist to avoid)
     TARDIS = "tardis"      # timestamp coherence (Yu & Devadas, PACT'15):
                            # per-block read/write timestamps + lease-based
                            # self-invalidation; no sharer tracking at all

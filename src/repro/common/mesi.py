@@ -55,11 +55,6 @@ def can_write(state: MesiState) -> bool:
     return state in (MesiState.EXCLUSIVE, MesiState.MODIFIED)
 
 
-def is_exclusive_class(state: MesiState) -> bool:
-    """True for states that guarantee no other cache holds the line (E/M)."""
-    return state in (MesiState.EXCLUSIVE, MesiState.MODIFIED)
-
-
 class LlcState(IntEnum):
     """Validity of a line in the shared LLC (data home)."""
 

@@ -1,8 +1,9 @@
 """Directory organizations: interface, baselines and the factory.
 
 The contribution (:class:`~repro.core.StashDirectory`) lives in
-:mod:`repro.core`; :func:`make_directory` builds any of the four kinds from
-a :class:`~repro.common.config.DirectoryConfig`.
+:mod:`repro.core`; :func:`make_directory` builds any
+:class:`~repro.common.config.DirectoryKind` from a
+:class:`~repro.common.config.DirectoryConfig`.
 """
 
 from __future__ import annotations
@@ -81,17 +82,10 @@ def make_directory(
     """
     if config.kind is DirectoryKind.IDEAL:
         return IdealDirectory(config, num_cores, stats)
-    if config.kind is DirectoryKind.IN_LLC:
-        # Behaviourally an unbounded directory: entries exist exactly for
-        # LLC-resident blocks (the protocol deallocates on LLC eviction),
-        # so embedding a sharer vector in every LLC line never conflicts.
-        # The difference from IDEAL is purely the storage model (see
-        # repro.energy.area).
-        return IdealDirectory(config, num_cores, stats)
     if config.kind is DirectoryKind.TARDIS:
         # No sharer tracking: per-block timestamps living in the LLC tag
-        # array.  Entries exist exactly for LLC-resident blocks, like
-        # IN_LLC; the protocol logic lives in repro.coherence.tardis.
+        # array.  Entries exist exactly for LLC-resident blocks; the
+        # protocol logic lives in repro.coherence.tardis.
         return TimestampDirectory(config, num_cores, stats)
     if config.kind is DirectoryKind.SPARSE:
         return SparseDirectory(config, num_cores, entries, rng, stats)

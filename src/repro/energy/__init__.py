@@ -3,6 +3,7 @@
 from .area import (
     PHYSICAL_ADDR_BITS,
     StorageEstimate,
+    embedded_storage,
     entry_bits,
     storage_of,
 )
@@ -12,6 +13,7 @@ __all__ = [
     "EnergyBreakdown",
     "PHYSICAL_ADDR_BITS",
     "StorageEstimate",
+    "embedded_storage",
     "energy_of",
     "entry_bits",
     "storage_of",

@@ -50,11 +50,16 @@ def entry_bits(config: DirectoryConfig, num_cores: int, sets: int, block_bytes: 
     if config.kind in (DirectoryKind.CUCKOO, DirectoryKind.SCD):
         # Fully hashed / fully associative pools store the full block address.
         tag = block_addr_bits
-    elif config.kind in (DirectoryKind.IN_LLC, DirectoryKind.TARDIS):
+    elif config.kind is DirectoryKind.TARDIS:
         # Embedded in the LLC line: the LLC tag already identifies the block.
         tag = 0
     else:
         tag = block_addr_bits - max(0, log2_exact(max(1, sets)))
+    return tag + _untagged_entry_bits(config, num_cores)
+
+
+def _untagged_entry_bits(config: DirectoryConfig, num_cores: int) -> int:
+    """Bits per entry besides the tag: state, owner, replacement, sharers."""
     state = 2
     valid = 1
     owner_ptr = max(1, (num_cores - 1).bit_length())
@@ -74,7 +79,26 @@ def entry_bits(config: DirectoryConfig, num_cores: int, sets: int, block_bytes: 
         sharers = max(DEFAULT_POINTERS * ptr_bits, DEFAULT_LEAF_SIZE) + 1
     else:
         sharers = sharer_storage_bits(config, num_cores)
-    return tag + state + valid + owner_ptr + replacement + sharers
+    return state + valid + owner_ptr + replacement + sharers
+
+
+def embedded_storage(config: SystemConfig) -> StorageEstimate:
+    """Storage of a directory embedded in the LLC, in ``config``'s entry format.
+
+    One untagged entry per LLC line (the LLC tag identifies the block)
+    holding the fields of ``config``'s directory entry, and no stash bits.
+    Entries exist exactly for LLC-resident blocks, so the design never
+    conflicts and simulates as the ideal directory; T2 prints its storage,
+    the cost sparse directories exist to avoid.
+    """
+    entries = config.llc.blocks
+    bits = _untagged_entry_bits(config.directory, config.num_cores)
+    return StorageEstimate(
+        entries=entries,
+        bits_per_entry=bits,
+        directory_bits=entries * bits,
+        stash_bit_overhead=0,
+    )
 
 
 def storage_of(config: SystemConfig) -> StorageEstimate:
@@ -84,7 +108,7 @@ def storage_of(config: SystemConfig) -> StorageEstimate:
     if dcfg.kind is DirectoryKind.IDEAL:
         # Report the duplicate-tag equivalent: one entry per private block.
         entries = config.num_cores * config.private_blocks_per_core
-    elif dcfg.kind in (DirectoryKind.IN_LLC, DirectoryKind.TARDIS):
+    elif dcfg.kind is DirectoryKind.TARDIS:
         # One embedded entry per LLC line (no tag: the LLC tag serves).
         entries = config.llc.blocks
     sets = max(1, entries // dcfg.ways)

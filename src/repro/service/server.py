@@ -29,7 +29,7 @@ HTTP API (JSON unless noted; see docs/SERVICE.md):
 ``GET /metrics``           Prometheus text format (queue depth, points/s,
                            cache hit rates, per-kind throughput, worker
                            utilization, latency quantiles, obs gauges)
-``GET /healthz``           liveness probe
+``GET /healthz``           liveness probe (503 once the executor broke)
 ``GET /``                  service + executor description
 ========================== ==============================================
 
@@ -52,6 +52,7 @@ import socket
 import threading
 import time
 from collections import deque
+from concurrent.futures import BrokenExecutor
 from dataclasses import dataclass
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 
@@ -192,6 +193,11 @@ class CampaignService:
         self._completions: Deque[float] = deque(maxlen=4096)
         self._obs_campaign: Optional[str] = None
         self._obs_gauges: Dict[str, float] = {}
+        #: The error of a broken executor (a pool whose worker died);
+        #: ``/healthz`` answers 503 with it, so a supervisor can restart
+        #: the server.  The pool is not rebuilt in place: the server has
+        #: threads and open sockets a fork would copy.
+        self.broken: Optional[str] = None
         self._build_metrics()
 
     # -- metrics ------------------------------------------------------------
@@ -434,12 +440,22 @@ class CampaignService:
         except ManifestError as exc:
             campaign.status = "failed"
             campaign.error = str(exc)
-        except Exception as exc:  # pragma: no cover - defensive
+        except Exception as exc:
             campaign.status = "failed"
-            campaign.error = f"{type(exc).__name__}: {exc}"
+            campaign.error = self._error_of(exc)
+            for index, state in enumerate(campaign.states):
+                if state in ("pending", "running"):
+                    self._fail_point(campaign, index, campaign.error)
         finally:
             campaign.finished = time.time()
             await self._notify(campaign)
+
+    def _error_of(self, exc: Exception) -> str:
+        """A point's error text; keeps it as :attr:`broken` if the pool is."""
+        error = f"{type(exc).__name__}: {exc}"
+        if isinstance(exc, BrokenExecutor):
+            self.broken = error
+        return error
 
     def _fold(self, campaign: Campaign, index: int, future) -> None:
         """Record one finished point through the runner core."""
@@ -447,7 +463,7 @@ class CampaignService:
         try:
             output = future.result()
         except Exception as exc:
-            self._fail_point(campaign, index, f"{type(exc).__name__}: {exc}")
+            self._fail_point(campaign, index, self._error_of(exc))
             return
         if point.observed:
             output, observer = output
@@ -492,7 +508,7 @@ class CampaignService:
 _STATUS_TEXT = {
     200: "OK", 201: "Created", 400: "Bad Request", 404: "Not Found",
     405: "Method Not Allowed", 413: "Payload Too Large",
-    500: "Internal Server Error",
+    500: "Internal Server Error", 503: "Service Unavailable",
 }
 
 #: Reject request bodies above this size (a manifest is small).
@@ -606,6 +622,8 @@ class HttpFrontend:
         if path == "/" and method == "GET":
             return await send(200, service.describe())
         if path == "/healthz" and method == "GET":
+            if service.broken:
+                return await send(503, {"ok": False, "error": service.broken})
             return await send(200, {"ok": True})
         if path == "/metrics" and method == "GET":
             writer.write(

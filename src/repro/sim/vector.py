@@ -5,12 +5,13 @@ interpreter (:mod:`repro.sim.simulator`) walks the live controller objects
 for every operation, this engine runs the protocol over **flat state** —
 per-core line dictionaries backed by flat last-use/occupancy arrays, LLC
 and directory entries as small lists, sharer sets as integer bitmasks —
-and dispatches each operation through the integer transition tables of
-:mod:`repro.coherence.tables` (generated from, and validated against, the
-real controllers).  Input is a :class:`~repro.sim.trace.PackedTrace`;
-per-core streams are decoded **in epoch-sized batches** — one
-``array('Q')`` slice turned into Python ints by ``tolist()`` in C — and
-the interleave loop splits each raw word with one shift and one mask.
+and dispatches each operation through the integer transition table of
+:mod:`repro.coherence.tables` (written down from the MESI predicates and
+checked against the real controllers by the engine differential).  Input
+is a :class:`~repro.sim.trace.PackedTrace`; per-core streams are decoded
+**in epoch-sized batches** — one ``array('Q')`` slice turned into Python
+ints by ``tolist()`` in C — and the interleave loop splits each raw word
+with one shift and one mask.
 
 The contract is the golden one: per-core cycle counts, the full flattened
 statistics tree, observed data versions and effective-tracking samples are
@@ -73,7 +74,7 @@ import sys
 from array import array
 from typing import Dict, List, Optional, Set, Tuple
 
-from ..coherence.tables import L1Tables, l1_tables
+from ..coherence.tables import L1_TABLES, L1Tables
 from ..common.addr import log2_exact
 from ..common.config import (
     DirectoryKind,
@@ -114,7 +115,7 @@ _EVEN_BYTES = bytes(range(0, 256, 2))
 _NEVER = float("inf")
 
 #: Directory kinds with a flat model: every organization the paper's
-#: figures compare.  Adaptive stash, in-LLC and Tardis fall back to the
+#: figures compare.  Adaptive stash and Tardis fall back to the
 #: interpreter.
 _FLAT_KINDS = frozenset(
     {
@@ -185,15 +186,15 @@ def vector_supports(config: SystemConfig) -> Optional[str]:
     return None
 
 
-def flat_machine(config: SystemConfig, tables: Optional[L1Tables] = None):
+def flat_machine(config: SystemConfig, tables: L1Tables = L1_TABLES):
     """Build the flat machine for ``config``'s directory organization.
 
     The vector engine runs on it, and the fuzzer's vector column drives
     it op by op.
 
-    ``tables`` overrides the derived transition tables — the fuzz differ
-    passes a deliberately corrupted table to prove engine-vs-engine
-    comparison catches table-generation bugs.  Raises
+    ``tables`` overrides :data:`~repro.coherence.tables.L1_TABLES` — the
+    fuzz differ passes a deliberately corrupted table to prove
+    engine-vs-engine comparison catches a wrong table.  Raises
     :class:`~repro.common.errors.TraceError` when :func:`vector_supports`
     rejects the configuration.
     """
@@ -214,13 +215,11 @@ class _FlatMachine:
     :func:`flat_machine` picks one.
     """
 
-    def __init__(self, config: SystemConfig, tables: Optional[L1Tables] = None) -> None:
+    def __init__(self, config: SystemConfig, tables: L1Tables = L1_TABLES) -> None:
         reason = vector_supports(config)
         if reason is not None:
             raise TraceError(f"vector engine cannot run this config: {reason}")
         self.config = config
-        if tables is None:
-            tables = l1_tables(config.protocol)
         self.tables = tables
         self.act = tables.flat_action()
         self.grant = tables.grant_state
@@ -1587,7 +1586,7 @@ class _CuckooMachine(_FlatMachine):
     from the directory's own random stream.
     """
 
-    def __init__(self, config: SystemConfig, tables: Optional[L1Tables] = None) -> None:
+    def __init__(self, config: SystemConfig, tables: L1Tables = L1_TABLES) -> None:
         super().__init__(config, tables)
         entries = config.directory_entries
         ways = self.dways
@@ -1707,7 +1706,7 @@ class _ScdMachine(_FlatMachine):
     check, so the total the check reads is exact.
     """
 
-    def __init__(self, config: SystemConfig, tables: Optional[L1Tables] = None) -> None:
+    def __init__(self, config: SystemConfig, tables: L1Tables = L1_TABLES) -> None:
         super().__init__(config, tables)
         self.pool_capacity = config.directory_entries
         self.pool_lines = 0
@@ -1793,7 +1792,7 @@ class VectorEngine:
     def __init__(
         self,
         config: SystemConfig,
-        tables: Optional[L1Tables] = None,
+        tables: L1Tables = L1_TABLES,
         epoch_ops: int = DEFAULT_EPOCH_OPS,
         sample_interval: int = 4096,
     ) -> None:

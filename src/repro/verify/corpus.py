@@ -40,6 +40,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
+from ..common.config import DirectoryKind
 from ..common.errors import TraceError
 from ..sim.trace import FlatOp, PackedTrace, pack_flat_program, unpack_flat_program
 from .differ import RunOptions
@@ -203,7 +204,8 @@ def load_case(path: Union[str, Path]) -> FailureCase:
     Reads exactly ``path``, whatever it is named, and checks the header's
     key against the :func:`case_key` of the decoded case.  Raises
     :class:`~repro.common.errors.TraceError` when the file is missing,
-    corrupt, or not a fuzz case; the file is never deleted.
+    corrupt, not a fuzz case or names a directory kind this code does not
+    have; the file is never deleted.
     """
     header, packed = read_trace_file(path)
     meta = header.get(FUZZ_META_KEY)
@@ -212,7 +214,7 @@ def load_case(path: Union[str, Path]) -> FailureCase:
     try:
         case = FailureCase(
             program=unpack_flat_program(packed),
-            kind=str(meta["kind"]),
+            kind=DirectoryKind(meta["kind"]).value,
             category=str(meta["category"]),
             detail=str(meta.get("detail", "")),
             options=RunOptions.from_meta(meta["options"]),

@@ -40,7 +40,7 @@ cells prefix their category with ``engine-`` (vector) or ``trace-``
 pairs the minimizer keys on, stay disjoint across columns.
 
 Fault injection: :data:`FAULTS` maps names to test-only mutations.  Each
-names what it corrupts — a built system or the derived transition tables
+names what it corrupts — a built system or the L1 transition tables
 — and with it the cells it reaches.  They exist to prove the harness
 *can* catch bugs.  The references always run clean: no cell is ever
 judged against a faulted cell.
@@ -65,7 +65,7 @@ from ..common.config import (
 from ..common.errors import ReproError, InvariantViolation
 from ..common.mesi import CoherenceProtocol
 from ..coherence.protocol import CoherentSystem
-from ..coherence.tables import L1Tables, corrupt_l1_tables, l1_tables
+from ..coherence.tables import L1_TABLES, L1Tables, corrupt_l1_tables
 from ..directory.sharers import CoarseVector, LimitedPointer, make_sharer_rep
 from ..sim.simulator import run_trace
 from ..sim.system import build_system
@@ -190,8 +190,8 @@ class FaultSpec:
     """A named, test-only mutation of the part of a cell ``corrupts`` names.
 
     ``"system"``: ``inject`` mutates a built interpreter system in place.
-    ``"tables"``: it maps the derived L1 transition tables to a corrupted
-    copy.
+    ``"tables"``: it maps :data:`~repro.coherence.tables.L1_TABLES` to a
+    corrupted copy.
     """
 
     name: str
@@ -302,7 +302,7 @@ def _inject_ts_rollover(system: CoherentSystem) -> None:
 def _corrupt_e_write_cell(tables: L1Tables) -> L1Tables:
     # Cell 5 = (EXCLUSIVE, write): the silent E->M upgrade becomes a plain
     # read hit, so both vector columns lose a version mint the interpreter
-    # performs — the signature of a mis-generated table.
+    # performs — the signature of a wrong table.
     return corrupt_l1_tables(tables, cell=5)
 
 
@@ -343,7 +343,7 @@ FAULTS: Dict[str, FaultSpec] = {
         FaultSpec(
             "table-corrupt",
             "tables",
-            "flip the (EXCLUSIVE, write) cell of the derived L1 action table",
+            "flip the (EXCLUSIVE, write) cell of the L1 action table",
             _corrupt_e_write_cell,
         ),
     )
@@ -403,9 +403,9 @@ def execute_program(
         fault = None
     index = -1
     try:
-        tables = None
+        tables = L1_TABLES
         if fault is not None and fault.corrupts == "tables":
-            tables = fault.inject(l1_tables(config.protocol))
+            tables = fault.inject(L1_TABLES)
         versions = result.versions
         if column == "interp":
             system = build_system(config)

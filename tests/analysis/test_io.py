@@ -83,6 +83,19 @@ class TestConfigRoundtrip:
         with pytest.raises(ConfigError, match=field):
             config_from_dict(data)
 
+    @pytest.mark.parametrize("section, name, what", [
+        ("directory", "kind", "directory kind"),
+        ("directory", "sharer_format", "sharer format"),
+        ("directory", "stash_eligibility", "stash eligibility"),
+        (None, "memory_model", "memory model"),
+        (None, "protocol", "protocol"),
+    ])
+    def test_unknown_enum_value_rejected(self, section, name, what):
+        data = config_to_dict(tiny_config())
+        (data[section] if section else data)[name] = "bogus"
+        with pytest.raises(ConfigError, match=f"unknown {what} 'bogus'"):
+            config_from_dict(data)
+
     def test_saved_float_cpi_becomes_int(self):
         # Files written while the CPI was a float carry "core_fixed_cpi": 1.0.
         config = tiny_config()

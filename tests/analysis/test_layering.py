@@ -1,7 +1,8 @@
-"""The analysis layer never imports the campaign service above it.
+"""Lower layers never import the layers built on them.
 
 ``repro.service`` is built on ``repro.analysis`` (the runner, the dispatch
-backends), so an import the other way is a cycle in the layering.  The
+backends), and ``repro.sim`` on ``repro.coherence`` (the controllers, the
+L1 table), so an import the other way is a cycle in the layering.  The
 imports are read from the source with :mod:`ast`, so a lazy import inside
 a function counts as much as one at the top of the module.
 """
@@ -14,14 +15,16 @@ from pathlib import Path
 import pytest
 
 import repro.analysis
+import repro.coherence
 
 ANALYSIS = Path(repro.analysis.__file__).resolve().parent
+COHERENCE = Path(repro.coherence.__file__).resolve().parent
 FORBIDDEN = "repro.service"
 
 
-def module_name(path: Path) -> str:
-    """Dotted module name of a file under ``repro/analysis``."""
-    parts = ["repro", "analysis", *path.relative_to(ANALYSIS).with_suffix("").parts]
+def module_name(path: Path, root: Path = ANALYSIS) -> str:
+    """Dotted module name of a file under the ``repro`` package ``root``."""
+    parts = ["repro", root.name, *path.relative_to(root).with_suffix("").parts]
     return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
 
 
@@ -45,8 +48,8 @@ def imported_modules(module: str, source: str, is_package: bool = False):
                 yield node.lineno, f"{origin}.{alias.name}"
 
 
-def reaches_service(name: str) -> bool:
-    return name == FORBIDDEN or name.startswith(FORBIDDEN + ".")
+def reaches(name: str, package: str) -> bool:
+    return name == package or name.startswith(package + ".")
 
 
 @pytest.mark.parametrize(
@@ -56,8 +59,20 @@ def test_analysis_module_does_not_import_service(path):
     module = module_name(path)
     found = imported_modules(module, path.read_text(), path.name == "__init__.py")
     bad = sorted({f"line {line}: {name}" for line, name in found
-                  if reaches_service(name)})
+                  if reaches(name, FORBIDDEN)})
     assert not bad, f"{module} imports the service layer: {bad}"
+
+
+@pytest.mark.parametrize(
+    "path", sorted(COHERENCE.rglob("*.py")),
+    ids=lambda path: module_name(path, COHERENCE),
+)
+def test_coherence_module_does_not_import_sim(path):
+    module = module_name(path, COHERENCE)
+    found = imported_modules(module, path.read_text(), path.name == "__init__.py")
+    bad = sorted({f"line {line}: {name}" for line, name in found
+                  if reaches(name, "repro.sim")})
+    assert not bad, f"{module} imports the simulator layer: {bad}"
 
 
 @pytest.mark.parametrize("module, is_package, source, expected, forbidden", [
@@ -76,4 +91,4 @@ def test_analysis_module_does_not_import_service(path):
 def test_walker_resolves_import_shapes(module, is_package, source, expected, forbidden):
     names = {name for _, name in imported_modules(module, source, is_package)}
     assert expected in names
-    assert any(reaches_service(name) for name in names) is forbidden
+    assert any(reaches(name, FORBIDDEN) for name in names) is forbidden

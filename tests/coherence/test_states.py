@@ -1,12 +1,6 @@
 """Unit tests for MESI state predicates."""
 
-from repro.coherence.states import (
-    LlcState,
-    MesiState,
-    can_read,
-    can_write,
-    is_exclusive_class,
-)
+from repro.common.mesi import LlcState, MesiState, can_read, can_write
 
 
 class TestPredicates:
@@ -21,11 +15,6 @@ class TestPredicates:
         assert can_write(MesiState.MODIFIED)
         assert not can_write(MesiState.SHARED)
         assert not can_write(MesiState.INVALID)
-
-    def test_exclusive_class(self):
-        assert is_exclusive_class(MesiState.EXCLUSIVE)
-        assert is_exclusive_class(MesiState.MODIFIED)
-        assert not is_exclusive_class(MesiState.SHARED)
 
     def test_states_are_ints(self):
         # CacheBlock stores states in an int slot.

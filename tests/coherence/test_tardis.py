@@ -7,7 +7,6 @@ read invalidations, and the backend's own invariant suite.
 
 import pytest
 
-from repro.coherence.states import MesiState
 from repro.common.config import (
     CacheConfig,
     DirectoryKind,
@@ -15,6 +14,7 @@ from repro.common.config import (
     SystemConfig,
 )
 from repro.common.errors import ConfigError, InvariantViolation
+from repro.common.mesi import MesiState
 from repro.sim.system import build_system
 
 _S = int(MesiState.SHARED)

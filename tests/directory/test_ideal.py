@@ -56,41 +56,17 @@ class TestIdeal:
 
 
 class TestInLlcKind:
-    def test_factory_maps_to_ideal_behaviour(self):
-        from repro.common.config import DirectoryConfig, DirectoryKind
-        from repro.common.rng import DeterministicRng
-        from repro.common.stats import StatGroup
-        from repro.directory import make_directory
-
-        d = make_directory(
-            DirectoryConfig(kind=DirectoryKind.IN_LLC),
-            num_cores=4,
-            entries=64,
-            rng=DeterministicRng(1),
-            stats=StatGroup("dir"),
-        )
-        assert isinstance(d, IdealDirectory)
-        assert d.allocate(5).eviction is None
+    """The in-LLC embedded directory: conflict-free, so it simulates as
+    ideal; only its storage, T2's ``in_llc`` row, is its own."""
 
     def test_storage_counts_llc_lines_without_tags(self):
         from repro.analysis.experiments import make_config
-        from repro.common.config import DirectoryKind
-        from repro.energy.area import storage_of
+        from repro.energy.area import embedded_storage, storage_of
 
-        est = storage_of(make_config(DirectoryKind.IN_LLC, 1.0))
+        sparse_config = make_config(DirectoryKind.SPARSE, 1.0)
+        est = embedded_storage(sparse_config)
         assert est.entries == 1024 * 16          # one per LLC line
-        sparse = storage_of(make_config(DirectoryKind.SPARSE, 1.0))
+        assert est.stash_bit_overhead == 0
+        sparse = storage_of(sparse_config)
         assert est.bits_per_entry < sparse.bits_per_entry  # no tag bits
         assert est.total_kib > sparse.total_kib  # but 4x the entries
-
-    def test_end_to_end_with_invariants(self):
-        from repro.common.config import DirectoryKind
-        from repro.sim.system import build_system
-        from tests.conftest import tiny_config
-
-        system = build_system(tiny_config(DirectoryKind.IN_LLC, ratio=1.0))
-        for i in range(300):
-            system.access(i % 4, (i * 5) % 40, is_write=i % 3 == 0)
-        system.check_invariants()
-        # Entries never outnumber LLC-resident blocks.
-        assert system.directory.occupancy() <= system.llc.occupancy()

@@ -15,7 +15,6 @@ from repro.workloads.suite import SUITE_ORDER, build_workload
 
 KINDS = [
     DirectoryKind.IDEAL,
-    DirectoryKind.IN_LLC,
     DirectoryKind.SPARSE,
     DirectoryKind.CUCKOO,
     DirectoryKind.SCD,

@@ -31,7 +31,6 @@ FLAT_KINDS = tuple(KINDS)
 #: Kinds outside the flat model: ``engine="vector"`` runs the interpreter.
 FALLBACK_KINDS = (
     DirectoryKind.ADAPTIVE_STASH,
-    DirectoryKind.IN_LLC,
     DirectoryKind.TARDIS,
 )
 

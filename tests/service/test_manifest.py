@@ -108,6 +108,7 @@ class TestRejection:
             ({"observe": {"trace": 1}}, "only the 'epoch' key"),
             ({"observe": {"epoch": -1}}, "'observe.epoch'"),
             ({"factors": {"engine": ["parallel"]}}, "unknown engine"),
+            ({"factors": {"kind": ["in_llc"]}}, "unknown directory kind"),
         ],
     )
     def test_invalid_manifest_raises(self, data, match):

@@ -594,6 +594,44 @@ class TestHttpApi:
         assert {line["index"] for line in lines} == {0, 1, 2, 3}
         assert all(line["state"] == "done" for line in lines)
 
+    def test_dead_pool_worker_fails_points_and_health(self, tmp_path):
+        """A killed pool worker breaks the pool: every later point ends
+        failed with the error and is counted, and /healthz answers 503 so
+        a supervisor can restart the server."""
+        before = set(multiprocessing.active_children())
+        handle = ServiceHandle(
+            service_config(tmp_path, backend="pool", workers=1)
+        ).start()
+        try:
+            (worker,) = set(multiprocessing.active_children()) - before
+            worker.kill()
+            worker.join(30)
+            finals = []
+            for ratio in (0.5, 0.125):
+                one_point = {
+                    "name": f"one-{ratio}",
+                    "factors": {**TINY["factors"], "kind": ["sparse"],
+                                "ratio": [ratio]},
+                }
+                status, submitted = self._post_json(handle, "/campaigns", one_point)
+                assert status == 201
+                finals.append(self._wait_done(handle, submitted["id"]))
+            health_status, health = self._get_json(handle, "/healthz")
+            _, raw = self._get(handle, "/metrics")
+        finally:
+            handle.stop()
+        for final in finals:
+            assert final["status"] == "failed"
+            (point,) = final["points"]
+            assert point["state"] == "failed"
+            assert point["error"].startswith("BrokenProcessPool: ")
+        parsed = parse_prometheus(raw.decode())
+        assert parsed["repro_points_failed_total"][()] == 2.0
+        assert parsed["repro_queue_depth"][()] == 0.0
+        assert health_status == 503
+        assert health["ok"] is False
+        assert health["error"].startswith("BrokenProcessPool: ")
+
     def test_metrics_parse_and_count(self, handle):
         _, submitted = self._post_json(handle, "/campaigns", TINY)
         self._wait_done(handle, submitted["id"])

@@ -1,6 +1,7 @@
 """Unit tests for the command-line interface."""
 
 import argparse
+import json
 import os
 import subprocess
 import sys
@@ -11,6 +12,7 @@ import pytest
 import repro
 from repro.analysis.io import load_result
 from repro.cli import EXPERIMENTS, build_parser, main
+from repro.common.config import DirectoryKind
 from repro.sim.trace import PackedTrace
 from repro.workloads.suite import build_workload
 
@@ -223,8 +225,9 @@ class TestFuzz:
 
     def test_fuzz_covers_all_kinds_by_default(self):
         args = build_parser().parse_args(["fuzz"])
-        assert "adaptive_stash" in args.kinds and "scd" in args.kinds
-        assert "in_llc" in args.kinds and "ideal" not in args.kinds
+        assert args.kinds == [
+            kind.value for kind in DirectoryKind if kind is not DirectoryKind.IDEAL
+        ]
 
     def test_fuzz_list_faults(self, capsys):
         assert main(["fuzz", "--list-faults"]) == 0
@@ -255,7 +258,7 @@ class TestFuzz:
         code = main(["fuzz", "--ops", "80", "--seeds", "2"])
         assert code == 0
         out = capsys.readouterr().out
-        assert "cells per column: interp 16, vector 10, vector-trace 10\n" in out
+        assert "cells per column: interp 14, vector 10, vector-trace 10\n" in out
         assert "every engine with the interpreter bit-for-bit" in out
 
     def test_fuzz_engine_fault_caught_minimized_replayed(
@@ -315,6 +318,25 @@ class TestSaveAndCompare:
         out = capsys.readouterr().out
         assert "sparse" in out and "stash" in out
         assert "norm. time" in out
+
+    @pytest.mark.parametrize("kind, message", [
+        ("in_llc", "directory kind 'in_llc' is gone; it simulated exactly as 'ideal'"),
+        ("bogus", "unknown directory kind 'bogus'"),
+    ])
+    def test_compare_of_unbuildable_kind_is_an_error(
+        self, tmp_path, capsys, kind, message
+    ):
+        """A saved result this code cannot rebuild is an error, not a
+        traceback."""
+        path = tmp_path / "old.json"
+        assert main(["run", "--workload", "mix", "--ops", "50", "--cores", "4",
+                     "--kind", "sparse", "--save", str(path)]) == 0
+        capsys.readouterr()
+        data = json.loads(path.read_text())
+        data["config"]["directory"]["kind"] = kind
+        path.write_text(json.dumps(data))
+        assert main(["compare", str(path)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {message}")
 
     def test_run_moesi_flag(self, capsys):
         code = main(["run", "--workload", "mix", "--ops", "150", "--cores", "4",

@@ -27,7 +27,6 @@ class TestBuildSystem:
             DirectoryKind.CUCKOO: CuckooDirectory,
             DirectoryKind.SCD: ScdDirectory,
             DirectoryKind.IDEAL: IdealDirectory,
-            DirectoryKind.IN_LLC: IdealDirectory,
             DirectoryKind.STASH: StashDirectory,
             DirectoryKind.ADAPTIVE_STASH: AdaptiveStashDirectory,
         }

@@ -84,6 +84,13 @@ class TestRoundTrip:
             load_case(path)
         assert path.exists()
 
+    def test_unknown_kind_rejected(self, tmp_path):
+        # Cases saved while the in-LLC kind existed name a row this code
+        # cannot run.
+        path = save_case(sample_case(kind="in_llc"), tmp_path)
+        with pytest.raises(TraceError, match="'in_llc' is not a valid"):
+            load_case(path)
+
     @pytest.mark.parametrize("name", ["my_case.trace", "case.bin"])
     def test_renamed_copy_loads(self, tmp_path, name):
         case = sample_case()
