@@ -133,12 +133,21 @@ class TestFaultDetection:
             d.category.startswith(("engine-", "trace-")) for d in divergences
         )
 
-    def test_corruption_leaves_l1_tables_intact(self):
-        # A corrupted copy must not write through to the shared table, or
-        # the next clean run would dispatch the flipped cell.
+    @pytest.mark.parametrize(
+        "protocol", [CoherenceProtocol.MESI, CoherenceProtocol.MOESI]
+    )
+    def test_corruption_leaves_memoized_table_intact(self, protocol):
+        # A corrupted copy must not write through to L1_TABLES, the one
+        # table both protocols dispatch from, or the next clean run would
+        # dispatch the flipped cell.
         clean = L1_TABLES.flat_action()
         corrupted = corrupt_l1_tables(L1_TABLES)
         assert corrupted.flat_action() != clean
+        config = make_fuzz_config(
+            DirectoryKind.SPARSE, RunOptions(protocol=protocol)
+        )
+        assert vector.flat_machine(config, corrupted).act != clean
+        assert vector.flat_machine(config).act == clean
         assert L1_TABLES.flat_action() == clean
 
     def test_table_rows_are_immutable(self):
