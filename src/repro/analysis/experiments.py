@@ -130,7 +130,6 @@ def make_config(
     ratio: float = 1.0,
     num_cores: int = 16,
     seed: int = 1,
-    check_invariants: bool = False,
     dir_ways: int = 8,
     sharer_format: SharerFormat = SharerFormat.FULL_BIT_VECTOR,
     eligibility: StashEligibility = StashEligibility.ANY_PRIVATE,
@@ -167,7 +166,6 @@ def make_config(
         ),
         noc=NoCConfig(mesh_width=width, mesh_height=height),
         protocol=CoherenceProtocol.MOESI if moesi else CoherenceProtocol.MESI,
-        check_invariants=check_invariants,
         seed=seed,
     )
 

@@ -127,7 +127,11 @@ def _directory_from_dict(data: Dict) -> DirectoryConfig:
 
 
 def config_from_dict(data: Dict) -> SystemConfig:
-    """Reconstruct a typed SystemConfig from :func:`config_to_dict` output."""
+    """Reconstruct a typed SystemConfig from :func:`config_to_dict` output.
+
+    Older files also carry ``check_invariants``; it never changed a
+    result, and is ignored.
+    """
     l2 = data.get("l2")
     return SystemConfig(
         num_cores=data["num_cores"],
@@ -143,7 +147,6 @@ def config_from_dict(data: Dict) -> SystemConfig:
         protocol=_enum_from(
             CoherenceProtocol, data.get("protocol", "mesi"), "protocol"
         ),
-        check_invariants=data["check_invariants"],
         seed=data["seed"],
     )
 

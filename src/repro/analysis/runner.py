@@ -410,9 +410,8 @@ def execute_point(
     trace_seconds = time.perf_counter() - start
     observer = None
     if point.observed:
-        system = build_system(point.config)
-        observer = attach(system, point.obs)
-        result = run_trace(point.config, trace, system=system, observer=observer)
+        observer = attach(build_system(point.config), point.obs)
+        result = run_trace(point.config, trace, observer=observer)
     else:
         result = run_trace(point.config, trace, engine=point.engine)
     output = PointOutput(result, time.perf_counter() - start, trace_seconds, lookups)

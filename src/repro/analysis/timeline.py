@@ -25,6 +25,7 @@ from __future__ import annotations
 from typing import Dict, List
 
 from ..common.config import DirectoryKind
+from ..common.errors import ConfigError
 from ..obs import ObsConfig, read_epochs_jsonl
 from .experiments import ExperimentOutput, make_config
 from .figures import render_series, render_sparkline
@@ -63,8 +64,14 @@ def run_timeline(
 
     Returns an :class:`ExperimentOutput` whose ``data`` carries the raw
     epoch series and the export paths; the text report shows the per-epoch
-    divergence tables and sparklines.
+    divergence tables and sparklines.  An ``epoch_interval`` below 1
+    would sample no epochs to compare, and raises :class:`ConfigError`
+    before anything runs.
     """
+    if epoch_interval < 1:
+        raise ConfigError(
+            f"--obs-epoch must be >= 1 for a timeline, got {epoch_interval}"
+        )
     kinds = [DirectoryKind.SPARSE, DirectoryKind.STASH]
     points = [
         SweepPoint(

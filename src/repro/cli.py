@@ -53,7 +53,7 @@ from .analysis.experiments import EXPERIMENTS, make_config, run_experiment
 from .analysis.figures import render_series
 from .analysis.tables import render_kv, render_table
 from .common.config import DirectoryKind, MemoryModel
-from .common.errors import ReproError
+from .common.errors import ConfigError, ReproError
 from .sim.simulator import Simulator, run_trace
 from .sim.system import build_system
 from .sim.trace import PackedTrace
@@ -65,7 +65,6 @@ def _config_from_args(args: argparse.Namespace):
         ratio=args.ratio,
         num_cores=args.cores,
         seed=args.seed,
-        check_invariants=bool(getattr(args, "check_invariants", 0)),
         moesi=getattr(args, "moesi", False),
     )
 
@@ -348,6 +347,10 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 2
+    if args.check_every < 0:
+        raise ConfigError(
+            f"--check-every must be non-negative, got {args.check_every}"
+        )
     if args.replay:
         return _fuzz_replay(args.replay)
 

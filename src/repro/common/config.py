@@ -308,7 +308,6 @@ class SystemConfig:
     memory_model: MemoryModel = MemoryModel.FLAT
     dram: DramConfig = field(default_factory=DramConfig)
     protocol: CoherenceProtocol = CoherenceProtocol.MESI
-    check_invariants: bool = False
     seed: int = 1
 
     def __post_init__(self) -> None:

@@ -43,6 +43,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
+from ..common.errors import ConfigError
 from .epoch import DEFAULT_EPOCH_KEYS, EpochSampler
 from .events import (
     CAUSE_DIR_EVICT,
@@ -132,7 +133,7 @@ class ObsConfig:
     def __post_init__(self) -> None:
         for name in ("epoch_interval", "trace_capacity", "invariant_interval"):
             if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
+                raise ConfigError(f"{name} must be non-negative")
 
     @property
     def enabled(self) -> bool:

@@ -9,24 +9,23 @@ coherence studies: cross-core orderings emerge from the relative progress of
 the cores, and every protocol-visible event (misses, evictions, discoveries,
 invalidations) is modeled exactly.
 
-Debug support: with ``config.check_invariants`` the full invariant suite
-(:mod:`repro.coherence.invariants`) runs every ``invariant_interval``
-operations and once at the end — slow, but it turns any protocol bug into a
-pinpointed failure.  ``sample_interval`` controls periodic sampling of the
-effective-tracking metric (experiment F7).
+``sample_interval`` controls periodic sampling of the effective-tracking
+metric (experiment F7).
 
-Observability (:mod:`repro.obs`): pass an attached
-:class:`~repro.obs.Observer` and the run loop additionally fires the epoch
-sampler every ``observer.epoch_interval`` operations (plus a final partial
-epoch) and honors ``observer.invariant_interval`` as the invariant cadence
-even when the config flag is off.  With no observer every probe stays a
+Observability and checking (:mod:`repro.obs`): pass an attached
+:class:`~repro.obs.Observer` and the run loop fires the epoch sampler every
+``observer.epoch_interval`` operations (plus a final partial epoch) and runs
+the full invariant suite (:mod:`repro.coherence.invariants`) every
+``observer.invariant_interval`` operations and once at the end — slow, but
+it turns any protocol bug into a pinpointed failure.  The observer is the
+only way a run checks invariants.  With no observer every probe stays a
 ``-1`` threshold that never fires — the null-probe contract.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import List, Optional
+from typing import List
 
 from ..coherence.protocol import CoherentSystem
 from ..common.addr import log2_exact
@@ -42,17 +41,13 @@ class Simulator:
     def __init__(
         self,
         system: CoherentSystem,
-        invariant_interval: int = 1024,
         sample_interval: int = 4096,
         warmup_ops: int = 0,
         observer=None,
     ) -> None:
         self.system = system
-        if invariant_interval < 1:
-            raise TraceError("invariant_interval must be >= 1")
         if sample_interval < 1:
             raise TraceError("sample_interval must be >= 1")
-        self.invariant_interval = invariant_interval
         self.sample_interval = sample_interval
         if warmup_ops < 0:
             raise TraceError("warmup_ops must be non-negative")
@@ -89,7 +84,6 @@ class Simulator:
         streams = trace.streams
         packshift = log2_exact(config.block_bytes) + 1  # block bits + write bit
         fixed = config.timing.core_fixed_cpi
-        check = config.check_invariants
 
         clocks = [0] * trace.num_cores
         cursors = [0] * trace.num_cores
@@ -97,22 +91,18 @@ class Simulator:
         samples: List[int] = []
         processed = 0
         warmup_ops = self.warmup_ops
-        invariant_interval = self.invariant_interval
         sample_interval = self.sample_interval
         observer = self.observer
-        epoch_interval = 0
+        epoch_interval = invariant_interval = 0
         sample_epoch = None
         if observer is not None:
             epoch_interval = observer.epoch_interval
+            invariant_interval = observer.invariant_interval
             sample_epoch = observer.sample_epoch
-            if observer.invariant_interval > 0:
-                # The observer's cadence wins: it enables checking even when
-                # the config flag is off, matching CLI --check-invariants N.
-                check = True
-                invariant_interval = observer.invariant_interval
-        # Next-threshold counters replace per-op modulo checks; identical
-        # firing pattern for any interval >= 1 (enforced at construction).
-        next_invariant = invariant_interval if check else -1
+        # Next-threshold counters replace per-op modulo checks, with the
+        # same firing pattern for any interval >= 1; an observer interval
+        # of 0 (ObsConfig's "off") is a -1 threshold that never fires.
+        next_invariant = invariant_interval if invariant_interval else -1
         next_sample = sample_interval
         next_epoch = epoch_interval if epoch_interval else -1
         warmup_clocks = [0] * trace.num_cores
@@ -175,7 +165,7 @@ class Simulator:
             clocks[core] = clock
             cursors[core] = cursor
 
-        if check:
+        if invariant_interval:
             check_invariants()
         if epoch_interval and processed != next_epoch - epoch_interval:
             # Final partial epoch so the series always covers the whole run.
@@ -191,34 +181,33 @@ class Simulator:
 def run_trace(
     config,
     trace: PackedTrace,
-    system: Optional[CoherentSystem] = None,
     observer=None,
     engine: str = "interp",
 ) -> SimulationResult:
-    """Convenience one-shot: build the system (unless given) and run.
+    """Convenience one-shot: build the system for ``config`` and run.
 
     This is the function the examples, experiments and most tests call.
-    ``observer`` is a pre-attached :class:`repro.obs.Observer` (it must wrap
-    the same ``system`` when one is passed).
+    ``observer`` is an attached :class:`repro.obs.Observer`; it carries the
+    system it watches, and that system is the one that runs.
 
     ``engine`` selects the execution engine: ``"interp"`` (the controller
     interpreter above) or ``"vector"`` (the flat table-driven engine of
     :mod:`repro.sim.vector`).  Both produce bit-identical results;
     ``"vector"`` falls back to the interpreter transparently when the
     configuration is outside the flat model (see
-    :func:`repro.sim.vector.vector_supports`), or when a pre-built
-    ``system`` or ``observer`` needs the live objects.  ``result.engine``
-    records which engine actually ran.
+    :func:`repro.sim.vector.vector_supports`), or when an ``observer``
+    needs the live objects.  ``result.engine`` records which engine
+    actually ran.
     """
     if engine not in ("interp", "vector"):
         raise TraceError(
             f"unknown engine {engine!r} (expected 'interp' or 'vector')"
         )
-    if engine == "vector" and system is None and observer is None:
+    if observer is not None:
+        return Simulator(observer.system, observer=observer).run(trace)
+    if engine == "vector":
         from .vector import VectorEngine, vector_supports
 
         if vector_supports(config) is None:
             return VectorEngine(config).run(trace)
-    if system is None:
-        system = build_system(config)
-    return Simulator(system, observer=observer).run(trace)
+    return Simulator(build_system(config)).run(trace)

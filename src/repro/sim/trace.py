@@ -25,25 +25,13 @@ from __future__ import annotations
 import sys
 from array import array
 from pathlib import Path
-from typing import Iterable, List, Tuple, Union
+from typing import List, Union
 
 from ..common.errors import TraceError
-
-#: One globally-ordered operation: (core, block_address, is_write).
-FlatOp = Tuple[int, int, bool]
 
 #: Largest byte address a packed stream can encode: the write bit takes
 #: the low bit of an unsigned 64-bit word, leaving 63 bits of address.
 MAX_PACKED_ADDR = (1 << 63) - 1
-
-#: Flat-program encoding (repro.verify): the issuing core rides in the
-#: high bits of the address field, so a single packed stream preserves the
-#: *global* operation order that per-core streams lose.
-FLAT_CORE_SHIFT = 48
-
-#: Largest block address / core id a flat-program word can carry.
-MAX_FLAT_ADDR = (1 << FLAT_CORE_SHIFT) - 1
-MAX_FLAT_CORE = (1 << (63 - FLAT_CORE_SHIFT)) - 1
 
 
 def pack_stream(core: int, words: List[int]) -> array:
@@ -62,43 +50,6 @@ def pack_stream(core: int, words: List[int]) -> array:
             f"core {core}: address {bad:#x} outside packable range "
             f"[0, {MAX_PACKED_ADDR:#x}]"
         ) from None
-
-
-def pack_flat_program(ops: "Iterable[FlatOp]") -> "PackedTrace":
-    """Encode a globally-ordered ``(core, block, is_write)`` program.
-
-    The result is a single-stream :class:`PackedTrace` whose words are
-    ``(((core << FLAT_CORE_SHIFT) | block) << 1) | is_write`` — the word
-    layout of per-core packed traces, so the differential fuzzer's failure
-    corpus (:mod:`repro.verify.corpus`) stores a program as one packed
-    stream.  Raises :class:`~repro.common.errors.TraceError` when a
-    core id or block address does not fit its field.
-    """
-    packed = PackedTrace(1)
-    stream = packed.streams[0]
-    for core, block, is_write in ops:
-        if not 0 <= core <= MAX_FLAT_CORE:
-            raise TraceError(f"flat-program core {core} outside [0, {MAX_FLAT_CORE}]")
-        if not 0 <= block <= MAX_FLAT_ADDR:
-            raise TraceError(
-                f"flat-program block {block:#x} outside [0, {MAX_FLAT_ADDR:#x}]"
-            )
-        word = ((core << FLAT_CORE_SHIFT) | block) << 1
-        stream.append(word | 1 if is_write else word)
-    return packed
-
-
-def unpack_flat_program(packed: "PackedTrace") -> "List[FlatOp]":
-    """Decode :func:`pack_flat_program`'s single-stream encoding."""
-    if packed.num_cores != 1:
-        raise TraceError(
-            f"flat programs are single-stream, got {packed.num_cores} streams"
-        )
-    ops: List[FlatOp] = []
-    for word in packed.streams[0]:
-        field = word >> 1
-        ops.append((field >> FLAT_CORE_SHIFT, field & MAX_FLAT_ADDR, bool(word & 1)))
-    return ops
 
 
 class PackedTrace:
@@ -187,10 +138,11 @@ class PackedTrace:
             return NotImplemented
         return self.num_cores == other.num_cores and self.streams == other.streams
 
-    # -- serialization (the fuzz corpus's payload format) ------------------------
-
     def stream_bytes(self) -> List[bytes]:
-        """Each core's stream as little-endian 8-byte words."""
+        """Each core's stream as little-endian 8-byte words.
+
+        The byte form the trace digests hash, the same on every host.
+        """
         out = []
         for stream in self.streams:
             if sys.byteorder == "big":  # pragma: no cover - exotic hosts
@@ -198,22 +150,3 @@ class PackedTrace:
                 stream.byteswap()
             out.append(stream.tobytes())
         return out
-
-    @classmethod
-    def from_stream_bytes(cls, blobs: Iterable[bytes]) -> "PackedTrace":
-        """Rebuild from :meth:`stream_bytes` payloads (one per core)."""
-        streams = []
-        for blob in blobs:
-            if len(blob) % 8:
-                raise TraceError(
-                    f"packed stream payload of {len(blob)} bytes is not a "
-                    "whole number of 8-byte words"
-                )
-            stream = array("Q")
-            stream.frombytes(blob)
-            if sys.byteorder == "big":  # pragma: no cover - exotic hosts
-                stream.byteswap()
-            streams.append(stream)
-        if not streams:
-            raise TraceError("packed trace needs at least one core stream")
-        return cls(len(streams), streams)

@@ -179,8 +179,6 @@ def vector_supports(config: SystemConfig) -> Optional[str]:
         return "home-bank occupancy serialization is interpreter-only"
     if config.directory.discovery_filter_slots:
         return "discovery presence filters are interpreter-only"
-    if config.check_invariants:
-        return "invariant checking walks the live controller objects"
     if config.noc.track_links:
         return "per-link flit attribution is interpreter-only"
     return None

@@ -69,8 +69,9 @@ from ..coherence.tables import L1_TABLES, L1Tables, corrupt_l1_tables
 from ..directory.sharers import CoarseVector, LimitedPointer, make_sharer_rep
 from ..sim.simulator import run_trace
 from ..sim.system import build_system
-from ..sim.trace import FlatOp, PackedTrace
+from ..sim.trace import PackedTrace
 from ..sim.vector import VectorEngine, flat_machine, vector_supports
+from .generator import FlatOp
 
 #: Rows the matrix runs by default: every directory kind, IDEAL included.
 DEFAULT_FUZZ_KINDS = tuple(DirectoryKind)

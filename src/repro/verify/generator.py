@@ -1,7 +1,7 @@
 """Adversarial flat-program generator for the differential fuzzer.
 
 A *flat program* is a globally-ordered list of ``(core, block, is_write)``
-operations (:data:`repro.sim.trace.FlatOp`).  Unlike the per-core traces
+operations (:data:`FlatOp`).  Unlike the per-core traces
 of :mod:`repro.workloads`, the global order is part of the input: every
 organization under test replays exactly this interleaving, so a divergence
 can only come from the directory organization itself.
@@ -31,11 +31,13 @@ seed)`` always yields the identical program.
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Tuple
 
 from ..common.errors import ConfigError
 from ..common.rng import DeterministicRng
-from ..sim.trace import FlatOp
+
+#: One globally-ordered operation: (core, block_address, is_write).
+FlatOp = Tuple[int, int, bool]
 
 #: Generator profiles, in the order the fuzz driver cycles through them.
 PROFILES = (

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import Callable, List, Sequence
 
-from ..sim.trace import FlatOp
+from .generator import FlatOp
 
 #: Failure predicate: True when the candidate program still fails with
 #: the original signature.

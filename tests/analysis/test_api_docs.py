@@ -40,6 +40,20 @@ class TestGenerator:
             "docs/API.md is stale: run python tools/gen_api_docs.py"
         )
 
+    def test_help_writes_nothing(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exit_info:
+            gen_api_docs.main(["--help"])
+        assert exit_info.value.code == 0
+        assert "output" in capsys.readouterr().out
+        assert list(tmp_path.iterdir()) == []
+
+    def test_writes_the_named_file(self, tmp_path, capsys):
+        output = tmp_path / "docs" / "API.md"
+        assert gen_api_docs.main([str(output)]) == 0
+        assert output.read_text().startswith("# API reference")
+        assert f"-> {output}" in capsys.readouterr().out
+
     def test_first_paragraph(self):
         assert gen_api_docs.first_paragraph("Line one\nline two.\n\nRest.") == (
             "Line one line two."

@@ -24,7 +24,7 @@ OPS = 150
 
 def tiny_point(seed: int = 1, workload: str = "blackscholes-like"):
     return runner.SweepPoint(
-        workload, tiny_config(check_invariants=False), OPS, seed
+        workload, tiny_config(), OPS, seed
     )
 
 

@@ -22,7 +22,7 @@ def small_result(kind=DirectoryKind.STASH):
     trace = PackedTrace(4)
     for i in range(40):
         trace.append(i % 4, i * 64, i % 3 == 0)
-    return run_trace(tiny_config(kind, check_invariants=False), trace)
+    return run_trace(tiny_config(kind), trace)
 
 
 class TestConfigRoundtrip:
@@ -137,6 +137,18 @@ class TestResultRoundtrip:
         data["format_version"] = 99
         with pytest.raises(TraceError):
             result_from_dict(data)
+
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_saved_check_invariants_is_ignored(self, flag):
+        # Files written while SystemConfig had the flag carry it; it never
+        # changed a result.
+        result = small_result()
+        data = result_to_dict(result)
+        assert "check_invariants" not in data["config"]
+        data["config"]["check_invariants"] = flag
+        loaded = result_from_dict(data)
+        assert loaded.config == result.config
+        assert loaded.stats == result.stats
 
 
 class TestCompare:

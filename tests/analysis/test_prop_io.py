@@ -48,7 +48,6 @@ def system_configs(draw):
         noc=NoCConfig(mesh_width=mesh_w, mesh_height=mesh_h),
         memory_model=draw(st.sampled_from(list(MemoryModel))),
         protocol=draw(st.sampled_from(list(CoherenceProtocol))),
-        check_invariants=draw(st.booleans()),
         seed=draw(st.integers(0, 1000)),
     )
 

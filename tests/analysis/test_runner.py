@@ -33,7 +33,7 @@ OPS = 200
 def tiny_point(seed: int = 1, ops: int = OPS, workload: str = "blackscholes-like", **cfg):
     """A fast-to-simulate sweep point over the shared tiny 4-core config."""
     return runner.SweepPoint(
-        workload, tiny_config(check_invariants=False, **cfg), ops, seed
+        workload, tiny_config(**cfg), ops, seed
     )
 
 
@@ -394,13 +394,13 @@ class TestObservedPoints:
         from repro.obs import ObsConfig
 
         return runner.SweepPoint(
-            "mix", tiny_config(check_invariants=False), OPS, 1,
+            "mix", tiny_config(), OPS, 1,
             obs=ObsConfig(epoch_interval=64), **kwargs
         )
 
     def test_observed_stats_match_unobserved_packed_run(self, tmp_path):
         """Observability must not perturb the packed-trace pipeline."""
-        plain = runner.SweepPoint("mix", tiny_config(check_invariants=False), OPS, 1)
+        plain = runner.SweepPoint("mix", tiny_config(), OPS, 1)
         [unobserved] = runner.run_points(
             [plain], cache_dir=tmp_path, cache_enabled=True
         )
@@ -427,7 +427,7 @@ class TestObservedPoints:
 class TestExperimentsIntegration:
     def test_simulate_uses_both_layers(self, tmp_path):
         runner.configure(cache_dir=tmp_path)
-        config = tiny_config(check_invariants=False)
+        config = tiny_config()
         first = exp.simulate("mix", config, OPS, 1)
         runner.clear_memo()
         second = exp.simulate("mix", config, OPS, 1)
@@ -436,7 +436,7 @@ class TestExperimentsIntegration:
 
     def test_clear_cache_clears_disk_too(self, tmp_path):
         runner.configure(cache_dir=tmp_path)
-        exp.simulate("mix", tiny_config(check_invariants=False), OPS, 1)
+        exp.simulate("mix", tiny_config(), OPS, 1)
         assert list(Path(tmp_path).glob("*.json"))
         exp.clear_cache()
         assert not list(Path(tmp_path).glob("*.json"))
@@ -444,14 +444,14 @@ class TestExperimentsIntegration:
 
     def test_clear_cache_clears_trace_spool_and_memo(self, tmp_path):
         runner.configure(cache_dir=tmp_path)
-        exp.simulate("mix", tiny_config(check_invariants=False), OPS, 1)
+        exp.simulate("mix", tiny_config(), OPS, 1)
         assert trace_store._TRACE_MEMO
         exp.clear_cache()
         assert not trace_store._TRACE_MEMO
 
     def test_counters_summary_reports_trace_store(self, tmp_path):
         runner.configure(cache_dir=tmp_path)
-        exp.simulate("mix", tiny_config(check_invariants=False), OPS, 1)
+        exp.simulate("mix", tiny_config(), OPS, 1)
         text = runner.counters_summary()
         assert "traces         2 lookups (memo 1, generated 1 in" in text
         assert "spool" not in text
@@ -466,7 +466,7 @@ class TestExperimentsIntegration:
         assert runner.counters.disk_hits == 0
 
     def test_counters_summary_renders(self):
-        exp.simulate("mix", tiny_config(check_invariants=False), OPS, 1)
+        exp.simulate("mix", tiny_config(), OPS, 1)
         text = runner.counters_summary()
         assert "hit rate" in text
         assert "compute time" in text

@@ -8,10 +8,9 @@ from repro.common.config import CacheConfig, DirectoryKind
 from repro.common.errors import ConfigError, ProtocolError
 from repro.common.mesi import MesiState
 from repro.common.stats import StatGroup
-from repro.sim.simulator import Simulator
 from repro.sim.system import build_system
 from repro.workloads.suite import build_workload
-from tests.conftest import tiny_config
+from tests.conftest import checked_simulator, tiny_config
 
 
 def make_hierarchy(l1_sets=2, l1_ways=2, l2_sets=4, l2_ways=2):
@@ -141,7 +140,7 @@ class TestEndToEnd:
         )
         system = build_system(config)
         trace = build_workload("mix", 4, 300, seed=5)
-        Simulator(system, invariant_interval=128).run(trace)
+        checked_simulator(system, every=128).run(trace)
         for private in system.l1s:
             private.check_internal_inclusion()
 

@@ -19,7 +19,8 @@ from repro.common.config import (
 )
 from repro.common.rng import DeterministicRng
 from repro.common.stats import StatGroup
-from repro.sim.system import build_system
+from repro.obs import ObsConfig, attach
+from repro.sim.simulator import Simulator
 
 
 def tiny_config(
@@ -31,7 +32,6 @@ def tiny_config(
     l1_ways: int = 2,
     llc_sets: int = 64,
     llc_ways: int = 4,
-    check_invariants: bool = True,
     **dir_kwargs,
 ) -> SystemConfig:
     """A 4-core system small enough to force evictions with short traces."""
@@ -43,9 +43,14 @@ def tiny_config(
             kind=kind, coverage_ratio=ratio, ways=dir_ways, **dir_kwargs
         ),
         noc=NoCConfig(mesh_width=2, mesh_height=2),
-        check_invariants=check_invariants,
         seed=7,
     )
+
+
+def checked_simulator(system, every: int = 1024) -> Simulator:
+    """A simulator that runs the invariant suite on ``system`` every
+    ``every`` ops and once at the end, through an attached observer."""
+    return Simulator(system, observer=attach(system, ObsConfig(invariant_interval=every)))
 
 
 class LruModel:
@@ -129,15 +134,3 @@ def rng() -> DeterministicRng:
 def stats() -> StatGroup:
     """A fresh stats root."""
     return StatGroup("test")
-
-
-@pytest.fixture
-def tiny_stash_system():
-    """A built 4-core stash-directory system (invariants on)."""
-    return build_system(tiny_config(DirectoryKind.STASH, ratio=0.5))
-
-
-@pytest.fixture
-def tiny_sparse_system():
-    """A built 4-core conventional sparse system (invariants on)."""
-    return build_system(tiny_config(DirectoryKind.SPARSE, ratio=0.5))

@@ -12,6 +12,7 @@ from repro.common.config import DirectoryKind, SharerFormat
 from repro.sim.simulator import Simulator
 from repro.sim.system import build_system
 from repro.workloads.suite import SUITE_ORDER, build_workload
+from tests.conftest import checked_simulator
 
 KINDS = [
     DirectoryKind.IDEAL,
@@ -27,9 +28,9 @@ KINDS = [
 @pytest.mark.parametrize("workload", ["blackscholes-like", "fluidanimate-like", "mix"])
 def test_invariants_hold_under_pressure(kind, workload):
     """R=1/8 provisioning, 16 cores, full invariant checking."""
-    config = make_config(kind, ratio=0.125, check_invariants=True)
+    config = make_config(kind, ratio=0.125)
     trace = build_workload(workload, 16, 400, seed=11)
-    result = Simulator(build_system(config), invariant_interval=512).run(trace)
+    result = checked_simulator(build_system(config), every=512).run(trace)
     assert result.total_accesses == 16 * 400
 
 
@@ -50,24 +51,21 @@ def test_all_workloads_complete(kind):
 @pytest.mark.parametrize("kind", [DirectoryKind.SPARSE, DirectoryKind.STASH])
 def test_sharer_formats_preserve_correctness(fmt, kind):
     """Imprecise sharer encodings cost traffic, never correctness."""
-    config = make_config(kind, ratio=0.25, sharer_format=fmt, check_invariants=True)
+    config = make_config(kind, ratio=0.25, sharer_format=fmt)
     trace = build_workload("mix", 16, 300, seed=5)
-    Simulator(build_system(config), invariant_interval=512).run(trace)
+    checked_simulator(build_system(config), every=512).run(trace)
 
 
 def test_notification_mode_end_to_end():
-    config = make_config(
-        DirectoryKind.STASH, ratio=0.125, clean_notification=True, check_invariants=True
-    )
+    config = make_config(DirectoryKind.STASH, ratio=0.125, clean_notification=True)
     trace = build_workload("mix", 16, 400, seed=7)
-    result = Simulator(build_system(config), invariant_interval=512).run(trace)
+    result = checked_simulator(build_system(config), every=512).run(trace)
     # With notifications, stale state never forms: zero false discoveries.
     assert result.false_discoveries == 0
 
 
 def test_core_scaling_end_to_end():
     for cores in (4, 8, 32):
-        config = make_config(DirectoryKind.STASH, ratio=0.125, num_cores=cores,
-                             check_invariants=True)
+        config = make_config(DirectoryKind.STASH, ratio=0.125, num_cores=cores)
         trace = build_workload("mix", cores, 120, seed=9)
-        Simulator(build_system(config), invariant_interval=512).run(trace)
+        checked_simulator(build_system(config), every=512).run(trace)

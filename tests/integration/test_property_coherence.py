@@ -119,7 +119,7 @@ def test_reads_always_observe_last_write(program):
     the block's latest committed version."""
     system = build_system(
         tiny_config(DirectoryKind.STASH, entries_override=4, dir_ways=2,
-                    l1_sets=2, l1_ways=2, check_invariants=False)
+                    l1_sets=2, l1_ways=2)
     )
     for core, addr, is_write in program:
         system.access(core, addr, is_write)

@@ -7,6 +7,7 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
+from repro.coherence.protocol import CoherentSystem
 from repro.obs import read_epochs_jsonl, validate_chrome_trace
 
 from tools.validate_trace import main as validate_main
@@ -92,6 +93,33 @@ class TestRunWithObs:
         assert code == 0
         assert "OK" in capsys.readouterr().out
 
+    def test_check_invariants_runs_the_suite(self, capsys, monkeypatch):
+        calls = []
+        original = CoherentSystem.check_invariants
+        monkeypatch.setattr(
+            CoherentSystem, "check_invariants",
+            lambda system: calls.append(1) or original(system),
+        )
+        assert main([
+            "run", "--ops", "300", "--cores", "4", "--check-invariants", "100",
+        ]) == 0
+        # Every 100 of the 1200 ops, plus the end-of-run check.
+        assert len(calls) == 1200 // 100 + 1
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--ops", "50", "--check-invariants", "-5"],
+        ["run", "--ops", "50", "--obs-epoch", "-1"],
+        ["run", "--ops", "50", "--trace-events", "-1"],
+        ["replay", "{trace}", "--cores", "4", "--check-invariants", "-2"],
+    ], ids=["run-check-invariants", "run-obs-epoch", "run-trace-events",
+            "replay-check-invariants"])
+    def test_negative_interval_is_an_error(self, tmp_path, capsys, argv):
+        trace_path = tmp_path / "t.csv"
+        trace_path.write_text("0,0x40,R\n")
+        assert main([arg.format(trace=trace_path) for arg in argv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "must be non-negative" in err
+
     def test_validator_rejects_garbage(self, tmp_path, capsys):
         bad = tmp_path / "bad.trace.json"
         bad.write_text(json.dumps({"traceEvents": "nope"}))
@@ -115,3 +143,16 @@ class TestTimeline:
         for kind in ("sparse", "stash"):
             assert (tmp_path / f"tl.{kind}.trace.json").exists()
             assert (tmp_path / f"tl.{kind}.epochs.jsonl").exists()
+
+    def test_timeline_without_epochs_is_refused_before_running(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        code = main([
+            "--no-cache", "timeline", "--ops", "100", "--cores", "4",
+            "--obs-epoch", "0", "--out", str(tmp_path / "tl"),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --obs-epoch must be >= 1")
+        assert list(tmp_path.iterdir()) == []

@@ -6,6 +6,7 @@ import pytest
 
 from repro.analysis.experiments import make_config
 from repro.common.config import DirectoryKind
+from repro.common.errors import ConfigError
 from repro.obs import ObsConfig, attach, chrome_trace, validate_chrome_trace
 from repro.obs.events import EV_DIR_EVICT, EV_MISS, EV_STASH_SPILL, decode_args
 from repro.sim.simulator import Simulator
@@ -41,8 +42,9 @@ class TestNullProbe:
             assert controller._obs is None
 
     def test_negative_intervals_rejected(self):
-        with pytest.raises(ValueError):
-            ObsConfig(epoch_interval=-1)
+        for name in ("epoch_interval", "trace_capacity", "invariant_interval"):
+            with pytest.raises(ConfigError, match=name):
+                ObsConfig(**{name: -1})
 
     def test_observed_run_reports_identical_results(
         self, pressured_config, small_trace

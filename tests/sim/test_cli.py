@@ -245,7 +245,7 @@ class TestFuzz:
         assert code == 1
         err = capsys.readouterr().err
         assert "reproduce with:" in err
-        cases = list(corpus.glob("*.trace"))
+        cases = list(corpus.glob("*.json"))
         assert cases
         # The minimized case replays to the same failure.
         replay_code = main(["fuzz", "--replay", str(cases[0])])
@@ -273,7 +273,7 @@ class TestFuzz:
         assert code == 1
         err = capsys.readouterr().err
         assert "engine-" in err
-        cases = list(corpus.glob("*.trace"))
+        cases = list(corpus.glob("*.json"))
         assert cases
         replay_code = main(["fuzz", "--replay", str(cases[0])])
         out = capsys.readouterr().out
@@ -287,6 +287,12 @@ class TestFuzz:
         err = capsys.readouterr().err
         assert "unknown name 'nosuch'" in err
         assert ("drop-invalidation" if flag == "--inject-fault" else "mixed") in err
+
+    def test_fuzz_negative_check_every_is_an_error(self, capsys):
+        assert main(["fuzz", "--seeds", "1", "--ops", "40", "--check-every", "-3"]) == 1
+        assert capsys.readouterr().err.startswith(
+            "error: --check-every must be non-negative, got -3"
+        )
 
     def test_fuzz_list_faults_includes_engine_faults(self, capsys):
         assert main(["fuzz", "--list-faults"]) == 0

@@ -128,20 +128,7 @@ class TestValidation:
 
 
 class TestStreamBytes:
-    def test_bytes_round_trip(self):
-        packed = sample_trace()
-        rebuilt = PackedTrace.from_stream_bytes(packed.stream_bytes())
-        assert rebuilt == packed
-
     def test_little_endian_layout(self):
         packed = PackedTrace(1)
         packed.append(0, 0x2, True)  # word 0x5
         assert packed.stream_bytes() == [b"\x05" + b"\x00" * 7]
-
-    def test_ragged_payload_rejected(self):
-        with pytest.raises(TraceError, match="8-byte"):
-            PackedTrace.from_stream_bytes([b"\x00" * 7])
-
-    def test_empty_blob_list_rejected(self):
-        with pytest.raises(TraceError, match="at least one core"):
-            PackedTrace.from_stream_bytes([])

@@ -80,12 +80,6 @@ class TestPackingBoundaries:
                 (addr, is_write) for c, addr, is_write in ops if c == core
             ]
 
-    @settings(max_examples=100, deadline=None)
-    @given(packed=traces())
-    def test_stream_bytes_roundtrip(self, packed):
-        rebuilt = PackedTrace.from_stream_bytes(packed.stream_bytes())
-        assert rebuilt == packed
-
     @settings(max_examples=50, deadline=None)
     @given(
         addr=st.integers(MAX_PACKED_ADDR + 1, 1 << 70),

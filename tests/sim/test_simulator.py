@@ -9,7 +9,7 @@ from repro.obs.events import EV_MISS
 from repro.sim.simulator import Simulator, run_trace
 from repro.sim.system import build_system
 from repro.sim.trace import PackedTrace
-from tests.conftest import tiny_config
+from tests.conftest import checked_simulator, tiny_config
 
 
 def make_trace(num_cores=4, ops_per_core=10, stride=64):
@@ -20,19 +20,24 @@ def make_trace(num_cores=4, ops_per_core=10, stride=64):
     return trace
 
 
+def checked_run(config, trace):
+    """Run ``trace`` with the invariant suite checked along the way."""
+    return checked_simulator(build_system(config)).run(trace)
+
+
 class TestRun:
     def test_processes_all_ops(self):
-        result = run_trace(tiny_config(), make_trace())
+        result = checked_run(tiny_config(), make_trace())
         assert result.total_accesses == 40
 
     def test_clocks_advance_per_core(self):
-        result = run_trace(tiny_config(), make_trace())
+        result = checked_run(tiny_config(), make_trace())
         assert all(c > 0 for c in result.cycles_per_core)
         assert result.execution_time == max(result.cycles_per_core)
 
     def test_trace_with_fewer_cores_than_system(self):
         trace = make_trace(num_cores=2)
-        result = run_trace(tiny_config(num_cores=4), trace)
+        result = checked_run(tiny_config(num_cores=4), trace)
         assert result.total_accesses == 20
 
     def test_trace_with_more_cores_rejected(self):
@@ -41,7 +46,7 @@ class TestRun:
             run_trace(tiny_config(num_cores=4), trace)
 
     def test_empty_trace(self):
-        result = run_trace(tiny_config(), PackedTrace(4))
+        result = checked_run(tiny_config(), PackedTrace(4))
         assert result.total_accesses == 0
         assert result.execution_time == 0
 
@@ -50,14 +55,25 @@ class TestRun:
         for i in range(20):
             trace.append(0, i * 64, False)
         trace.append(1, 0x9000, True)
-        result = run_trace(tiny_config(), trace)
+        result = checked_run(tiny_config(), trace)
         assert result.total_accesses == 21
+
+    def test_observed_run_trace_runs_the_observed_system(self):
+        config = tiny_config(DirectoryKind.STASH, ratio=0.125)
+        observer = attach(
+            build_system(config), ObsConfig(epoch_interval=8, trace_capacity=4096)
+        )
+        result = run_trace(config, make_trace(), observer=observer)
+        assert result.stats == observer.system.flat_stats()
+        assert observer.ring.total > 0
+        accesses = observer.sampler.delta_series("system.protocol.accesses")
+        assert sum(accesses) == result.total_accesses == 40
 
 
 class TestInterleave:
     def test_timestamp_order_interleaves_cores(self):
         """All cores make progress; no core finishes before others start."""
-        system = build_system(tiny_config(check_invariants=False))
+        system = build_system(tiny_config())
         observer = attach(system, ObsConfig(trace_capacity=1024))
         Simulator(system, observer=observer).run(make_trace(num_cores=4, ops_per_core=5))
         # Every op touches a fresh block, so the misses give the issue
@@ -66,15 +82,15 @@ class TestInterleave:
         assert set(order[:4]) == {0, 1, 2, 3}
 
     def test_invariant_interval_runs_checks(self):
-        system = build_system(tiny_config(check_invariants=True))
+        system = build_system(tiny_config())
         calls = []
         original = system.check_invariants
         system.check_invariants = lambda: calls.append(1) or original()
-        Simulator(system, invariant_interval=8).run(make_trace(ops_per_core=10))
-        assert len(calls) >= 2  # periodic + final
+        checked_simulator(system, every=8).run(make_trace(ops_per_core=10))
+        assert len(calls) == 40 // 8 + 1  # periodic + final
 
     def test_effective_tracking_sampled(self):
-        system = build_system(tiny_config(check_invariants=False))
+        system = build_system(tiny_config())
         result = Simulator(system, sample_interval=10).run(
             make_trace(num_cores=4, ops_per_core=10)
         )
@@ -84,8 +100,8 @@ class TestInterleave:
 class TestDeterminism:
     def test_same_config_same_result(self):
         trace = make_trace()
-        a = run_trace(tiny_config(DirectoryKind.STASH, check_invariants=False), trace)
-        b = run_trace(tiny_config(DirectoryKind.STASH, check_invariants=False), trace)
+        a = run_trace(tiny_config(DirectoryKind.STASH), trace)
+        b = run_trace(tiny_config(DirectoryKind.STASH), trace)
         assert a.execution_time == b.execution_time
         assert a.stats == b.stats
 
@@ -93,8 +109,8 @@ class TestDeterminism:
 class TestWarmup:
     def test_warmup_discards_stats(self):
         trace = make_trace(num_cores=4, ops_per_core=10)
-        cold = run_trace(tiny_config(check_invariants=False), trace)
-        system = build_system(tiny_config(check_invariants=False))
+        cold = run_trace(tiny_config(), trace)
+        system = build_system(tiny_config())
         warm = Simulator(system, warmup_ops=20).run(trace)
         # Only post-warmup accesses are counted.
         assert warm.total_accesses == cold.total_accesses - 20
@@ -106,26 +122,25 @@ class TestWarmup:
         for _ in range(3):
             for block in range(8):
                 trace.append(0, block * 64, False)
-        system = build_system(tiny_config(num_cores=1, l1_sets=4, l1_ways=2,
-                                          check_invariants=False))
+        system = build_system(tiny_config(num_cores=1, l1_sets=4, l1_ways=2))
         warm = Simulator(system, warmup_ops=8).run(trace)
         assert warm.l1_miss_rate == 0.0  # all 16 measured accesses hit
 
     def test_warmup_time_measured_from_region_start(self):
         trace = make_trace(num_cores=2, ops_per_core=20)
-        full = run_trace(tiny_config(check_invariants=False), trace)
-        system = build_system(tiny_config(check_invariants=False))
+        full = run_trace(tiny_config(), trace)
+        system = build_system(tiny_config())
         warm = Simulator(system, warmup_ops=10).run(trace)
         assert warm.execution_time < full.execution_time
 
     def test_negative_warmup_rejected(self):
-        system = build_system(tiny_config(check_invariants=False))
+        system = build_system(tiny_config())
         with pytest.raises(TraceError):
             Simulator(system, warmup_ops=-1)
 
     def test_warmup_longer_than_trace_rejected(self):
         trace = make_trace(num_cores=4, ops_per_core=10)
-        config = tiny_config(check_invariants=False)
+        config = tiny_config()
         whole = Simulator(build_system(config), warmup_ops=40).run(trace)
         assert whole.total_accesses == 0
         with pytest.raises(TraceError, match="exceeds"):
@@ -133,8 +148,8 @@ class TestWarmup:
 
     def test_zero_warmup_is_default_behaviour(self):
         trace = make_trace()
-        a = run_trace(tiny_config(check_invariants=False), trace)
-        system = build_system(tiny_config(check_invariants=False))
+        a = run_trace(tiny_config(), trace)
+        system = build_system(tiny_config())
         b = Simulator(system, warmup_ops=0).run(trace)
         assert a.total_accesses == b.total_accesses
         assert a.execution_time == b.execution_time

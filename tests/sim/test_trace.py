@@ -159,58 +159,3 @@ class TestFileIO:
             TraceError, match=":2: address 0x8000000000000040 outside packable range"
         ):
             PackedTrace.from_file(path, 2)
-
-
-class TestFlatPrograms:
-    """Single-stream global-order encoding used by the fuzz corpus."""
-
-    def test_round_trip(self):
-        from repro.sim.trace import pack_flat_program, unpack_flat_program
-
-        program = [(0, 0x10, True), (3, 0x0, False), (1, 0xABC, True)]
-        packed = pack_flat_program(program)
-        assert packed.num_cores == 1
-        assert packed.total_ops() == 3
-        assert unpack_flat_program(packed) == program
-
-    def test_preserves_global_order(self):
-        from repro.sim.trace import pack_flat_program, unpack_flat_program
-
-        program = [(core, 7, False) for core in (2, 0, 1, 0, 2)]
-        assert [op[0] for op in unpack_flat_program(pack_flat_program(program))] \
-            == [2, 0, 1, 0, 2]
-
-    def test_limits_enforced(self):
-        from repro.common.errors import ConfigError, TraceError
-        from repro.sim.trace import (
-            MAX_FLAT_ADDR,
-            MAX_FLAT_CORE,
-            pack_flat_program,
-        )
-
-        pack_flat_program([(MAX_FLAT_CORE, MAX_FLAT_ADDR, True)])
-        with pytest.raises(TraceError):
-            pack_flat_program([(MAX_FLAT_CORE + 1, 0, False)])
-        with pytest.raises(TraceError):
-            pack_flat_program([(0, MAX_FLAT_ADDR + 1, False)])
-        with pytest.raises(TraceError):
-            pack_flat_program([(-1, 0, False)])
-
-    def test_multi_stream_rejected(self):
-        from repro.common.errors import ConfigError, TraceError
-        from repro.sim.trace import PackedTrace, unpack_flat_program
-
-        with pytest.raises(TraceError):
-            unpack_flat_program(PackedTrace(2))
-
-    def test_survives_spool_round_trip(self, tmp_path):
-        from repro.sim.trace import pack_flat_program, unpack_flat_program
-        from repro.verify.corpus import read_trace_file, write_trace_file
-
-        program = [(1, 0x40, True), (0, 0x40, False)]
-        path = tmp_path / "program.trace"
-        write_trace_file(path, "f" * 64, {"fuzz": {"kind": "stash"}},
-                         pack_flat_program(program))
-        header, packed = read_trace_file(path)
-        assert header["fuzz"] == {"kind": "stash"}
-        assert unpack_flat_program(packed) == program

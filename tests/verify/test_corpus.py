@@ -1,6 +1,8 @@
 """Failure corpus: serialization round trips, seeds, corruption handling."""
 
+import json
 import shutil
+import struct
 
 import pytest
 
@@ -62,8 +64,8 @@ class TestRoundTrip:
         )
 
     def test_missing_file_raises(self, tmp_path):
-        with pytest.raises(TraceError):
-            load_case(tmp_path / ("0" * 64 + ".trace"))
+        with pytest.raises(TraceError, match="missing"):
+            load_case(tmp_path / ("0" * 64 + ".json"))
 
     def test_corrupt_file_raises_and_discards(self, tmp_path):
         path = save_case(sample_case(), tmp_path)
@@ -74,12 +76,12 @@ class TestRoundTrip:
         assert path.read_bytes() == b"garbage"
 
     def test_plain_trace_entry_rejected(self, tmp_path):
-        from repro.sim.trace import pack_flat_program
-        from repro.verify.corpus import write_trace_file
+        from repro.sim.trace import PackedTrace
 
-        path = tmp_path / ("a" * 64 + ".trace")
-        write_trace_file(path, "a" * 64, {"workload": "mix"},
-                         pack_flat_program([(0, 1, False)]))
+        trace = PackedTrace(2)
+        trace.append(1, 0x40, True)
+        path = tmp_path / "plain.csv"
+        trace.to_file(path)
         with pytest.raises(TraceError, match="not a fuzz case"):
             load_case(path)
         assert path.exists()
@@ -105,6 +107,81 @@ class TestRoundTrip:
         command = repro_command(path)
         assert "repro fuzz --replay" in command
         assert str(path) in command
+
+
+def rewrite(path, mutate):
+    document = json.loads(path.read_text())
+    mutate(document)
+    path.write_text(json.dumps(document))
+
+
+class TestRejection:
+    """A malformed case raises TraceError and stays where it is."""
+
+    @pytest.mark.parametrize("mutate, message", [
+        (lambda case: case.update(format="repro-result"), "not a fuzz case"),
+        (lambda case: case.update(version=1), "version 1, not 2"),
+        (lambda case: case.update(key="0" * 64), "key does not match"),
+        (lambda case: case["program"].append([0, 0x10]), "malformed op"),
+        (lambda case: case["program"].append([6, 0x10, 0]), r"core outside \[0, 6\)"),
+        (lambda case: case.pop("detail"), "malformed fuzz case: 'detail'"),
+        (lambda case: case.update(fault="gone"), "unknown fault 'gone'"),
+    ], ids=["format", "version", "key", "op", "core", "missing-field", "fault"])
+    def test_malformed_case_rejected(self, tmp_path, mutate, message):
+        path = save_case(sample_case(), tmp_path)
+        rewrite(path, mutate)
+        text = path.read_text()
+        with pytest.raises(TraceError, match=message):
+            load_case(path)
+        assert path.read_text() == text
+
+    @pytest.mark.parametrize("damage", [
+        lambda text: "",
+        lambda text: text[: len(text) // 2],
+        lambda text: "[1, 2, 3]",
+    ], ids=["empty", "truncated", "not-an-object"])
+    def test_damaged_file_rejected(self, tmp_path, damage):
+        path = save_case(sample_case(), tmp_path)
+        path.write_text(damage(path.read_text()))
+        text = path.read_text()
+        with pytest.raises(TraceError, match="not a fuzz case"):
+            load_case(path)
+        assert path.read_text() == text
+
+    def test_binary_case_of_older_versions_rejected(self, tmp_path, capsys):
+        # The seed case as the binary container wrote it: a magic, a u32
+        # header length, a JSON header and the program as u64 words
+        # ((core << 48 | block) << 1 | is_write).  Its length prefix is
+        # not UTF-8.
+        from repro.cli import main
+
+        header = json.dumps({
+            "counts": [5],
+            "fuzz": {
+                "category": "seed",
+                "detail": "MOESI OWNED+SHARED distinguishing trace (check_swmr audit)",
+                "fault": None,
+                "kind": "stash",
+                "options": {
+                    "check_every": 1, "clean_eviction_notification": False,
+                    "coarse_group": 4, "discovery_filter_slots": 0, "entries": 8,
+                    "limited_pointers": 2, "num_cores": 4, "protocol": "moesi",
+                    "seed": 1, "sharer_format": "full", "tardis_lease": 16,
+                },
+                "profile": "seed",
+            },
+            "key": "9e21ec42b018077421f479be6e95cb5d9af0553ad411c9b5ec55787a59c280b7",
+            "num_cores": 1,
+            "version": 1,
+        }, sort_keys=True, separators=(",", ":")).encode()
+        words = [0x21, 0x2000000000020, 0x4000000000020, 0x21, 0x2000000000020]
+        blob = (b"RPROTRC1" + struct.pack("<I", len(header)) + header
+                + struct.pack("<5Q", *words))
+        path = tmp_path / "9e21ec42.trace"
+        path.write_bytes(blob)
+        assert main(["fuzz", "--replay", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {path} is not a fuzz case\n"
+        assert path.read_bytes() == blob
 
 
 class TestSeedCorpus:

@@ -8,11 +8,12 @@ one markdown reference.
 
 Usage::
 
-    python tools/gen_api_docs.py [output-path]
+    python tools/gen_api_docs.py [output-path]   # default docs/API.md
 """
 
 from __future__ import annotations
 
+import argparse
 import importlib
 import inspect
 import pkgutil
@@ -110,8 +111,13 @@ def generate(output: Path) -> int:
     return count
 
 
-def main() -> int:
-    output = Path(sys.argv[1]) if len(sys.argv) > 1 else Path("docs/API.md")
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description="Write the API reference.")
+    parser.add_argument(
+        "output", nargs="?", type=Path, default=Path("docs/API.md"),
+        help="markdown file to write (default: docs/API.md)",
+    )
+    output = parser.parse_args(argv).output
     output.parent.mkdir(parents=True, exist_ok=True)
     count = generate(output)
     print(f"documented {count} modules -> {output}")
