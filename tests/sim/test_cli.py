@@ -182,6 +182,7 @@ class TestCommands:
         ["compare", "{missing}/a.json", "{missing}/b.json"],
         ["gen-trace", "--workload", "mix", "--ops", "10", "{missing}/out.csv"],
         ["report", "{missing}/r.md", "--sections", "T1"],
+        ["fuzz", "--replay", "{missing}/case.json"],
     ], ids=lambda argv: argv[0])
     def test_missing_file_fails_cleanly(self, tmp_path, capsys, argv):
         """A file that cannot be opened or written is an error, not a

@@ -109,6 +109,29 @@ class TestRoundTrip:
         assert str(path) in command
 
 
+class TestProgram:
+    """The program is stored as the globally-ordered op list itself."""
+
+    def test_round_trip(self, tmp_path):
+        program = [(0, 0x10, True), (3, 0x0, False), (1, 0xABC, True)]
+        loaded = load_case(save_case(sample_case(program=program), tmp_path))
+        assert loaded.program == program
+        # JSON stores is_write as 0|1; it loads back as a bool.
+        assert [tuple(map(type, op)) for op in loaded.program] \
+            == [(int, int, bool)] * 3
+
+    def test_preserves_global_order(self, tmp_path):
+        program = [(core, 7, False) for core in (2, 0, 1, 0, 2)]
+        loaded = load_case(save_case(sample_case(program=program), tmp_path))
+        assert [op[0] for op in loaded.program] == [2, 0, 1, 0, 2]
+
+    def test_written_as_triples(self, tmp_path):
+        program = [(1, 0x40, True), (0, 0x40, False)]
+        path = save_case(sample_case(program=program), tmp_path)
+        assert json.loads(path.read_text())["program"] == [[1, 0x40, 1], [0, 0x40, 0]]
+        assert load_case(path).program == program
+
+
 def rewrite(path, mutate):
     document = json.loads(path.read_text())
     mutate(document)
@@ -136,17 +159,23 @@ class TestRejection:
         assert path.read_text() == text
 
     @pytest.mark.parametrize("damage", [
-        lambda text: "",
-        lambda text: text[: len(text) // 2],
-        lambda text: "[1, 2, 3]",
-    ], ids=["empty", "truncated", "not-an-object"])
+        lambda blob: b"",
+        lambda blob: blob[: len(blob) // 2],
+        lambda blob: b"[1, 2, 3]",
+        lambda blob: b"garbage not a trace",
+        # The binary container of older versions: an absurd u32 header
+        # length, and a short header that is not JSON.
+        lambda blob: b"RPROTRC1\xff\xff\xff\xff",
+        lambda blob: b"RPROTRC1" + struct.pack("<I", 4) + b"{broken",
+    ], ids=["empty", "truncated", "not-an-object", "garbage",
+            "binary-header-length", "binary-header-json"])
     def test_damaged_file_rejected(self, tmp_path, damage):
         path = save_case(sample_case(), tmp_path)
-        path.write_text(damage(path.read_text()))
-        text = path.read_text()
+        path.write_bytes(damage(path.read_bytes()))
+        blob = path.read_bytes()
         with pytest.raises(TraceError, match="not a fuzz case"):
             load_case(path)
-        assert path.read_text() == text
+        assert path.read_bytes() == blob
 
     def test_binary_case_of_older_versions_rejected(self, tmp_path, capsys):
         # The seed case as the binary container wrote it: a magic, a u32
